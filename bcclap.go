@@ -39,23 +39,24 @@
 // allocation-free): cancellation or deadline aborts within one outer
 // iteration with an error satisfying errors.Is(err, ctx.Err()).
 //
-// Sessions are deterministic — sequential Solve calls on one FlowSolver
-// produce bit-identical results to fresh one-shot calls with the same
-// seed — and single-goroutine by default: serve a sequential query stream
-// per session.
+// Sessions are deterministic: Solve calls on one FlowSolver produce
+// bit-identical results to a fresh solver with the same seed. LPSolver
+// and LaplacianSolver are single-goroutine: serve a sequential query
+// stream per session.
 //
 // # Concurrent serving
 //
-// WithPoolSize(n) backs a FlowSolver with a sharded pool of n independent
-// worker sessions (each owning its own backend workspaces, so the
-// allocation-free hot paths stay race-free without locks). The solver then
-// accepts Solve and SolveBatch from any number of goroutines, and
-// SolveBatch fans out across the workers with bounded concurrency.
-// Queries are routed by terminal pair — every pair always runs on the same
-// worker, in submission order — so pooled results, warm starts included,
-// are bit-identical to the sequential path. WithShards controls the
-// terminal-pair sharding; Drain and Close shut the pool down gracefully or
-// immediately, and PoolStats exposes the serving counters:
+// Every FlowSolver is backed by a sharded pool of independent worker
+// sessions — one by default, n with WithPoolSize(n) — each owning its own
+// backend workspaces, so the allocation-free hot paths stay race-free
+// without locks. The solver accepts Solve and SolveBatch from any number
+// of goroutines, and SolveBatch fans out across the workers with bounded
+// concurrency. Queries are routed by terminal pair — every pair always
+// runs on the same worker, in submission order — so results, warm starts
+// included, are bit-identical at every pool size. WithShards controls the
+// terminal-pair sharding; each worker is a goroutine, so shut the solver
+// down with Drain (graceful) or Close (immediate); PoolStats exposes the
+// serving counters:
 //
 //	solver, err := bcclap.NewFlowSolver(d, bcclap.WithPoolSize(8))
 //	defer solver.Close()
@@ -66,7 +67,7 @@
 // Service is the top of the API for production serving: one process
 // managing many named, versioned networks over the session/pool
 // machinery. Register ingests a digraph under a name and returns a
-// NetworkHandle — a pooled FlowSolver with per-network option overrides
+// NetworkHandle — a FlowSolver with per-network option overrides
 // layered over the service defaults — and Swap atomically replaces a
 // tenant's network (bumping its monotonic version and draining the old
 // solver) without disturbing other tenants:
@@ -138,6 +139,7 @@
 //	          Stats.PrecondBuilds/PrecondRefreshes expose its counters
 //
 //	solver, err := bcclap.NewFlowSolver(d, bcclap.WithBackend("csr-pcg"))
+//	defer solver.Close()
 //	res, err := solver.Solve(ctx, s, t)
 //
 // With no WithBackend option the backend is auto-selected: csr-pcg when
@@ -148,14 +150,9 @@
 // a parallel sparse kernel that shards rows by balanced nonzero count
 // (serial below an nnz threshold) with output bit-for-bit identical to the
 // serial product.
-//
-// The pre-session entry points (Sparsify, SolveLP, MinCostMaxFlow) remain
-// as thin deprecated wrappers over sessions, so existing callers keep
-// working unchanged.
 package bcclap
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 
@@ -222,20 +219,6 @@ func PracticalSparsifyParams(n, m int, eps float64) SparsifyParams {
 	return sparsify.PracticalParams(n, m, eps)
 }
 
-// SparsifyOptions configures Sparsify.
-//
-// Deprecated: use SparsifyGraph with functional options (WithSeed,
-// WithNetwork, WithSparsifyParams).
-type SparsifyOptions struct {
-	// Params overrides the sparsifier parameters (zero selects
-	// PracticalParams; use sparsify.PaperParams for the proof constants).
-	Params sparsify.Params
-	// Seed drives all randomness.
-	Seed int64
-	// Net, if non-nil, receives Broadcast CONGEST round accounting.
-	Net *Network
-}
-
 // SparsifyResult is a computed spectral sparsifier.
 type SparsifyResult struct {
 	// H is the reweighted sparsifier.
@@ -272,17 +255,6 @@ func SparsifyGraph(g *Graph, eps float64, opts ...Option) (*SparsifyResult, erro
 	}, nil
 }
 
-// Sparsify computes a spectral sparsifier of g.
-//
-// Deprecated: use SparsifyGraph, which takes the shared functional option
-// set. Sparsify remains a thin wrapper and behaves identically.
-func Sparsify(g *Graph, eps float64, opts SparsifyOptions) (*SparsifyResult, error) {
-	return SparsifyGraph(g, eps,
-		WithSeed(opts.Seed),
-		WithNetwork(opts.Net),
-		WithSparsifyParams(opts.Params))
-}
-
 // SparsifierQuality estimates the spectral band (lo, hi) with
 // lo·L_H ≼ L_G ≼ hi·L_H over probed directions.
 func SparsifierQuality(g, h *Graph, seed int64) (lo, hi float64) {
@@ -290,24 +262,10 @@ func SparsifierQuality(g, h *Graph, seed int64) (lo, hi float64) {
 }
 
 // LaplacianSolver answers systems L_G x = b after a one-time sparsifier
-// preprocessing (Theorem 1.3). Construct with NewLaplacianSession (or the
-// deprecated NewLaplacianSolver) and query with SolveCtx.
+// preprocessing (Theorem 1.3). Construct with NewLaplacianSession and
+// query with SolveCtx.
 type LaplacianSolver struct {
 	inner *lapsolver.Solver
-}
-
-// LaplacianSolveStats mirrors the per-instance costs of Theorem 1.3.
-//
-// Deprecated: SolveCtx reports the unified Stats instead.
-type LaplacianSolveStats = lapsolver.Stats
-
-// NewLaplacianSolver preprocesses g (connected) for repeated solving.
-//
-// Deprecated: use NewLaplacianSession(g, WithSeed(seed), WithNetwork(net)),
-// which additionally accepts WithSparsifyParams. This wrapper behaves
-// identically.
-func NewLaplacianSolver(g *Graph, seed int64, net *Network) (*LaplacianSolver, error) {
-	return NewLaplacianSession(g, WithSeed(seed), WithNetwork(net))
 }
 
 // PreprocessRounds returns the rounds consumed by preprocessing.
@@ -315,14 +273,6 @@ func (s *LaplacianSolver) PreprocessRounds() int { return s.inner.PreprocessRoun
 
 // Sparsifier returns the sparsifier used for preconditioning.
 func (s *LaplacianSolver) Sparsifier() *Graph { return s.inner.Sparsifier() }
-
-// Solve returns y with ‖x − y‖_{L_G} ≤ ε‖x‖_{L_G} for L_G x = b.
-//
-// Deprecated: use SolveCtx, which is cancelable and reports the unified
-// Stats.
-func (s *LaplacianSolver) Solve(b []float64, eps float64) ([]float64, LaplacianSolveStats, error) {
-	return s.inner.Solve(b, eps)
-}
 
 // LPProblem is the linear program min cᵀx s.t. Aᵀx = b, l ≤ x ≤ u.
 type LPProblem = lp.Problem
@@ -333,53 +283,8 @@ type LPParams = lp.Params
 // LPSolution is the solver output.
 type LPSolution = lp.Solution
 
-// SolveLP runs the Lee–Sidford-style solver of Theorem 1.4 from the given
-// strictly feasible x0.
-//
-// Deprecated: use NewLPSolver(prob, ...).Solve(ctx, x0, eps), which is
-// cancelable, amortizes the backend across repeated solves and reports the
-// unified Stats. This wrapper remains a one-shot session.
-func SolveLP(prob *LPProblem, x0 []float64, eps float64, par LPParams) (*LPSolution, error) {
-	return lp.Solve(prob, x0, eps, par)
-}
-
-// FlowOptions configures MinCostMaxFlow.
-//
-// Deprecated: use NewFlowSolver with functional options (WithBackend,
-// WithSeed, WithNetwork).
-type FlowOptions struct {
-	// Backend selects the AᵀDA linear-solve strategy by registry name:
-	// "dense" (assemble + factorize, the reference), "gremban" (Lemma 5.1's
-	// reduction to Laplacian systems), "csr-cg" (matrix-free CG over
-	// composed operators) or "csr-pcg" (csr-cg with the spanner-built
-	// combinatorial preconditioner). Empty auto-selects — csr-pcg on sparse
-	// graphs, dense otherwise — or "gremban" when UseGremban is set.
-	// FlowBackends lists the registered names.
-	Backend string
-	// UseGremban routes the LP's linear-system solves through the Gremban
-	// reduction to Laplacian systems (Lemma 5.1).
-	//
-	// Deprecated: set Backend to "gremban" instead. Ignored when Backend is
-	// non-empty.
-	UseGremban bool
-	// Seed drives the Daitch–Spielman perturbations.
-	Seed int64
-	// Net, if non-nil, receives round accounting.
-	Net *Network
-}
-
-// options folds the deprecated UseGremban knob into the session option
-// set — the single place the legacy FlowOptions surface is translated.
-func (o FlowOptions) options() []Option {
-	backend := o.Backend
-	if backend == "" && o.UseGremban {
-		backend = "gremban"
-	}
-	return []Option{WithBackend(backend), WithSeed(o.Seed), WithNetwork(o.Net)}
-}
-
 // FlowBackends returns the names of all registered AᵀDA solve backends
-// accepted by WithBackend and FlowOptions.Backend.
+// accepted by WithBackend.
 func FlowBackends() []string { return lp.Backends() }
 
 // FlowResult is an exact minimum-cost maximum flow.
@@ -388,28 +293,9 @@ type FlowResult struct {
 	Value, Cost int64
 	// Flows gives the integral flow per arc (indexed like d.Arcs()).
 	Flows []int64
-	// PathSteps is the interior-point iteration count (the Õ(√n) of
-	// Theorem 1.1).
-	PathSteps int
-	// Rounds is the simulated round cost of this solve (0 without Net).
-	Rounds int
-	// Stats is the unified per-solve observability record.
+	// Stats is the unified per-solve observability record: path steps
+	// (the Õ(√n) of Theorem 1.1), simulated rounds, wall time, reuse flags.
 	Stats Stats
-}
-
-// MinCostMaxFlow computes an exact minimum-cost maximum s-t flow with the
-// paper's LP pipeline (Theorem 1.1). The result is certified internally
-// (feasibility, maximality, cost optimality) before being returned.
-//
-// Deprecated: use NewFlowSolver(d, ...).Solve(ctx, s, t), which amortizes
-// the LP formulation across queries, is cancelable and supports batches.
-// This wrapper builds a single-use session and produces identical results.
-func MinCostMaxFlow(d *Digraph, s, t int, opts FlowOptions) (*FlowResult, error) {
-	fs, err := NewFlowSolver(d, opts.options()...)
-	if err != nil {
-		return nil, err
-	}
-	return fs.Solve(context.Background(), s, t)
 }
 
 // MinCostMaxFlowBaseline runs the combinatorial successive-shortest-paths

@@ -1,6 +1,7 @@
 package bcclap
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -18,13 +19,9 @@ func TestPublicSparsify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Sparsify(g, 0.5, SparsifyOptions{
-		Seed: 1,
-		Net:  net,
-		// K24 is small enough that the default practical bundle covers the
-		// whole graph; force compression for this test.
-		Params: sparsifyParamsForTest,
-	})
+	// K24 is small enough that the default practical bundle covers the
+	// whole graph; force compression for this test.
+	res, err := SparsifyGraph(g, 0.5, WithSeed(1), WithNetwork(net), WithSparsifyParams(sparsifyParamsForTest))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +39,7 @@ func TestPublicSparsify(t *testing.T) {
 
 func TestPublicSparsifyValidation(t *testing.T) {
 	g := graph.Path(4)
-	if _, err := Sparsify(g, 0, SparsifyOptions{}); err == nil {
+	if _, err := SparsifyGraph(g, 0); err == nil {
 		t.Fatal("eps = 0 accepted")
 	}
 }
@@ -53,7 +50,7 @@ func TestPublicLaplacianSolver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewLaplacianSolver(g, 5, net)
+	s, err := NewLaplacianSession(g, WithSeed(5), WithNetwork(net))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +63,7 @@ func TestPublicLaplacianSolver(t *testing.T) {
 		b[i] = rnd.NormFloat64()
 	}
 	b = linalg.ProjectOutOnes(b)
-	y, st, err := s.Solve(b, 1e-6)
+	y, st, err := s.SolveCtx(context.Background(), b, 1e-6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +71,7 @@ func TestPublicLaplacianSolver(t *testing.T) {
 	if r := linalg.Norm2(linalg.Sub(l.MulVec(y), b)) / linalg.Norm2(b); r > 1e-4 {
 		t.Fatalf("relative residual %g", r)
 	}
-	if st.Iterations == 0 || st.Rounds == 0 {
+	if st.CGIterations == 0 || st.Rounds == 0 {
 		t.Fatalf("stats empty: %+v", st)
 	}
 }
@@ -88,7 +85,11 @@ func TestPublicSolveLP(t *testing.T) {
 		L: []float64{0, 0},
 		U: []float64{1, 1},
 	}
-	sol, err := SolveLP(prob, []float64{0.5, 0.5}, 0.02, LPParams{Seed: 4})
+	l, err := NewLPSolver(prob, WithSeed(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, _, err := l.Solve(context.Background(), []float64{0.5, 0.5}, 0.02)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,14 +105,14 @@ func TestPublicMinCostMaxFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := MinCostMaxFlow(d, 0, d.N()-1, FlowOptions{Seed: 9})
+	res, err := solveOnce(d, 0, d.N()-1, WithSeed(9))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Value != want || res.Cost != wantCost {
 		t.Fatalf("LP pipeline (%d, %d) vs baseline (%d, %d)", res.Value, res.Cost, want, wantCost)
 	}
-	if res.PathSteps == 0 {
+	if res.Stats.PathSteps == 0 {
 		t.Fatal("no path steps recorded")
 	}
 	vMax, _, err := MaxFlow(d, 0, d.N()-1)

@@ -540,7 +540,7 @@ func benchSessionInstance() (*graph.Digraph, int, int) {
 	return d, 0, d.N() - 1
 }
 
-// E17 — session API: one-shot MinCostMaxFlow vs a FlowSolver serving the
+// E17 — session API: one-shot solves vs a FlowSolver serving the
 // same query repeatedly. The session amortizes the LP formulation and
 // backend workspaces; warm-started batch queries additionally skip path
 // following (the acceptance lever for BENCH_session.json).
@@ -549,7 +549,7 @@ func BenchmarkFlowSolverReuse(b *testing.B) {
 	ctx := context.Background()
 	b.Run("one-shot", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := MinCostMaxFlow(d, s, t, FlowOptions{Seed: 7}); err != nil {
+			if _, err := solveOnce(d, s, t, WithSeed(7)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -559,6 +559,7 @@ func BenchmarkFlowSolverReuse(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		defer fs.Close()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := fs.Solve(ctx, s, t); err != nil {
@@ -571,6 +572,7 @@ func BenchmarkFlowSolverReuse(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		defer fs.Close()
 		// Prime the warm state; every timed query then re-centers it.
 		if _, err := fs.SolveBatch(ctx, []FlowQuery{{S: s, T: t}}); err != nil {
 			b.Fatal(err)
@@ -589,7 +591,7 @@ func BenchmarkFlowSolverReuse(b *testing.B) {
 }
 
 // TestBenchSessionSnapshot regenerates BENCH_session.json, the committed
-// snapshot comparing one-shot MinCostMaxFlow against session batch solves
+// snapshot comparing one-shot solves against session batch solves
 // per backend (set BENCH_SNAPSHOT=1 to refresh; skipped otherwise). The
 // acceptance gate lives here: batch per-query time must come in below
 // one-shot on every backend, with identical certified (value, cost).
@@ -607,7 +609,7 @@ func TestBenchSessionSnapshot(t *testing.T) {
 	backends := map[string]any{}
 	for _, backend := range FlowBackends() {
 		oneShotNS := benchMedian(func() {
-			res, err := MinCostMaxFlow(d, s, tt, FlowOptions{Seed: 7, Backend: backend})
+			res, err := solveOnce(d, s, tt, WithSeed(7), WithBackend(backend))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -639,6 +641,7 @@ func TestBenchSessionSnapshot(t *testing.T) {
 				}
 			}
 		}).Nanoseconds() / batchLen
+		fs.Close()
 		if batchPerQueryNS >= oneShotNS {
 			t.Errorf("%s: batch per-query %d ns does not beat one-shot %d ns", backend, batchPerQueryNS, oneShotNS)
 		}
@@ -695,6 +698,7 @@ func BenchmarkE19Precond(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
+				defer fs.Close()
 				var iters, refreshes float64
 				for i := 0; i < b.N; i++ {
 					res, err := fs.Solve(ctx, 0, d.N()-1)
@@ -758,6 +762,7 @@ func TestBenchPrecondSnapshot(t *testing.T) {
 				}
 				st = res.Stats
 			}).Nanoseconds()
+			fs.Close()
 			iters[backend] = st.CGIterations
 			solveNS[backend] = ns
 			perBackend[backend] = map[string]any{
@@ -839,11 +844,7 @@ func BenchmarkE18PoolBatch(b *testing.B) {
 	ctx := context.Background()
 	for _, size := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("pool-%d", size), func(b *testing.B) {
-			opts := []Option{WithSeed(7)}
-			if size > 1 {
-				opts = append(opts, WithPoolSize(size))
-			}
-			fs, err := NewFlowSolver(d, opts...)
+			fs, err := NewFlowSolver(d, WithSeed(7), WithPoolSize(size))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -877,6 +878,7 @@ func TestBenchPoolSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer seq.Close()
 	want, err := seq.SolveBatch(ctx, queries)
 	if err != nil {
 		t.Fatal(err)
@@ -901,11 +903,7 @@ func TestBenchPoolSnapshot(t *testing.T) {
 	perSize := map[string]any{}
 	qps := map[int]float64{}
 	for _, size := range sizes {
-		opts := []Option{WithSeed(7)}
-		if size > 1 {
-			opts = append(opts, WithPoolSize(size))
-		}
-		fs, err := NewFlowSolver(d, opts...)
+		fs, err := NewFlowSolver(d, WithSeed(7), WithPoolSize(size))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1484,9 +1482,9 @@ func TestBenchStoreSnapshot(t *testing.T) {
 	if touched.Stats.CacheHit {
 		t.Error("selective invalidation gate: touched pair served stale from cache")
 	}
-	if !touched.Stats.WarmStarted || touched.PathSteps != 0 {
+	if !touched.Stats.WarmStarted || touched.Stats.PathSteps != 0 {
 		t.Errorf("warm gate: post-patch resolve warm=%v path_steps=%d, want a warm start with no path following",
-			touched.Stats.WarmStarted, touched.PathSteps)
+			touched.Stats.WarmStarted, touched.Stats.PathSteps)
 	}
 	wantV, wantC, _, err := flow.MinCostMaxFlowSSP(islands, 3, 5)
 	if err != nil {

@@ -506,7 +506,7 @@ func e12(ctx context.Context, quick bool) error {
 	return nil
 }
 
-// e17: session amortization — one-shot MinCostMaxFlow vs FlowSolver batch
+// e17: session amortization — one-shot flow solve vs flow.Solver batch
 // with warm starts, per backend (the "Sessions & reuse" table of
 // EXPERIMENTS.md; BENCH_session.json snapshots the same comparison).
 func e17(ctx context.Context, quick bool) error {
@@ -831,7 +831,7 @@ func e21(ctx context.Context, quick bool) error {
 	swapWall := time.Since(start)
 	fmt.Println("\n| path | mutate+resolve | warm started | path steps |")
 	fmt.Println("|---|---|---|---|")
-	fmt.Printf("| PatchArcs | %v | %v | %d |\n", patchWall.Round(time.Microsecond), res.Stats.WarmStarted, res.PathSteps)
+	fmt.Printf("| PatchArcs | %v | %v | %d |\n", patchWall.Round(time.Microsecond), res.Stats.WarmStarted, res.Stats.PathSteps)
 	fmt.Printf("| Swap | %v | — (cold) | — |\n", swapWall.Round(time.Microsecond))
 	fmt.Printf("\npatch speedup vs swap: %.1f×\n", float64(swapWall)/float64(patchWall))
 	return nil

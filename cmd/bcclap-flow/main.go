@@ -29,12 +29,8 @@ func main() {
 	randomN := flag.Int("random", 0, "generate a random instance on N vertices instead of reading stdin")
 	seed := flag.Int64("seed", 1, "random seed")
 	backend := flag.String("backend", "", "AᵀDA solve backend: "+strings.Join(bcclap.FlowBackends(), ", ")+" (default: auto — csr-pcg on sparse graphs, else dense)")
-	gremban := flag.Bool("gremban", false, "deprecated: same as -backend gremban")
 	timeout := flag.Duration("timeout", 0, "abort the solve after this duration (e.g. 30s; 0 = no limit)")
 	flag.Parse()
-	if *backend == "" && *gremban {
-		*backend = "gremban"
-	}
 	ctx := context.Background()
 	if *timeout > 0 {
 		var cancel context.CancelFunc
@@ -70,13 +66,14 @@ func run(ctx context.Context, randomN int, seed int64, backend string) error {
 	if err != nil {
 		return err
 	}
+	defer solver.Close()
 	res, err := solver.Solve(ctx, s, t)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("max flow value: %d\n", res.Value)
 	fmt.Printf("min cost:       %d\n", res.Cost)
-	fmt.Printf("LP path steps:  %d\n", res.PathSteps)
+	fmt.Printf("LP path steps:  %d\n", res.Stats.PathSteps)
 	fmt.Printf("wall time:      %v\n", res.Stats.WallTime.Round(time.Millisecond))
 	wantV, wantC, _, err := bcclap.MinCostMaxFlowBaseline(d, s, t)
 	if err != nil {

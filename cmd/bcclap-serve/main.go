@@ -807,7 +807,7 @@ func response(req flowRequest, res *bcclap.FlowResult) flowResponse {
 		T:           req.T,
 		Value:       res.Value,
 		Cost:        res.Cost,
-		PathSteps:   res.PathSteps,
+		PathSteps:   res.Stats.PathSteps,
 		CacheHit:    res.Stats.CacheHit,
 		WarmStarted: res.Stats.WarmStarted,
 		Reused:      res.Stats.ReusedPreprocessing,

@@ -46,11 +46,10 @@ func run(randomN int, seed int64, t, k int) error {
 	if err != nil {
 		return err
 	}
-	res, err := bcclap.Sparsify(g, 0.5, bcclap.SparsifyOptions{
-		Seed:   seed,
-		Net:    net,
-		Params: sparsify.Params{K: k, T: t, Iterations: 0},
-	})
+	res, err := bcclap.SparsifyGraph(g, 0.5,
+		bcclap.WithSeed(seed),
+		bcclap.WithNetwork(net),
+		bcclap.WithSparsifyParams(sparsify.Params{K: k, T: t, Iterations: 0}))
 	if err != nil {
 		return err
 	}

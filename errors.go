@@ -36,9 +36,8 @@ var (
 	ErrInfeasible = lp.ErrInfeasible
 
 	// ErrSolverClosed marks a query submitted to a FlowSolver after Drain
-	// or Close began (pooled or not), a queued query abandoned by an
-	// aborting shutdown, or an operation on a Service or NetworkHandle
-	// whose shutdown has begun.
+	// or Close began, a queued query abandoned by an aborting shutdown, or
+	// an operation on a Service or NetworkHandle whose shutdown has begun.
 	ErrSolverClosed = pool.ErrClosed
 
 	// ErrNetworkUnknown marks a Service operation naming a network that is

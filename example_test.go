@@ -38,6 +38,7 @@ func ExampleNewFlowSolver() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer solver.Close() // each solver owns a worker goroutine
 	res, err := solver.Solve(context.Background(), 0, 3)
 	if err != nil {
 		log.Fatal(err)
@@ -56,6 +57,7 @@ func ExampleFlowSolver_SolveBatch() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer solver.Close()
 	queries := []bcclap.FlowQuery{{S: 0, T: 3}, {S: 0, T: 3}, {S: 0, T: 3}}
 	results, err := solver.SolveBatch(context.Background(), queries)
 	if err != nil {
@@ -79,6 +81,7 @@ func ExampleFlowSolver_Solve_cancellation() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer solver.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // deadline/cancellation propagates through all four layers
 	_, err = solver.Solve(ctx, 0, 3)
@@ -96,7 +99,7 @@ func ExampleFlowSolver_Solve_cancellation() {
 }
 
 // A Service is the multi-tenant top of the API: one process managing many
-// named, versioned networks, each behind a pooled solver and a
+// named, versioned networks, each behind a solver pool and a
 // certified-result cache. Results are exact and deterministic, so cached
 // answers are bit-identical to fresh ones; Swap atomically replaces a
 // tenant's network, bumping its version and invalidating exactly that

@@ -34,6 +34,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer solver.Close()
 
 	// The context bounds the whole batch; a pathological instance aborts
 	// with context.DeadlineExceeded instead of hanging.

@@ -43,20 +43,6 @@ func TestBackendsProduceIdenticalCertifiedFlows(t *testing.T) {
 	}
 }
 
-func TestSolverModeBackendNames(t *testing.T) {
-	cases := map[SolverMode]string{
-		SolverDense:   "dense",
-		SolverGremban: "gremban",
-		SolverCSRCG:   "csr-cg",
-		SolverMode(0): "dense",
-	}
-	for mode, want := range cases {
-		if got := mode.BackendName(); got != want {
-			t.Fatalf("mode %d: backend %q, want %q", mode, got, want)
-		}
-	}
-}
-
 // pathDigraph is an s→t chain; gridDigraph a rows×cols mesh with rightward
 // and downward arcs — the structured families the csr-pcg preconditioner
 // extracts its forest from.
@@ -136,8 +122,8 @@ func TestCSRPCGCertifiedFlowsAndReuse(t *testing.T) {
 }
 
 // With no backend named, sessions auto-select: csr-pcg on big sparse
-// graphs, the dense reference on tiny or near-complete ones; the
-// deprecated Solver enum still wins over the auto rule.
+// graphs, the dense reference on tiny or near-complete ones; a named
+// backend always wins over the auto rule.
 func TestDefaultBackendAutoSelection(t *testing.T) {
 	rnd := rand.New(rand.NewSource(44))
 	sparse := pathDigraph(64, rnd)
@@ -159,12 +145,12 @@ func TestDefaultBackendAutoSelection(t *testing.T) {
 	if fs.Backend() != "csr-pcg" {
 		t.Fatalf("session backend %q, want auto-selected csr-pcg", fs.Backend())
 	}
-	fs, err = NewSolver(sparse, Options{Solver: SolverGremban})
+	fs, err = NewSolver(sparse, Options{Backend: "gremban"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fs.Backend() != "gremban" {
-		t.Fatalf("Solver enum overridden by auto rule: backend %q", fs.Backend())
+		t.Fatalf("named backend overridden by auto rule: %q", fs.Backend())
 	}
 	fs, err = NewSolver(sparse, Options{Backend: "dense"})
 	if err != nil {

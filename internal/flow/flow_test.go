@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"bcclap/internal/graph"
+	"bcclap/internal/linalg"
 )
 
 func diamond(t *testing.T) *graph.Digraph {
@@ -149,8 +150,16 @@ func TestAssembleATDAIsSDD(t *testing.T) {
 	for i := range dvec {
 		dvec[i] = 0.1 + rnd.Float64()
 	}
-	m := form.assembleATDA(dvec)
-	n := m.Rows()
+	// Start from a dirty buffer: the assembly must overwrite, not add to,
+	// whatever a previous call left behind.
+	n := form.NPrime
+	m := linalg.NewDense(n, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			m.Set(i, j, 7)
+		}
+	}
+	form.assembleATDAInto(dvec, m)
 	// Compare against the definition AᵀDA computed from the CSR matrix.
 	for i := 0; i < n; i++ {
 		ei := make([]float64, n)
@@ -188,8 +197,8 @@ func TestMinCostMaxFlowLPPipelineDiamond(t *testing.T) {
 func TestMinCostMaxFlowLPPipelineGremban(t *testing.T) {
 	d := diamond(t)
 	res, err := MinCostMaxFlow(d, 0, 3, Options{
-		Solver: SolverGremban,
-		Rand:   rand.New(rand.NewSource(2)),
+		Backend: "gremban",
+		Rand:    rand.New(rand.NewSource(2)),
 	})
 	if err != nil {
 		t.Fatal(err)

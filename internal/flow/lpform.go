@@ -219,35 +219,6 @@ func abs64(v int64) int64 {
 	return v
 }
 
-// SolverMode selects how the LP's (AᵀDA)-solves are performed. It is a thin
-// veneer over the lp backend registry kept for API compatibility; new code
-// should address backends by name (Options.Backend, lp.Backends()).
-type SolverMode int
-
-const (
-	// SolverDense assembles AᵀDA and factorizes it (reference).
-	SolverDense SolverMode = iota + 1
-	// SolverGremban routes every solve through the Gremban reduction to a
-	// Laplacian system solved by conjugate gradients — the structure
-	// Lemma 5.1 exploits.
-	SolverGremban
-	// SolverCSRCG applies A, D, Aᵀ as composed linear operators inside
-	// conjugate gradients, never materializing AᵀDA.
-	SolverCSRCG
-)
-
-// BackendName maps the mode to its lp registry name.
-func (m SolverMode) BackendName() string {
-	switch m {
-	case SolverGremban:
-		return "gremban"
-	case SolverCSRCG:
-		return "csr-cg"
-	default:
-		return "dense"
-	}
-}
-
 // Configure points the LP at the named AᵀDA backend. For "gremban" it
 // installs the flow-structured fast path (assembling the SDD matrix
 // directly from arcs instead of generic Gram assembly); every other name is
@@ -276,37 +247,6 @@ func (f *LPForm) Configure(backend string) error {
 	f.Prob.Solve = nil
 	f.Prob.Backend = backend
 	return nil
-}
-
-// ATDASolver returns the lp.ATDASolve for the requested mode, resolving
-// non-gremban modes through the registry so every enum value reaches the
-// backend it names (a nil return means "let lp.Problem use its default",
-// which is only correct for SolverDense).
-//
-// Deprecated: use Configure / Options.Backend; kept for callers that still
-// pass SolverMode values around.
-func (f *LPForm) ATDASolver(mode SolverMode) lp.ATDASolve {
-	if mode == SolverGremban {
-		lapSolve := lapsolver.NewCGLapSolver()
-		return func(ctx context.Context, dvec, y []float64) ([]float64, int, error) {
-			m := f.assembleATDA(dvec)
-			return lapsolver.SDDSolve(ctx, m, y, lapSolve)
-		}
-	}
-	if name := mode.BackendName(); name != lp.DefaultBackend {
-		if sol, err := lp.NewBackendSolver(name, f.Prob.A); err == nil {
-			return sol
-		}
-	}
-	return nil // dense: lp.Problem's default backend
-}
-
-// assembleATDA builds AᵀDA = BᵀD₁B + D₂ + D₃ + d_F·e_t e_tᵀ densely (the
-// matrix is (|V|−1)×(|V|−1), tiny compared to the LP).
-func (f *LPForm) assembleATDA(dvec []float64) *linalg.Dense {
-	out := linalg.NewDense(f.NPrime, f.NPrime)
-	f.assembleATDAInto(dvec, out)
-	return out
 }
 
 // assembleATDAInto writes AᵀDA into a caller-owned (reused) buffer.

@@ -21,16 +21,10 @@ type Options struct {
 	// probability ≥ 1/2 per Daitch–Spielman; footnote 7's boosting).
 	Retries int
 	// Backend names the (AᵀDA) strategy from the lp backend registry
-	// ("dense", "gremban", "csr-cg", "csr-pcg", …); empty falls back to
-	// Solver, then to the graph-dependent auto-selection of
-	// DefaultBackendFor. Unknown names fail fast with lp.ErrBackendUnknown
-	// when the solver is constructed.
+	// ("dense", "gremban", "csr-cg", "csr-pcg", …); empty selects the
+	// graph-dependent auto-selection of DefaultBackendFor. Unknown names
+	// fail fast with lp.ErrBackendUnknown when the solver is constructed.
 	Backend string
-	// Solver picks the (AᵀDA) strategy by enum.
-	//
-	// Deprecated: set Backend; Solver is kept as an alias for existing
-	// callers and is ignored when Backend is non-empty.
-	Solver SolverMode
 	// LP forwards interior-point parameters.
 	LP lp.Params
 	// Rand drives the perturbations. When non-nil it is consumed as a
@@ -83,21 +77,16 @@ func DefaultBackendFor(d *graph.Digraph) string {
 	return "dense"
 }
 
-// ResolveBackend folds the deprecated Solver enum and the empty default
-// into a single registry name, and validates it against the registry —
-// the one place the legacy knobs are translated, shared with the public
-// layer so Stats.Backend always names what the sessions actually run.
-// With neither Backend nor Solver set, the backend is auto-selected per
-// DefaultBackendFor. Unknown names fail here, before any solve starts,
-// with an error satisfying errors.Is(err, lp.ErrBackendUnknown).
+// ResolveBackend folds the empty default into a registry name and
+// validates it against the registry — shared with the public layer so
+// Stats.Backend always names what the sessions actually run. With Backend
+// unset, the backend is auto-selected per DefaultBackendFor. Unknown names
+// fail here, before any solve starts, with an error satisfying
+// errors.Is(err, lp.ErrBackendUnknown).
 func (o Options) ResolveBackend(d *graph.Digraph) (string, error) {
 	backend := o.Backend
 	if backend == "" {
-		if o.Solver != 0 {
-			backend = o.Solver.BackendName()
-		} else {
-			backend = DefaultBackendFor(d)
-		}
+		backend = DefaultBackendFor(d)
 	}
 	if err := lp.ValidateBackend(backend); err != nil {
 		return "", err

@@ -27,7 +27,7 @@
 //     measured-vs-claimed table is reproducible.
 //   - One Network serves one solver session at a time: the phase state is
 //     unsynchronized by design (one network, one round structure).
-//     Attaching a network to a pooled solver would interleave round
-//     accounting, so the session layer rejects WithNetwork together with
-//     WithPoolSize at construction.
+//     Attaching a network to several pool workers would interleave round
+//     accounting, so the session layer accepts WithNetwork only on a
+//     one-worker FlowSolver, and Service tenants reject it outright.
 package sim

@@ -102,8 +102,10 @@ func WithSeed(seed int64) Option {
 
 // WithNetwork attaches a round-accounting simulator network; Stats.Rounds
 // then reports the rounds consumed by each solve. The simulator is
-// single-stream, so combining it with WithPoolSize/WithShards fails at
-// construction. Applies to every entry point.
+// single-stream, so a FlowSolver accepts it only with one worker:
+// combining it with WithPoolSize or WithShards above 1 fails at
+// construction, and Service registrations reject it outright. Applies to
+// every entry point.
 func WithNetwork(net *Network) Option {
 	return func(c *config) { c.net = net }
 }
@@ -123,40 +125,40 @@ func WithRetries(n int) Option {
 	return func(c *config) { c.retries = n }
 }
 
-// WithPoolSize backs a FlowSolver with a pool of n ≥ 1 worker sessions,
-// making it safe for concurrent use: Solve and SolveBatch may be called
-// from any number of goroutines, SolveBatch fans its queries out across
-// the workers (bounded by pool-size concurrent solves), and queries are
-// routed by terminal pair so that each pair always runs on the same
-// worker session — which keeps results bit-identical to the sequential
-// path, warm-start caches included. The worker count is exactly
-// max(n, WithShards) — every shard needs at least one worker — and
-// construction cost scales with it (each worker owns independent backend
-// workspaces); PoolSize reports the effective count. Without this option
-// the solver is the classic single-goroutine session. A pooled solver
-// rejects WithNetwork (the round simulator is single-stream) and should
-// be shut down with Drain or Close. Applies to NewFlowSolver.
+// WithPoolSize sets how many worker sessions back a FlowSolver (default
+// and floor 1). SolveBatch fans its queries out across the workers
+// (bounded by pool-size concurrent solves), and queries are routed by
+// terminal pair so that each pair always runs on the same worker session
+// — which keeps results bit-identical at every pool size, warm-start
+// caches included. The worker count is exactly max(n, WithShards, 1) —
+// every shard needs at least one worker — and construction cost scales
+// with it (each worker owns independent backend workspaces); PoolSize
+// reports the effective count. More than one worker rejects WithNetwork
+// (the round simulator is single-stream). Applies to NewFlowSolver and
+// NewService/Register/Swap.
 func WithPoolSize(n int) Option {
 	return func(c *config) { c.poolSize = n }
 }
 
-// WithShards sets the number of terminal-pair shards of a pooled
-// FlowSolver (default: the pool size, i.e. one worker per shard). Queries
-// hash by (s, t) onto shards; setting fewer shards than workers groups
-// several workers under one shard while keeping each pair pinned to a
-// single worker. Setting it without WithPoolSize makes the solver pooled
-// with one worker per shard. Applies to NewFlowSolver.
+// WithShards sets the number of terminal-pair shards of a FlowSolver
+// (default: the pool size, i.e. one worker per shard). Queries hash by
+// (s, t) onto shards; setting fewer shards than workers groups several
+// workers under one shard while keeping each pair pinned to a single
+// worker. More shards than workers raises the worker count to one
+// per shard. Applies to NewFlowSolver.
 func WithShards(s int) Option {
 	return func(c *config) { c.shards = s }
 }
 
 // WithProgress registers a callback receiving per-attempt and per-path-step
-// Events. The callback runs synchronously on the solver goroutine: keep it
+// Events. The callback runs synchronously on the worker goroutine running
+// the solve (FlowSolver) or on the caller's goroutine (LPSolver): keep it
 // fast, and do not call back into the session. Canceling the solve's
 // context from inside the callback is the supported way to abort on a
-// progress condition. On a pooled FlowSolver (WithPoolSize > 1) the
-// callback is invoked concurrently from every worker goroutine — it must
-// be safe for concurrent use. Applies to NewFlowSolver and NewLPSolver.
+// progress condition. On a FlowSolver with several workers
+// (WithPoolSize > 1) the callback is invoked concurrently from every
+// worker goroutine — it must be safe for concurrent use. Applies to
+// NewFlowSolver and NewLPSolver.
 func WithProgress(fn func(Event)) Option {
 	return func(c *config) { c.progress = fn }
 }

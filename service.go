@@ -56,7 +56,7 @@ type AdmissionStats = admission.Stats
 // network (draining the old solver, bumping the handle's version) without
 // disturbing queries on other tenants; Deregister retires one.
 //
-// Every handle wraps a pooled FlowSolver — per-network WithBackend /
+// Every handle wraps a FlowSolver — per-network WithBackend /
 // WithPoolSize / WithSeed / WithCacheSize overrides layer over the
 // service-level defaults given to NewService — and fronts it with a
 // sharded LRU of certified results keyed by (network, version, s, t).
@@ -145,10 +145,10 @@ type ServiceStats struct {
 //	svc := bcclap.NewService(bcclap.WithBackend("csr-pcg"), bcclap.WithPoolSize(4))
 //	h, err := svc.Register("prod-eu", d, bcclap.WithPoolSize(8)) // overrides pool only
 //
-// Handles are always pooled (WithPoolSize(1) is implied) so that every
-// tenant is safe for concurrent use and can be drained independently;
-// WithNetwork is therefore rejected by Register, as it is for any pooled
-// solver.
+// Every tenant's FlowSolver is safe for concurrent use and can be
+// drained independently. WithNetwork is rejected by Register and Swap:
+// the round simulator is single-stream, and a Swap briefly runs the old
+// and new solvers side by side.
 func NewService(opts ...Option) *Service {
 	s := &Service{
 		defaults: slices.Clone(opts),
@@ -330,7 +330,7 @@ func validName(name string) error {
 	return nil
 }
 
-// newTenantSolver builds the pooled FlowSolver for one tenant from the
+// newTenantSolver builds the FlowSolver for one tenant from the
 // fully merged option slice and resolves its cache budget and QoS limits.
 func newTenantSolver(d *Digraph, merged []Option) (solver *FlowSolver, cacheSize int, lims Limits, err error) {
 	cfg := applyOptions(merged)
@@ -340,15 +340,13 @@ func newTenantSolver(d *Digraph, merged []Option) (solver *FlowSolver, cacheSize
 	if err := lims.Validate(); err != nil {
 		return nil, 0, Limits{}, fmt.Errorf("bcclap: %w", err)
 	}
-	// Pool floor: handles must always be pooled (concurrency-safe and
-	// drainable for Swap), so an absent or non-positive WithPoolSize is
-	// clamped to 1 — appended last so it beats the invalid value, while
-	// any explicit positive choice keeps winning on its own.
-	opts := merged
-	if cfg.poolSize < 1 {
-		opts = append(slices.Clone(merged), WithPoolSize(1))
+	// The round simulator is single-stream and process-local: a Swap
+	// drains the old solver while the new one serves, so two solvers
+	// would share it. Tenants never take one, whatever their pool size.
+	if cfg.net != nil {
+		return nil, 0, Limits{}, fmt.Errorf("bcclap: WithNetwork cannot be used with a Service tenant")
 	}
-	solver, err = NewFlowSolver(d, opts...)
+	solver, err = NewFlowSolver(d, merged...)
 	if err != nil {
 		return nil, 0, Limits{}, err
 	}
@@ -601,7 +599,7 @@ func (s *Service) takeAll() []*NetworkHandle {
 }
 
 // NetworkHandle is one tenant of a Service: a named, versioned network
-// behind a pooled FlowSolver and a certified-result cache. Handles are
+// behind a FlowSolver and a certified-result cache. Handles are
 // safe for concurrent use; they stay valid across Swap (queries in flight
 // during a swap finish against the network they started on) and fail with
 // ErrSolverClosed once their network is deregistered.
@@ -822,8 +820,8 @@ func (h *NetworkHandle) SolveBatch(ctx context.Context, queries []FlowQuery) ([]
 	}
 }
 
-// Swap atomically replaces the tenant's network with d: a new pooled
-// solver is built first (per-call opts layer over the handle's existing
+// Swap atomically replaces the tenant's network with d: a new solver is
+// built first (per-call opts layer over the handle's existing
 // options and stick for future swaps), then — under one critical section
 // — the swap is journaled (on a durable service), the solver switched,
 // the version bumped and the tenant's cache invalidated. Queries in

@@ -34,8 +34,7 @@ func TestServiceLifecycle(t *testing.T) {
 		t.Fatalf("unknown backend: %v, want ErrBackendUnknown", err)
 	}
 
-	// The pool floor must survive an explicit non-positive override:
-	// handles are always pooled (concurrency-safe), never fs.inner mode.
+	// The one-worker floor must survive an explicit non-positive override.
 	if b, err := svc.Register("tenant-b", dB, WithPoolSize(0)); err != nil {
 		t.Fatal(err)
 	} else if got := b.Stats().PoolSize; got < 1 {
@@ -107,9 +106,9 @@ func TestServiceCacheBitIdentical(t *testing.T) {
 		t.Fatal("cache hit reached the solver pool")
 	}
 
-	// A direct pooled solver with the same seed must agree (the cache
-	// serves exactly what the session machinery certifies).
-	direct, err := NewFlowSolver(d, WithSeed(9), WithPoolSize(1))
+	// A direct solver with the same seed must agree (the cache serves
+	// exactly what the session machinery certifies).
+	direct, err := NewFlowSolver(d, WithSeed(9))
 	if err != nil {
 		t.Fatal(err)
 	}

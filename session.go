@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 	"time"
 
 	"bcclap/internal/flow"
@@ -85,45 +84,37 @@ type FlowQuery struct {
 // interior-point iterations. Every returned flow is certified exact
 // (feasibility, maximality, cost optimality) before being returned.
 //
-// By default a FlowSolver is single-goroutine: serve a sequential query
-// stream per solver (matching the model: one network, one round
-// structure). With WithPoolSize the solver is instead backed by a
-// sharded pool of n independent worker sessions (internal/pool): Solve and
-// SolveBatch become safe for concurrent use, SolveBatch fans out across
-// the workers, and queries are routed by terminal pair so results —
-// including warm-start behavior — stay bit-identical to the sequential
-// path. Pooled solvers should be shut down with Drain or Close.
+// A FlowSolver is backed by a sharded pool of independent worker sessions
+// (internal/pool) — one worker by default, n with WithPoolSize. Solve and
+// SolveBatch are safe for concurrent use, SolveBatch fans out across the
+// workers, and queries are routed by terminal pair so results — including
+// warm-start behavior — are bit-identical whatever the pool size. Each
+// worker is a goroutine: shut the solver down with Drain or Close.
 type FlowSolver struct {
-	inner   *flow.Solver // single-session mode (pool size ≤ 1)
-	pool    *pool.Pool   // pooled mode (WithPoolSize / WithShards)
+	pool    *pool.Pool
 	backend string
-	// closed is the non-pooled shutdown latch: Drain and Close set it so
-	// that later queries fail with ErrSolverClosed exactly as they would
-	// on a pooled solver (the pooled path keeps its own latch). Atomic
-	// because Close may race a concurrent Solve during service swaps.
-	closed atomic.Bool
 }
 
-// PoolStats is a snapshot of a pooled FlowSolver's counters (pool
-// geometry, queries submitted/completed/failed, warm-start hits).
+// PoolStats is a snapshot of a FlowSolver's pool counters (pool geometry,
+// queries submitted/completed/failed, warm-start hits).
 type PoolStats = pool.Stats
 
 // NewFlowSolver builds a session over d. Construction fails fast on an
 // empty digraph (ErrBadQuery) and on an unknown WithBackend name
-// (ErrBackendUnknown, listing FlowBackends()); it does no numerical work.
-// With WithPoolSize, independent worker sessions are constructed (each
-// with its own backend workspaces) and the solver becomes safe for
-// concurrent use; WithNetwork is then rejected (the round-accounting
-// simulator is single-stream).
+// (ErrBackendUnknown, listing FlowBackends()); it does no numerical work
+// beyond constructing the worker sessions (each with its own backend
+// workspaces). WithNetwork is rejected when the solver has more than one
+// worker: the round-accounting simulator is single-stream.
 func NewFlowSolver(d *Digraph, opts ...Option) (*FlowSolver, error) {
 	cfg := applyOptions(opts)
 	fopts := flow.Options{
 		Backend: cfg.backend,
 		Eps:     cfg.tol,
 		Retries: cfg.retries,
-		// Offset matches the historical MinCostMaxFlow stream so sessions
-		// reproduce one-shot results bit for bit (for every seed value —
-		// flow takes the seed by pointer, so there is no sentinel).
+		// The +11 offset fixes the perturbation stream every committed
+		// result was certified under; changing it changes those answers
+		// bit for bit (flow takes the seed by pointer, so every value —
+		// 0 included — names a distinct stream).
 		Seed: flow.SeedOf(cfg.seed + 11),
 		Net:  cfg.net,
 		LP:   cfg.lpParams,
@@ -139,67 +130,48 @@ func NewFlowSolver(d *Digraph, opts ...Option) (*FlowSolver, error) {
 	}
 	// Resolve the backend through the same path the worker sessions use,
 	// so Stats.Backend reports the name actually run (the auto-selection
-	// included) and unknown names fail fast even in pooled mode.
+	// included) and unknown names fail before any worker is built.
 	backend, err := fopts.ResolveBackend(d)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.poolSize >= 1 || cfg.shards > 1 {
-		// The round-accounting simulator is single-stream (its phase state
-		// is unsynchronized by design — one network, one round structure);
-		// sharing it across workers would interleave the accounting.
-		if cfg.net != nil {
-			return nil, fmt.Errorf("bcclap: WithNetwork cannot be combined with WithPoolSize/WithShards; attach the simulator to a sequential solver")
-		}
-		shards := cfg.shards
-		if shards <= 0 {
-			shards = cfg.poolSize
-		}
-		// Every worker session gets identical options (flow takes the seed
-		// by pointer and derives a fresh per-query stream from it), so any
-		// worker answers any query exactly as the sequential session would.
-		// Each worker owns a private digraph clone: PatchArcs mutates arc
-		// capacities/costs on the worker goroutines, and a shared arc slice
-		// would race with reads on the others.
-		p, err := pool.New(pool.Config{
-			Shards:  shards,
-			Workers: cfg.poolSize,
-			New: func(int) (pool.Session, error) {
-				return flow.NewSolver(d.Clone(), fopts)
-			},
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &FlowSolver{pool: p, backend: backend}, nil
+	workers := max(cfg.poolSize, 1)
+	shards := cfg.shards
+	if shards <= 0 {
+		shards = workers
 	}
-	// The sequential session also takes a clone, so a caller-held digraph
-	// is never mutated behind the caller's back by PatchArcs.
-	inner, err := flow.NewSolver(d.Clone(), fopts)
+	// The round-accounting simulator's phase state is unsynchronized by
+	// design (one network, one round structure); sharing it across workers
+	// would interleave the accounting. One worker is still one stream.
+	if cfg.net != nil && max(workers, shards) > 1 {
+		return nil, fmt.Errorf("bcclap: WithNetwork needs a single-worker solver; drop WithPoolSize/WithShards")
+	}
+	// Every worker session gets identical options (flow takes the seed by
+	// pointer and derives a fresh per-query stream from it), so any worker
+	// answers any query exactly as any other would. Each worker owns a
+	// private digraph clone: PatchArcs mutates arc capacities/costs on the
+	// worker goroutines, and a shared arc slice would race with reads on
+	// the others — and a caller-held digraph is never mutated.
+	p, err := pool.New(pool.Config{
+		Shards:  shards,
+		Workers: workers,
+		New: func(int) (pool.Session, error) {
+			return flow.NewSolver(d.Clone(), fopts)
+		},
+	})
 	if err != nil {
 		return nil, err
 	}
-	return &FlowSolver{inner: inner, backend: backend}, nil
+	return &FlowSolver{pool: p, backend: backend}, nil
 }
 
 // Solve answers one (s, t) query under ctx. Malformed queries return
 // ErrBadQuery before any solve work; cancellation aborts within one
 // path-following iteration with an error satisfying
-// errors.Is(err, ctx.Err()). Sequential Solve calls are deterministic:
-// they produce bit-identical results to fresh one-shot calls with the
-// same seed.
+// errors.Is(err, ctx.Err()). Solve calls are deterministic: they produce
+// bit-identical results to a fresh session with the same seed.
 func (fs *FlowSolver) Solve(ctx context.Context, s, t int) (*FlowResult, error) {
-	var (
-		res *flow.Result
-		err error
-	)
-	if fs.pool != nil {
-		res, err = fs.pool.Solve(ctx, s, t)
-	} else if fs.closed.Load() {
-		return nil, fmt.Errorf("bcclap: %w", ErrSolverClosed)
-	} else {
-		res, err = fs.inner.Solve(ctx, s, t)
-	}
+	res, err := fs.pool.Solve(ctx, s, t)
 	if err != nil {
 		return nil, err
 	}
@@ -214,26 +186,16 @@ func (fs *FlowSolver) Solve(ctx context.Context, s, t int) (*FlowResult, error) 
 // exactness certificate rejects the shortcut, so batch answers are exactly
 // as certified as single-query answers.
 //
-// On a pooled solver (WithPoolSize) the batch fans out across the worker
-// sessions with at most pool-size concurrent solves. Terminal pairs stay
-// pinned to workers, so per-pair order — and every certified result — is
-// bit-identical to the sequential batch.
+// The batch fans out across the worker sessions with at most pool-size
+// concurrent solves. Terminal pairs stay pinned to workers, so per-pair
+// order — and every certified result — is bit-identical to a one-worker
+// solver's.
 func (fs *FlowSolver) SolveBatch(ctx context.Context, queries []FlowQuery) ([]*FlowResult, error) {
 	qs := make([]flow.Query, len(queries))
 	for i, q := range queries {
 		qs[i] = flow.Query{S: q.S, T: q.T}
 	}
-	var (
-		results []*flow.Result
-		err     error
-	)
-	if fs.pool != nil {
-		results, err = fs.pool.SolveBatch(ctx, qs)
-	} else if fs.closed.Load() {
-		return nil, fmt.Errorf("bcclap: %w", ErrSolverClosed)
-	} else {
-		results, err = fs.inner.SolveBatch(ctx, qs)
-	}
+	results, err := fs.pool.SolveBatch(ctx, qs)
 	if err != nil {
 		return nil, err
 	}
@@ -252,17 +214,7 @@ func (fs *FlowSolver) SolveBatch(ctx context.Context, queries []FlowQuery) ([]*F
 // service layer routes single queries here so that resolves after
 // PatchArcs warm-start from the pre-patch optimum.
 func (fs *FlowSolver) solveWarm(ctx context.Context, s, t int) (*FlowResult, error) {
-	var (
-		res *flow.Result
-		err error
-	)
-	if fs.pool != nil {
-		res, err = fs.pool.SolveWarm(ctx, s, t)
-	} else if fs.closed.Load() {
-		return nil, fmt.Errorf("bcclap: %w", ErrSolverClosed)
-	} else {
-		res, err = fs.inner.SolveWarm(ctx, flow.Query{S: s, T: t})
-	}
+	res, err := fs.pool.SolveWarm(ctx, s, t)
 	if err != nil {
 		return nil, err
 	}
@@ -276,12 +228,12 @@ func (fs *FlowSolver) solveWarm(ctx context.Context, s, t int) (*FlowResult, err
 // warm-start state, so the next solve of an affected pair re-centers from
 // the pre-patch optimum rather than re-running path following. Malformed
 // delta sets (empty, index out of range, capacity driven non-positive)
-// fail with ErrBadPatch before anything mutates. On a pooled solver the
-// patch is applied atomically with respect to queries: it enqueues on
-// every worker and PatchArcs returns once all workers have folded it in,
-// so no query started after PatchArcs returns sees pre-patch arcs.
-// Concurrent callers must serialize PatchArcs against Solve/SolveBatch
-// themselves when they need a precise ordering (the Service layer does).
+// fail with ErrBadPatch before anything mutates. The patch is applied
+// atomically with respect to queries: it enqueues on every worker and
+// PatchArcs returns once all workers have folded it in, so no query
+// started after PatchArcs returns sees pre-patch arcs. Concurrent callers
+// must serialize PatchArcs against Solve/SolveBatch themselves when they
+// need a precise ordering (the Service layer does).
 func (fs *FlowSolver) PatchArcs(deltas []ArcDelta) error {
 	wait, err := fs.patchAsync(deltas)
 	if err != nil {
@@ -300,66 +252,39 @@ func (fs *FlowSolver) patchAsync(deltas []ArcDelta) (func() error, error) {
 	// Clone: the enqueued closure outlives this call, and callers may
 	// reuse or mutate their slice as soon as we return.
 	ds := append([]ArcDelta(nil), deltas...)
-	if fs.pool != nil {
-		wait, err := fs.pool.Patch(func(s pool.Session) error {
-			ps, ok := s.(interface {
-				ApplyArcDeltas([]graph.ArcDelta) error
-			})
-			if !ok {
-				return fmt.Errorf("bcclap: pool session %T does not support arc patches", s)
-			}
-			return ps.ApplyArcDeltas(ds)
+	wait, err := fs.pool.Patch(func(s pool.Session) error {
+		ps, ok := s.(interface {
+			ApplyArcDeltas([]graph.ArcDelta) error
 		})
-		if err != nil {
-			if errors.Is(err, pool.ErrClosed) {
-				return nil, fmt.Errorf("bcclap: %w", ErrSolverClosed)
-			}
-			return nil, err
+		if !ok {
+			return fmt.Errorf("bcclap: pool session %T does not support arc patches", s)
 		}
-		return wait, nil
+		return ps.ApplyArcDeltas(ds)
+	})
+	if err != nil {
+		if errors.Is(err, pool.ErrClosed) {
+			return nil, fmt.Errorf("bcclap: %w", ErrSolverClosed)
+		}
+		return nil, err
 	}
-	if fs.closed.Load() {
-		return nil, fmt.Errorf("bcclap: %w", ErrSolverClosed)
-	}
-	err := fs.inner.ApplyArcDeltas(ds)
-	return func() error { return err }, nil
+	return wait, nil
 }
 
 // Drain gracefully shuts the solver down: new queries are rejected with
 // ErrSolverClosed, queued and running queries finish, and Drain returns
 // nil once every worker has exited. If ctx expires first, the remaining
-// work is aborted and Drain returns ctx.Err(). On a non-pooled solver
-// there is no queue to wait for — Drain just closes intake and returns
-// nil.
-func (fs *FlowSolver) Drain(ctx context.Context) error {
-	fs.closed.Store(true)
-	if fs.pool == nil {
-		return nil
-	}
-	return fs.pool.Drain(ctx)
-}
+// work is aborted and Drain returns ctx.Err().
+func (fs *FlowSolver) Drain(ctx context.Context) error { return fs.pool.Drain(ctx) }
 
 // Close shuts the solver down immediately: later queries fail with
-// ErrSolverClosed, and on a pooled solver queued queries fail, running
-// solves are canceled within one solver iteration, and Close returns once
-// every worker goroutine has exited. Safe to call after Drain, and more
-// than once.
-func (fs *FlowSolver) Close() {
-	fs.closed.Store(true)
-	if fs.pool != nil {
-		fs.pool.Close()
-	}
-}
+// ErrSolverClosed, queued queries fail, running solves are canceled
+// within one solver iteration, and Close returns once every worker
+// goroutine has exited. Safe to call after Drain, and more than once.
+func (fs *FlowSolver) Close() { fs.pool.Close() }
 
 // Closed reports whether shutdown (Drain or Close) has begun on this
-// solver — pooled or not. Once true, Solve and SolveBatch fail with
-// ErrSolverClosed.
-func (fs *FlowSolver) Closed() bool {
-	if fs.pool != nil {
-		return fs.pool.Closed()
-	}
-	return fs.closed.Load()
-}
+// solver. Once true, Solve and SolveBatch fail with ErrSolverClosed.
+func (fs *FlowSolver) Closed() bool { return fs.pool.Closed() }
 
 // Backend returns the AᵀDA backend name this solver's sessions use: the
 // WithBackend choice, or the auto-selected default (csr-pcg on sparse
@@ -367,29 +292,17 @@ func (fs *FlowSolver) Closed() bool {
 // on every result.
 func (fs *FlowSolver) Backend() string { return fs.backend }
 
-// PoolSize returns the number of worker sessions (1 when not pooled).
-func (fs *FlowSolver) PoolSize() int {
-	if fs.pool == nil {
-		return 1
-	}
-	return fs.pool.Workers()
-}
+// PoolSize returns the number of worker sessions.
+func (fs *FlowSolver) PoolSize() int { return fs.pool.Workers() }
 
-// PoolStats snapshots the pool counters; the zero Stats when not pooled.
-func (fs *FlowSolver) PoolStats() PoolStats {
-	if fs.pool == nil {
-		return PoolStats{}
-	}
-	return fs.pool.Stats()
-}
+// PoolStats snapshots the pool counters.
+func (fs *FlowSolver) PoolStats() PoolStats { return fs.pool.Stats() }
 
 func (fs *FlowSolver) newResult(res *flow.Result) *FlowResult {
 	return &FlowResult{
-		Value:     res.Value,
-		Cost:      res.Cost,
-		Flows:     res.Flows,
-		PathSteps: res.LPStats.PathSteps,
-		Rounds:    res.Rounds,
+		Value: res.Value,
+		Cost:  res.Cost,
+		Flows: res.Flows,
 		Stats: Stats{
 			PathSteps:           res.LPStats.PathSteps,
 			Centerings:          res.LPStats.Centerings,
@@ -417,14 +330,17 @@ type LPSolver struct {
 }
 
 // NewLPSolver validates prob and builds the session. WithBackend overrides
-// prob.Backend; unknown names fail here with ErrBackendUnknown.
+// prob.Backend for this session only (prob itself is left untouched);
+// unknown names fail here with ErrBackendUnknown.
 func NewLPSolver(prob *LPProblem, opts ...Option) (*LPSolver, error) {
 	cfg := applyOptions(opts)
 	if cfg.backend != "" {
 		if err := lp.ValidateBackend(cfg.backend); err != nil {
 			return nil, err
 		}
-		prob.Backend = cfg.backend
+		cp := *prob
+		cp.Backend = cfg.backend
+		prob = &cp
 	}
 	sess, err := lp.NewSession(prob)
 	if err != nil {
@@ -472,10 +388,9 @@ func (l *LPSolver) Solve(ctx context.Context, x0 []float64, eps float64) (*LPSol
 	return sol, st, nil
 }
 
-// NewLaplacianSession is the options form of NewLaplacianSolver: it runs
-// the one-time sparsifier preprocessing of Theorem 1.3 on g (connected,
-// else ErrDisconnected) and returns a handle that answers repeated
-// right-hand sides. WithSeed, WithNetwork and WithSparsifyParams apply.
+// NewLaplacianSession runs the one-time sparsifier preprocessing of
+// Theorem 1.3 on g (connected, else ErrDisconnected) and returns a handle
+// that answers repeated right-hand sides. WithSeed, WithNetwork and WithSparsifyParams apply.
 func NewLaplacianSession(g *Graph, opts ...Option) (*LaplacianSolver, error) {
 	cfg := applyOptions(opts)
 	s, err := lapsolver.New(g, lapsolver.Config{

@@ -5,16 +5,40 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"bcclap/internal/flow"
 	"bcclap/internal/graph"
 	"bcclap/internal/linalg"
 )
 
 func testFlowNetwork(n int, seed int64) *Digraph {
 	return graph.RandomFlowNetwork(n, 0.35, 3, 3, rand.New(rand.NewSource(seed)))
+}
+
+// solveOnce is a single-use session: build, answer one query, shut down.
+func solveOnce(d *Digraph, s, t int, opts ...Option) (*FlowResult, error) {
+	fs, err := NewFlowSolver(d, opts...)
+	if err != nil {
+		return nil, err
+	}
+	defer fs.Close()
+	return fs.Solve(context.Background(), s, t)
+}
+
+// bareSolver is the non-pooled reference: a flow.Solver built with the
+// options NewFlowSolver gives its workers for WithSeed(seed).
+func bareSolver(t *testing.T, d *Digraph, seed int64, net *Network) *flow.Solver {
+	t.Helper()
+	fs, err := flow.NewSolver(d.Clone(), flow.Options{Seed: flow.SeedOf(seed + 11), Net: net})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fs
 }
 
 // Acceptance: a canceled context aborts a flow solve on every registered
@@ -28,6 +52,7 @@ func TestFlowSolverCancellationAllBackends(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			defer fs.Close()
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
 			if _, err := fs.Solve(ctx, 0, d.N()-1); !errors.Is(err, context.Canceled) {
@@ -47,6 +72,7 @@ func TestFlowSolverCancellationAllBackends(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			defer fs2.Close()
 			if _, err := fs2.Solve(ctx2, 0, d.N()-1); !errors.Is(err, context.Canceled) {
 				t.Fatalf("mid-solve: got %v", err)
 			}
@@ -54,8 +80,8 @@ func TestFlowSolverCancellationAllBackends(t *testing.T) {
 	}
 }
 
-// Session solves must reproduce the deprecated one-shot wrapper bit for
-// bit, call after call.
+// Session solves must reproduce a bare one-shot flow.Solver bit for bit,
+// call after call: the pool in front of it changes no answer.
 func TestFlowSolverMatchesOneShot(t *testing.T) {
 	d := testFlowNetwork(5, 32)
 	const seed = 6
@@ -63,19 +89,20 @@ func TestFlowSolverMatchesOneShot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer fs.Close()
 	for i := 0; i < 2; i++ {
 		got, err := fs.Solve(context.Background(), 0, d.N()-1)
 		if err != nil {
 			t.Fatalf("session solve %d: %v", i, err)
 		}
-		want, err := MinCostMaxFlow(d, 0, d.N()-1, FlowOptions{Seed: seed})
+		want, err := bareSolver(t, d, seed, nil).Solve(context.Background(), 0, d.N()-1)
 		if err != nil {
 			t.Fatalf("one-shot %d: %v", i, err)
 		}
 		if got.Value != want.Value || got.Cost != want.Cost ||
-			got.PathSteps != want.PathSteps || !reflect.DeepEqual(got.Flows, want.Flows) {
+			got.Stats.PathSteps != want.LPStats.PathSteps || !reflect.DeepEqual(got.Flows, want.Flows) {
 			t.Fatalf("solve %d diverged: session (%d, %d, %d steps) vs one-shot (%d, %d, %d steps)",
-				i, got.Value, got.Cost, got.PathSteps, want.Value, want.Cost, want.PathSteps)
+				i, got.Value, got.Cost, got.Stats.PathSteps, want.Value, want.Cost, want.LPStats.PathSteps)
 		}
 		if i > 0 && !got.Stats.ReusedPreprocessing {
 			t.Fatal("repeat query did not reuse preprocessing")
@@ -98,6 +125,7 @@ func TestFlowSolverBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer fs.Close()
 	res, err := fs.SolveBatch(context.Background(), []FlowQuery{{s, tt}, {s, tt}, {s, tt}})
 	if err != nil {
 		t.Fatal(err)
@@ -126,6 +154,7 @@ func TestSentinelErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer fs.Close()
 	if _, err := fs.Solve(context.Background(), 0, 0); !errors.Is(err, ErrBadQuery) {
 		t.Fatalf("s == t: got %v", err)
 	}
@@ -190,15 +219,40 @@ func TestLPSolverSession(t *testing.T) {
 	}
 }
 
+// WithBackend configures the LP session, not the caller's problem.
+func TestNewLPSolverLeavesProblemUntouched(t *testing.T) {
+	prob := &LPProblem{
+		A: linalg.NewCSR(2, 1, []linalg.Triple{{Row: 0, Col: 0, Val: 1}, {Row: 1, Col: 0, Val: 1}}),
+		B: []float64{1},
+		C: []float64{2, 1},
+		L: []float64{0, 0},
+		U: []float64{1, 1},
+	}
+	l, err := NewLPSolver(prob, WithBackend("csr-cg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prob.Backend != "" {
+		t.Fatalf("NewLPSolver wrote prob.Backend = %q", prob.Backend)
+	}
+	_, st, err := l.Solve(context.Background(), []float64{0.5, 0.5}, 0.02)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Backend != "csr-cg" {
+		t.Fatalf("session backend %q, want csr-cg", st.Backend)
+	}
+}
+
 // The Laplacian session must honor contexts and keep serving after a
-// cancellation; the new constructor must reproduce the deprecated one.
+// cancellation, and two sessions with one seed must agree bit for bit.
 func TestLaplacianSessionCtx(t *testing.T) {
 	g := graph.Grid(4, 5)
 	sess, err := NewLaplacianSession(g, WithSeed(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	old, err := NewLaplacianSolver(g, 5, nil)
+	twin, err := NewLaplacianSession(g, WithSeed(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,12 +274,12 @@ func TestLaplacianSessionCtx(t *testing.T) {
 	if st.CGIterations == 0 || !st.ReusedPreprocessing || st.WallTime <= 0 {
 		t.Fatalf("stats: %+v", st)
 	}
-	yOld, _, err := old.Solve(b, 1e-6)
+	yTwin, _, err := twin.SolveCtx(context.Background(), b, 1e-6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(y, yOld) {
-		t.Fatal("session and deprecated constructor disagree")
+	if !reflect.DeepEqual(y, yTwin) {
+		t.Fatal("two sessions with one seed disagree")
 	}
 }
 
@@ -244,6 +298,7 @@ func TestProgressEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer fs.Close()
 	if _, err := fs.Solve(context.Background(), 0, d.N()-1); err != nil {
 		t.Fatal(err)
 	}
@@ -252,29 +307,64 @@ func TestProgressEvents(t *testing.T) {
 	}
 }
 
-// A pooled FlowSolver must answer batches bit-identically to the
-// sequential solver, accept concurrent callers, and shut down with the
+// A FlowSolver must answer batches bit-identically to a bare flow.Solver
+// at every pool size, accept concurrent callers, and shut down with the
 // ErrSolverClosed sentinel.
 func TestFlowSolverPooled(t *testing.T) {
 	d := testFlowNetwork(5, 36)
 	s, tt := 0, d.N()-1
 	queries := []FlowQuery{{s, tt}, {s, tt}, {s, tt}, {s, tt}}
-
-	seq, err := NewFlowSolver(d, WithSeed(6))
+	qs := make([]flow.Query, len(queries))
+	for i, q := range queries {
+		qs[i] = flow.Query{S: q.S, T: q.T}
+	}
+	want, err := bareSolver(t, d, 6, nil).SolveBatch(context.Background(), qs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := seq.SolveBatch(context.Background(), queries)
-	if err != nil {
-		t.Fatal(err)
+	sameAsBare := func(t *testing.T, got []*FlowResult) {
+		t.Helper()
+		for i := range queries {
+			if got[i].Value != want[i].Value || got[i].Cost != want[i].Cost ||
+				!reflect.DeepEqual(got[i].Flows, want[i].Flows) ||
+				got[i].Stats.WarmStarted != want[i].WarmStarted {
+				t.Fatalf("query %d: pooled %+v vs bare %+v", i, got[i], want[i])
+			}
+		}
 	}
 
-	// A pooled solver cannot share the single-stream round simulator.
-	if net, err := NewBCCNetwork(d.N()); err != nil {
-		t.Fatal(err)
-	} else if _, err := NewFlowSolver(d, WithPoolSize(2), WithNetwork(net)); err == nil {
-		t.Fatal("WithNetwork + WithPoolSize accepted")
-	}
+	// Size 1, the default: one worker, still the full shutdown contract.
+	t.Run("size-1", func(t *testing.T) {
+		fs, err := NewFlowSolver(d, WithSeed(6))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := fs.PoolSize(); n != 1 {
+			t.Fatalf("default pool size %d, want 1", n)
+		}
+		if fs.Closed() {
+			t.Fatal("fresh solver reports Closed")
+		}
+		got, err := fs.SolveBatch(context.Background(), queries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameAsBare(t, got)
+		fs.Close()
+		if !fs.Closed() {
+			t.Fatal("Closed() false after Close")
+		}
+		if _, err := fs.Solve(context.Background(), s, tt); !errors.Is(err, ErrSolverClosed) {
+			t.Fatalf("Solve after Close: got %v, want ErrSolverClosed", err)
+		}
+		if _, err := fs.SolveBatch(context.Background(), []FlowQuery{{s, tt}}); !errors.Is(err, ErrSolverClosed) {
+			t.Fatalf("SolveBatch after Close: got %v, want ErrSolverClosed", err)
+		}
+		if err := fs.PatchArcs([]ArcDelta{{Arc: 0, CapDelta: 1}}); !errors.Is(err, ErrSolverClosed) {
+			t.Fatalf("PatchArcs after Close: got %v, want ErrSolverClosed", err)
+		}
+		fs.Close() // idempotent
+	})
 
 	pooled, err := NewFlowSolver(d, WithSeed(6), WithPoolSize(3), WithShards(2))
 	if err != nil {
@@ -288,20 +378,14 @@ func TestFlowSolverPooled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range queries {
-		if got[i].Value != want[i].Value || got[i].Cost != want[i].Cost ||
-			!reflect.DeepEqual(got[i].Flows, want[i].Flows) ||
-			got[i].Stats.WarmStarted != want[i].Stats.WarmStarted {
-			t.Fatalf("query %d: pooled %+v vs sequential %+v", i, got[i], want[i])
-		}
-	}
+	sameAsBare(t, got)
 	st := pooled.PoolStats()
 	if st.Completed != int64(len(queries)) || st.WarmStarted == 0 {
 		t.Fatalf("pool stats: %+v", st)
 	}
 
 	// Concurrent single-query callers: every result must match the
-	// sequential answer (queries are cold, so any order is the same order).
+	// reference answer (queries are cold, so any order is the same order).
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -326,41 +410,58 @@ func TestFlowSolverPooled(t *testing.T) {
 	if _, err := pooled.Solve(context.Background(), s, tt); !errors.Is(err, ErrSolverClosed) {
 		t.Fatalf("post-drain solve: got %v, want ErrSolverClosed", err)
 	}
-	// On a sequential solver Drain has nothing to wait for but still
-	// closes intake, like the pooled path.
-	if err := seq.Drain(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := seq.Solve(context.Background(), s, tt); !errors.Is(err, ErrSolverClosed) {
-		t.Fatalf("sequential post-drain solve: got %v, want ErrSolverClosed", err)
-	}
 }
 
-// Regression (satellite of the service PR): a *non-pooled* FlowSolver
-// must reject queries after Close with ErrSolverClosed, exactly like the
-// pooled path — both Solve and SolveBatch, and Closed must report it.
-func TestFlowSolverClosedNonPooled(t *testing.T) {
-	d := testFlowNetwork(5, 36)
+// One worker is one stream, so a size-1 FlowSolver accepts the round
+// simulator and accounts exactly like a bare flow.Solver; more workers
+// reject it. Close leaves no goroutine behind.
+func TestFlowSolverSizeOneContract(t *testing.T) {
+	d := testFlowNetwork(5, 37)
 	s, tt := 0, d.N()-1
-	fs, err := NewFlowSolver(d, WithSeed(6))
+	newNet := func() *Network {
+		net, err := NewBCCNetwork(d.N())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return net
+	}
+	want, err := bareSolver(t, d, 8, newNet()).Solve(context.Background(), s, tt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fs.Closed() {
-		t.Fatal("fresh solver reports Closed")
+	if want.Rounds == 0 {
+		t.Fatal("bare solver charged no rounds")
 	}
-	if _, err := fs.Solve(context.Background(), s, tt); err != nil {
+
+	goroutines := runtime.NumGoroutine()
+	fs, err := NewFlowSolver(d, WithSeed(8), WithNetwork(newNet()))
+	if err != nil {
+		t.Fatalf("size-1 solver rejected WithNetwork: %v", err)
+	}
+	got, err := fs.Solve(context.Background(), s, tt)
+	if err != nil {
 		t.Fatal(err)
 	}
+	if got.Stats.Rounds != want.Rounds || got.Value != want.Value || got.Cost != want.Cost ||
+		!reflect.DeepEqual(got.Flows, want.Flows) {
+		t.Fatalf("size-1 (%d rounds, %d, %d) vs bare (%d rounds, %d, %d)",
+			got.Stats.Rounds, got.Value, got.Cost, want.Rounds, want.Value, want.Cost)
+	}
 	fs.Close()
-	if !fs.Closed() {
-		t.Fatal("Closed() false after Close")
+	// Close returns once the worker has called Done; an exiting goroutine
+	// is counted until it is gone, so retry briefly as leak checkers do.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > goroutines && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
 	}
-	if _, err := fs.Solve(context.Background(), s, tt); !errors.Is(err, ErrSolverClosed) {
-		t.Fatalf("Solve after Close: got %v, want ErrSolverClosed", err)
+	if n := runtime.NumGoroutine(); n > goroutines {
+		t.Fatalf("%d goroutines after Close, %d before the solver", n, goroutines)
 	}
-	if _, err := fs.SolveBatch(context.Background(), []FlowQuery{{s, tt}}); !errors.Is(err, ErrSolverClosed) {
-		t.Fatalf("SolveBatch after Close: got %v, want ErrSolverClosed", err)
+
+	for _, opt := range []Option{WithPoolSize(2), WithShards(2)} {
+		if fs, err := NewFlowSolver(d, opt, WithNetwork(newNet())); err == nil {
+			fs.Close()
+			t.Fatalf("WithNetwork accepted on a %d-worker solver", fs.PoolSize())
+		}
 	}
-	fs.Close() // idempotent
 }

@@ -352,3 +352,37 @@ func TestServicePatchEquivalentToSwap(t *testing.T) {
 			got.Value, got.Cost, want.Value, want.Cost)
 	}
 }
+
+// A Service tenant never takes the round simulator, whatever its pool
+// size: Register and Swap with WithNetwork fail and journal nothing.
+func TestServiceRejectsNetwork(t *testing.T) {
+	svc, err := OpenService(WithStore(t.TempDir()), WithSeed(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	net, err := NewBCCNetwork(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appends := func() int64 { return svc.ServiceStats().Store.Appends }
+
+	if _, err := svc.Register("sim", twoIslandNetwork(t), WithNetwork(net)); err == nil {
+		t.Fatal("Register accepted WithNetwork")
+	}
+	if n := appends(); n != 0 || len(svc.Names()) != 0 {
+		t.Fatalf("rejected Register left %d journal records, tenants %v", n, svc.Names())
+	}
+
+	h, err := svc.Register("prod", twoIslandNetwork(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := appends()
+	if err := h.Swap(twoIslandNetwork(t), WithNetwork(net)); err == nil {
+		t.Fatal("Swap accepted WithNetwork")
+	}
+	if n := appends(); n != before || h.Version() != 1 {
+		t.Fatalf("rejected Swap journaled %d records, version %d", n-before, h.Version())
+	}
+}
