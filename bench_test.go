@@ -169,7 +169,7 @@ func BenchmarkE6LeverageScores(b *testing.B) {
 	}
 	b.Run("exact", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := jl.LeverageScoresExact(mul, mulT, m, n, solve); err != nil {
+			if _, err := jl.LeverageScoresExact(mul, m, n, solve); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -272,11 +272,11 @@ func e6(ctx context.Context, quick bool) error {
 	if err != nil {
 		return err
 	}
-	exact, err := jl.LeverageScoresExact(mul, mulT, m, n, solve)
+	exact, err := jl.LeverageScoresExact(mul, m, n, solve)
 	if err != nil {
 		return err
 	}
-	fmt.Println("| sketch dim k | max relative error | solves (vs m exact) |")
+	fmt.Println("| sketch dim k | max relative error | solves (vs n exact) |")
 	fmt.Println("|---|---|---|")
 	for _, k := range []int{8, 16, 32, 64} {
 		sk, err := jl.NewKaneNelson(k, m, 0, int64(k))
@@ -296,7 +296,7 @@ func e6(ctx context.Context, quick bool) error {
 				worst = r
 			}
 		}
-		fmt.Printf("| %d | %.3f | %d vs %d |\n", sk.K(), worst, sk.K(), m)
+		fmt.Printf("| %d | %.3f | %d vs %d |\n", sk.K(), worst, sk.K(), n)
 	}
 	return nil
 }

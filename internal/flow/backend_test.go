@@ -99,7 +99,6 @@ func TestCSRPCGCertifiedFlowsAndReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var prevRefreshes int
 		for q := 0; q < 2; q++ {
 			res, err := fs.Solve(t.Context(), s, tt)
 			if err != nil {
@@ -112,11 +111,11 @@ func TestCSRPCGCertifiedFlowsAndReuse(t *testing.T) {
 				t.Fatalf("%s query %d: PrecondBuilds = %d, want 1 (symbolic structure reused across queries)",
 					name, q, res.LPStats.PrecondBuilds)
 			}
-			if res.LPStats.PrecondRefreshes <= prevRefreshes {
-				t.Fatalf("%s query %d: PrecondRefreshes = %d did not advance past %d",
-					name, q, res.LPStats.PrecondRefreshes, prevRefreshes)
+			// Refreshes are per query: every query reweights D.
+			if res.LPStats.PrecondRefreshes <= 0 {
+				t.Fatalf("%s query %d: PrecondRefreshes = %d, want > 0 refreshes in this query",
+					name, q, res.LPStats.PrecondRefreshes)
 			}
-			prevRefreshes = res.LPStats.PrecondRefreshes
 		}
 	}
 }

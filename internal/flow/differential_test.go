@@ -1,0 +1,105 @@
+package flow
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"bcclap/internal/graph"
+)
+
+// differentialCase is one seeded instance of the certificate guard.
+type differentialCase struct {
+	n       int
+	p       float64
+	arcs    int // exact arc count to draw for, 0 for any
+	seed    int64
+	backend string // forced backend, "" for auto-selection
+	auto    string // the backend auto-selection must pick when backend is ""
+	known   bool   // a known failure, kept in view but skipped
+}
+
+func (c differentialCase) name() string {
+	b := c.backend
+	if b == "" {
+		b = "auto-" + c.auto
+	}
+	if c.arcs > 0 {
+		b = fmt.Sprintf("m%d_%s", c.arcs, b)
+	}
+	return fmt.Sprintf("n%d_p%g_seed%d_%s", c.n, c.p, c.seed, b)
+}
+
+// digraph draws the instance: RandomFlowNetwork(n, p, 3, 3) from generator
+// seed seed×31, redrawn from the same stream until it has exactly arcs
+// arcs when arcs > 0.
+func (c differentialCase) digraph() *graph.Digraph {
+	rnd := rand.New(rand.NewSource(c.seed * 31))
+	for {
+		d := graph.RandomFlowNetwork(c.n, c.p, 3, 3, rnd)
+		if c.arcs == 0 || d.M() == c.arcs {
+			return d
+		}
+	}
+}
+
+// TestCertificateDifferentialSSP is the seeded guard on the certified
+// pipeline: every instance must certify against the successive-shortest-
+// paths oracle within the retry budget, on the backends auto-selection
+// picks and on the small csr-pcg shape the benchmark forces. Attempts per
+// instance are logged, so a change that needs more perturbations to
+// certify shows up before it shows up as failures.
+//
+// csr-pcg forced onto dense graphs with n ≥ 16 is a known failure: the
+// listed instances exhaust all 5 attempts ("conservation violated" at
+// the certificate). They stay in the list as skipped subtests until the
+// backend handles that shape.
+func TestCertificateDifferentialSSP(t *testing.T) {
+	var cases []differentialCase
+	for _, n := range []int{5, 8, 12} {
+		for seed := int64(1); seed <= 3; seed++ {
+			cases = append(cases, differentialCase{n: n, p: 0.3, seed: seed, auto: "dense"})
+		}
+	}
+	cases = append(cases,
+		differentialCase{n: 32, p: 0.07, seed: 1, auto: "csr-pcg"},
+		differentialCase{n: 5, p: 0.3, arcs: 9, seed: 1, backend: "csr-pcg"},
+		differentialCase{n: 16, p: 0.3, seed: 3, backend: "csr-pcg", known: true},
+		differentialCase{n: 24, p: 0.3, seed: 1, backend: "csr-pcg", known: true},
+		differentialCase{n: 24, p: 0.3, seed: 2, backend: "csr-pcg", known: true},
+		differentialCase{n: 24, p: 0.3, seed: 3, backend: "csr-pcg", known: true},
+	)
+	total := 0
+	for _, c := range cases {
+		t.Run(c.name(), func(t *testing.T) {
+			if c.known {
+				t.Skip("known failure: csr-pcg forced onto a dense graph exhausts its attempts")
+			}
+			d := c.digraph()
+			if c.backend == "" {
+				if got := DefaultBackendFor(d); got != c.auto {
+					t.Fatalf("auto-selected %q for n=%d m=%d, want %q", got, d.N(), d.M(), c.auto)
+				}
+			}
+			s, tt := 0, d.N()-1
+			wantV, wantC, _, err := MinCostMaxFlowSSP(d, s, tt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fs, err := NewSolver(d, Options{Backend: c.backend})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := fs.Solve(t.Context(), s, tt)
+			if err != nil {
+				t.Fatalf("m=%d: %v", d.M(), err)
+			}
+			if res.Value != wantV || res.Cost != wantC {
+				t.Fatalf("m=%d: LP (%d, %d) vs SSP (%d, %d)", d.M(), res.Value, res.Cost, wantV, wantC)
+			}
+			t.Logf("m=%d certified in %d attempt(s), %d path steps", d.M(), res.Attempts, res.LPStats.PathSteps)
+			total += res.Attempts
+		})
+	}
+	t.Logf("%d attempts in total", total)
+}

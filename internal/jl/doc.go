@@ -12,6 +12,9 @@
 // On top of the sketches, the package provides approximate leverage scores
 // (Algorithm 6, Lemma 4.5): σ(M) = diag(M(MᵀM)⁻¹Mᵀ) approximated by k
 // regression solves, which the LP solver's Lewis-weight updates consume.
+// The exact computation costs one Gram solve per column of the m×n matrix
+// M (σᵢ = Σⱼ (M·(MᵀM)⁻¹)ᵢⱼ·Mᵢⱼ), so for the tall matrices of the LP it is
+// n solves against the sketch's k, and the cheaper choice until n > k.
 //
 // Invariants:
 //

@@ -185,12 +185,12 @@ func TestLeverageScoresExactProperties(t *testing.T) {
 	for i := range d {
 		d[i] = 0.5 + rnd.Float64()
 	}
-	mul, mulT := DiagScaledOps(a, d)
+	mul, _ := DiagScaledOps(a, d)
 	solve, err := DenseGramSolver(a, d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sigma, err := LeverageScoresExact(mul, mulT, m, n, solve)
+	sigma, err := LeverageScoresExact(mul, m, n, solve)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,6 +207,111 @@ func TestLeverageScoresExactProperties(t *testing.T) {
 	}
 }
 
+// leverageScoresPerRow is the one-solve-per-row reference for
+// LeverageScoresExact: σᵢ = eᵢᵀM(MᵀM)⁻¹Mᵀeᵢ, m solves.
+func leverageScoresPerRow(mul, mulT func([]float64) []float64, m int, solve GramSolver) ([]float64, error) {
+	sigma := make([]float64, m)
+	for i := 0; i < m; i++ {
+		ei := make([]float64, m)
+		ei[i] = 1
+		s, err := solve(mulT(ei))
+		if err != nil {
+			return nil, err
+		}
+		sigma[i] = mul(s)[i]
+	}
+	return sigma, nil
+}
+
+// gramCond1 returns the 1-norm condition number κ₁(G) = ‖G‖₁·‖G⁻¹‖₁ of
+// G = AᵀD²A, reading G⁻¹ column by column through solve.
+func gramCond1(a *linalg.CSR, d []float64, solve GramSolver) (float64, error) {
+	n := a.Cols()
+	ad := a.Dense()
+	var gNorm, gInvNorm float64
+	e := make([]float64, n)
+	for j := 0; j < n; j++ {
+		var colSum float64
+		for k := 0; k < n; k++ {
+			var g float64
+			for r := 0; r < a.Rows(); r++ {
+				g += d[r] * d[r] * ad.At(r, j) * ad.At(r, k)
+			}
+			colSum += math.Abs(g)
+		}
+		gNorm = math.Max(gNorm, colSum)
+		e[j] = 1
+		x, err := solve(e)
+		e[j] = 0
+		if err != nil {
+			return 0, err
+		}
+		var xSum float64
+		for _, v := range x {
+			xSum += math.Abs(v)
+		}
+		gInvNorm = math.Max(gInvNorm, xSum)
+	}
+	return gNorm * gInvNorm, nil
+}
+
+// TestLeverageScoresExactMatchesPerRow pins the column form (n solves) to
+// the per-row reference (m solves) on tall matrices whose row scaling
+// spans twelve decades, the spread barrier diagonals reach. Both forms
+// read G⁻¹ through the same Gram solve, whose forward error grows with
+// κ(G)·ε; past κ(G)·ε = 1e-10 they agree to that floor, not to 1e-10
+// (both then sit equally far from an orthogonalization-based truth).
+func TestLeverageScoresExactMatchesPerRow(t *testing.T) {
+	rnd := rand.New(rand.NewSource(11))
+	compared, atFloor := 0, 0
+	for trial := 0; trial < 40; trial++ {
+		n := 2 + rnd.Intn(7)
+		m := 3*n + rnd.Intn(20)
+		a := buildTallMatrix(m, n, rnd)
+		d := make([]float64, m)
+		for i := range d {
+			d[i] = math.Pow(10, -6+12*rnd.Float64())
+		}
+		mul, mulT := DiagScaledOps(a, d)
+		solve, err := DenseGramSolver(a, d)
+		if err != nil {
+			continue // G numerically singular: no leverage scores to compare
+		}
+		compared++
+		kappa, err := gramCond1(a, d, solve)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tol := math.Max(1e-10, 2*kappa*0x1p-52)
+		if tol == 1e-10 {
+			atFloor++
+		}
+		got, err := LeverageScoresExact(mul, m, n, solve)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := leverageScoresPerRow(mul, mulT, m, solve)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sum float64
+		for i := range got {
+			if rel := math.Abs(got[i]-want[i]) / math.Abs(want[i]); rel > tol {
+				t.Fatalf("trial %d (m=%d n=%d κ=%.1e): σ[%d] = %v, per-row %v (rel %.2e > %.2e)",
+					trial, m, n, kappa, i, got[i], want[i], rel, tol)
+			}
+			sum += got[i]
+		}
+		if math.Abs(sum-float64(n)) > tol*float64(n) {
+			t.Fatalf("trial %d (κ=%.1e): Σσ = %v, want %d", trial, kappa, sum, n)
+		}
+	}
+	if compared < 30 {
+		t.Fatalf("only %d of 40 trials had a factorizable Gram matrix", compared)
+	}
+	t.Logf("%d trials compared, %d of them at the 1e-10 tolerance", compared, atFloor)
+}
+
 func TestLeverageScoresApproxVsExact(t *testing.T) {
 	rnd := rand.New(rand.NewSource(6))
 	m, n := 40, 5
@@ -220,7 +325,7 @@ func TestLeverageScoresApproxVsExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := LeverageScoresExact(mul, mulT, m, n, solve)
+	exact, err := LeverageScoresExact(mul, m, n, solve)
 	if err != nil {
 		t.Fatal(err)
 	}

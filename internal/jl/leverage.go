@@ -12,19 +12,25 @@ import (
 type GramSolver func(y []float64) ([]float64, error)
 
 // LeverageScoresExact computes σ(M) = diag(M(MᵀM)⁻¹Mᵀ) exactly with one
-// solve per row — the expensive reference Algorithm 6 avoids.
-func LeverageScoresExact(mul, mulT func([]float64) []float64, m, n int, solve GramSolver) ([]float64, error) {
+// Gram solve per column: with G = MᵀM, column j of G⁻¹ is the solve
+// against eⱼ, and σᵢ = Σⱼ (M·G⁻¹)ᵢⱼ·Mᵢⱼ. That is n solves, not the m of
+// the per-row form, so for tall M (m ≫ n) it undercuts the k = Θ(log m/η²)
+// solves of Algorithm 6 until n exceeds k.
+func LeverageScoresExact(mul func([]float64) []float64, m, n int, solve GramSolver) ([]float64, error) {
 	sigma := make([]float64, m)
-	for i := 0; i < m; i++ {
-		ei := make([]float64, m)
-		ei[i] = 1
-		t := mulT(ei)
-		s, err := solve(t)
+	ej := make([]float64, n)
+	for j := 0; j < n; j++ {
+		ej[j] = 1
+		col := mul(ej) // column j of M
+		s, err := solve(ej)
+		ej[j] = 0
 		if err != nil {
-			return nil, fmt.Errorf("jl: exact leverage row %d: %w", i, err)
+			return nil, fmt.Errorf("jl: exact leverage column %d: %w", j, err)
 		}
-		p := mul(s)
-		sigma[i] = p[i]
+		p := mul(s) // column j of M·G⁻¹
+		for i := range sigma {
+			sigma[i] += p[i] * col[i]
+		}
 	}
 	return sigma, nil
 }

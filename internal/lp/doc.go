@@ -42,6 +42,12 @@
 // barrier + Lewis-weight machinery, projections, Johnson–Lindenstrauss
 // leverage scores) and exposes the aggressiveness through Params, so the
 // experiments can measure the √n iteration scaling of Theorem 1.4 while
-// still converging in float64. Deviations are local and documented at the
+// still converging in float64. The work per path step is the paper's:
+// Algorithm 10's one CenteringInexact per t-step, whose weight update is
+// scaled by the centrality measure δ; exactness rests on the flow
+// pipeline's rounding certificate, not on driving δ below a threshold.
+// Leverage scores are exact (n Gram solves, one per column of A) until n
+// exceeds the sketch dimension k = Θ(log(m)/η²), where Algorithm 6's k
+// sketch solves take over. Deviations are local and documented at the
 // point they occur.
 package lp

@@ -10,8 +10,8 @@ import (
 
 // LeverageFn returns approximate leverage scores σ(diag(d)·A) for the
 // problem's constraint matrix A. Implementations use either the exact
-// per-row formula or Algorithm 6's Johnson–Lindenstrauss sketching with a
-// shared Kane–Nelson seed.
+// one-solve-per-column formula or Algorithm 6's Johnson–Lindenstrauss
+// sketching with a shared Kane–Nelson seed.
 type LeverageFn func(d []float64) ([]float64, error)
 
 // GramSolve answers (AᵀDA)x = y. The leverage computations receive it as a
@@ -19,10 +19,11 @@ type LeverageFn func(d []float64) ([]float64, error)
 // accounting) with ATDASolve.Bind.
 type GramSolve func(d, y []float64) ([]float64, error)
 
-// NewLeverageFn builds a LeverageFn over A. When exact is false it uses a
-// Kane–Nelson sketch of dimension Θ(log(m)/η²) with a fresh seed per call
-// (in the BCC the leader broadcasts O(log²m) seed bits once per call, as in
-// Algorithm 6). solve answers (AᵀDA)x = y.
+// NewLeverageFn builds a LeverageFn over A. When exact is false and n
+// exceeds the sketch dimension k = Θ(log(m)/η²), it uses a Kane–Nelson
+// sketch with a fresh seed per call (in the BCC the leader broadcasts
+// O(log²m) seed bits once per call, as in Algorithm 6); otherwise it takes
+// the exact n-solve computation. solve answers (AᵀDA)x = y.
 func NewLeverageFn(a *linalg.CSR, solve GramSolve, exact bool, eta float64, seed int64) LeverageFn {
 	m, n := a.Rows(), a.Cols()
 	counter := seed
@@ -37,10 +38,11 @@ func NewLeverageFn(a *linalg.CSR, solve GramSolve, exact bool, eta float64, seed
 		gram := func(y []float64) ([]float64, error) { return solve(d2, y) }
 		mul, mulT := jl.DiagScaledOps(a, d)
 		k := jl.SketchDim(m, eta/4)
-		// Sketching only pays off when k < m solves; for tiny instances the
-		// exact per-row computation is cheaper and exact.
-		if exact || k >= m {
-			return jl.LeverageScoresExact(mul, mulT, m, n, gram)
+		// The exact computation costs n solves and the sketch k, so
+		// sketching only pays off once n > k; below that, exact is both
+		// exact and cheaper.
+		if exact || k >= n {
+			return jl.LeverageScoresExact(mul, m, n, gram)
 		}
 		counter++
 		sk, err := jl.NewKaneNelson(k, m, 0, counter)

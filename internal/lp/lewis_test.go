@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"bcclap/internal/jl"
 	"bcclap/internal/linalg"
 )
 
@@ -124,5 +125,63 @@ func TestComputeInitialWeightsStepCountScales(t *testing.T) {
 func TestComputeApxWeightsRejectsBadP(t *testing.T) {
 	if _, err := ComputeApxWeights(nil, nil, 0, nil, DefaultLewisParams()); err == nil {
 		t.Fatal("p = 0 accepted")
+	}
+}
+
+// countingSolve wraps the dense backend for A and counts its Gram solves.
+func countingSolve(t *testing.T, a *linalg.CSR, calls *int) GramSolve {
+	t.Helper()
+	sol, err := NewBackendSolver("dense", a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner := sol.Bind(context.Background())
+	return func(d, y []float64) ([]float64, error) {
+		*calls++
+		return inner(d, y)
+	}
+}
+
+// The exact leverage path costs one Gram solve per column of A (n), not
+// one per row (m); the sketch costs its k rows and takes over only once
+// n exceeds the sketch dimension.
+func TestNewLeverageFnSolveCounts(t *testing.T) {
+	rnd := rand.New(rand.NewSource(4))
+	cases := []struct {
+		name      string
+		m, n      int
+		exact     bool
+		eta       float64
+		wantExact bool
+	}{
+		{"exact requested", 30, 6, true, 0.5, true},
+		{"sketch dimension above n", 30, 6, false, 0.5, true},
+		{"sketch dimension below n", 60, 12, false, 8, false},
+	}
+	for _, tc := range cases {
+		a := tallMatrix(tc.m, tc.n, rnd)
+		calls := 0
+		lev := NewLeverageFn(a, countingSolve(t, a, &calls), tc.exact, tc.eta, 1)
+		want := tc.n
+		if !tc.wantExact {
+			k := jl.SketchDim(tc.m, tc.eta/4)
+			if k >= tc.n {
+				t.Fatalf("%s: sketch dimension %d does not undercut n = %d", tc.name, k, tc.n)
+			}
+			sk, err := jl.NewKaneNelson(k, tc.m, 0, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = sk.K()
+		}
+		for call := 0; call < 3; call++ {
+			before := calls
+			if _, err := lev(linalg.Ones(tc.m)); err != nil {
+				t.Fatal(err)
+			}
+			if got := calls - before; got != want {
+				t.Fatalf("%s: call %d issued %d Gram solves, want %d", tc.name, call, got, want)
+			}
+		}
 	}
 }

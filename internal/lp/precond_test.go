@@ -293,3 +293,33 @@ func TestCSRPCGFewerIterationsThanCSRCG(t *testing.T) {
 		t.Fatalf("csr-pcg took %d iterations, csr-cg %d — no reduction", pre, plain)
 	}
 }
+
+// PrecondRefreshes counts one solve's refactorizations, not the session's:
+// re-running an identical solve on the same session reports the same
+// count again, while PrecondBuilds stays session-lifetime.
+func TestSolutionPrecondRefreshesPerSolve(t *testing.T) {
+	prob, x0 := simplexProblem([]float64{3, 1, 4, 1.5, 5})
+	prob.Backend = "csr-pcg"
+	sess, err := NewSession(prob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first *Solution
+	for q := 0; q < 3; q++ {
+		sol, err := sess.Solve(context.Background(), x0, 0.05, Params{Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sol.PrecondRefreshes <= 0 {
+			t.Fatalf("solve %d: PrecondRefreshes = %d, want > 0", q, sol.PrecondRefreshes)
+		}
+		if first == nil {
+			first = sol
+			continue
+		}
+		if sol.PrecondRefreshes != first.PrecondRefreshes || sol.PrecondBuilds != first.PrecondBuilds {
+			t.Fatalf("solve %d: (builds, refreshes) = (%d, %d), first solve (%d, %d)",
+				q, sol.PrecondBuilds, sol.PrecondRefreshes, first.PrecondBuilds, first.PrecondRefreshes)
+		}
+	}
+}

@@ -23,7 +23,7 @@ type Session struct {
 	solve ATDASolve
 	// pstats are the live preconditioner counters of the backend (nil for
 	// backends without a combinatorial preconditioner); cumulative over
-	// the session, snapshotted into every Solution.
+	// the session, reported per solve in every Solution.
 	pstats *PrecondStats
 	scr    *scratch
 }
@@ -63,6 +63,12 @@ func (sess *Session) newIPM(ctx context.Context, par Params) *ipm {
 	}
 	s.cNorm = 24 * math.Sqrt(4*s.cK)
 	s.etaW = 0.1
+	if par.Net != nil {
+		s.startRounds = par.Net.Rounds()
+	}
+	if s.pstats != nil {
+		s.startRefreshes = s.pstats.Refreshes
+	}
 	s.lev = NewLeverageFn(sess.prob.A, s.sol.Bind(ctx), par.ExactLeverage, par.LeverageEta, par.Seed)
 	return s
 }
@@ -131,16 +137,16 @@ func (s *ipm) initialWeights(x []float64) ([]float64, error) {
 }
 
 // finish clones the iterate and weights into an owned Solution.
-func (s *ipm) finish(x, w []float64, startRounds int) *Solution {
+func (s *ipm) finish(x, w []float64) *Solution {
 	s.counts.X = linalg.Clone(x)
 	s.counts.Weights = linalg.Clone(w)
 	s.counts.Objective = s.prob.Objective(x)
 	if s.par.Net != nil {
-		s.counts.Rounds = s.par.Net.Rounds() - startRounds
+		s.counts.Rounds = s.par.Net.Rounds() - s.startRounds
 	}
 	if s.pstats != nil {
 		s.counts.PrecondBuilds = s.pstats.Builds
-		s.counts.PrecondRefreshes = s.pstats.Refreshes
+		s.counts.PrecondRefreshes = s.pstats.Refreshes - s.startRefreshes
 	}
 	out := s.counts
 	return &out
@@ -158,10 +164,6 @@ func (sess *Session) Solve(ctx context.Context, x0 []float64, eps float64, par P
 	}
 	s := sess.newIPM(ctx, par)
 	m := s.m
-	startRounds := 0
-	if s.par.Net != nil {
-		startRounds = s.par.Net.Rounds()
-	}
 
 	w, err := s.initialWeights(x0)
 	if err != nil {
@@ -190,7 +192,7 @@ func (sess *Session) Solve(ctx context.Context, x0 []float64, eps float64, par P
 	if err != nil {
 		return nil, fmt.Errorf("lp: phase 2: %w", err)
 	}
-	return s.finish(x, w, startRounds), nil
+	return s.finish(x, w), nil
 }
 
 // Polish re-centers a previously computed iterate at the final path
@@ -208,6 +210,8 @@ func (sess *Session) Polish(ctx context.Context, x0, w0 []float64, eps float64, 
 	if len(x0) != sess.prob.M() {
 		return nil, fmt.Errorf("lp: x0 has %d entries, want %d", len(x0), sess.prob.M())
 	}
+	s := sess.newIPM(ctx, par)
+	s.phase = 3
 	// Inexact (CG-based) projection backends let a long path following
 	// drift off the constraint manifold by poly(1/m); pull the prior
 	// iterate back with one least-squares correction before re-centering,
@@ -216,12 +220,6 @@ func (sess *Session) Polish(ctx context.Context, x0, w0 []float64, eps float64, 
 	sess.repairFeasibility(ctx, x0)
 	if err := sess.checkStart(x0); err != nil {
 		return nil, err
-	}
-	s := sess.newIPM(ctx, par)
-	s.phase = 3
-	startRounds := 0
-	if s.par.Net != nil {
-		startRounds = s.par.Net.Rounds()
 	}
 	var w []float64
 	if len(w0) == s.m {
@@ -248,5 +246,5 @@ func (sess *Session) Polish(ctx context.Context, x0, w0 []float64, eps float64, 
 			s.par.Progress(s.phase, i+1, t2)
 		}
 	}
-	return s.finish(x, w, startRounds), nil
+	return s.finish(x, w), nil
 }

@@ -16,17 +16,13 @@ import (
 var ErrInfeasible = errors.New("lp: starting point is not strictly feasible")
 
 // Params tunes LPSolve. Zero values select practical defaults that keep
-// the paper's asymptotic shapes (see the package comment).
+// the paper's asymptotic shapes (see the package comment). Each t-step
+// runs exactly one centering, as in Algorithm 10.
 type Params struct {
 	// Alpha is the multiplicative t-step (paper: R/(1600√n·log²m); default:
 	// 0.4/√n, preserving the Θ(√n·log(U/ε)) path-step count of
 	// Theorem 1.4).
 	Alpha float64
-	// CenterTol is the centrality measure δ below which a t-step is taken;
-	// centering repeats (up to MaxInnerSteps) until reached.
-	CenterTol float64
-	// MaxInnerSteps caps centering repetitions per t-step.
-	MaxInnerSteps int
 	// FinalCenterings is the number of extra centerings at t_end
 	// (paper: 4c_k·log(1/η)).
 	FinalCenterings int
@@ -34,7 +30,8 @@ type Params struct {
 	Lewis LewisParams
 	// LeverageEta is the JL distortion for leverage scores.
 	LeverageEta float64
-	// ExactLeverage disables sketching (small instances / tests).
+	// ExactLeverage disables sketching. Without it, leverage scores are
+	// still exact while n is at most the sketch dimension.
 	ExactLeverage bool
 	// Seed feeds the shared Kane–Nelson seeds.
 	Seed int64
@@ -54,12 +51,6 @@ type Params struct {
 func (p Params) withDefaults(n int) Params {
 	if p.Alpha == 0 {
 		p.Alpha = 0.4 / math.Sqrt(float64(maxInt(n, 1)))
-	}
-	if p.CenterTol == 0 {
-		p.CenterTol = 0.5
-	}
-	if p.MaxInnerSteps == 0 {
-		p.MaxInnerSteps = 6
 	}
 	if p.FinalCenterings == 0 {
 		p.FinalCenterings = 12
@@ -99,11 +90,13 @@ type Solution struct {
 	// CGIterations accumulates the inner iterations of the projection
 	// (AᵀDA)-solves across all centerings (0 for the dense backend).
 	CGIterations int
-	// PrecondBuilds and PrecondRefreshes snapshot the backend's
-	// combinatorial-preconditioner counters at the end of this solve (0 for
-	// backends without one). They are cumulative over the owning session,
-	// so a Builds count that stays at 1 across repeated solves is direct
-	// evidence the symbolic structure was reused.
+	// PrecondBuilds and PrecondRefreshes report the backend's
+	// combinatorial-preconditioner counters (0 for backends without one).
+	// PrecondBuilds is cumulative over the owning session, so a count that
+	// stays at 1 across repeated solves is direct evidence the symbolic
+	// structure was reused (and 0 shows the Jacobi fallback).
+	// PrecondRefreshes counts the numeric refactorizations made during
+	// this solve only.
 	PrecondBuilds    int
 	PrecondRefreshes int
 	// Rounds is the simulator round count consumed by this solve (0 without
@@ -159,6 +152,10 @@ type ipm struct {
 	etaW   float64 // weight-update precision (practical e^R − 1)
 	counts Solution
 
+	// Counter readings at solve start, so Solution reports this solve's
+	// share of the session-lifetime network and refresh counters.
+	startRounds, startRefreshes int
+
 	scr *scratch
 }
 
@@ -184,10 +181,10 @@ func SolveCtx(ctx context.Context, prob *Problem, x0 []float64, eps float64, par
 	return sess.Solve(ctx, x0, eps, par)
 }
 
-// pathFollowing implements Algorithm 10: alternate centering and
-// multiplicative t-steps clamped by median to t_end, then polish with
-// FinalCenterings extra centerings at t_end. The context is polled once
-// per outer iteration, so cancellation surfaces within one path step.
+// pathFollowing implements Algorithm 10: one centering per multiplicative
+// t-step clamped by median to t_end, then polish with FinalCenterings
+// extra centerings at t_end. The context is polled once per outer
+// iteration, so cancellation surfaces within one path step.
 func (s *ipm) pathFollowing(x, w []float64, tStart, tEnd float64, c []float64) ([]float64, []float64, error) {
 	t := tStart
 	var err error
@@ -198,7 +195,7 @@ func (s *ipm) pathFollowing(x, w []float64, tStart, tEnd float64, c []float64) (
 		if s.counts.PathSteps >= s.par.MaxPathSteps {
 			return x, w, fmt.Errorf("lp: exceeded %d path steps (t = %g, target %g)", s.par.MaxPathSteps, t, tEnd)
 		}
-		x, w, err = s.centerLoop(x, w, t, c)
+		x, w, err = s.center(x, w, t, c)
 		if err != nil {
 			return x, w, err
 		}
@@ -220,39 +217,16 @@ func (s *ipm) pathFollowing(x, w []float64, tStart, tEnd float64, c []float64) (
 	return x, w, nil
 }
 
-// centerLoop repeats centering until the centrality measure δ is below
-// CenterTol (practical safeguard for the aggressive α; with the paper's
-// constants a single step maintains the invariant).
-func (s *ipm) centerLoop(x, w []float64, t float64, c []float64) ([]float64, []float64, error) {
-	var err error
-	for inner := 0; inner < s.par.MaxInnerSteps; inner++ {
-		var delta float64
-		x, w, delta, err = s.centerDelta(x, w, t, c)
-		if err != nil {
-			return x, w, err
-		}
-		if delta <= s.par.CenterTol {
-			break
-		}
-	}
-	return x, w, nil
-}
-
-func (s *ipm) center(x, w []float64, t float64, c []float64) ([]float64, []float64, error) {
-	x, w, _, err := s.centerDelta(x, w, t, c)
-	return x, w, err
-}
-
-// centerDelta implements CenteringInexact (Algorithm 11): one projected
-// Newton step on the weighted barrier plus one multiplicative weight update
-// toward the fresh approximate Lewis weights, steered through the
-// mixed-norm-ball projection.
+// center implements CenteringInexact (Algorithm 11): one projected Newton
+// step on the weighted barrier plus one multiplicative weight update toward
+// the fresh approximate Lewis weights, steered through the mixed-norm-ball
+// projection and scaled by the centrality measure δ.
 //
 // The returned x and w slices are the reusable scratch buffers (every
 // write is elementwise against the same index of the inputs, so aliasing
 // across successive calls is safe); Solve clones the final iterate before
 // handing it to the caller.
-func (s *ipm) centerDelta(x, w []float64, t float64, c []float64) ([]float64, []float64, float64, error) {
+func (s *ipm) center(x, w []float64, t float64, c []float64) ([]float64, []float64, error) {
 	s.counts.Centerings++
 	m := s.m
 	phi1, phi2 := s.scr.phi1, s.scr.phi2
@@ -266,7 +240,7 @@ func (s *ipm) centerDelta(x, w []float64, t float64, c []float64) ([]float64, []
 	}
 	pq, err := s.applyProjection(q, w, phi2)
 	if err != nil {
-		return x, w, 0, err
+		return x, w, err
 	}
 	delta := linalg.NormInf(pq) + s.cNorm*linalg.WeightedNorm(pq, w)
 
@@ -284,7 +258,7 @@ func (s *ipm) centerDelta(x, w []float64, t float64, c []float64) ([]float64, []
 		xNew[i] = x[i] + 0.99*step*dx[i]
 	}
 	if !s.bar.Interior(xNew) {
-		return x, w, 0, fmt.Errorf("lp: Newton step left the domain")
+		return x, w, fmt.Errorf("lp: Newton step left the domain")
 	}
 	if s.par.Net != nil {
 		// Two distributed matrix-vector products per centering (A and Aᵀ),
@@ -310,7 +284,7 @@ func (s *ipm) centerDelta(x, w []float64, t float64, c []float64) ([]float64, []
 	}
 	apx, err := ComputeApxWeights(s.lev, base, s.p, w, s.par.Lewis)
 	if err != nil {
-		return x, w, 0, err
+		return x, w, err
 	}
 	z := s.scr.z
 	for i := range z {
@@ -337,7 +311,7 @@ func (s *ipm) centerDelta(x, w []float64, t float64, c []float64) ([]float64, []
 		// Keep weights inside the regularized band [c0/2, 3n/2].
 		wNew[i] = linalg.Clamp(wNew[i], s.c0/2, 1.5*float64(s.n)+1)
 	}
-	return xNew, wNew, delta, nil
+	return xNew, wNew, nil
 }
 
 // applyProjection computes P_{x,w}q = q − W⁻¹A_x(A_xᵀW⁻¹A_x)⁻¹A_xᵀq with

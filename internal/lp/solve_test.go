@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -141,5 +142,32 @@ func TestPathStepsScaleWithSqrtN(t *testing.T) {
 	// √9 = 3× plus log factors; must stay well below linear 9×.
 	if float64(s9) > 7*float64(s1) {
 		t.Fatalf("path-step growth looks linear: %d -> %d", s1, s9)
+	}
+}
+
+// Algorithm 10 as written: one CenteringInexact per path step, plus
+// FinalCenterings at the end of each of the two phases; Polish runs only
+// its FinalCenterings.
+func TestCenteringsPerPathStep(t *testing.T) {
+	prob, x0 := simplexProblem([]float64{3, 1, 4, 1.5, 5})
+	sess, err := NewSession(prob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	par := Params{Seed: 7}
+	final := par.withDefaults(prob.N()).FinalCenterings
+	sol, err := sess.Solve(context.Background(), x0, 0.05, par)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := sol.PathSteps + 2*final; sol.Centerings != want {
+		t.Fatalf("Solve: %d centerings over %d path steps, want %d", sol.Centerings, sol.PathSteps, want)
+	}
+	pol, err := sess.Polish(context.Background(), sol.X, sol.Weights, 0.05, par)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pol.Centerings != final || pol.PathSteps != 0 {
+		t.Fatalf("Polish: %d centerings, %d path steps; want %d, 0", pol.Centerings, pol.PathSteps, final)
 	}
 }

@@ -33,12 +33,14 @@ type Stats struct {
 	// safeguard CG for Laplacian sessions.
 	CGIterations int
 	// PrecondBuilds and PrecondRefreshes report the backend's
-	// combinatorial-preconditioner counters (csr-pcg; 0 elsewhere),
-	// cumulative over the owning session: Builds counts symbolic
-	// constructions (subgraph extraction + elimination ordering, paid once
-	// per session) and Refreshes counts numeric refactorizations (one per
-	// distinct barrier diagonal). A Builds count that stays at 1 across
-	// queries is direct evidence the symbolic structure was reused.
+	// combinatorial-preconditioner counters (csr-pcg; 0 elsewhere).
+	// PrecondBuilds counts symbolic constructions (subgraph extraction +
+	// elimination ordering) and is cumulative over the owning session: it
+	// is paid once per session, so a count that stays at 1 across queries
+	// is direct evidence the symbolic structure was reused, and 0 shows
+	// the Jacobi fallback. PrecondRefreshes counts the numeric
+	// refactorizations (one per distinct barrier diagonal) made during
+	// this query only.
 	PrecondBuilds    int
 	PrecondRefreshes int
 	// Attempts is the number of fresh flow perturbation attempts (0 for a
