@@ -112,9 +112,7 @@
 //
 // cmd/bcclap-serve exposes the service over REST (PUT/GET/DELETE
 // /v1/networks/{name}, PATCH /v1/networks/{name}/arcs, per-tenant /flow
-// and /stats routes, durable with -data-dir), with the legacy
-// single-network /v1/flow surface kept as a compatibility layer over a
-// "default" tenant.
+// and /stats routes, durable with -data-dir).
 //
 // Every entry point optionally runs against the round-accounting simulator
 // in internal/sim so that the paper's round-complexity claims can be

@@ -18,8 +18,6 @@
 //	POST   /v1/networks/{name}/flow       {"s": 0, "t": 5, "include_flows": true}
 //	POST   /v1/networks/{name}/flow/batch {"queries": [{"s": 0, "t": 5}, ...]}
 //	PATCH  /v1/networks/{name}/limits     change a tenant's QoS limits at runtime
-//	POST   /v1/flow                       legacy: routes to the "default" tenant
-//	POST   /v1/flow/batch                 legacy: routes to the "default" tenant
 //	GET    /v1/stats                      service-wide counters
 //	GET    /metrics                       Prometheus text exposition (disable with -metrics=false)
 //	GET    /healthz                       readiness probe: 200 only once store replay
@@ -53,18 +51,16 @@
 // a patch or swap racing another mutation of the same tenant gets 429
 // with a Retry-After hint.
 //
-// The legacy single-network flags still work: -network FILE ("n m" header
-// then m lines "from to capacity cost") or -random N registers the
-// "default" tenant at startup, which is what the legacy /v1/flow routes
-// answer from. Without either flag the daemon starts empty and tenants
-// arrive over PUT. SIGINT/SIGTERM drains gracefully: the listener stops,
-// in-flight solves finish (bounded by -drain-timeout), then every tenant
-// shuts down; queries arriving during the drain are rejected with 503 and
-// a Retry-After header so load balancers back off instead of retrying hot.
+// The daemon starts with the tenants its -data-dir store replays (none
+// without one); further tenants arrive over PUT, and a "random_n" spec
+// without its own "seed" draws its network from -seed. SIGINT/SIGTERM
+// drains gracefully: the listener stops, in-flight solves finish (bounded
+// by -drain-timeout), then every tenant shuts down; queries arriving
+// during the drain are rejected with 503 and a Retry-After header so load
+// balancers back off instead of retrying hot.
 package main
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -89,9 +85,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	networkFile := flag.String("network", "", "register a \"default\" network from file: \"n m\" header then m lines \"from to capacity cost\"")
-	randomN := flag.Int("random", 0, "register a random \"default\" network on N vertices instead of -network")
-	seed := flag.Int64("seed", 1, "random seed (instance generation and perturbations)")
+	seed := flag.Int64("seed", 1, "random seed (random_n network specs and perturbations)")
 	backend := flag.String("backend", "", "default AᵀDA solve backend: "+strings.Join(bcclap.FlowBackends(), ", ")+" (default: auto — csr-pcg on sparse graphs, else dense)")
 	poolSize := flag.Int("pool", 4, "default worker sessions per network")
 	shards := flag.Int("shards", 0, "default terminal-pair shards per network (default: pool size)")
@@ -109,7 +103,7 @@ func main() {
 	flag.Parse()
 
 	if err := run(serveConfig{
-		addr: *addr, networkFile: *networkFile, randomN: *randomN, seed: *seed,
+		addr: *addr, seed: *seed,
 		backend: *backend, poolSize: *poolSize, shards: *shards, cacheSize: *cacheSize,
 		timeout: *timeout, drainTimeout: *drainTimeout,
 		dataDir: *dataDir, fsync: *fsync, snapEvery: *snapEvery,
@@ -124,8 +118,6 @@ func main() {
 // serveConfig bundles the flag values so run stays callable from tests.
 type serveConfig struct {
 	addr         string
-	networkFile  string
-	randomN      int
 	seed         int64
 	backend      string
 	poolSize     int
@@ -142,10 +134,6 @@ type serveConfig struct {
 	maxInFlight  int
 	queueDepth   int
 }
-
-// defaultTenant is the name the legacy -network/-random flags and
-// /v1/flow routes operate on.
-const defaultTenant = "default"
 
 func run(cfg serveConfig) error {
 	if cfg.poolSize < 1 {
@@ -206,28 +194,6 @@ func run(cfg serveConfig) error {
 		log.Printf("bcclap-serve: recovered %d tenants from %s: %s",
 			len(replayed), cfg.dataDir, strings.Join(replayed, ", "))
 	}
-	if cfg.networkFile != "" || cfg.randomN > 0 {
-		d, err := loadNetwork(cfg.networkFile, cfg.randomN, cfg.seed)
-		if err != nil {
-			srv.Close()
-			svc.Close()
-			return err
-		}
-		h, err := svc.Register(defaultTenant, d)
-		switch {
-		case errors.Is(err, bcclap.ErrNetworkExists):
-			// The store already replayed the default tenant; the replayed
-			// state (version, patches) wins over the startup flags.
-			log.Printf("bcclap-serve: %q already recovered from the store; keeping it", defaultTenant)
-		case err != nil:
-			srv.Close()
-			svc.Close()
-			return err
-		default:
-			log.Printf("bcclap-serve: registered %q (n=%d m=%d backend=%s pool=%d)",
-				defaultTenant, d.N(), d.M(), h.Backend(), cfg.poolSize)
-		}
-	}
 	s.attach(svc)
 	log.Printf("bcclap-serve: ready (tenants=%d)", len(svc.Names()))
 
@@ -252,36 +218,6 @@ func run(cfg serveConfig) error {
 	}
 	log.Printf("bcclap-serve: stopped")
 	return nil
-}
-
-// loadNetwork reads the instance from a file or generates a random one.
-func loadNetwork(networkFile string, randomN int, seed int64) (*graph.Digraph, error) {
-	switch {
-	case networkFile != "" && randomN > 0:
-		return nil, errors.New("-network and -random are mutually exclusive")
-	case networkFile != "":
-		f, err := os.Open(networkFile)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return readNetwork(f)
-	case randomN > 0:
-		rnd := rand.New(rand.NewSource(seed))
-		return graph.RandomFlowNetwork(randomN, 0.3, 3, 3, rnd), nil
-	default:
-		return nil, errors.New("one of -network FILE or -random N is required")
-	}
-}
-
-// readNetwork parses "n m" then the shared arc-list format.
-func readNetwork(f *os.File) (*graph.Digraph, error) {
-	r := bufio.NewReader(f)
-	var n, m int
-	if _, err := fmt.Fscan(r, &n, &m); err != nil {
-		return nil, fmt.Errorf("read header: %w", err)
-	}
-	return graph.ReadArcList(r, n, m)
 }
 
 // server carries the daemon state shared by all request goroutines: the
@@ -352,10 +288,6 @@ func (s *server) routes() http.Handler {
 	mux.HandleFunc("DELETE /v1/networks/{name}", s.handleDeleteNetwork)
 	mux.HandleFunc("POST /v1/networks/{name}/flow", s.handleFlow)
 	mux.HandleFunc("POST /v1/networks/{name}/flow/batch", s.handleBatch)
-	// Legacy single-network surface: thin compatibility routes over the
-	// "default" tenant (the one -network/-random registers).
-	mux.HandleFunc("POST /v1/flow", s.handleFlow)
-	mux.HandleFunc("POST /v1/flow/batch", s.handleBatch)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	if s.metricsOn {
 		mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -424,14 +356,10 @@ func (s *server) middleware(mux *http.ServeMux) http.Handler {
 	})
 }
 
-// tenant resolves the request's target handle: the {name} path segment on
-// the /v1/networks routes, the "default" tenant on the legacy ones.
+// tenant resolves the request's target handle from the {name} path
+// segment.
 func (s *server) tenant(r *http.Request) (*bcclap.NetworkHandle, error) {
-	name := r.PathValue("name")
-	if name == "" {
-		name = defaultTenant
-	}
-	return s.service().Get(name)
+	return s.service().Get(r.PathValue("name"))
 }
 
 // networkSpec is the PUT /v1/networks/{name} body: the network itself —
@@ -460,8 +388,7 @@ type networkSpec struct {
 }
 
 // digraph materializes the spec's network. Random instances without an
-// explicit "seed" inherit the daemon's -seed default, matching the
-// legacy -random flag path.
+// explicit "seed" inherit the daemon's -seed default.
 func (spec *networkSpec) digraph(defaultSeed int64) (*graph.Digraph, error) {
 	if spec.RandomN > 0 {
 		if len(spec.Arcs) > 0 {

@@ -17,13 +17,16 @@ import (
 	"bcclap/internal/graph"
 )
 
-// newTestServer builds the daemon handler over a service with a "default"
-// tenant on a small random instance, exactly as main would with -random.
+// testTenant is the tenant newTestServer registers.
+const testTenant = "default"
+
+// newTestServer builds the daemon handler over a service with one tenant
+// on a small random instance.
 func newTestServer(t *testing.T) (*server, *graph.Digraph) {
 	t.Helper()
 	d := graph.RandomFlowNetwork(5, 0.35, 3, 3, rand.New(rand.NewSource(3)))
 	svc := bcclap.NewService(bcclap.WithSeed(3), bcclap.WithPoolSize(2))
-	if _, err := svc.Register(defaultTenant, d); err != nil {
+	if _, err := svc.Register(testTenant, d); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(svc.Close)
@@ -63,9 +66,8 @@ func doReq(t *testing.T, method, url string, body []byte) *http.Response {
 	return resp
 }
 
-// End-to-end acceptance on the legacy compatibility surface: /healthz
-// answers and /v1/flow (routed to the "default" tenant) returns the
-// certified (value, cost) the combinatorial baseline computes.
+// End-to-end acceptance: /healthz answers and the tenant's flow route
+// returns the certified (value, cost) the combinatorial baseline computes.
 func TestServeFlowEndToEnd(t *testing.T) {
 	s, d := newTestServer(t)
 	ts := httptest.NewServer(s.routes())
@@ -86,13 +88,13 @@ func TestServeFlowEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	body, _ := json.Marshal(map[string]any{"s": st, "t": tt, "include_flows": true})
-	resp, err = http.Post(ts.URL+"/v1/flow", "application/json", bytes.NewReader(body))
+	resp, err = http.Post(ts.URL+"/v1/networks/"+testTenant+"/flow", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/v1/flow: status %d", resp.StatusCode)
+		t.Fatalf("flow: status %d", resp.StatusCode)
 	}
 	var fr flowResponse
 	if err := json.NewDecoder(resp.Body).Decode(&fr); err != nil {
@@ -106,7 +108,7 @@ func TestServeFlowEndToEnd(t *testing.T) {
 	}
 
 	// The same query again must be served from the cache, bit-identically.
-	resp, err = http.Post(ts.URL+"/v1/flow", "application/json", bytes.NewReader(body))
+	resp, err = http.Post(ts.URL+"/v1/networks/"+testTenant+"/flow", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,13 +140,13 @@ func TestServeBatchAndStats(t *testing.T) {
 	body, _ := json.Marshal(map[string]any{
 		"queries": []map[string]int{{"s": st, "t": tt}, {"s": st, "t": tt}, {"s": st, "t": tt}},
 	})
-	resp, err := http.Post(ts.URL+"/v1/flow/batch", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(ts.URL+"/v1/networks/"+testTenant+"/flow/batch", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/v1/flow/batch: status %d", resp.StatusCode)
+		t.Fatalf("flow/batch: status %d", resp.StatusCode)
 	}
 	var br struct {
 		Results []flowResponse `json:"results"`
@@ -206,7 +208,7 @@ func TestServeErrorMapping(t *testing.T) {
 		`{"s": 0, "t": ` + jsonInt(d.N()) + `}`,
 		`not json`,
 	} {
-		resp, err := http.Post(ts.URL+"/v1/flow", "application/json", strings.NewReader(body))
+		resp, err := http.Post(ts.URL+"/v1/networks/"+testTenant+"/flow", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -440,8 +442,8 @@ func TestServeShutdownRetryAfter(t *testing.T) {
 	}
 	body, _ := json.Marshal(map[string]any{"s": 0, "t": d.N() - 1})
 	for _, url := range []string{
-		ts.URL + "/v1/flow",
-		ts.URL + "/v1/networks/" + defaultTenant + "/flow",
+		ts.URL + "/v1/networks/" + testTenant + "/flow",
+		ts.URL + "/v1/networks/" + testTenant + "/flow/batch",
 	} {
 		resp, err := http.Post(url, "application/json", bytes.NewReader(body))
 		if err != nil {

@@ -31,7 +31,7 @@ func TestServeMetricsGolden(t *testing.T) {
 	// the schema must be identical either way, and the lint below checks
 	// the live output, not just its headers.
 	qbody, _ := json.Marshal(map[string]any{"s": 0, "t": d.N() - 1})
-	resp, err := http.Post(ts.URL+"/v1/flow", "application/json", bytes.NewReader(qbody))
+	resp, err := http.Post(ts.URL+"/v1/networks/"+testTenant+"/flow", "application/json", bytes.NewReader(qbody))
 	if err != nil {
 		t.Fatal(err)
 	}

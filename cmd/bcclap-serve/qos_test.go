@@ -62,7 +62,7 @@ func TestServeHealthzReadiness(t *testing.T) {
 	svc := bcclap.NewService(bcclap.WithSeed(3))
 	defer svc.Close()
 	d := graph.RandomFlowNetwork(5, 0.35, 3, 3, rand.New(rand.NewSource(3)))
-	if _, err := svc.Register(defaultTenant, d); err != nil {
+	if _, err := svc.Register(testTenant, d); err != nil {
 		t.Fatal(err)
 	}
 	s.attach(svc)
@@ -97,7 +97,7 @@ func TestServePatchLimits(t *testing.T) {
 	s, _ := newTestServer(t)
 	ts := httptest.NewServer(s.routes())
 	defer ts.Close()
-	url := ts.URL + "/v1/networks/" + defaultTenant + "/limits"
+	url := ts.URL + "/v1/networks/" + testTenant + "/limits"
 
 	resp := doReq(t, http.MethodPatch, url, []byte(`{"rate_per_sec": 50, "burst": 5}`))
 	defer resp.Body.Close()
@@ -118,7 +118,7 @@ func TestServePatchLimits(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("second PATCH: status %d", resp.StatusCode)
 	}
-	h, err := s.service().Get(defaultTenant)
+	h, err := s.service().Get(testTenant)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestServePatchLimitsDurable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.Register(defaultTenant, d); err != nil {
+	if _, err := svc.Register(testTenant, d); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(newServer(svc, 5*time.Minute, 7*time.Second, 3).routes())
@@ -172,7 +172,7 @@ func TestServePatchLimitsDurable(t *testing.T) {
 		"rate_per_sec": want.RatePerSec, "burst": want.Burst,
 		"max_in_flight": want.MaxInFlight, "queue_depth": want.QueueDepth,
 	})
-	resp := doReq(t, http.MethodPatch, ts.URL+"/v1/networks/"+defaultTenant+"/limits", body)
+	resp := doReq(t, http.MethodPatch, ts.URL+"/v1/networks/"+testTenant+"/limits", body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("PATCH limits: status %d", resp.StatusCode)
@@ -187,7 +187,7 @@ func TestServePatchLimitsDurable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc2.Close()
-	h, err := svc2.Get(defaultTenant)
+	h, err := svc2.Get(testTenant)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,14 +206,14 @@ func TestServeOverloaded429(t *testing.T) {
 
 	// One token, no refill to speak of, no queue: the first solve drains
 	// the bucket, the second is rejected immediately.
-	resp := doReq(t, http.MethodPatch, ts.URL+"/v1/networks/"+defaultTenant+"/limits",
+	resp := doReq(t, http.MethodPatch, ts.URL+"/v1/networks/"+testTenant+"/limits",
 		[]byte(`{"rate_per_sec": 0.01, "burst": 1, "queue_depth": -1}`))
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("PATCH limits: status %d", resp.StatusCode)
 	}
 	qbody, _ := json.Marshal(map[string]any{"s": 0, "t": d.N() - 1})
-	first, err := http.Post(ts.URL+"/v1/flow", "application/json", bytes.NewReader(qbody))
+	first, err := http.Post(ts.URL+"/v1/networks/"+testTenant+"/flow", "application/json", bytes.NewReader(qbody))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestServeOverloaded429(t *testing.T) {
 		t.Fatalf("first solve: status %d", first.StatusCode)
 	}
 
-	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/flow", bytes.NewReader(qbody))
+	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/networks/"+testTenant+"/flow", bytes.NewReader(qbody))
 	req.Header.Set("X-Trace-Id", "feedfacefeedface")
 	second, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -263,7 +263,7 @@ func TestServeMetricsEndpoint(t *testing.T) {
 	defer ts.Close()
 
 	qbody, _ := json.Marshal(map[string]any{"s": 0, "t": d.N() - 1})
-	resp, err := http.Post(ts.URL+"/v1/flow", "application/json", bytes.NewReader(qbody))
+	resp, err := http.Post(ts.URL+"/v1/networks/"+testTenant+"/flow", "application/json", bytes.NewReader(qbody))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,9 +297,9 @@ func TestServeMetricsEndpoint(t *testing.T) {
 	out := string(raw)
 	for _, want := range []string{
 		"bcclap_networks 1",
-		`bcclap_admission_admitted_total{tenant="` + defaultTenant + `"} 1`,
+		`bcclap_admission_admitted_total{tenant="` + testTenant + `"} 1`,
 		"# TYPE bcclap_solve_latency_seconds histogram",
-		`bcclap_http_requests_total{method="POST",route="POST /v1/flow",code="200"} 1`,
+		`bcclap_http_requests_total{method="POST",route="POST /v1/networks/{name}/flow",code="200"} 1`,
 		"# TYPE bcclap_http_request_duration_seconds histogram",
 	} {
 		if !strings.Contains(out, want) {

@@ -38,7 +38,7 @@ func TestServePatchArcs(t *testing.T) {
 	}
 
 	body, _ := json.Marshal(map[string]any{"deltas": deltas})
-	resp := doReq(t, http.MethodPatch, ts.URL+"/v1/networks/"+defaultTenant+"/arcs", body)
+	resp := doReq(t, http.MethodPatch, ts.URL+"/v1/networks/"+testTenant+"/arcs", body)
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("PATCH: status %d, want 200", resp.StatusCode)
@@ -56,7 +56,7 @@ func TestServePatchArcs(t *testing.T) {
 		t.Fatal(err)
 	}
 	qbody, _ := json.Marshal(map[string]any{"s": 0, "t": d.N() - 1})
-	qresp, err := http.Post(ts.URL+"/v1/flow", "application/json", bytes.NewReader(qbody))
+	qresp, err := http.Post(ts.URL+"/v1/networks/"+testTenant+"/flow", "application/json", bytes.NewReader(qbody))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,10 +83,10 @@ func TestServeMalformedBodies(t *testing.T) {
 	}{
 		{http.MethodPut, "/v1/networks/x", `not json`, "malformed network spec"},
 		{http.MethodPut, "/v1/networks/x", `{"n": 3, "arcs": [[0,0,1,1]]}`, "malformed network spec"},
-		{http.MethodPatch, "/v1/networks/" + defaultTenant + "/arcs", `not json`, "malformed network spec"},
-		{http.MethodPatch, "/v1/networks/" + defaultTenant + "/arcs", `{"deltas": []}`, "bad arc delta"},
-		{http.MethodPatch, "/v1/networks/" + defaultTenant + "/arcs", `{"deltas": [{"arc": 9999}]}`, "bad arc delta"},
-		{http.MethodPatch, "/v1/networks/" + defaultTenant + "/arcs", `{"deltas": [{"arc": 0, "cap_delta": -100}]}`, "bad arc delta"},
+		{http.MethodPatch, "/v1/networks/" + testTenant + "/arcs", `not json`, "malformed network spec"},
+		{http.MethodPatch, "/v1/networks/" + testTenant + "/arcs", `{"deltas": []}`, "bad arc delta"},
+		{http.MethodPatch, "/v1/networks/" + testTenant + "/arcs", `{"deltas": [{"arc": 9999}]}`, "bad arc delta"},
+		{http.MethodPatch, "/v1/networks/" + testTenant + "/arcs", `{"deltas": [{"arc": 0, "cap_delta": -100}]}`, "bad arc delta"},
 	}
 	for _, tc := range cases {
 		resp := doReq(t, tc.method, ts.URL+tc.url, []byte(tc.body))
@@ -116,7 +116,7 @@ func TestServeMalformedBodies(t *testing.T) {
 func TestServeBusyRetryAfter(t *testing.T) {
 	s, _ := newTestServer(t)
 	rec := httptest.NewRecorder()
-	s.writeError(rec, httptest.NewRequest(http.MethodPost, "/v1/flow", nil),
+	s.writeError(rec, httptest.NewRequest(http.MethodPost, "/v1/networks/"+testTenant+"/flow", nil),
 		fmt.Errorf("wrap: %w", bcclap.ErrNetworkBusy))
 	if rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("busy error: status %d, want 429", rec.Code)
@@ -165,7 +165,7 @@ func TestServeRestartRecovery(t *testing.T) {
 	// First life: register default + one tenant over HTTP, patch the
 	// tenant, record its answer, then drain (the SIGTERM path).
 	svc, ts := open()
-	if _, err := svc.Register(defaultTenant, d); err != nil {
+	if _, err := svc.Register(testTenant, d); err != nil {
 		t.Fatal(err)
 	}
 	resp := doReq(t, http.MethodPut, ts.URL+"/v1/networks/team", specJSON(t, dT, nil))
@@ -180,7 +180,7 @@ func TestServeRestartRecovery(t *testing.T) {
 		t.Fatalf("PATCH team: status %d", resp.StatusCode)
 	}
 	before := solve(ts, "team", dT.N())
-	beforeDefault := solve(ts, defaultTenant, d.N())
+	beforeDefault := solve(ts, testTenant, d.N())
 	ts.Close()
 	if err := svc.Drain(context.Background()); err != nil {
 		t.Fatal(err)
@@ -192,7 +192,7 @@ func TestServeRestartRecovery(t *testing.T) {
 	defer svc2.Close()
 	// main() tolerates ErrNetworkExists for the default tenant on restart
 	// (the replayed state wins); mirror that here.
-	if _, err := svc2.Register(defaultTenant, d); err != nil && !errors.Is(err, bcclap.ErrNetworkExists) {
+	if _, err := svc2.Register(testTenant, d); err != nil && !errors.Is(err, bcclap.ErrNetworkExists) {
 		t.Fatal(err)
 	}
 	h, err := svc2.Get("team")
@@ -207,7 +207,7 @@ func TestServeRestartRecovery(t *testing.T) {
 		fmt.Sprint(after.Flows) != fmt.Sprint(before.Flows) {
 		t.Fatalf("post-restart answer diverged: %+v vs %+v", after, before)
 	}
-	afterDefault := solve(ts2, defaultTenant, d.N())
+	afterDefault := solve(ts2, testTenant, d.N())
 	if afterDefault.Value != beforeDefault.Value || afterDefault.Cost != beforeDefault.Cost {
 		t.Fatal("default tenant diverged across restart")
 	}

@@ -6,10 +6,13 @@ import (
 )
 
 // ReadArcList reads m whitespace-separated arc lines "from to capacity
-// cost" from r into a fresh digraph on n vertices — the on-disk arc
-// format shared by the CLIs (their headers differ, the arc list does
-// not). Pass a buffered reader; fmt.Fscan is used per field.
+// cost" from r into a fresh digraph on n vertices — the arc format of
+// bcclap-flow's input, after its header. A negative n or m is an error.
+// Pass a buffered reader; fmt.Fscan is used per field.
 func ReadArcList(r io.Reader, n, m int) (*Digraph, error) {
+	if n < 0 || m < 0 {
+		return nil, fmt.Errorf("read arcs: negative size n=%d m=%d", n, m)
+	}
 	d := NewDigraph(n)
 	for i := 0; i < m; i++ {
 		var u, v int
