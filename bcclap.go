@@ -46,17 +46,16 @@
 //
 // # Concurrent serving
 //
-// Every FlowSolver is backed by a sharded pool of independent worker
+// Every FlowSolver is backed by a pool of independent worker
 // sessions — one by default, n with WithPoolSize(n) — each owning its own
 // backend workspaces, so the allocation-free hot paths stay race-free
 // without locks. The solver accepts Solve and SolveBatch from any number
 // of goroutines, and SolveBatch fans out across the workers with bounded
 // concurrency. Queries are routed by terminal pair — every pair always
 // runs on the same worker, in submission order — so results, warm starts
-// included, are bit-identical at every pool size. WithShards controls the
-// terminal-pair sharding; each worker is a goroutine, so shut the solver
-// down with Drain (graceful) or Close (immediate); PoolStats exposes the
-// serving counters:
+// included, are bit-identical at every pool size. Each worker is a
+// goroutine, so shut the solver down with Drain (graceful) or Close
+// (immediate); PoolStats exposes the serving counters:
 //
 //	solver, err := bcclap.NewFlowSolver(d, bcclap.WithPoolSize(8))
 //	defer solver.Close()
@@ -233,7 +232,7 @@ type SparsifyResult struct {
 // ad-hoc sampling algorithm (Algorithm 5 / Theorem 1.2). It accepts the
 // session option set: WithSeed, WithNetwork and WithSparsifyParams apply.
 func SparsifyGraph(g *Graph, eps float64, opts ...Option) (*SparsifyResult, error) {
-	cfg := applyOptions(opts)
+	cfg := newConfig(opts)
 	if g.N() == 0 {
 		return nil, fmt.Errorf("bcclap: empty graph")
 	}
@@ -274,9 +273,6 @@ func (s *LaplacianSolver) Sparsifier() *Graph { return s.inner.Sparsifier() }
 
 // LPProblem is the linear program min cᵀx s.t. Aᵀx = b, l ≤ x ≤ u.
 type LPProblem = lp.Problem
-
-// LPParams tunes the interior-point method.
-type LPParams = lp.Params
 
 // LPSolution is the solver output.
 type LPSolution = lp.Solution

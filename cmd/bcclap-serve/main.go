@@ -1,7 +1,7 @@
 // Command bcclap-serve is an always-on, multi-tenant HTTP/JSON daemon
 // serving certified min-cost max-flow queries (Theorem 1.1 as a service).
 // One process fronts many named, versioned flow networks through a
-// bcclap.Service: each tenant owns a sharded pool of solver sessions plus
+// bcclap.Service: each tenant owns a pool of solver sessions plus
 // a certified-result cache, networks are registered, swapped and retired
 // over REST without restarting the daemon, and repeated queries against
 // an unchanged network are answered in O(1) from the cache — bit-identical
@@ -88,7 +88,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed (random_n network specs and perturbations)")
 	backend := flag.String("backend", "", "default AᵀDA solve backend: "+strings.Join(bcclap.FlowBackends(), ", ")+" (default: auto — csr-pcg on sparse graphs, else dense)")
 	poolSize := flag.Int("pool", 4, "default worker sessions per network")
-	shards := flag.Int("shards", 0, "default terminal-pair shards per network (default: pool size)")
 	cacheSize := flag.Int("cache", bcclap.DefaultCacheSize, "default certified-result cache entries per network (0 disables)")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request solve timeout (0 = no limit)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget for in-flight solves")
@@ -104,7 +103,7 @@ func main() {
 
 	if err := run(serveConfig{
 		addr: *addr, seed: *seed,
-		backend: *backend, poolSize: *poolSize, shards: *shards, cacheSize: *cacheSize,
+		backend: *backend, poolSize: *poolSize, cacheSize: *cacheSize,
 		timeout: *timeout, drainTimeout: *drainTimeout,
 		dataDir: *dataDir, fsync: *fsync, snapEvery: *snapEvery,
 		metrics: *metrics, rateLimit: *rateLimit, burst: *burst,
@@ -121,7 +120,6 @@ type serveConfig struct {
 	seed         int64
 	backend      string
 	poolSize     int
-	shards       int
 	cacheSize    int
 	timeout      time.Duration
 	drainTimeout time.Duration
@@ -145,9 +143,6 @@ func run(cfg serveConfig) error {
 		bcclap.WithPoolSize(cfg.poolSize),
 		bcclap.WithCacheSize(cfg.cacheSize),
 		bcclap.WithTelemetry(cfg.metrics),
-	}
-	if cfg.shards > 0 {
-		opts = append(opts, bcclap.WithShards(cfg.shards))
 	}
 	if cfg.rateLimit > 0 {
 		opts = append(opts, bcclap.WithRateLimit(cfg.rateLimit, cfg.burst))
@@ -377,7 +372,6 @@ type networkSpec struct {
 	Seed      *int64  `json:"seed,omitempty"`
 	Backend   *string `json:"backend,omitempty"`
 	Pool      *int    `json:"pool,omitempty"`
-	Shards    *int    `json:"shards,omitempty"`
 	CacheSize *int    `json:"cache_size,omitempty"`
 	// QoS overrides, option-surface conventions: rate 0 = unlimited,
 	// queue_depth 0 = reject instead of queue.
@@ -387,12 +381,26 @@ type networkSpec struct {
 	QueueDepth  *int     `json:"queue_depth,omitempty"`
 }
 
-// digraph materializes the spec's network. Random instances without an
-// explicit "seed" inherit the daemon's -seed default.
+// Size bounds on a PUT spec, checked before anything is allocated: a
+// random instance has about 0.3·random_n² arcs, and every pool worker
+// holds its own copy of the network. "n" is bounded by graph.MaxVertices.
+const (
+	maxRandomN  = 64
+	maxSpecPool = 64
+)
+
+// digraph checks the spec's sizes and materializes its network. Random
+// instances without an explicit "seed" inherit the daemon's -seed default.
 func (spec *networkSpec) digraph(defaultSeed int64) (*graph.Digraph, error) {
+	if spec.Pool != nil && *spec.Pool > maxSpecPool {
+		return nil, fmt.Errorf("pool %d exceeds the limit of %d", *spec.Pool, maxSpecPool)
+	}
 	if spec.RandomN > 0 {
 		if len(spec.Arcs) > 0 {
 			return nil, errors.New("random_n and arcs are mutually exclusive")
+		}
+		if spec.RandomN > maxRandomN {
+			return nil, fmt.Errorf("random_n %d exceeds the limit of %d", spec.RandomN, maxRandomN)
 		}
 		seed := defaultSeed
 		if spec.Seed != nil {
@@ -402,6 +410,9 @@ func (spec *networkSpec) digraph(defaultSeed int64) (*graph.Digraph, error) {
 	}
 	if spec.N <= 0 || len(spec.Arcs) == 0 {
 		return nil, errors.New(`network spec needs "n" and "arcs" (or "random_n")`)
+	}
+	if spec.N > graph.MaxVertices {
+		return nil, fmt.Errorf("n %d exceeds the limit of %d", spec.N, graph.MaxVertices)
 	}
 	d := graph.NewDigraph(spec.N)
 	for i, a := range spec.Arcs {
@@ -423,9 +434,6 @@ func (spec *networkSpec) options() []bcclap.Option {
 	}
 	if spec.Pool != nil {
 		opts = append(opts, bcclap.WithPoolSize(*spec.Pool))
-	}
-	if spec.Shards != nil {
-		opts = append(opts, bcclap.WithShards(*spec.Shards))
 	}
 	if spec.CacheSize != nil {
 		opts = append(opts, bcclap.WithCacheSize(*spec.CacheSize))
@@ -841,6 +849,7 @@ func statusOf(err error) int {
 	switch {
 	case errors.Is(err, bcclap.ErrBadQuery),
 		errors.Is(err, bcclap.ErrBadSpec),
+		errors.Is(err, bcclap.ErrBackendUnknown),
 		errors.Is(err, bcclap.ErrBadLimits),
 		errors.Is(err, bcclap.ErrBadPatch):
 		return http.StatusBadRequest

@@ -83,6 +83,11 @@ func TestServeMalformedBodies(t *testing.T) {
 	}{
 		{http.MethodPut, "/v1/networks/x", `not json`, "malformed network spec"},
 		{http.MethodPut, "/v1/networks/x", `{"n": 3, "arcs": [[0,0,1,1]]}`, "malformed network spec"},
+		{http.MethodPut, "/v1/networks/x", `{"random_n": 5, "backend": "no-such-backend"}`, "unknown backend"},
+		// Sizes just past each bound (see TestServeSpecSizeBounds).
+		{http.MethodPut, "/v1/networks/x", fmt.Sprintf(`{"n": %d, "arcs": [[0,1,1,1]]}`, graph.MaxVertices+1), "malformed network spec"},
+		{http.MethodPut, "/v1/networks/x", fmt.Sprintf(`{"random_n": %d}`, maxRandomN+1), "malformed network spec"},
+		{http.MethodPut, "/v1/networks/x", fmt.Sprintf(`{"random_n": 5, "pool": %d}`, maxSpecPool+1), "malformed network spec"},
 		{http.MethodPatch, "/v1/networks/" + testTenant + "/arcs", `not json`, "malformed network spec"},
 		{http.MethodPatch, "/v1/networks/" + testTenant + "/arcs", `{"deltas": []}`, "bad arc delta"},
 		{http.MethodPatch, "/v1/networks/" + testTenant + "/arcs", `{"deltas": [{"arc": 9999}]}`, "bad arc delta"},

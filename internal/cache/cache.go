@@ -55,6 +55,10 @@ type Cache[V any] struct {
 // (power of two so the router can mask instead of mod).
 const shardCount = 8
 
+// maxPresize caps the per-shard map size hint New allocates up front, so
+// a large budget does not allocate for entries never stored.
+const maxPresize = 1 << 10
+
 // New builds a cache bounded to capacity entries in total. A capacity
 // ≤ 0 returns nil — the valid disabled cache — so a single construction
 // site implements the "0 disables" contract.
@@ -73,7 +77,7 @@ func New[V any](capacity int) *Cache[V] {
 		if i < extra {
 			sc++
 		}
-		c.shards[i] = shard[V]{items: make(map[Key]*entry[V], sc), cap: sc}
+		c.shards[i] = shard[V]{items: make(map[Key]*entry[V], min(sc, maxPresize)), cap: sc}
 	}
 	return c
 }

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -121,6 +122,22 @@ func TestShardedBudget(t *testing.T) {
 	}
 	if got := c.Len(); got > capacity {
 		t.Fatalf("len %d exceeds budget %d", got, capacity)
+	}
+	if got := c.Capacity(); got != capacity {
+		t.Fatalf("capacity %d, want %d", got, capacity)
+	}
+}
+
+// A budget is a bound, not a reservation: a large capacity (a daemon PUT
+// body can ask for any) allocates no more up front than a small one.
+func TestLargeBudgetAllocatesLazily(t *testing.T) {
+	const capacity = 1 << 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c := New[int](capacity)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("New(%d) allocated %d bytes up front", capacity, got)
 	}
 	if got := c.Capacity(); got != capacity {
 		t.Fatalf("capacity %d, want %d", got, capacity)

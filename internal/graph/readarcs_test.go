@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -15,10 +16,31 @@ func TestReadArcListRejectsNegativeSizes(t *testing.T) {
 	}
 }
 
+// A vertex count above MaxVertices is an error raised before the
+// digraph's adjacency is allocated. One vertex past the bound keeps the
+// test cheap even if the check is lost: it then fails on the missing
+// error and on the allocation it measures.
+func TestReadArcListBoundsVertices(t *testing.T) {
+	n := MaxVertices + 1
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	d, err := ReadArcList(strings.NewReader("0 1 1 1\n"), n, 1)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatalf("n=%d: got a digraph on %d vertices, want an error", n, d.N())
+	}
+	// NewDigraph(n) would take two n-slot slices of slice headers.
+	if got, adj := after.TotalAlloc-before.TotalAlloc, uint64(2*n*24); got >= adj {
+		t.Fatalf("rejecting n=%d allocated %d bytes, at least the %d of its adjacency", n, got, adj)
+	}
+	if _, err := ReadArcList(strings.NewReader("0 1 1 1\n"), MaxVertices, 1); err != nil {
+		t.Fatalf("n=MaxVertices rejected: %v", err)
+	}
+}
+
 // FuzzReadArcList feeds arbitrary sizes and arc text to ReadArcList: it
 // must return a digraph holding exactly the m arcs it read, or an error —
-// never panic. Sizes above 1<<12 are skipped: they only scale the
-// adjacency allocation, which is not what this target explores.
+// never panic, and never allocate for a vertex count above MaxVertices.
 func FuzzReadArcList(f *testing.F) {
 	f.Add(-1, 0, "")
 	f.Add(3, -1, "0 1 1 1")
@@ -29,10 +51,9 @@ func FuzzReadArcList(f *testing.F) {
 	f.Add(3, 1, "1 1 1 1")
 	f.Add(3, 1, "0 1 0 1")
 	f.Add(3, 2, "0 1 1 1\n1 x 1 1")
+	f.Add(4000000000, 1, "0 1 1 1")
+	f.Add(MaxVertices+1, 1, "0 1 1 1")
 	f.Fuzz(func(t *testing.T, n, m int, arcs string) {
-		if n > 1<<12 || m > 1<<12 {
-			t.Skip()
-		}
 		d, err := ReadArcList(strings.NewReader(arcs), n, m)
 		if err != nil {
 			return

@@ -1,6 +1,6 @@
 // Package pool provides the concurrent serving layer over the
-// single-goroutine solver sessions of internal/flow: a thread-safe,
-// sharded pool of worker sessions that fans batches out with bounded
+// single-goroutine solver sessions of internal/flow: a thread-safe pool
+// of worker sessions that fans batches out with bounded
 // concurrency and drains gracefully under a context.
 //
 // The paper (Theorem 1.1) gives one solver per network; this package is
@@ -8,11 +8,10 @@
 // session layer's performance contract: the interior-point hot paths are
 // allocation-free because each session reuses its backend workspaces and
 // centering scratch across queries, which makes a session inherently
-// single-goroutine. The pool therefore never shares a session — it shards
-// the terminal-pair space instead:
+// single-goroutine. The pool therefore never shares a session — it
+// partitions the terminal-pair space instead:
 //
-//   - hash(s, t) picks a shard, and a second independent hash pins the
-//     pair to one worker inside the shard;
+//   - hash(s, t) modulo the worker count pins the pair to one worker;
 //   - each worker goroutine exclusively owns one Session (its own LP
 //     formulations, backend workspaces, scratch and warm-start cache), so
 //     the solve path takes no locks and the -race detector has nothing to
@@ -26,7 +25,7 @@
 //   - Determinism: routing uses a fixed splitmix64 finalizer (no per-run
 //     hash seeding), and every worker session is constructed with the same
 //     options, so a replayed query stream produces bit-identical results
-//     for any pool geometry, matching the sequential session path.
+//     at any worker count, matching the sequential session path.
 //   - Confinement: Session.Solve/SolveWarm are only ever invoked from the
 //     owning worker goroutine; only Validate (read-only) crosses workers.
 //   - Cancellation: a solve runs under the submitter's context and is

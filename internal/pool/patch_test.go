@@ -13,7 +13,7 @@ import (
 // and the wait function must not return before all of them have.
 func TestPatchReachesEveryWorker(t *testing.T) {
 	const workers = 5
-	p := fakePool(t, 2, workers, 0)
+	p := fakePool(t, workers, 0)
 	var (
 		mu   sync.Mutex
 		seen = map[Session]int{}
@@ -58,7 +58,6 @@ func TestPatchOrdersAgainstQueries(t *testing.T) {
 		sessions []*epochSession
 	)
 	p, err := New(Config{
-		Shards:  1,
 		Workers: 3,
 		New: func(int) (Session, error) {
 			es := &epochSession{fakeSession: newFake(t, 16, 2*time.Millisecond)}
@@ -107,7 +106,7 @@ func TestPatchOrdersAgainstQueries(t *testing.T) {
 // A draining or closed pool must reject patches with ErrClosed, and a nil
 // apply function must be rejected outright.
 func TestPatchRejections(t *testing.T) {
-	p := fakePool(t, 1, 2, 0)
+	p := fakePool(t, 2, 0)
 	if _, err := p.Patch(nil); err == nil {
 		t.Fatal("nil apply accepted")
 	}
@@ -120,7 +119,7 @@ func TestPatchRejections(t *testing.T) {
 // The first per-worker apply error must surface through wait, and patch
 // failures must not pollute the query failure counter.
 func TestPatchErrorPropagation(t *testing.T) {
-	p := fakePool(t, 1, 3, 0)
+	p := fakePool(t, 3, 0)
 	boom := fmt.Errorf("boom")
 	calls := 0
 	var mu sync.Mutex

@@ -32,18 +32,10 @@ var _ Session = (*flow.Solver)(nil)
 
 // Config sizes a Pool.
 type Config struct {
-	// Shards is the number of terminal-pair shards (default 1). A query's
-	// (s, t) pair hashes onto one shard, and every solve for that pair
-	// happens inside it, so each shard accumulates the warm-start caches
-	// of its slice of the terminal-pair space.
-	Shards int
-	// Workers is the total number of worker sessions (default: one per
-	// shard). Workers are distributed across shards as evenly as possible
-	// and every shard gets at least one, so the effective total is
-	// max(Workers, Shards) — never more. Within a shard a pair is pinned
-	// to a single worker by a second hash, so per-pair solve order — and
-	// with it warm-start reuse and bit-for-bit reproducibility — is
-	// preserved under fan-out.
+	// Workers is the number of worker sessions (default and floor 1). A
+	// query's (s, t) pair hashes onto one worker, and every solve for that
+	// pair happens there, so per-pair solve order — and with it warm-start
+	// reuse and bit-for-bit reproducibility — is preserved under fan-out.
 	Workers int
 	// New constructs the session owned by worker i. It is called once per
 	// worker during pool construction; each session must be independent
@@ -53,9 +45,8 @@ type Config struct {
 
 // Stats is a point-in-time snapshot of the pool counters.
 type Stats struct {
-	// Shards and Workers echo the pool geometry (Workers is the total
-	// session count, Shards × WorkersPerShard).
-	Shards, Workers int
+	// Workers is the worker-session count.
+	Workers int
 	// Submitted counts queries accepted by Solve/SolveBatch; Completed and
 	// Failed partition the finished ones; WarmStarted counts completions
 	// that skipped path following.
@@ -96,9 +87,8 @@ type worker struct {
 	wake  chan struct{} // cap 1: queue became non-empty
 }
 
-// Pool is a thread-safe, sharded pool of solver sessions. Queries are
-// routed by terminal pair: hash(s, t) picks the shard and, inside it, the
-// worker — so every query for one pair runs on one session, in submission
+// Pool is a thread-safe pool of solver sessions. Queries are routed by
+// terminal pair: hash(s, t) picks the worker — so every query for one pair runs on one session, in submission
 // order, which keeps the allocation-free per-session hot paths race-free
 // and the warm-start caches coherent without any locking on the solve
 // path. Solve and SolveBatch may be called from any number of goroutines.
@@ -108,10 +98,6 @@ type worker struct {
 // immediately.
 type Pool struct {
 	workers []*worker
-	shards  int
-	// shardOff/shardLen index the workers slice per shard (ragged: the
-	// first Workers mod Shards shards hold one extra worker).
-	shardOff, shardLen []int
 
 	// mu guards closed and brackets every queue append, so that a task
 	// accepted before shutdown is always visible to its worker's final
@@ -129,37 +115,18 @@ type Pool struct {
 	submitted, completed, failed, warmHits, patches atomic.Int64
 }
 
-// New builds the pool and starts its max(Workers, Shards) workers. Every
+// New builds the pool and starts its max(Workers, 1) workers. Every
 // session is constructed eagerly so configuration errors (bad backend,
 // empty digraph) surface here, before any query is accepted.
 func New(cfg Config) (*Pool, error) {
 	if cfg.New == nil {
 		return nil, errors.New("pool: Config.New is required")
 	}
-	shards := cfg.Shards
-	if shards <= 0 {
-		shards = 1
-	}
-	workers := cfg.Workers
-	if workers < shards {
-		workers = shards
-	}
 	p := &Pool{
-		shards: shards,
-		drain:  make(chan struct{}),
-		kill:   make(chan struct{}),
+		drain: make(chan struct{}),
+		kill:  make(chan struct{}),
 	}
-	base, extra := workers/shards, workers%shards
-	for s, off := 0, 0; s < shards; s++ {
-		size := base
-		if s < extra {
-			size++
-		}
-		p.shardOff = append(p.shardOff, off)
-		p.shardLen = append(p.shardLen, size)
-		off += size
-	}
-	for i := 0; i < workers; i++ {
+	for i := 0; i < max(cfg.Workers, 1); i++ {
 		sess, err := cfg.New(i)
 		if err != nil {
 			p.Close()
@@ -177,13 +144,9 @@ func New(cfg Config) (*Pool, error) {
 // Workers returns the total worker-session count.
 func (p *Pool) Workers() int { return len(p.workers) }
 
-// ShardCount returns the number of terminal-pair shards.
-func (p *Pool) ShardCount() int { return p.shards }
-
 // Stats snapshots the pool counters.
 func (p *Pool) Stats() Stats {
 	return Stats{
-		Shards:      p.shards,
 		Workers:     len(p.workers),
 		Submitted:   p.submitted.Load(),
 		Completed:   p.completed.Load(),
@@ -197,19 +160,16 @@ func (p *Pool) Stats() Stats {
 // Validate checks one query without solving (read-only, concurrency-safe).
 func (p *Pool) Validate(q flow.Query) error { return p.workers[0].sess.Validate(q) }
 
-// workerFor routes a terminal pair: a splitmix64 finalizer over (s, t)
-// picks the shard from the low bits and the worker within the shard from
-// independent high bits. Deterministic across processes (no per-run hash
-// seeding), so a replayed query stream shards identically.
+// workerFor routes a terminal pair: a splitmix64 finalizer over (s, t),
+// reduced modulo the worker count. Deterministic across processes (no
+// per-run hash seeding), so a replayed query stream routes identically.
 func (p *Pool) workerFor(q flow.Query) *worker {
 	x := uint64(uint32(q.S))<<32 | uint64(uint32(q.T))
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	x ^= x >> 31
-	shard := int(x % uint64(p.shards))
-	wi := int((x >> 17) % uint64(p.shardLen[shard]))
-	return p.workers[p.shardOff[shard]+wi]
+	return p.workers[x%uint64(len(p.workers))]
 }
 
 // submit enqueues t on its pair's worker, or rejects it if shutdown began.

@@ -77,10 +77,9 @@ func (f *fakeSession) solve(ctx context.Context, q flow.Query, warm bool) (*flow
 	}, nil
 }
 
-func fakePool(t *testing.T, shards, workers int, delay time.Duration) *Pool {
+func fakePool(t *testing.T, workers int, delay time.Duration) *Pool {
 	t.Helper()
 	p, err := New(Config{
-		Shards:  shards,
 		Workers: workers,
 		New:     func(int) (Session, error) { return newFake(t, 16, delay), nil },
 	})
@@ -91,10 +90,10 @@ func fakePool(t *testing.T, shards, workers int, delay time.Duration) *Pool {
 	return p
 }
 
-// A pooled batch must reproduce the sequential batch semantics for every
-// pool geometry: the k-th occurrence of a terminal pair sees exactly k
+// A pooled batch must reproduce the sequential batch semantics at every
+// worker count: the k-th occurrence of a terminal pair sees exactly k
 // prior solves of that pair (warm-start order), regardless of how the
-// batch interleaves across shards and workers.
+// batch interleaves across workers.
 func TestPoolBatchSemantics(t *testing.T) {
 	queries := []flow.Query{
 		{S: 0, T: 5}, {S: 1, T: 5}, {S: 0, T: 5}, {S: 2, T: 7},
@@ -106,40 +105,83 @@ func TestPoolBatchSemantics(t *testing.T) {
 		wantCost[i] = int64(wantRepeat[q])
 		wantRepeat[q]++
 	}
-	// {shards, workers}, including ragged distributions (5 workers over 3
-	// shards → sizes 2, 2, 1) and workers < shards (topped up to 1/shard).
-	for _, geo := range [][2]int{{1, 1}, {4, 4}, {2, 4}, {3, 1}, {1, 4}, {3, 5}} {
-		p := fakePool(t, geo[0], geo[1], 0)
-		if want := max(geo[0], geo[1]); p.Workers() != want {
-			t.Fatalf("geometry %v: %d workers, want exactly %d", geo, p.Workers(), want)
+	// Worker counts below the floor are raised to one worker.
+	for _, w := range []int{-1, 0, 1, 2, 3, 4, 5} {
+		p := fakePool(t, w, 0)
+		if want := max(w, 1); p.Workers() != want {
+			t.Fatalf("workers %d: %d workers, want exactly %d", w, p.Workers(), want)
 		}
 		out, err := p.SolveBatch(context.Background(), queries)
 		if err != nil {
-			t.Fatalf("geometry %v: %v", geo, err)
+			t.Fatalf("workers %d: %v", w, err)
 		}
 		for i, res := range out {
 			if res.Value != int64(queries[i].S*1000+queries[i].T) {
-				t.Fatalf("geometry %v query %d: wrong value %d", geo, i, res.Value)
+				t.Fatalf("workers %d query %d: wrong value %d", w, i, res.Value)
 			}
 			if res.Cost != wantCost[i] {
-				t.Fatalf("geometry %v query %d: per-pair order broken: repeat %d, want %d",
-					geo, i, res.Cost, wantCost[i])
+				t.Fatalf("workers %d query %d: per-pair order broken: repeat %d, want %d",
+					w, i, res.Cost, wantCost[i])
 			}
 			if res.WarmStarted != (wantCost[i] > 0) {
-				t.Fatalf("geometry %v query %d: WarmStarted=%v, want %v",
-					geo, i, res.WarmStarted, wantCost[i] > 0)
+				t.Fatalf("workers %d query %d: WarmStarted=%v, want %v",
+					w, i, res.WarmStarted, wantCost[i] > 0)
 			}
 		}
 		st := p.Stats()
 		if st.Submitted != int64(len(queries)) || st.Completed != int64(len(queries)) || st.Failed != 0 {
-			t.Fatalf("geometry %v stats: %+v", geo, st)
+			t.Fatalf("workers %d stats: %+v", w, st)
+		}
+	}
+}
+
+// Multi-worker routing: a pair always lands on one worker, fixed by the
+// splitmix64 hash modulo the worker count, and distinct pairs spread over
+// every worker. The golden indices pin the routing the FlowSolver has
+// always used (one worker per hash bucket), so a routing change that
+// would move warm-start state between workers shows up here.
+func TestPoolRoutingPinsPairs(t *testing.T) {
+	golden := map[int][]int{
+		2: {1, 0, 1, 0, 0, 1, 0, 1, 1, 1, 0, 1},
+		3: {2, 1, 0, 1, 0, 0, 1, 0, 2, 2, 2, 1},
+		5: {0, 0, 3, 1, 4, 3, 2, 4, 0, 0, 2, 0},
+	}
+	for workers, want := range golden {
+		p := fakePool(t, workers, 0)
+		var got []int
+		for s := 0; s < 4; s++ {
+			for tt := 0; tt < 4; tt++ {
+				if s != tt {
+					got = append(got, p.workerFor(flow.Query{S: s, T: tt}).id)
+				}
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d workers: pairs routed to %v, want %v", workers, got, want)
+		}
+		used := map[int]bool{}
+		for s := 0; s < 16; s++ {
+			for tt := 0; tt < 16; tt++ {
+				if s == tt {
+					continue
+				}
+				q := flow.Query{S: s, T: tt}
+				w := p.workerFor(q)
+				if again := p.workerFor(q); again != w {
+					t.Fatalf("%d workers: pair %v routed to workers %d and %d", workers, q, w.id, again.id)
+				}
+				used[w.id] = true
+			}
+		}
+		if len(used) != workers {
+			t.Fatalf("%d workers: 240 pairs reached only %d of them", workers, len(used))
 		}
 	}
 }
 
 // A malformed pair must fail the whole batch up front, before any solve.
 func TestPoolBatchValidatesUpFront(t *testing.T) {
-	p := fakePool(t, 2, 1, 0)
+	p := fakePool(t, 2, 0)
 	_, err := p.SolveBatch(context.Background(), []flow.Query{{S: 0, T: 1}, {S: 3, T: 3}})
 	if !errors.Is(err, flow.ErrBadQuery) {
 		t.Fatalf("got %v, want ErrBadQuery", err)
@@ -153,7 +195,7 @@ func TestPoolBatchValidatesUpFront(t *testing.T) {
 // no two goroutines may enter the same session (checked inside the fake,
 // and by -race on the fake's unlocked state).
 func TestPoolConcurrentHammer(t *testing.T) {
-	p := fakePool(t, 4, 8, 0)
+	p := fakePool(t, 8, 0)
 	const goroutines = 16
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -189,7 +231,7 @@ func TestPoolConcurrentHammer(t *testing.T) {
 // Concurrent batch callers with disjoint pair sets must each see exactly
 // the sequential per-pair order.
 func TestPoolConcurrentBatchCallers(t *testing.T) {
-	p := fakePool(t, 3, 1, 0)
+	p := fakePool(t, 3, 0)
 	var wg sync.WaitGroup
 	for caller := 0; caller < 4; caller++ {
 		wg.Add(1)
@@ -219,7 +261,7 @@ func TestPoolConcurrentBatchCallers(t *testing.T) {
 // Drain with a live context must let queued work finish, then reject new
 // queries with ErrClosed.
 func TestPoolDrainGraceful(t *testing.T) {
-	p := fakePool(t, 2, 1, 20*time.Millisecond)
+	p := fakePool(t, 2, 20*time.Millisecond)
 	var wg sync.WaitGroup
 	errs := make([]error, 6)
 	for i := 0; i < len(errs); i++ {
@@ -250,7 +292,7 @@ func TestPoolDrainGraceful(t *testing.T) {
 // Drain under an expiring context must abort: running solves are canceled
 // mid-solve, queued tasks fail with ErrClosed, and Drain reports ctx.Err().
 func TestPoolDrainCancellation(t *testing.T) {
-	p := fakePool(t, 1, 1, time.Hour) // one worker, effectively stuck
+	p := fakePool(t, 1, time.Hour) // one worker, effectively stuck
 	const queued = 4
 	var wg sync.WaitGroup
 	errs := make([]error, queued)
@@ -294,7 +336,7 @@ func TestPoolDrainCancellation(t *testing.T) {
 // prefix resolved (completed or failed) before Drain returns, so the
 // inflight accounting can never leak.
 func TestPoolDrainRacesSolveBatch(t *testing.T) {
-	p := fakePool(t, 2, 3, time.Millisecond)
+	p := fakePool(t, 3, time.Millisecond)
 	if p.Closed() {
 		t.Fatal("fresh pool reports Closed")
 	}
@@ -369,7 +411,7 @@ func TestPoolDrainRacesSolveBatch(t *testing.T) {
 
 // Close must abort immediately and be idempotent.
 func TestPoolClose(t *testing.T) {
-	p := fakePool(t, 2, 1, time.Hour)
+	p := fakePool(t, 2, time.Hour)
 	var wg sync.WaitGroup
 	errs := make([]error, 3)
 	for i := 0; i < len(errs); i++ {
@@ -396,7 +438,7 @@ func TestPoolClose(t *testing.T) {
 // A caller whose own context dies while its query is queued must return
 // promptly instead of waiting behind the rest of the queue.
 func TestPoolSolveCallerCancellation(t *testing.T) {
-	p := fakePool(t, 1, 1, 50*time.Millisecond)
+	p := fakePool(t, 1, 50*time.Millisecond)
 	go p.Solve(context.Background(), 0, 1) // occupy the only worker
 	time.Sleep(10 * time.Millisecond)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
@@ -442,7 +484,6 @@ func TestPoolRealFlowBatchBitIdentical(t *testing.T) {
 	}
 
 	p, err := New(Config{
-		Shards:  2,
 		Workers: 4,
 		New:     func(int) (Session, error) { return flow.NewSolver(d, opts) },
 	})

@@ -45,11 +45,10 @@ func (t RecordType) String() string {
 	return fmt.Sprintf("RecordType(%d)", uint8(t))
 }
 
-// TenantLimits is the serializable per-tenant QoS limit set, holding
-// the public option values (WithRateLimit, WithMaxInFlight,
-// WithQueueDepth) verbatim; the *Set flags record which options were
-// supplied explicitly, so replay re-applies exactly the options the
-// caller passed.
+// TenantLimits is the serializable per-tenant QoS limit set in the
+// option-surface convention (WithRateLimit, WithMaxInFlight,
+// WithQueueDepth: queue depth 0 with QueueSet means no queue). A field
+// whose *Set flag is false replays as the gate default (zero).
 type TenantLimits struct {
 	Rate        float64
 	Burst       int
@@ -64,7 +63,9 @@ type TenantLimits struct {
 // configuration — everything needed to rebuild the tenant bit-identically
 // on replay. Non-serializable options (progress callbacks, round
 // simulators, advanced LP/sparsifier parameter structs) are intentionally
-// absent: they do not affect certified results.
+// absent: they do not affect certified results. Shards is kept for the
+// format: versions that had a shard option ran max(Pool, Shards) workers;
+// it is now written as 0.
 type TenantOpts struct {
 	Backend      string
 	Seed         int64

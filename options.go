@@ -42,7 +42,9 @@ type Event struct {
 // Option configures a session constructor.
 type Option func(*config)
 
-// config is the resolved option set.
+// config is the resolved option set. A Service resolves its defaults
+// once and every tenant keeps its own resolved copy, so the value a
+// Register or Swap built is the one the WAL persists and replay restores.
 type config struct {
 	backend        string
 	seed           int64
@@ -50,33 +52,31 @@ type config struct {
 	tol            float64
 	retries        int
 	poolSize       int
-	shards         int
 	progress       func(Event)
 	sparsifyParams SparsifyParams
-	lpParams       LPParams
 	cacheSize      int
-	cacheSizeSet   bool
+	limits         Limits
 	storeDir       string
 	storeSync      SyncPolicy
 	storeSnapEvery int
-	rateQPS        float64
-	rateBurst      int
-	rateSet        bool
-	maxInFlight    int
-	maxInFlightSet bool
-	queueDepth     int
-	queueDepthSet  bool
 	telemetryOff   bool
 }
 
-func applyOptions(opts []Option) config {
-	var cfg config
+// newConfig resolves opts over the defaults (a DefaultCacheSize cache
+// budget, everything else zero).
+func newConfig(opts []Option) config {
+	cfg := config{cacheSize: DefaultCacheSize}
+	cfg.apply(opts)
+	return cfg
+}
+
+// apply layers opts over c; later options win.
+func (c *config) apply(opts []Option) {
 	for _, o := range opts {
 		if o != nil {
-			o(&cfg)
+			o(c)
 		}
 	}
-	return cfg
 }
 
 // WithBackend selects the AᵀDA linear-solve strategy by registry name
@@ -103,9 +103,8 @@ func WithSeed(seed int64) Option {
 // WithNetwork attaches a round-accounting simulator network; Stats.Rounds
 // then reports the rounds consumed by each solve. The simulator is
 // single-stream, so a FlowSolver accepts it only with one worker:
-// combining it with WithPoolSize or WithShards above 1 fails at
-// construction, and Service registrations reject it outright. Applies to
-// every entry point.
+// combining it with WithPoolSize above 1 fails at construction, and
+// Service registrations reject it outright. Applies to every entry point.
 func WithNetwork(net *Network) Option {
 	return func(c *config) { c.net = net }
 }
@@ -130,24 +129,13 @@ func WithRetries(n int) Option {
 // (bounded by pool-size concurrent solves), and queries are routed by
 // terminal pair so that each pair always runs on the same worker session
 // — which keeps results bit-identical at every pool size, warm-start
-// caches included. The worker count is exactly max(n, WithShards, 1) —
-// every shard needs at least one worker — and construction cost scales
-// with it (each worker owns independent backend workspaces); PoolSize
-// reports the effective count. More than one worker rejects WithNetwork
-// (the round simulator is single-stream). Applies to NewFlowSolver and
-// NewService/Register/Swap.
+// caches included. The worker count is exactly max(n, 1), and
+// construction cost scales with it (each worker owns independent backend
+// workspaces); PoolSize reports the effective count. More than one worker
+// rejects WithNetwork (the round simulator is single-stream). Applies to
+// NewFlowSolver and NewService/Register/Swap.
 func WithPoolSize(n int) Option {
 	return func(c *config) { c.poolSize = n }
-}
-
-// WithShards sets the number of terminal-pair shards of a FlowSolver
-// (default: the pool size, i.e. one worker per shard). Queries hash by
-// (s, t) onto shards; setting fewer shards than workers groups several
-// workers under one shard while keeping each pair pinned to a single
-// worker. More shards than workers raises the worker count to one
-// per shard. Applies to NewFlowSolver.
-func WithShards(s int) Option {
-	return func(c *config) { c.shards = s }
 }
 
 // WithProgress registers a callback receiving per-attempt and per-path-step
@@ -173,7 +161,7 @@ func WithProgress(fn func(Event)) Option {
 // eviction counters in NetworkStats and ServiceStats make it observable.
 // Applies to NewService and Service.Register/Swap.
 func WithCacheSize(n int) Option {
-	return func(c *config) { c.cacheSize = n; c.cacheSizeSet = true }
+	return func(c *config) { c.cacheSize = n }
 }
 
 // WithRateLimit caps a network's sustained admission rate at qps
@@ -188,12 +176,8 @@ func WithCacheSize(n int) Option {
 // them at runtime. Applies to NewService and Service.Register/Swap.
 func WithRateLimit(qps float64, burst int) Option {
 	return func(c *config) {
-		if burst < 0 {
-			burst = 0
-		}
-		c.rateQPS = qps
-		c.rateBurst = burst
-		c.rateSet = true
+		c.limits.RatePerSec = qps
+		c.limits.Burst = max(burst, 0)
 	}
 }
 
@@ -204,22 +188,21 @@ func WithRateLimit(qps float64, burst int) Option {
 // negative n fails registration with ErrBadLimits. Applies to
 // NewService and Service.Register/Swap.
 func WithMaxInFlight(n int) Option {
-	return func(c *config) { c.maxInFlight = n; c.maxInFlightSet = true }
+	return func(c *config) { c.limits.MaxInFlight = n }
 }
 
 // WithQueueDepth bounds the admission queue: how many requests may wait
 // when the network is at its rate or in-flight limit (default
 // admission.DefaultQueueDepth = 16 once any limit is active). n <= 0
 // disables queueing, so saturated requests fail immediately with
-// ErrOverloaded. Irrelevant while no limit is configured. Applies to
-// NewService and Service.Register/Swap.
+// ErrOverloaded (Limits.QueueDepth -1). Irrelevant while no limit is
+// configured. Applies to NewService and Service.Register/Swap.
 func WithQueueDepth(n int) Option {
 	return func(c *config) {
-		if n < 0 {
-			n = 0
+		if n <= 0 {
+			n = -1
 		}
-		c.queueDepth = n
-		c.queueDepthSet = true
+		c.limits.QueueDepth = n
 	}
 }
 
@@ -231,13 +214,6 @@ func WithQueueDepth(n int) Option {
 // NewService and OpenService.
 func WithTelemetry(enabled bool) Option {
 	return func(c *config) { c.telemetryOff = !enabled }
-}
-
-// WithLPParams overrides the interior-point parameters (step size,
-// centering tolerances, leverage sketching). Applies to NewFlowSolver and
-// NewLPSolver.
-func WithLPParams(par LPParams) Option {
-	return func(c *config) { c.lpParams = par }
 }
 
 // WithSparsifyParams overrides the sparsifier parameters (bundle size,
@@ -254,8 +230,8 @@ func WithSparsifyParams(par SparsifyParams) Option {
 // Results after recovery are bit-identical to the pre-crash service's.
 //
 // The persisted per-tenant configuration is the resolved serializable
-// subset: backend, seed, tolerance, retries, pool size, shards and cache
-// size. Process-local options (WithProgress, WithNetwork, WithLPParams,
+// subset: backend, seed, tolerance, retries, pool size, cache size and
+// admission limits. Process-local options (WithProgress, WithNetwork,
 // WithSparsifyParams) are not persisted and must be re-supplied per
 // registration after a restart if needed. Applies to OpenService
 // (NewService ignores it).

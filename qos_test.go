@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -284,6 +285,80 @@ func TestQoSLimitsSurviveRestart(t *testing.T) {
 	}
 	for _, rel := range rels {
 		rel()
+	}
+}
+
+// SetLimits with the queue depth at the gate default (0) must survive a
+// later Swap without options exactly as set — not turned into an explicit
+// DefaultQueueDepth — in memory and after a durable restart.
+func TestSetLimitsSurvivesSwap(t *testing.T) {
+	dir := t.TempDir()
+	d := testFlowNetwork(5, 57)
+	want := Limits{RatePerSec: 5}
+
+	svc, err := OpenService(WithStore(dir), WithSeed(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := svc.Register("t", d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.SetLimits(want); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Swap(d); err != nil {
+		t.Fatal(err)
+	}
+	if got := h.Limits(); got != want {
+		t.Fatalf("Limits() after SetLimits and Swap = %+v, want %+v", got, want)
+	}
+	if err := svc.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	svc2, err := OpenService(WithStore(dir), WithSeed(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc2.Close()
+	h2, err := svc2.Get("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := h2.Limits(); got != want {
+		t.Fatalf("Limits() after restart = %+v, want %+v", got, want)
+	}
+	if v := h2.Version(); v != 2 {
+		t.Fatalf("restarted at version %d, want 2", v)
+	}
+}
+
+// Repeated SetLimits calls replace the handle's configuration; they must
+// not accumulate state on it.
+func TestSetLimitsDoesNotGrowHandle(t *testing.T) {
+	svc := NewService(WithSeed(9))
+	defer svc.Close()
+	h, err := svc.Register("t", testFlowNetwork(5, 58))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := Limits{RatePerSec: 5}
+	if err := h.SetLimits(l); err != nil {
+		t.Fatal(err)
+	}
+	h.mu.RLock()
+	first := h.cfg
+	h.mu.RUnlock()
+	for i := 0; i < 2; i++ {
+		if err := h.SetLimits(l); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	if !reflect.DeepEqual(h.cfg, first) {
+		t.Fatalf("handle configuration after three SetLimits = %+v, after one = %+v", h.cfg, first)
 	}
 }
 

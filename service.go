@@ -75,7 +75,9 @@ type AdmissionStats = admission.Stats
 //
 // All Service and NetworkHandle methods are safe for concurrent use.
 type Service struct {
-	defaults []Option
+	// defaults is the resolved NewService option set every Register
+	// copies and layers its per-network options over.
+	defaults config
 
 	// log is the durable tenant store (nil on a NewService-built,
 	// memory-only service). Records are appended before the mutation they
@@ -151,10 +153,10 @@ type ServiceStats struct {
 // and new solvers side by side.
 func NewService(opts ...Option) *Service {
 	s := &Service{
-		defaults: slices.Clone(opts),
+		defaults: newConfig(opts),
 		nets:     make(map[string]*NetworkHandle),
 	}
-	if !applyOptions(opts).telemetryOff {
+	if !s.defaults.telemetryOff {
 		s.tel = newServiceTelemetry()
 	}
 	return s
@@ -174,7 +176,7 @@ func NewService(opts ...Option) *Service {
 // Close releases it.
 func OpenService(opts ...Option) (*Service, error) {
 	s := NewService(opts...)
-	cfg := applyOptions(opts)
+	cfg := s.defaults
 	if cfg.storeDir == "" {
 		return s, nil
 	}
@@ -198,83 +200,66 @@ func OpenService(opts ...Option) (*Service, error) {
 	return s, nil
 }
 
-// tenantOptsOf resolves the serializable subset of a merged option slice —
-// what a restarted process needs to rebuild the tenant's solver so that it
-// answers bit-identically (backend, seed, tolerance, retries, pool
-// geometry, cache budget). Process-local options (progress callbacks,
-// round simulators, LP/sparsifier parameter structs) are not persisted.
-func tenantOptsOf(merged []Option) store.TenantOpts {
-	cfg := applyOptions(merged)
+// tenantOpts is the persisted form of a tenant's resolved configuration:
+// what a restarted process needs to rebuild the tenant bit-identically
+// (process-local options are not persisted). A limits-only record uses
+// just its Limits.
+func tenantOpts(cfg config) store.TenantOpts {
+	l := cfg.limits
+	tl := store.TenantLimits{
+		Rate:        l.RatePerSec,
+		Burst:       l.Burst,
+		MaxInFlight: l.MaxInFlight,
+		RateSet:     true,
+		InFlightSet: true,
+		QueueSet:    l.QueueDepth != 0, // depth 0 with QueueSet: no queue
+	}
+	if l.QueueDepth > 0 {
+		tl.QueueDepth = l.QueueDepth
+	}
 	return store.TenantOpts{
 		Backend:      cfg.backend,
 		Seed:         cfg.seed,
 		Tol:          cfg.tol,
 		Retries:      cfg.retries,
 		Pool:         cfg.poolSize,
-		Shards:       cfg.shards,
 		CacheSize:    cfg.cacheSize,
-		CacheSizeSet: cfg.cacheSizeSet,
-		Limits: store.TenantLimits{
-			Rate:        cfg.rateQPS,
-			Burst:       cfg.rateBurst,
-			MaxInFlight: cfg.maxInFlight,
-			QueueDepth:  cfg.queueDepth,
-			RateSet:     cfg.rateSet,
-			InFlightSet: cfg.maxInFlightSet,
-			QueueSet:    cfg.queueDepthSet,
-		},
+		CacheSizeSet: true,
+		Limits:       tl,
 	}
 }
 
-// tenantOptions is the inverse of tenantOptsOf: the option slice that
-// rebuilds a replayed tenant. It intentionally does not layer over the
-// current service defaults — the persisted values are already resolved
-// against the defaults in force at the original Register/Swap.
-func tenantOptions(o store.TenantOpts) []Option {
-	opts := []Option{
-		WithBackend(o.Backend),
-		WithSeed(o.Seed),
-		WithTolerance(o.Tol),
-		WithRetries(o.Retries),
-		WithPoolSize(o.Pool),
-		WithShards(o.Shards),
+// configOf is the inverse of tenantOpts. It does not layer over the
+// current service defaults: the persisted values were resolved against
+// the defaults of the original Register/Swap. Fields a record marks unset
+// keep their defaults, and a shard count from versions that ran
+// max(pool, shards) workers folds into the pool size.
+func configOf(o store.TenantOpts) config {
+	cfg := config{
+		backend:   o.Backend,
+		seed:      o.Seed,
+		tol:       o.Tol,
+		retries:   o.Retries,
+		poolSize:  max(o.Pool, o.Shards),
+		cacheSize: DefaultCacheSize,
 	}
 	if o.CacheSizeSet {
-		opts = append(opts, WithCacheSize(o.CacheSize))
+		cfg.cacheSize = o.CacheSize
 	}
-	if o.Limits.RateSet {
-		opts = append(opts, WithRateLimit(o.Limits.Rate, o.Limits.Burst))
+	l := o.Limits
+	if l.RateSet {
+		cfg.limits.RatePerSec, cfg.limits.Burst = l.Rate, l.Burst
 	}
-	if o.Limits.InFlightSet {
-		opts = append(opts, WithMaxInFlight(o.Limits.MaxInFlight))
+	if l.InFlightSet {
+		cfg.limits.MaxInFlight = l.MaxInFlight
 	}
-	if o.Limits.QueueSet {
-		opts = append(opts, WithQueueDepth(o.Limits.QueueDepth))
-	}
-	return opts
-}
-
-// limitsOf maps the serving-surface limit options onto the gate's Limits
-// convention. An unset knob stays zero (the gate default); an explicit
-// WithQueueDepth(0) — "no queue" at the option surface — becomes the
-// gate's negative "queueing disabled".
-func limitsOf(cfg config) Limits {
-	var l Limits
-	if cfg.rateSet {
-		l.RatePerSec = cfg.rateQPS
-		l.Burst = cfg.rateBurst
-	}
-	if cfg.maxInFlightSet {
-		l.MaxInFlight = cfg.maxInFlight
-	}
-	if cfg.queueDepthSet {
-		if cfg.queueDepth > 0 {
-			l.QueueDepth = cfg.queueDepth
-		} else {
-			l.QueueDepth = -1
+	if l.QueueSet {
+		cfg.limits.QueueDepth = -1
+		if l.QueueDepth > 0 {
+			cfg.limits.QueueDepth = l.QueueDepth
 		}
 	}
-	return l
+	return cfg
 }
 
 // replayTenant rebuilds one persisted tenant during OpenService (the log
@@ -286,28 +271,12 @@ func (s *Service) replayTenant(ts store.TenantState) error {
 			return err
 		}
 	}
-	opts := tenantOptions(ts.Opts)
-	solver, cacheSize, lims, err := newTenantSolver(d, opts)
+	h, err := s.newHandle(ts.Name, d, configOf(ts.Opts))
 	if err != nil {
 		return err
 	}
-	gate, err := admission.NewGate(lims)
-	if err != nil {
-		solver.Close()
-		return err
-	}
-	h := &NetworkHandle{
-		name:    ts.Name,
-		svc:     s,
-		opts:    opts,
-		solver:  solver,
-		d:       d,
-		version: ts.Version,
-		patches: ts.Patches,
-		cache:   cache.New[*FlowResult](cacheSize),
-		gate:    gate,
-	}
-	h.lat.Store(s.latFor(ts.Name, solver.Backend()))
+	h.version = ts.Version
+	h.patches = ts.Patches
 	s.mu.Lock()
 	s.nets[ts.Name] = h
 	s.mu.Unlock()
@@ -330,31 +299,48 @@ func validName(name string) error {
 	return nil
 }
 
-// newTenantSolver builds the FlowSolver for one tenant from the
-// fully merged option slice and resolves its cache budget and QoS limits.
-func newTenantSolver(d *Digraph, merged []Option) (solver *FlowSolver, cacheSize int, lims Limits, err error) {
-	cfg := applyOptions(merged)
+// newTenantSolver builds the FlowSolver for one tenant from its resolved
+// configuration.
+func newTenantSolver(d *Digraph, cfg config) (*FlowSolver, error) {
 	// Validate limits before the (expensive) solver build: a bad
 	// WithRateLimit/WithMaxInFlight fails fast and journals nothing.
-	lims = limitsOf(cfg)
-	if err := lims.Validate(); err != nil {
-		return nil, 0, Limits{}, fmt.Errorf("bcclap: %w", err)
+	if err := cfg.limits.Validate(); err != nil {
+		return nil, fmt.Errorf("bcclap: %w", err)
 	}
 	// The round simulator is single-stream and process-local: a Swap
 	// drains the old solver while the new one serves, so two solvers
 	// would share it. Tenants never take one, whatever their pool size.
 	if cfg.net != nil {
-		return nil, 0, Limits{}, fmt.Errorf("bcclap: WithNetwork cannot be used with a Service tenant")
+		return nil, fmt.Errorf("bcclap: WithNetwork cannot be used with a Service tenant")
 	}
-	solver, err = NewFlowSolver(d, merged...)
+	return newFlowSolver(d, cfg)
+}
+
+// newHandle builds a tenant at version 1 over d (which it takes
+// ownership of) from its resolved configuration: solver, admission gate
+// and an empty cache. Register and replay share it.
+func (s *Service) newHandle(name string, d *Digraph, cfg config) (*NetworkHandle, error) {
+	solver, err := newTenantSolver(d, cfg)
 	if err != nil {
-		return nil, 0, Limits{}, err
+		return nil, err
 	}
-	size := DefaultCacheSize
-	if cfg.cacheSizeSet {
-		size = cfg.cacheSize
+	gate, err := admission.NewGate(cfg.limits)
+	if err != nil {
+		solver.Close()
+		return nil, err
 	}
-	return solver, size, lims, nil
+	h := &NetworkHandle{
+		name:    name,
+		svc:     s,
+		cfg:     cfg,
+		solver:  solver,
+		d:       d,
+		version: 1,
+		cache:   cache.New[*FlowResult](cfg.cacheSize),
+		gate:    gate,
+	}
+	h.lat.Store(s.latFor(name, solver.Backend()))
+	return h, nil
 }
 
 // Register ingests d under name and returns its handle. The per-network
@@ -366,41 +352,25 @@ func (s *Service) Register(name string, d *Digraph, opts ...Option) (*NetworkHan
 	if err := validName(name); err != nil {
 		return nil, err
 	}
-	merged := append(slices.Clone(s.defaults), opts...)
+	cfg := s.defaults
+	cfg.apply(opts)
 	// The handle owns a private copy: PatchArcs mutates arc capacities and
-	// costs in place, and the caller keeps using its digraph.
-	held := d.Clone()
-	// Construct outside the lock: solver construction does real work and
-	// must not serialize tenants; the name reservation below re-checks.
-	solver, cacheSize, lims, err := newTenantSolver(held, merged)
+	// costs in place, and the caller keeps using its digraph. Construct
+	// outside the lock: solver construction does real work and must not
+	// serialize tenants; the name reservation below re-checks.
+	h, err := s.newHandle(name, d.Clone(), cfg)
 	if err != nil {
 		return nil, err
 	}
-	gate, err := admission.NewGate(lims)
-	if err != nil {
-		solver.Close()
-		return nil, err
-	}
-	h := &NetworkHandle{
-		name:    name,
-		svc:     s,
-		opts:    merged,
-		solver:  solver,
-		d:       held,
-		version: 1,
-		cache:   cache.New[*FlowResult](cacheSize),
-		gate:    gate,
-	}
-	h.lat.Store(s.latFor(name, solver.Backend()))
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		solver.Close()
+		h.solver.Close()
 		return nil, fmt.Errorf("bcclap: service: %w", ErrSolverClosed)
 	}
 	if _, taken := s.nets[name]; taken {
 		s.mu.Unlock()
-		solver.Close()
+		h.solver.Close()
 		return nil, fmt.Errorf("bcclap: network %q: %w", name, ErrNetworkExists)
 	}
 	// Journal-before-effect: the registration is durable before the name
@@ -408,11 +378,11 @@ func (s *Service) Register(name string, d *Digraph, opts ...Option) (*NetworkHan
 	if s.log != nil {
 		rec := store.Record{
 			Type: store.RecRegister, Name: name, Version: 1,
-			Opts: tenantOptsOf(merged), N: held.N(), Arcs: held.Arcs(),
+			Opts: tenantOpts(cfg), N: h.d.N(), Arcs: h.d.Arcs(),
 		}
 		if err := s.log.Append(rec); err != nil {
 			s.mu.Unlock()
-			solver.Close()
+			h.solver.Close()
 			return nil, fmt.Errorf("bcclap: register %q: %w", name, err)
 		}
 	}
@@ -475,11 +445,7 @@ func (s *Service) Deregister(name string) error {
 	}
 	s.mu.Unlock()
 	s.deregistered.Add(1)
-	if err := solver.Drain(context.Background()); err != nil {
-		solver.Close()
-		return err
-	}
-	return nil
+	return solver.Drain(context.Background())
 }
 
 // Names lists the registered networks, sorted.
@@ -542,21 +508,23 @@ func (s *Service) Drain(ctx context.Context) error {
 	)
 	for _, h := range handles {
 		wg.Add(1)
-		go func(h *NetworkHandle) {
+		go func() {
 			defer wg.Done()
-			if err := h.retire(ctx); err != nil {
+			// A drain cut short by ctx has already aborted the solver's
+			// remaining work.
+			if err := h.shut().Drain(ctx); err != nil {
 				mu.Lock()
 				if firstErr == nil {
 					firstErr = fmt.Errorf("bcclap: drain network %q: %w", h.name, err)
 				}
 				mu.Unlock()
 			}
-		}(h)
+		}()
 	}
 	wg.Wait()
 	// Close the log only after every tenant has stopped mutating: appends
-	// hold the handle locks the retires above contend on, so none can
-	// arrive after this point.
+	// hold the handle locks shut takes above, so none can arrive after
+	// this point.
 	if s.log != nil {
 		if err := s.log.Close(); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("bcclap: close store: %w", err)
@@ -572,12 +540,7 @@ func (s *Service) Drain(ctx context.Context) error {
 // than once.
 func (s *Service) Close() {
 	for _, h := range s.takeAll() {
-		h.mu.Lock()
-		h.closed = true
-		solver := h.solver
-		h.cache.Flush()
-		h.mu.Unlock()
-		solver.Close()
+		h.shut().Close()
 	}
 	if s.log != nil {
 		s.log.Close()
@@ -624,7 +587,7 @@ type NetworkHandle struct {
 	lat  atomic.Pointer[latChildren]
 
 	mu      sync.RWMutex
-	opts    []Option // merged service defaults + register/swap overrides
+	cfg     config // resolved service defaults + register/swap overrides
 	solver  *FlowSolver
 	d       *Digraph // handle-private clone; PatchArcs mutates it in place
 	version uint64
@@ -821,9 +784,9 @@ func (h *NetworkHandle) SolveBatch(ctx context.Context, queries []FlowQuery) ([]
 }
 
 // Swap atomically replaces the tenant's network with d: a new solver is
-// built first (per-call opts layer over the handle's existing
-// options and stick for future swaps), then — under one critical section
-// — the swap is journaled (on a durable service), the solver switched,
+// built first (per-call opts layer over the handle's current configuration
+// and stick for future swaps), then — under one critical section — the
+// swap is journaled (on a durable service), the solver switched,
 // the version bumped and the tenant's cache invalidated. Queries in
 // flight at the switch finish against the old network (its solver is
 // drained, not killed), queries after it certify against d, and no other
@@ -837,10 +800,11 @@ func (h *NetworkHandle) Swap(d *Digraph, opts ...Option) error {
 	}
 	defer h.mutating.Store(false)
 	h.mu.RLock()
-	merged := append(slices.Clone(h.opts), opts...)
+	cfg := h.cfg
 	h.mu.RUnlock()
+	cfg.apply(opts)
 	held := d.Clone()
-	solver, cacheSize, lims, err := newTenantSolver(held, merged)
+	solver, err := newTenantSolver(held, cfg)
 	if err != nil {
 		return err
 	}
@@ -853,7 +817,7 @@ func (h *NetworkHandle) Swap(d *Digraph, opts ...Option) error {
 	if h.svc.log != nil {
 		rec := store.Record{
 			Type: store.RecSwap, Name: h.name, Version: h.version + 1,
-			Opts: tenantOptsOf(merged), N: held.N(), Arcs: held.Arcs(),
+			Opts: tenantOpts(cfg), N: held.N(), Arcs: held.Arcs(),
 		}
 		if err := h.svc.log.Append(rec); err != nil {
 			h.mu.Unlock()
@@ -862,7 +826,7 @@ func (h *NetworkHandle) Swap(d *Digraph, opts ...Option) error {
 		}
 	}
 	old := h.solver
-	h.opts = merged
+	h.cfg = cfg
 	h.solver = solver
 	h.d = held
 	h.version++
@@ -870,23 +834,21 @@ func (h *NetworkHandle) Swap(d *Digraph, opts ...Option) error {
 	// is only rebuilt when the budget changed, and then the cumulative
 	// counters carry over so NetworkStats.Cache stays monotonic.
 	h.cache.Flush()
-	if cacheSize != h.cache.Capacity() {
-		next := cache.New[*FlowResult](cacheSize)
+	if cfg.cacheSize != h.cache.Capacity() {
+		next := cache.New[*FlowResult](cfg.cacheSize)
 		next.CarryCounters(h.cache)
 		h.cache = next
 	}
-	// Re-resolve the QoS limits from the merged options (validated above)
-	// and repoint the hot-path histogram children at the new backend.
-	h.gate.SetLimits(lims)
+	// Apply the swap's QoS limits (validated above) and repoint the
+	// hot-path histogram children at the new backend.
+	h.gate.SetLimits(cfg.limits)
 	h.lat.Store(h.svc.latFor(h.name, solver.Backend()))
 	h.mu.Unlock()
 	h.svc.swaps.Add(1)
 	// Retire the old solver gracefully: queries that snapshotted it before
 	// the switch run to completion; it only rejects queries that never
 	// existed (nothing routes to it anymore).
-	if err := old.Drain(context.Background()); err != nil {
-		old.Close()
-	}
+	old.Drain(context.Background())
 	return nil
 }
 
@@ -1002,26 +964,11 @@ func (h *NetworkHandle) SetLimits(l Limits) error {
 		return fmt.Errorf("bcclap: network %q: %w", h.name, ErrSolverClosed)
 	}
 	if h.svc.log != nil {
-		// The journaled form uses the option-surface convention (queue
-		// depth 0 = no queue, unset = gate default) so replay rebuilds the
-		// gate through the same WithRateLimit/WithMaxInFlight/
-		// WithQueueDepth path as a fresh registration.
-		tl := store.TenantLimits{
-			Rate:        l.RatePerSec,
-			Burst:       l.Burst,
-			MaxInFlight: l.MaxInFlight,
-			RateSet:     true,
-			InFlightSet: true,
-		}
-		if l.QueueDepth != 0 {
-			tl.QueueSet = true
-			if l.QueueDepth > 0 {
-				tl.QueueDepth = l.QueueDepth
-			}
-		}
+		next := h.cfg
+		next.limits = l
 		rec := store.Record{
 			Type: store.RecLimits, Name: h.name, Version: h.version,
-			Opts: store.TenantOpts{Limits: tl},
+			Opts: tenantOpts(next),
 		}
 		if err := h.svc.log.Append(rec); err != nil {
 			h.mu.Unlock()
@@ -1029,19 +976,8 @@ func (h *NetworkHandle) SetLimits(l Limits) error {
 		}
 	}
 	h.gate.SetLimits(l)
-	// Fold the new limits into the handle's option slice so a later Swap
-	// (which re-resolves limits from h.opts) keeps them.
-	h.opts = append(slices.Clone(h.opts),
-		WithRateLimit(l.RatePerSec, l.Burst),
-		WithMaxInFlight(l.MaxInFlight))
-	switch {
-	case l.QueueDepth > 0:
-		h.opts = append(h.opts, WithQueueDepth(l.QueueDepth))
-	case l.QueueDepth < 0:
-		h.opts = append(h.opts, WithQueueDepth(0))
-	default:
-		h.opts = append(h.opts, WithQueueDepth(admission.DefaultQueueDepth))
-	}
+	// A later Swap starts from h.cfg, so it keeps these limits.
+	h.cfg.limits = l
 	h.mu.Unlock()
 	return nil
 }
@@ -1074,22 +1010,14 @@ func (h *NetworkHandle) Stats() NetworkStats {
 	}
 }
 
-// retire closes the handle and drains its solver (Deregister and Drain).
-func (h *NetworkHandle) retire(ctx context.Context) error {
+// shut marks the handle closed and invalidates its cache, returning the
+// solver for the caller to drain or close (both idempotent).
+func (h *NetworkHandle) shut() *FlowSolver {
 	h.mu.Lock()
-	if h.closed {
-		h.mu.Unlock()
-		return nil
-	}
+	defer h.mu.Unlock()
 	h.closed = true
-	solver := h.solver
 	h.cache.Flush()
-	h.mu.Unlock()
-	if err := solver.Drain(ctx); err != nil {
-		solver.Close()
-		return err
-	}
-	return nil
+	return h.solver
 }
 
 // latChildren are the prebuilt hot-path histogram children for one

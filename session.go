@@ -86,7 +86,7 @@ type FlowQuery struct {
 // interior-point iterations. Every returned flow is certified exact
 // (feasibility, maximality, cost optimality) before being returned.
 //
-// A FlowSolver is backed by a sharded pool of independent worker sessions
+// A FlowSolver is backed by a pool of independent worker sessions
 // (internal/pool) — one worker by default, n with WithPoolSize. Solve and
 // SolveBatch are safe for concurrent use, SolveBatch fans out across the
 // workers, and queries are routed by terminal pair so results — including
@@ -97,7 +97,7 @@ type FlowSolver struct {
 	backend string
 }
 
-// PoolStats is a snapshot of a FlowSolver's pool counters (pool geometry,
+// PoolStats is a snapshot of a FlowSolver's pool counters (worker count,
 // queries submitted/completed/failed, warm-start hits).
 type PoolStats = pool.Stats
 
@@ -108,7 +108,12 @@ type PoolStats = pool.Stats
 // workspaces). WithNetwork is rejected when the solver has more than one
 // worker: the round-accounting simulator is single-stream.
 func NewFlowSolver(d *Digraph, opts ...Option) (*FlowSolver, error) {
-	cfg := applyOptions(opts)
+	return newFlowSolver(d, newConfig(opts))
+}
+
+// newFlowSolver builds a FlowSolver from a resolved configuration (a
+// Service tenant passes the one it keeps on its handle).
+func newFlowSolver(d *Digraph, cfg config) (*FlowSolver, error) {
 	fopts := flow.Options{
 		Backend: cfg.backend,
 		Eps:     cfg.tol,
@@ -119,7 +124,6 @@ func NewFlowSolver(d *Digraph, opts ...Option) (*FlowSolver, error) {
 		// 0 included — names a distinct stream).
 		Seed: flow.SeedOf(cfg.seed + 11),
 		Net:  cfg.net,
-		LP:   cfg.lpParams,
 	}
 	if cfg.progress != nil {
 		prg := cfg.progress
@@ -138,15 +142,11 @@ func NewFlowSolver(d *Digraph, opts ...Option) (*FlowSolver, error) {
 		return nil, err
 	}
 	workers := max(cfg.poolSize, 1)
-	shards := cfg.shards
-	if shards <= 0 {
-		shards = workers
-	}
 	// The round-accounting simulator's phase state is unsynchronized by
 	// design (one network, one round structure); sharing it across workers
 	// would interleave the accounting. One worker is still one stream.
-	if cfg.net != nil && max(workers, shards) > 1 {
-		return nil, fmt.Errorf("bcclap: WithNetwork needs a single-worker solver; drop WithPoolSize/WithShards")
+	if cfg.net != nil && workers > 1 {
+		return nil, fmt.Errorf("bcclap: WithNetwork needs a single-worker solver; drop WithPoolSize")
 	}
 	// Every worker session gets identical options (flow takes the seed by
 	// pointer and derives a fresh per-query stream from it), so any worker
@@ -155,7 +155,6 @@ func NewFlowSolver(d *Digraph, opts ...Option) (*FlowSolver, error) {
 	// worker goroutines, and a shared arc slice would race with reads on
 	// the others — and a caller-held digraph is never mutated.
 	p, err := pool.New(pool.Config{
-		Shards:  shards,
 		Workers: workers,
 		New: func(int) (pool.Session, error) {
 			return flow.NewSolver(d.Clone(), fopts)
@@ -335,7 +334,7 @@ type LPSolver struct {
 // prob.Backend for this session only (prob itself is left untouched);
 // unknown names fail here with ErrBackendUnknown.
 func NewLPSolver(prob *LPProblem, opts ...Option) (*LPSolver, error) {
-	cfg := applyOptions(opts)
+	cfg := newConfig(opts)
 	if cfg.backend != "" {
 		if err := lp.ValidateBackend(cfg.backend); err != nil {
 			return nil, err
@@ -359,11 +358,7 @@ func NewLPSolver(prob *LPProblem, opts ...Option) (*LPSolver, error) {
 // feasible x0 to objective accuracy eps under ctx. An x0 outside the
 // strict interior (or violating Aᵀx = b) returns ErrInfeasible.
 func (l *LPSolver) Solve(ctx context.Context, x0 []float64, eps float64) (*LPSolution, Stats, error) {
-	par := l.cfg.lpParams
-	par.Net = l.cfg.net
-	if par.Seed == 0 {
-		par.Seed = l.cfg.seed
-	}
+	par := lp.Params{Net: l.cfg.net, Seed: l.cfg.seed}
 	if l.cfg.progress != nil {
 		prg := l.cfg.progress
 		par.Progress = func(phase, step int, t float64) {
@@ -394,7 +389,7 @@ func (l *LPSolver) Solve(ctx context.Context, x0 []float64, eps float64) (*LPSol
 // Theorem 1.3 on g (connected, else ErrDisconnected) and returns a handle
 // that answers repeated right-hand sides. WithSeed, WithNetwork and WithSparsifyParams apply.
 func NewLaplacianSession(g *Graph, opts ...Option) (*LaplacianSolver, error) {
-	cfg := applyOptions(opts)
+	cfg := newConfig(opts)
 	s, err := lapsolver.New(g, lapsolver.Config{
 		Sparsify: cfg.sparsifyParams,
 		Rand:     seededRand(cfg.seed + 3),

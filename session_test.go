@@ -366,13 +366,13 @@ func TestFlowSolverPooled(t *testing.T) {
 		fs.Close() // idempotent
 	})
 
-	pooled, err := NewFlowSolver(d, WithSeed(6), WithPoolSize(3), WithShards(2))
+	pooled, err := NewFlowSolver(d, WithSeed(6), WithPoolSize(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pooled.Close()
 	if n := pooled.PoolSize(); n != 3 {
-		t.Fatalf("pool size %d, want exactly 3 (max of WithPoolSize and WithShards)", n)
+		t.Fatalf("pool size %d, want exactly 3", n)
 	}
 	got, err := pooled.SolveBatch(context.Background(), queries)
 	if err != nil {
@@ -458,10 +458,8 @@ func TestFlowSolverSizeOneContract(t *testing.T) {
 		t.Fatalf("%d goroutines after Close, %d before the solver", n, goroutines)
 	}
 
-	for _, opt := range []Option{WithPoolSize(2), WithShards(2)} {
-		if fs, err := NewFlowSolver(d, opt, WithNetwork(newNet())); err == nil {
-			fs.Close()
-			t.Fatalf("WithNetwork accepted on a %d-worker solver", fs.PoolSize())
-		}
+	if fs, err := NewFlowSolver(d, WithPoolSize(2), WithNetwork(newNet())); err == nil {
+		fs.Close()
+		t.Fatalf("WithNetwork accepted on a %d-worker solver", fs.PoolSize())
 	}
 }

@@ -3,6 +3,8 @@ package bcclap
 import (
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 )
@@ -25,6 +27,77 @@ func twoIslandNetwork(t *testing.T) *Digraph {
 		}
 	}
 	return d
+}
+
+// A data directory written before the shard option was removed must
+// replay unchanged: testdata/walcompat holds a journal from that version
+// (generate.txt has the snippet and the values it reported) with a
+// tenant registered with two shards, a rate limit and its queue disabled
+// and then swapped, and a tenant whose limits were set at runtime. Every
+// tenant must come back at its version, backend, worker count, cache
+// budget and limits, and answer exactly like a fresh solver and like the
+// version that wrote the journal.
+func TestWALCompat(t *testing.T) {
+	dir := t.TempDir()
+	wal, err := os.ReadFile(filepath.Join("testdata", "walcompat", "wal.bclog"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "wal.bclog"), wal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// Service defaults apply to new registrations only, never to replay.
+	svc, err := OpenService(WithStore(dir), WithSeed(99), WithPoolSize(4), WithCacheSize(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	for _, want := range []struct {
+		name        string
+		d           *Digraph
+		version     uint64
+		backend     string
+		pool, cache int
+		limits      Limits
+		value, cost int64
+	}{
+		{"a", testFlowNetwork(5, 63), 2, "dense", 2, DefaultCacheSize,
+			Limits{RatePerSec: 5, Burst: 2, QueueDepth: -1}, 1, 6},
+		{"b", testFlowNetwork(6, 62), 1, "csr-cg", 3, 7,
+			Limits{RatePerSec: 4, MaxInFlight: 2, QueueDepth: -1}, 1, 2},
+	} {
+		h, err := svc.Get(want.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := h.Stats()
+		if st.Version != want.version || st.Backend != want.backend ||
+			st.PoolSize != want.pool || st.Cache.Capacity != want.cache {
+			t.Fatalf("%s replayed as v%d %s pool %d cache %d, want v%d %s pool %d cache %d",
+				want.name, st.Version, st.Backend, st.PoolSize, st.Cache.Capacity,
+				want.version, want.backend, want.pool, want.cache)
+		}
+		if got := h.Limits(); got != want.limits {
+			t.Fatalf("%s replayed with limits %+v, want %+v", want.name, got, want.limits)
+		}
+		s, tt := 0, want.d.N()-1
+		got, err := h.Solve(context.Background(), s, tt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := solveOnce(want.d, s, tt, WithSeed(5), WithBackend(want.backend))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Value != fresh.Value || got.Cost != fresh.Cost || !reflect.DeepEqual(got.Flows, fresh.Flows) {
+			t.Fatalf("%s: replayed answer (%d, %d, %v) differs from a fresh solve (%d, %d, %v)",
+				want.name, got.Value, got.Cost, got.Flows, fresh.Value, fresh.Cost, fresh.Flows)
+		}
+		if got.Value != want.value || got.Cost != want.cost {
+			t.Fatalf("%s: replayed answer (%d, %d), the writing version answered (%d, %d)",
+				want.name, got.Value, got.Cost, want.value, want.cost)
+		}
+	}
 }
 
 // Acceptance: a durable service restarted from its data directory serves
