@@ -28,10 +28,10 @@
 //	                  (Thm 1.2); one-shot by nature, same option set
 //
 // Sessions share one functional option vocabulary (WithBackend, WithSeed,
-// WithNetwork, WithTolerance, WithProgress, …), surface one Stats record
-// per solve (path steps, CG iterations, rounds, wall time, reuse flags),
-// and classify failures with sentinel errors usable with errors.Is:
-// ErrBadQuery, ErrBackendUnknown, ErrDisconnected, ErrInfeasible.
+// WithNetwork, WithProgress, …), surface one Stats record per solve (path
+// steps, CG iterations, rounds, wall time, reuse flags), and classify
+// failures with sentinel errors usable with errors.Is: ErrBadQuery,
+// ErrBackendUnknown, ErrDisconnected, ErrInfeasible, ErrNotCertified.
 //
 // Every Solve accepts a context.Context, threaded down through the flow
 // retry loop, the interior-point path following, and the CG/Chebyshev

@@ -242,7 +242,7 @@ func BenchmarkE9MinCostFlow(b *testing.B) {
 	b.Run("lp-pipeline", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := flow.MinCostMaxFlow(d, 0, d.N()-1, flow.Options{
-				Rand: rand.New(rand.NewSource(int64(i + 1))),
+				Seed: flow.SeedOf(int64(i + 1)),
 			}); err != nil {
 				b.Fatal(err)
 			}
@@ -331,7 +331,7 @@ func BenchmarkE14ShortestPathViaFlow(b *testing.B) {
 	}
 	for i := 0; i < b.N; i++ {
 		got, err := flow.ShortestPathViaFlow(d, 0, d.N()-1, flow.Options{
-			Rand: rand.New(rand.NewSource(int64(i + 3))),
+			Seed: flow.SeedOf(int64(i + 3)),
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -367,7 +367,7 @@ func BenchmarkE15BackendSolve(b *testing.B) {
 	}
 	for _, name := range lp.Backends() {
 		b.Run(name, func(b *testing.B) {
-			solve, err := lp.NewBackendSolver(name, a)
+			solve, _, err := lp.NewBackendSolverStats(name, a)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -52,6 +53,39 @@ func TestServeSpecSizeBounds(t *testing.T) {
 	}
 }
 
+// Every route that reads a body accepts one of exactly maxBodyBytes and
+// answers 413 to one a byte longer, whether the JSON value ends early
+// (trailing padding) or runs past the bound (leading padding).
+func TestServeBodyBound(t *testing.T) {
+	s, d := newTestServer(t)
+	h := s.routes()
+	tenant := "/v1/networks/" + testTenant
+	for _, rt := range []struct{ method, path, body string }{
+		{http.MethodPut, "/v1/networks/bound", `{"random_n": 5}`},
+		{http.MethodPatch, tenant + "/arcs", `{"deltas": [{"arc": 0, "cost_delta": 1}]}`},
+		{http.MethodPatch, tenant + "/limits", `{"rate_per_sec": 0}`},
+		{http.MethodPost, tenant + "/flow", fmt.Sprintf(`{"s": 0, "t": %d}`, d.N()-1)},
+		{http.MethodPost, tenant + "/flow/batch", fmt.Sprintf(`{"queries": [{"s": 0, "t": %d}]}`, d.N()-1)},
+	} {
+		pad := func(n int) string { return strings.Repeat(" ", n-len(rt.body)) }
+		for _, tc := range []struct {
+			body string
+			want int
+		}{
+			{rt.body + pad(maxBodyBytes), 0},
+			{rt.body + pad(maxBodyBytes+1), http.StatusRequestEntityTooLarge},
+			{pad(maxBodyBytes+1) + rt.body, http.StatusRequestEntityTooLarge},
+		} {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(rt.method, rt.path, strings.NewReader(tc.body)))
+			if tc.want == 0 && rec.Code/100 != 2 || tc.want != 0 && rec.Code != tc.want {
+				t.Fatalf("%s %s with a %d-byte body: status %d (%s), want %d (0: any 2xx)",
+					rt.method, rt.path, len(tc.body), rec.Code, rec.Body, tc.want)
+			}
+		}
+	}
+}
+
 // Routes FuzzRequestBodies sends its body to, selected by the route byte.
 var fuzzRoutes = []struct{ method, path string }{
 	{http.MethodPut, "/v1/networks/fuzz"},
@@ -85,6 +119,8 @@ func FuzzRequestBodies(f *testing.F) {
 		{2, `{"queue_depth": -1, "max_in_flight": 1}`},
 		{2, `{"rate_per_sec": -5}`},
 		{2, `not json`},
+		// One byte past maxBodyBytes: 413, however the value ends.
+		{0, `{"random_n": 5}` + strings.Repeat(" ", maxBodyBytes+1-len(`{"random_n": 5}`))},
 	} {
 		f.Add(seed.route, []byte(seed.body))
 	}

@@ -23,6 +23,8 @@
 //	GET    /healthz                       readiness probe: 200 only once store replay
 //	                                      finished and while not draining, else 503
 //
+// Request bodies over 1 MiB (maxBodyBytes) answer 413.
+//
 // Per-tenant QoS: -rate-limit/-burst/-max-in-flight/-queue-depth set
 // daemon-wide admission defaults, and a PUT spec or a PATCH .../limits
 // body overrides them per tenant. A tenant at its limits queues up to the
@@ -66,6 +68,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"math/rand"
@@ -490,8 +493,8 @@ func (s *server) handlePutNetwork(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
 	name := r.PathValue("name")
 	var spec networkSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		s.writeError(w, r, fmt.Errorf("%w: bad request body: %v", bcclap.ErrBadSpec, err))
+	if err := decodeBody(w, r, &spec); err != nil {
+		s.writeError(w, r, fmt.Errorf("%w: bad request body: %w", bcclap.ErrBadSpec, err))
 		return
 	}
 	d, err := spec.digraph(s.defaultSeed)
@@ -539,8 +542,8 @@ func (s *server) handlePatchArcs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var spec patchSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		s.writeError(w, r, fmt.Errorf("%w: bad request body: %v", bcclap.ErrBadSpec, err))
+	if err := decodeBody(w, r, &spec); err != nil {
+		s.writeError(w, r, fmt.Errorf("%w: bad request body: %w", bcclap.ErrBadSpec, err))
 		return
 	}
 	deltas := make([]bcclap.ArcDelta, len(spec.Deltas))
@@ -579,8 +582,8 @@ func (s *server) handlePatchLimits(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var spec limitsSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		s.writeError(w, r, fmt.Errorf("%w: bad request body: %v", bcclap.ErrBadSpec, err))
+	if err := decodeBody(w, r, &spec); err != nil {
+		s.writeError(w, r, fmt.Errorf("%w: bad request body: %w", bcclap.ErrBadSpec, err))
 		return
 	}
 	l := h.Limits()
@@ -679,9 +682,8 @@ func (s *server) handleFlow(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req flowRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{
-			Error: "bad request body: " + err.Error(), Trace: telemetry.TraceID(r.Context())})
+	if err := decodeBody(w, r, &req); err != nil {
+		s.writeError(w, r, fmt.Errorf("%w: bad request body: %w", bcclap.ErrBadQuery, err))
 		return
 	}
 	ctx, cancel := s.solveCtx(r)
@@ -704,9 +706,8 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req batchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{
-			Error: "bad request body: " + err.Error(), Trace: telemetry.TraceID(r.Context())})
+	if err := decodeBody(w, r, &req); err != nil {
+		s.writeError(w, r, fmt.Errorf("%w: bad request body: %w", bcclap.ErrBadQuery, err))
 		return
 	}
 	if len(req.Queries) == 0 {
@@ -847,6 +848,8 @@ func (s *server) writeErrorFor(w http.ResponseWriter, r *http.Request, err error
 // statusOf maps the session API's sentinel errors onto HTTP statuses.
 func statusOf(err error) int {
 	switch {
+	case errors.As(err, new(*http.MaxBytesError)):
+		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, bcclap.ErrBadQuery),
 		errors.Is(err, bcclap.ErrBadSpec),
 		errors.Is(err, bcclap.ErrBackendUnknown),
@@ -872,6 +875,23 @@ func statusOf(err error) int {
 	default:
 		return http.StatusInternalServerError
 	}
+}
+
+// maxBodyBytes bounds every request body (413 past it). The largest body
+// the daemon's tests and the benchmark send is 176 bytes; 1 MiB fits an
+// arc list of some 30,000 arcs.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes the JSON value starting r's body into v, then drains
+// the rest: a body over maxBodyBytes fails with *http.MaxBytesError
+// however early its value ends.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	if err := json.NewDecoder(body).Decode(v); err != nil {
+		return err
+	}
+	_, err := io.Copy(io.Discard, body)
+	return err
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

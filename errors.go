@@ -35,6 +35,11 @@ var (
 	// for the LP (outside the box interior or violating Aᵀx = b).
 	ErrInfeasible = lp.ErrInfeasible
 
+	// ErrNotCertified marks a flow query none of whose perturbation
+	// attempts passed the exactness certificate (the error also wraps the
+	// last attempt's). The REST layer maps it to 500.
+	ErrNotCertified = flow.ErrNotCertified
+
 	// ErrSolverClosed marks a query submitted to a FlowSolver after Drain
 	// or Close began, a queued query abandoned by an aborting shutdown, or
 	// an operation on a Service or NetworkHandle whose shutdown has begun.

@@ -243,7 +243,7 @@ func e9(ctx context.Context, quick bool) ([]Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := flow.MinCostMaxFlowCtx(ctx, d, 0, d.N()-1, flow.Options{Rand: rand.New(rand.NewSource(int64(trial + 100)))})
+		res, err := flow.MinCostMaxFlowCtx(ctx, d, 0, d.N()-1, flow.Options{Seed: flow.SeedOf(int64(trial + 100))})
 		if err != nil {
 			return nil, err
 		}
@@ -319,7 +319,7 @@ func e15(ctx context.Context, quick bool) ([]Table, error) {
 			start := time.Now()
 			res, err := flow.MinCostMaxFlowCtx(ctx, d, 0, d.N()-1, flow.Options{
 				Backend: backend,
-				Rand:    rand.New(rand.NewSource(int64(n * 100))),
+				Seed:    flow.SeedOf(int64(n * 100)),
 			})
 			if err != nil {
 				return nil, fmt.Errorf("backend %s: %w", backend, err)

@@ -220,7 +220,7 @@ func StoreWorkloads(ctx context.Context, quick bool) (*StoreResult, []Workload, 
 			return ready(func(i int) error {
 				return lg.Append(store.Record{Type: store.RecPatch, Name: "bench", Version: uint64(i) + 2, Deltas: deltas})
 			}, func() { lg.Close(); os.RemoveAll(dir) }, false, lg.Append(store.Record{Type: store.RecRegister, Name: "bench",
-				Version: 1, Opts: store.TenantOpts{Backend: "dense", Seed: 7, Tol: 1e-6}, N: d.N(), Arcs: d.Arcs()}))
+				Version: 1, Opts: store.TenantOpts{Backend: "dense", Seed: 7}, N: d.N(), Arcs: d.Arcs()}))
 		}, record: func(wall time.Duration) {
 			*out = float64(wall.Nanoseconds()) / float64(records)
 			r.WAL.FsyncCost = r.WAL.Sync / r.WAL.NoSync

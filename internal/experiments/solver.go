@@ -88,7 +88,7 @@ func E16(ctx context.Context, quick bool) (*BackendsResult, error) {
 	r := &BackendsResult{}
 	r.ATDA.N, r.ATDA.Rows, r.ATDA.Cols, r.ATDA.NNZ, r.ATDA.Solve = 384, a.Rows(), a.Cols(), a.NNZ(), map[string]time.Duration{}
 	for _, name := range lp.Backends() {
-		solve, err := lp.NewBackendSolver(name, a)
+		solve, _, err := lp.NewBackendSolverStats(name, a)
 		if err != nil {
 			return nil, err
 		}

@@ -27,7 +27,7 @@ func TestBackendsProduceIdenticalCertifiedFlows(t *testing.T) {
 		for _, backend := range backends {
 			res, err := MinCostMaxFlow(d, 0, d.N()-1, Options{
 				Backend: backend,
-				Rand:    rand.New(rand.NewSource(int64(100*trial + 7))),
+				Seed:    SeedOf(int64(100*trial + 7)),
 			})
 			if err != nil {
 				t.Fatalf("trial %d backend %s: %v", trial, backend, err)

@@ -23,10 +23,10 @@
 //
 // Invariants:
 //
-//   - Determinism: with Options.Rand nil, every query draws a fresh
-//     perturbation stream from Options.Seed, so session queries are
-//     bit-identical to one-shot calls and independent of the order in
-//     which *other* terminal pairs are queried. Only the per-pair solve
+//   - Determinism: every query draws a fresh perturbation stream from
+//     Options.Seed, so session queries are bit-identical to one-shot
+//     calls and independent of the order in which *other* terminal pairs
+//     are queried. Only the per-pair solve
 //     sequence matters (warm starts), which is what internal/pool's
 //     pair-pinned routing preserves.
 //   - Exactness: every returned flow passed CertifyOptimal — warm starts

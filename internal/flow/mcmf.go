@@ -2,6 +2,7 @@ package flow
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"time"
@@ -11,28 +12,23 @@ import (
 	"bcclap/internal/sim"
 )
 
+// ErrNotCertified wraps the last attempt's error when no perturbation
+// attempt of a solve produced a flow passing CertifyOptimal.
+var ErrNotCertified = errors.New("flow: no certified flow")
+
+const (
+	lpEps       = 0.25 // LP target accuracy: t₂ high enough for exact rounding
+	maxAttempts = 5    // perturbation attempts; each certifies w.p. ≥ 1/2 (footnote 7)
+)
+
 // Options configures the LP-based min-cost max-flow pipeline.
 type Options struct {
-	// Eps is the LP target accuracy relative to the (scaled) objective;
-	// the default drives t₂ high enough for exact rounding on the
-	// perturbed LP.
-	Eps float64
-	// Retries is the number of perturbation attempts (each succeeds with
-	// probability ≥ 1/2 per Daitch–Spielman; footnote 7's boosting).
-	Retries int
 	// Backend names the (AᵀDA) strategy from the lp backend registry
 	// ("dense", "gremban", "csr-cg", "csr-pcg", …); empty selects the
 	// graph-dependent auto-selection of DefaultBackendFor. Unknown names
 	// fail fast with lp.ErrBackendUnknown when the solver is constructed.
 	Backend string
-	// LP forwards interior-point parameters.
-	LP lp.Params
-	// Rand drives the perturbations. When non-nil it is consumed as a
-	// shared stream (successive Solver queries advance it); when nil each
-	// query draws from a fresh stream seeded by Seed, which makes session
-	// queries bit-identical to one-shot calls.
-	Rand *rand.Rand
-	// Seed seeds the per-query perturbation stream when Rand is nil; nil
+	// Seed seeds the perturbation stream each query draws afresh; nil
 	// selects the historical default 2022. It is a pointer so that every
 	// int64 value — including 0 — names a distinct stream.
 	Seed *int64
@@ -41,17 +37,9 @@ type Options struct {
 	// Progress, if non-nil, is invoked at the start of every perturbation
 	// attempt. Observability only.
 	Progress func(attempt int)
-}
-
-// withDefaults fills the zero values.
-func (o Options) withDefaults() Options {
-	if o.Eps == 0 {
-		o.Eps = 0.25
-	}
-	if o.Retries == 0 {
-		o.Retries = 5
-	}
-	return o
+	// PathProgress, if non-nil, is invoked after every interior-point path
+	// step (lp.Params.Progress). Observability only.
+	PathProgress func(phase, step int, t float64)
 }
 
 // autoBackendMinVerts and autoBackendDensity gate the auto-selection of
@@ -169,7 +157,7 @@ func NewSolver(d *graph.Digraph, opts Options) (*Solver, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Solver{d: d, opts: opts.withDefaults(), backend: backend, forms: map[Query]*formState{}}, nil
+	return &Solver{d: d, opts: opts, backend: backend, forms: map[Query]*formState{}}, nil
 }
 
 // Backend returns the resolved AᵀDA backend name this session solves
@@ -200,9 +188,6 @@ func (fs *Solver) formFor(q Query) (*formState, error) {
 
 // queryRand returns the perturbation stream for one query.
 func (fs *Solver) queryRand() *rand.Rand {
-	if fs.opts.Rand != nil {
-		return fs.opts.Rand
-	}
 	seed := int64(2022)
 	if fs.opts.Seed != nil {
 		seed = *fs.opts.Seed
@@ -215,19 +200,14 @@ func SeedOf(seed int64) *int64 { return &seed }
 
 // lpParams prepares the interior-point parameters for one attempt.
 func (fs *Solver) lpParams(attempt int64) lp.Params {
-	par := fs.opts.LP
-	par.Net = fs.opts.Net
-	if par.Seed == 0 {
-		par.Seed = attempt
-	}
-	return par
+	return lp.Params{Seed: attempt, Net: fs.opts.Net, Progress: fs.opts.PathProgress}
 }
 
 // Solve answers one (s, t) query: perturb costs for uniqueness, solve the
 // Section 5 LP with the Lee–Sidford interior-point method, round to
 // integers and certify; on a failed certificate, retry with fresh
-// perturbation randomness. Results are bit-identical to a one-shot
-// MinCostMaxFlowCtx call with the same Options (when Options.Rand is nil).
+// perturbation randomness, up to 5 attempts (then failing with
+// ErrNotCertified). Results are bit-identical to a one-shot call.
 // ctx cancellation aborts within one path-following iteration with an
 // error satisfying errors.Is(err, ctx.Err()).
 func (fs *Solver) Solve(ctx context.Context, s, t int) (*Result, error) {
@@ -315,7 +295,7 @@ func (fs *Solver) solve(ctx context.Context, q Query, tryWarm bool) (*Result, er
 		for i := range x {
 			x[i] = (1-warmBlend)*st.warmX[i] + warmBlend*st.form.X0[i]
 		}
-		sol, err := st.sess.Polish(ctx, x, st.warmW, fs.opts.Eps, fs.lpParams(1))
+		sol, err := st.sess.Polish(ctx, x, st.warmW, lpEps, fs.lpParams(1))
 		if err != nil {
 			if ctx.Err() != nil {
 				return nil, fmt.Errorf("flow: warm solve: %w", err)
@@ -332,7 +312,7 @@ func (fs *Solver) solve(ctx context.Context, q Query, tryWarm bool) (*Result, er
 
 	rnd := fs.queryRand()
 	var lastErr error
-	for attempt := 1; attempt <= fs.opts.Retries; attempt++ {
+	for attempt := 1; attempt <= maxAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("flow: canceled before attempt %d: %w", attempt, err)
 		}
@@ -341,7 +321,7 @@ func (fs *Solver) solve(ctx context.Context, q Query, tryWarm bool) (*Result, er
 		}
 		st.form.Perturb(rnd)
 		st.warmX, st.warmW = nil, nil // costs changed; prior optimum is stale
-		sol, err := st.sess.Solve(ctx, st.form.X0, fs.opts.Eps, fs.lpParams(int64(attempt)))
+		sol, err := st.sess.Solve(ctx, st.form.X0, lpEps, fs.lpParams(int64(attempt)))
 		if err != nil {
 			lastErr = fmt.Errorf("flow: LP attempt %d: %w", attempt, err)
 			if ctx.Err() != nil {
@@ -357,7 +337,7 @@ func (fs *Solver) solve(ctx context.Context, q Query, tryWarm bool) (*Result, er
 		st.warmX, st.warmW = sol.X, sol.Weights
 		return fs.newResult(q, flows, attempt, sol, startRounds, start, reused, false), nil
 	}
-	return nil, fmt.Errorf("flow: all %d attempts failed: %w", fs.opts.Retries, lastErr)
+	return nil, fmt.Errorf("%w: all %d attempts failed: %w", ErrNotCertified, maxAttempts, lastErr)
 }
 
 func (fs *Solver) newResult(q Query, flows []int64, attempts int, sol *lp.Solution, startRounds int, start time.Time, reused, warm bool) *Result {

@@ -151,11 +151,11 @@ func TestSolverCancellationAllBackends(t *testing.T) {
 		ctx2, cancel2 := context.WithCancel(context.Background())
 		fs2, err := NewSolver(d, Options{
 			Backend: backend,
-			LP: lp.Params{Progress: func(phase, step int, tpar float64) {
+			PathProgress: func(phase, step int, tpar float64) {
 				if step == 3 {
 					cancel2()
 				}
-			}},
+			},
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", backend, err)

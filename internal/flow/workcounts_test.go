@@ -1,0 +1,69 @@
+package flow
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"bcclap/internal/graph"
+)
+
+// workCountsGolden pins the interior-point work of small solves. It was
+// generated before the solver's tuning values (step size, final
+// centerings, Lewis iterations, target ε, attempt budget) became
+// constants, so a drift in any of them changes a line here even where the
+// certified answer stays the same.
+const workCountsGolden = "workcounts.golden"
+
+// workCounts solves RandomFlowNetwork(n, 0.35, 3, 3) from generator seed
+// seed×31 for (0, n−1) on every backend and perturbation seeds 1 and 2,
+// as a batch of the pair twice: a cold solve, then the warm-started
+// repeat. One line per solve.
+func workCounts(t *testing.T) string {
+	var b strings.Builder
+	for _, backend := range []string{"dense", "gremban", "csr-cg", "csr-pcg"} {
+		for _, inst := range []struct {
+			n    int
+			seed int64
+		}{{6, 1}, {8, 2}} {
+			d := graph.RandomFlowNetwork(inst.n, 0.35, 3, 3, rand.New(rand.NewSource(inst.seed*31)))
+			fs, err := NewSolver(d, Options{Backend: backend, Seed: SeedOf(inst.seed)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			q := Query{S: 0, T: d.N() - 1}
+			res, err := fs.SolveBatch(context.Background(), []Query{q, q})
+			if err != nil {
+				t.Fatalf("%s n=%d seed=%d: %v", backend, inst.n, inst.seed, err)
+			}
+			for i, r := range res {
+				kind := "cold"
+				if r.WarmStarted {
+					kind = "warm"
+				}
+				fmt.Fprintf(&b, "%s n=%d m=%d seed=%d #%d %s value=%d cost=%d attempts=%d steps=%d centerings=%d cg=%d flows=%v\n",
+					backend, d.N(), d.M(), inst.seed, i, kind, r.Value, r.Cost, r.Attempts,
+					r.LPStats.PathSteps, r.LPStats.Centerings, r.LPStats.CGIterations, r.Flows)
+			}
+		}
+	}
+	return b.String()
+}
+
+// TestWorkCountsGolden fails when the answer or the work of any pinned
+// solve moves. A change that alters the solver's work on purpose updates
+// testdata/workcounts.golden with the new lines and says why.
+func TestWorkCountsGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", workCountsGolden))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := workCounts(t)
+	if got != string(want) {
+		t.Fatalf("work counts moved from testdata/%s.\ngot:\n%swant:\n%s", workCountsGolden, got, want)
+	}
+}

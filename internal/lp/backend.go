@@ -58,46 +58,35 @@ type PrecondStats struct {
 	Refreshes int
 }
 
-// statsFactory is a BackendFactory that additionally exposes its
-// preconditioner counters; backends without a combinatorial preconditioner
-// register a plain BackendFactory and report nil stats.
+// statsFactory is the registry's one entry kind: a BackendFactory that
+// also returns its preconditioner counters (nil for backends without a
+// combinatorial preconditioner).
 type statsFactory func(a *linalg.CSR) (ATDASolve, *PrecondStats, error)
-
-type backendEntry struct {
-	plain BackendFactory
-	stats statsFactory
-}
 
 var (
 	backendMu sync.RWMutex
-	backends  = map[string]backendEntry{}
+	// backends holds the built-in csr-pcg, the one backend with counters,
+	// and every RegisterBackend entry.
+	backends = map[string]statsFactory{"csr-pcg": csrPCGBackend}
 )
 
-// RegisterBackend makes a named AᵀDA strategy available to Problem.Backend.
-// It panics on a duplicate or empty name (registration is an init-time
-// programming act, not a runtime input).
+// RegisterBackend makes a named AᵀDA strategy available to Problem.Backend;
+// it reports no preconditioner counters. It panics on a duplicate or empty
+// name (registration is an init-time programming act, not a runtime
+// input).
 func RegisterBackend(name string, f BackendFactory) {
 	if name == "" || f == nil {
 		panic("lp: RegisterBackend with empty name or nil factory")
 	}
-	registerEntry(name, backendEntry{plain: f})
-}
-
-// registerStatsBackend registers a backend that reports PrecondStats.
-func registerStatsBackend(name string, f statsFactory) {
-	if name == "" || f == nil {
-		panic("lp: registerStatsBackend with empty name or nil factory")
-	}
-	registerEntry(name, backendEntry{stats: f})
-}
-
-func registerEntry(name string, e backendEntry) {
 	backendMu.Lock()
 	defer backendMu.Unlock()
 	if _, dup := backends[name]; dup {
 		panic(fmt.Sprintf("lp: backend %q registered twice", name))
 	}
-	backends[name] = e
+	backends[name] = func(a *linalg.CSR) (ATDASolve, *PrecondStats, error) {
+		solve, err := f(a)
+		return solve, nil, err
+	}
 }
 
 // Backends returns the sorted names of all registered backends.
@@ -112,28 +101,28 @@ func Backends() []string {
 	return names
 }
 
-// NewBackendSolver instantiates the named backend for A.
-func NewBackendSolver(name string, a *linalg.CSR) (ATDASolve, error) {
-	solve, _, err := NewBackendSolverStats(name, a)
-	return solve, err
-}
-
 // NewBackendSolverStats instantiates the named backend for A and returns
 // its preconditioner counters when the backend maintains them (nil for
 // backends without a combinatorial preconditioner). The counters are live:
 // they advance as the returned solver is used.
 func NewBackendSolverStats(name string, a *linalg.CSR) (ATDASolve, *PrecondStats, error) {
+	f, err := lookupBackend(name)
+	if err != nil {
+		return nil, nil, err
+	}
+	return f(a)
+}
+
+// lookupBackend resolves name in the registry; an unknown name fails with
+// ErrBackendUnknown, listing the registered ones.
+func lookupBackend(name string) (statsFactory, error) {
 	backendMu.RLock()
-	e, ok := backends[name]
+	f, ok := backends[name]
 	backendMu.RUnlock()
 	if !ok {
-		return nil, nil, fmt.Errorf("%w %q (registered: %v)", ErrBackendUnknown, name, Backends())
+		return nil, fmt.Errorf("%w %q (registered: %v)", ErrBackendUnknown, name, Backends())
 	}
-	if e.stats != nil {
-		return e.stats(a)
-	}
-	solve, err := e.plain(a)
-	return solve, nil, err
+	return f, nil
 }
 
 // ValidateBackend reports whether name resolves in the registry without
@@ -144,13 +133,8 @@ func ValidateBackend(name string) error {
 	if name == "" {
 		return nil
 	}
-	backendMu.RLock()
-	_, ok := backends[name]
-	backendMu.RUnlock()
-	if !ok {
-		return fmt.Errorf("%w %q (registered: %v)", ErrBackendUnknown, name, Backends())
-	}
-	return nil
+	_, err := lookupBackend(name)
+	return err
 }
 
 // DefaultBackend is the name Problem.solver falls back to when neither
@@ -161,7 +145,6 @@ func init() {
 	RegisterBackend("dense", denseBackend)
 	RegisterBackend("gremban", grembanBackend)
 	RegisterBackend("csr-cg", csrCGBackend)
-	registerStatsBackend("csr-pcg", csrPCGBackend)
 }
 
 // denseBackend assembles AᵀDA into a reused n×n buffer and factorizes it

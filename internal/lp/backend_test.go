@@ -52,7 +52,7 @@ func TestRegisteredBackends(t *testing.T) {
 			t.Fatalf("backend %q not registered (have %v)", n, names)
 		}
 	}
-	if _, err := NewBackendSolver("no-such-backend", linalg.NewCSR(1, 1, []linalg.Triple{{Row: 0, Col: 0, Val: 1}})); err == nil {
+	if _, _, err := NewBackendSolverStats("no-such-backend", linalg.NewCSR(1, 1, []linalg.Triple{{Row: 0, Col: 0, Val: 1}})); err == nil {
 		t.Fatal("unknown backend accepted")
 	}
 }
@@ -66,7 +66,7 @@ func TestBackendsAgree(t *testing.T) {
 		m := a.Rows()
 		solvers := map[string]ATDASolve{}
 		for _, name := range Backends() {
-			s, err := NewBackendSolver(name, a)
+			s, _, err := NewBackendSolverStats(name, a)
 			if err != nil {
 				t.Fatalf("backend %s: %v", name, err)
 			}

@@ -40,9 +40,10 @@
 // them verbatim, a 10-variable LP would take ~10⁹ iterations. This
 // implementation keeps every algorithmic *shape* (α ∝ 1/√n path steps,
 // barrier + Lewis-weight machinery, projections, Johnson–Lindenstrauss
-// leverage scores) and exposes the aggressiveness through Params, so the
-// experiments can measure the √n iteration scaling of Theorem 1.4 while
-// still converging in float64. The work per path step is the paper's:
+// leverage scores) and fixes the aggressiveness in constants next to
+// Params (α = 0.4/√n, 12 final centerings, DefaultLewisParams, η = 0.5),
+// so the experiments can measure the √n iteration scaling of Theorem 1.4
+// while still converging in float64. The work per path step is the paper's:
 // Algorithm 10's one CenteringInexact per t-step, whose weight update is
 // scaled by the centrality measure δ; exactness rests on the flow
 // pipeline's rounding certificate, not on driving δ below a threshold.

@@ -130,7 +130,7 @@ func ComputeInitialWeights(lev LeverageFn, base []float64, pTarget float64, n, m
 		}
 		var err error
 		coarse := par
-		coarse.MaxIters = maxInt(2, par.MaxIters/2)
+		coarse.MaxIters = max(2, par.MaxIters/2)
 		w, err = ComputeApxWeights(lev, base, pNew, w0, coarse)
 		if err != nil {
 			return nil, steps, err
@@ -140,11 +140,4 @@ func ComputeInitialWeights(lev LeverageFn, base []float64, pTarget float64, n, m
 	}
 	w, err := ComputeApxWeights(lev, base, pTarget, w, par)
 	return w, steps, err
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -131,7 +131,7 @@ func TestComputeApxWeightsRejectsBadP(t *testing.T) {
 // countingSolve wraps the dense backend for A and counts its Gram solves.
 func countingSolve(t *testing.T, a *linalg.CSR, calls *int) GramSolve {
 	t.Helper()
-	sol, err := NewBackendSolver("dense", a)
+	sol, _, err := NewBackendSolverStats("dense", a)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,11 +76,11 @@ func TestCSRPCGAgreesWithDense(t *testing.T) {
 		"random": incidenceCSR(18, randomArcs(18, 40, rnd)),
 	}
 	for name, a := range cases {
-		ref, err := NewBackendSolver("dense", a)
+		ref, _, err := NewBackendSolverStats("dense", a)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pcg, err := NewBackendSolver("csr-pcg", a)
+		pcg, _, err := NewBackendSolverStats("csr-pcg", a)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +128,7 @@ func TestCSRPCGNonIncidenceFallback(t *testing.T) {
 		row++
 	}
 	a := linalg.NewCSR(row, n, ts)
-	ref, err := NewBackendSolver("dense", a)
+	ref, _, err := NewBackendSolverStats("dense", a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestCSRPCGSymbolicReuseAndRefreshDedup(t *testing.T) {
 func TestCSRPCGRefreshEquivalentToRebuild(t *testing.T) {
 	rnd := rand.New(rand.NewSource(14))
 	a := incidenceCSR(14, randomArcs(14, 30, rnd))
-	lived, err := NewBackendSolver("csr-pcg", a)
+	lived, _, err := NewBackendSolverStats("csr-pcg", a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestCSRPCGRefreshEquivalentToRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := NewBackendSolver("csr-pcg", a)
+	fresh, _, err := NewBackendSolverStats("csr-pcg", a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,11 +261,11 @@ func TestCSRPCGRefreshEquivalentToRebuild(t *testing.T) {
 func TestCSRPCGFewerIterationsThanCSRCG(t *testing.T) {
 	rnd := rand.New(rand.NewSource(15))
 	a := incidenceCSR(64, pathArcs(64))
-	cg, err := NewBackendSolver("csr-cg", a)
+	cg, _, err := NewBackendSolverStats("csr-cg", a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pcg, err := NewBackendSolver("csr-pcg", a)
+	pcg, _, err := NewBackendSolverStats("csr-pcg", a)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -50,7 +51,6 @@ func NewSession(prob *Problem) (*Session, error) {
 // backend and scratch.
 func (sess *Session) newIPM(ctx context.Context, par Params) *ipm {
 	m, n := sess.prob.M(), sess.prob.N()
-	par = par.withDefaults(n)
 	s := &ipm{
 		ctx: ctx, prob: sess.prob, bar: sess.bar, par: par,
 		m: m, n: n,
@@ -62,14 +62,13 @@ func (sess *Session) newIPM(ctx context.Context, par Params) *ipm {
 		scr:    sess.scr,
 	}
 	s.cNorm = 24 * math.Sqrt(4*s.cK)
-	s.etaW = 0.1
 	if par.Net != nil {
 		s.startRounds = par.Net.Rounds()
 	}
 	if s.pstats != nil {
 		s.startRefreshes = s.pstats.Refreshes
 	}
-	s.lev = NewLeverageFn(sess.prob.A, s.sol.Bind(ctx), par.ExactLeverage, par.LeverageEta, par.Seed)
+	s.lev = NewLeverageFn(sess.prob.A, s.sol.Bind(ctx), false, leverageEta, cmp.Or(par.Seed, 1))
 	return s
 }
 
@@ -126,7 +125,7 @@ func (s *ipm) initialWeights(x []float64) ([]float64, error) {
 	for i := range base {
 		base[i] = 1 / math.Sqrt(phi2[i])
 	}
-	w, _, err := ComputeInitialWeights(s.lev, base, s.p, s.n, m, s.par.Lewis, s.par.InitWeightSteps)
+	w, _, err := ComputeInitialWeights(s.lev, base, s.p, s.n, m, DefaultLewisParams(), initWeightSteps)
 	if err != nil {
 		return nil, fmt.Errorf("lp: initial weights: %w", err)
 	}
@@ -196,19 +195,20 @@ func (sess *Session) Solve(ctx context.Context, x0 []float64, eps float64, par P
 }
 
 // Polish re-centers a previously computed iterate at the final path
-// parameter t₂ = 2m/ε with FinalCenterings centerings — the warm-start
+// parameter t₂ = 2m/ε with finalCenterings centerings — the warm-start
 // path for repeated solves of an unchanged problem (e.g. batch flow
-// queries on the same terminals). x0 is typically a prior Solution.X and
-// w0 its Weights; a nil (or wrongly sized) w0 recomputes initial weights
-// at x0. The polished point is NOT guaranteed optimal unless x0 was
-// already near the central path at t₂ — callers must certify the result
-// (as the flow pipeline does) and fall back to a full Solve on failure.
+// queries on the same terminals). x0 and w0 are a prior Solution's X and
+// Weights; both must have m entries. The polished point is NOT guaranteed
+// optimal unless x0 was already near the central path at t₂ — callers
+// must certify the result (as the flow pipeline does) and fall back to a
+// full Solve on failure.
 func (sess *Session) Polish(ctx context.Context, x0, w0 []float64, eps float64, par Params) (*Solution, error) {
 	if eps <= 0 {
 		return nil, fmt.Errorf("lp: eps must be positive, got %g", eps)
 	}
-	if len(x0) != sess.prob.M() {
-		return nil, fmt.Errorf("lp: x0 has %d entries, want %d", len(x0), sess.prob.M())
+	m := sess.prob.M()
+	if len(x0) != m || len(w0) != m {
+		return nil, fmt.Errorf("lp: x0 has %d entries and w0 %d, want %d", len(x0), len(w0), m)
 	}
 	s := sess.newIPM(ctx, par)
 	s.phase = 3
@@ -221,20 +221,10 @@ func (sess *Session) Polish(ctx context.Context, x0, w0 []float64, eps float64, 
 	if err := sess.checkStart(x0); err != nil {
 		return nil, err
 	}
-	var w []float64
-	if len(w0) == s.m {
-		w = linalg.Clone(w0)
-	} else {
-		var err error
-		w, err = s.initialWeights(x0)
-		if err != nil {
-			return nil, err
-		}
-	}
-	x := linalg.Clone(x0)
-	t2 := 2 * float64(s.m) / eps
+	x, w := linalg.Clone(x0), linalg.Clone(w0)
+	t2 := 2 * float64(m) / eps
 	var err error
-	for i := 0; i < s.par.FinalCenterings; i++ {
+	for i := 0; i < finalCenterings; i++ {
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			return nil, fmt.Errorf("lp: polish canceled: %w", ctxErr)
 		}

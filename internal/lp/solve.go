@@ -15,32 +15,14 @@ import (
 // violating the equality constraints. Callers detect it with errors.Is.
 var ErrInfeasible = errors.New("lp: starting point is not strictly feasible")
 
-// Params tunes LPSolve. Zero values select practical defaults that keep
-// the paper's asymptotic shapes (see the package comment). Each t-step
-// runs exactly one centering, as in Algorithm 10.
+// Params carries the per-run inputs of LPSolve. The method's tuning
+// values are fixed constants (see the package comment and the const block
+// below); each t-step runs exactly one centering, as in Algorithm 10.
 type Params struct {
-	// Alpha is the multiplicative t-step (paper: R/(1600√n·log²m); default:
-	// 0.4/√n, preserving the Θ(√n·log(U/ε)) path-step count of
-	// Theorem 1.4).
-	Alpha float64
-	// FinalCenterings is the number of extra centerings at t_end
-	// (paper: 4c_k·log(1/η)).
-	FinalCenterings int
-	// Lewis tunes the weight computations.
-	Lewis LewisParams
-	// LeverageEta is the JL distortion for leverage scores.
-	LeverageEta float64
-	// ExactLeverage disables sketching. Without it, leverage scores are
-	// still exact while n is at most the sketch dimension.
-	ExactLeverage bool
-	// Seed feeds the shared Kane–Nelson seeds.
+	// Seed feeds the shared Kane–Nelson seeds (0 selects 1).
 	Seed int64
 	// Net, if non-nil, receives round accounting.
 	Net *sim.Network
-	// MaxPathSteps is a safety cap on total t-steps.
-	MaxPathSteps int
-	// InitWeightSteps caps the Algorithm 8 homotopy length.
-	InitWeightSteps int
 	// Progress, if non-nil, is invoked after every path step with the phase
 	// (1 = artificial cost, 2 = true cost), the cumulative path-step count
 	// and the current path parameter t. Observability only; it must be fast
@@ -48,30 +30,16 @@ type Params struct {
 	Progress func(phase, step int, t float64)
 }
 
-func (p Params) withDefaults(n int) Params {
-	if p.Alpha == 0 {
-		p.Alpha = 0.4 / math.Sqrt(float64(maxInt(n, 1)))
-	}
-	if p.FinalCenterings == 0 {
-		p.FinalCenterings = 12
-	}
-	if p.Lewis == (LewisParams{}) {
-		p.Lewis = DefaultLewisParams()
-	}
-	if p.LeverageEta == 0 {
-		p.LeverageEta = 0.5
-	}
-	if p.Seed == 0 {
-		p.Seed = 1
-	}
-	if p.MaxPathSteps == 0 {
-		p.MaxPathSteps = 200000
-	}
-	if p.InitWeightSteps == 0 {
-		p.InitWeightSteps = 400
-	}
-	return p
-}
+// Practical values for the paper's (m, n)-dependent constants, keeping the
+// asymptotic shapes of Theorem 1.4 while converging in float64. The
+// Lewis-weight iterations use DefaultLewisParams.
+const (
+	alphaScale      = 0.4    // t-step α = 0.4/√n (paper: R/(1600√n·log²m))
+	finalCenterings = 12     // extra centerings at t_end (paper: 4c_k·log(1/η))
+	leverageEta     = 0.5    // JL distortion of sketched leverage scores
+	maxPathSteps    = 200000 // safety cap on total t-steps
+	initWeightSteps = 400    // cap on the Algorithm 8 homotopy length
+)
 
 // Solution is the result of Solve.
 type Solution struct {
@@ -149,7 +117,6 @@ type ipm struct {
 	c0     float64 // weight regularization n/(2m)
 	cK     float64
 	cNorm  float64
-	etaW   float64 // weight-update precision (practical e^R − 1)
 	counts Solution
 
 	// Counter readings at solve start, so Solution reports this solve's
@@ -182,30 +149,30 @@ func SolveCtx(ctx context.Context, prob *Problem, x0 []float64, eps float64, par
 }
 
 // pathFollowing implements Algorithm 10: one centering per multiplicative
-// t-step clamped by median to t_end, then polish with FinalCenterings
+// t-step clamped by median to t_end, then polish with finalCenterings
 // extra centerings at t_end. The context is polled once per outer
 // iteration, so cancellation surfaces within one path step.
 func (s *ipm) pathFollowing(x, w []float64, tStart, tEnd float64, c []float64) ([]float64, []float64, error) {
-	t := tStart
+	t, alpha := tStart, alphaScale/math.Sqrt(float64(max(s.n, 1)))
 	var err error
 	for t != tEnd {
 		if err := s.ctx.Err(); err != nil {
 			return x, w, fmt.Errorf("lp: canceled after %d path steps: %w", s.counts.PathSteps, err)
 		}
-		if s.counts.PathSteps >= s.par.MaxPathSteps {
-			return x, w, fmt.Errorf("lp: exceeded %d path steps (t = %g, target %g)", s.par.MaxPathSteps, t, tEnd)
+		if s.counts.PathSteps >= maxPathSteps {
+			return x, w, fmt.Errorf("lp: exceeded %d path steps (t = %g, target %g)", maxPathSteps, t, tEnd)
 		}
 		x, w, err = s.center(x, w, t, c)
 		if err != nil {
 			return x, w, err
 		}
-		t = linalg.Median3((1-s.par.Alpha)*t, tEnd, (1+s.par.Alpha)*t)
+		t = linalg.Median3((1-alpha)*t, tEnd, (1+alpha)*t)
 		s.counts.PathSteps++
 		if s.par.Progress != nil {
 			s.par.Progress(s.phase, s.counts.PathSteps, t)
 		}
 	}
-	for i := 0; i < s.par.FinalCenterings; i++ {
+	for i := 0; i < finalCenterings; i++ {
 		if err := s.ctx.Err(); err != nil {
 			return x, w, fmt.Errorf("lp: canceled during final centerings: %w", err)
 		}
@@ -282,7 +249,7 @@ func (s *ipm) center(x, w []float64, t float64, c []float64) ([]float64, []float
 	for i := range base {
 		base[i] = 1 / math.Sqrt(phi2New[i])
 	}
-	apx, err := ComputeApxWeights(s.lev, base, s.p, w, s.par.Lewis)
+	apx, err := ComputeApxWeights(s.lev, base, s.p, w, DefaultLewisParams())
 	if err != nil {
 		return x, w, err
 	}

@@ -146,8 +146,8 @@ func TestPathStepsScaleWithSqrtN(t *testing.T) {
 }
 
 // Algorithm 10 as written: one CenteringInexact per path step, plus
-// FinalCenterings at the end of each of the two phases; Polish runs only
-// its FinalCenterings.
+// finalCenterings at the end of each of the two phases; Polish runs only
+// its finalCenterings.
 func TestCenteringsPerPathStep(t *testing.T) {
 	prob, x0 := simplexProblem([]float64{3, 1, 4, 1.5, 5})
 	sess, err := NewSession(prob)
@@ -155,7 +155,7 @@ func TestCenteringsPerPathStep(t *testing.T) {
 		t.Fatal(err)
 	}
 	par := Params{Seed: 7}
-	final := par.withDefaults(prob.N()).FinalCenterings
+	const final = finalCenterings
 	sol, err := sess.Solve(context.Background(), x0, 0.05, par)
 	if err != nil {
 		t.Fatal(err)

@@ -49,8 +49,6 @@ type config struct {
 	backend        string
 	seed           int64
 	net            *Network
-	tol            float64
-	retries        int
 	poolSize       int
 	progress       func(Event)
 	sparsifyParams SparsifyParams
@@ -107,21 +105,6 @@ func WithSeed(seed int64) Option {
 // Service registrations reject it outright. Applies to every entry point.
 func WithNetwork(net *Network) Option {
 	return func(c *config) { c.net = net }
-}
-
-// WithTolerance overrides the target accuracy: the LP objective tolerance
-// for flow sessions (default 0.25, which the rounding theory needs — only
-// lower it if you know the rounding margin) and the default ε for
-// Laplacian solves. Applies to NewFlowSolver, NewLPSolver and
-// NewLaplacianSession.
-func WithTolerance(eps float64) Option {
-	return func(c *config) { c.tol = eps }
-}
-
-// WithRetries caps the flow pipeline's perturbation attempts (default 5).
-// Applies to NewFlowSolver.
-func WithRetries(n int) Option {
-	return func(c *config) { c.retries = n }
 }
 
 // WithPoolSize sets how many worker sessions back a FlowSolver (default
@@ -230,10 +213,10 @@ func WithSparsifyParams(par SparsifyParams) Option {
 // Results after recovery are bit-identical to the pre-crash service's.
 //
 // The persisted per-tenant configuration is the resolved serializable
-// subset: backend, seed, tolerance, retries, pool size, cache size and
-// admission limits. Process-local options (WithProgress, WithNetwork,
-// WithSparsifyParams) are not persisted and must be re-supplied per
-// registration after a restart if needed. Applies to OpenService
+// subset: backend, seed, pool size, cache size and admission limits.
+// Process-local options (WithProgress, WithNetwork, WithSparsifyParams)
+// are not persisted and must be re-supplied per registration after a
+// restart if needed. Applies to OpenService
 // (NewService ignores it).
 func WithStore(dir string) Option {
 	return func(c *config) { c.storeDir = dir }

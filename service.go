@@ -203,7 +203,7 @@ func OpenService(opts ...Option) (*Service, error) {
 // tenantOpts is the persisted form of a tenant's resolved configuration:
 // what a restarted process needs to rebuild the tenant bit-identically
 // (process-local options are not persisted). A limits-only record uses
-// just its Limits.
+// just its Limits. Tol and Retries are written as 0 (fixed in the solver).
 func tenantOpts(cfg config) store.TenantOpts {
 	l := cfg.limits
 	tl := store.TenantLimits{
@@ -220,8 +220,6 @@ func tenantOpts(cfg config) store.TenantOpts {
 	return store.TenantOpts{
 		Backend:      cfg.backend,
 		Seed:         cfg.seed,
-		Tol:          cfg.tol,
-		Retries:      cfg.retries,
 		Pool:         cfg.poolSize,
 		CacheSize:    cfg.cacheSize,
 		CacheSizeSet: true,
@@ -233,13 +231,12 @@ func tenantOpts(cfg config) store.TenantOpts {
 // current service defaults: the persisted values were resolved against
 // the defaults of the original Register/Swap. Fields a record marks unset
 // keep their defaults, and a shard count from versions that ran
-// max(pool, shards) workers folds into the pool size.
+// max(pool, shards) workers folds into the pool size. Tol and Retries, from
+// versions that had those options, are ignored.
 func configOf(o store.TenantOpts) config {
 	cfg := config{
 		backend:   o.Backend,
 		seed:      o.Seed,
-		tol:       o.Tol,
-		retries:   o.Retries,
 		poolSize:  max(o.Pool, o.Shards),
 		cacheSize: DefaultCacheSize,
 	}
@@ -814,6 +811,10 @@ func (h *NetworkHandle) Swap(d *Digraph, opts ...Option) error {
 		solver.Close()
 		return fmt.Errorf("bcclap: network %q: %w", h.name, ErrSolverClosed)
 	}
+	// Re-resolve: only a SetLimits can have changed h.cfg since the solver
+	// was built (other mutations fail with ErrNetworkBusy); keep its limits.
+	cfg = h.cfg
+	cfg.apply(opts)
 	if h.svc.log != nil {
 		rec := store.Record{
 			Type: store.RecSwap, Name: h.name, Version: h.version + 1,

@@ -116,8 +116,6 @@ func NewFlowSolver(d *Digraph, opts ...Option) (*FlowSolver, error) {
 func newFlowSolver(d *Digraph, cfg config) (*FlowSolver, error) {
 	fopts := flow.Options{
 		Backend: cfg.backend,
-		Eps:     cfg.tol,
-		Retries: cfg.retries,
 		// The +11 offset fixes the perturbation stream every committed
 		// result was certified under; changing it changes those answers
 		// bit for bit (flow takes the seed by pointer, so every value —
@@ -130,7 +128,7 @@ func newFlowSolver(d *Digraph, cfg config) (*FlowSolver, error) {
 		fopts.Progress = func(attempt int) {
 			prg(Event{Stage: "attempt", Attempt: attempt})
 		}
-		fopts.LP.Progress = func(phase, step int, t float64) {
+		fopts.PathProgress = func(phase, step int, t float64) {
 			prg(Event{Stage: "path-step", Phase: phase, Step: step, T: t})
 		}
 	}

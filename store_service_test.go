@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 )
 
 // twoIslandNetwork builds two disconnected two-path islands in one
@@ -29,74 +30,164 @@ func twoIslandNetwork(t *testing.T) *Digraph {
 	return d
 }
 
-// A data directory written before the shard option was removed must
-// replay unchanged: testdata/walcompat holds a journal from that version
-// (generate.txt has the snippet and the values it reported) with a
-// tenant registered with two shards, a rate limit and its queue disabled
-// and then swapped, and a tenant whose limits were set at runtime. Every
-// tenant must come back at its version, backend, worker count, cache
-// budget and limits, and answer exactly like a fresh solver and like the
-// version that wrote the journal.
+// walCompatTenant is what one tenant of a walcompat fixture must replay
+// as, and the answer the version that wrote the journal gave for
+// (0, n−1).
+type walCompatTenant struct {
+	name        string
+	d           *Digraph
+	version     uint64
+	backend     string
+	pool, cache int
+	limits      Limits
+	value, cost int64
+}
+
+// A data directory written by an older version must replay unchanged.
+// Each fixture under testdata holds such a journal (its generate.txt has
+// the snippet and the values it reported):
+//
+//   - walcompat, written before the shard option was removed: a tenant
+//     registered with two shards, a rate limit and its queue disabled and
+//     then swapped, and a tenant whose limits were set at runtime.
+//   - walcompat-tolerance, written before the tolerance and retry options
+//     were removed: a tenant registered with tolerance 0.1 and one retry,
+//     and a tenant swapped with two retries. Replay maps both onto the
+//     solver's fixed values.
+//
+// Every tenant must come back at its version, backend, worker count,
+// cache budget and limits, and answer exactly like a fresh solver with
+// default options, and in value and cost like the version that wrote the
+// journal.
 func TestWALCompat(t *testing.T) {
-	dir := t.TempDir()
-	wal, err := os.ReadFile(filepath.Join("testdata", "walcompat", "wal.bclog"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "wal.bclog"), wal, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// Service defaults apply to new registrations only, never to replay.
-	svc, err := OpenService(WithStore(dir), WithSeed(99), WithPoolSize(4), WithCacheSize(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-	for _, want := range []struct {
-		name        string
-		d           *Digraph
-		version     uint64
-		backend     string
-		pool, cache int
-		limits      Limits
-		value, cost int64
+	for _, fx := range []struct {
+		dir     string
+		tenants []walCompatTenant
 	}{
-		{"a", testFlowNetwork(5, 63), 2, "dense", 2, DefaultCacheSize,
-			Limits{RatePerSec: 5, Burst: 2, QueueDepth: -1}, 1, 6},
-		{"b", testFlowNetwork(6, 62), 1, "csr-cg", 3, 7,
-			Limits{RatePerSec: 4, MaxInFlight: 2, QueueDepth: -1}, 1, 2},
+		{"walcompat", []walCompatTenant{
+			{"a", testFlowNetwork(5, 63), 2, "dense", 2, DefaultCacheSize,
+				Limits{RatePerSec: 5, Burst: 2, QueueDepth: -1}, 1, 6},
+			{"b", testFlowNetwork(6, 62), 1, "csr-cg", 3, 7,
+				Limits{RatePerSec: 4, MaxInFlight: 2, QueueDepth: -1}, 1, 2},
+		}},
+		{"walcompat-tolerance", []walCompatTenant{
+			{"a", testFlowNetwork(5, 71), 1, "csr-cg", 2, 9,
+				Limits{RatePerSec: 3, Burst: 1}, 4, 15},
+			{"b", testFlowNetwork(6, 73), 2, "dense", 1, DefaultCacheSize,
+				Limits{MaxInFlight: 2}, 7, 32},
+		}},
 	} {
-		h, err := svc.Get(want.name)
-		if err != nil {
+		t.Run(fx.dir, func(t *testing.T) {
+			dir := t.TempDir()
+			wal, err := os.ReadFile(filepath.Join("testdata", fx.dir, "wal.bclog"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, "wal.bclog"), wal, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			// Service defaults apply to new registrations only, never to replay.
+			svc, err := OpenService(WithStore(dir), WithSeed(99), WithPoolSize(4), WithCacheSize(3))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer svc.Close()
+			for _, want := range fx.tenants {
+				checkWALCompatTenant(t, svc, want)
+			}
+		})
+	}
+}
+
+func checkWALCompatTenant(t *testing.T, svc *Service, want walCompatTenant) {
+	t.Helper()
+	h, err := svc.Get(want.name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := h.Stats()
+	if st.Version != want.version || st.Backend != want.backend ||
+		st.PoolSize != want.pool || st.Cache.Capacity != want.cache {
+		t.Fatalf("%s replayed as v%d %s pool %d cache %d, want v%d %s pool %d cache %d",
+			want.name, st.Version, st.Backend, st.PoolSize, st.Cache.Capacity,
+			want.version, want.backend, want.pool, want.cache)
+	}
+	if got := h.Limits(); got != want.limits {
+		t.Fatalf("%s replayed with limits %+v, want %+v", want.name, got, want.limits)
+	}
+	s, tt := 0, want.d.N()-1
+	got, err := h.Solve(context.Background(), s, tt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := solveOnce(want.d, s, tt, WithSeed(5), WithBackend(want.backend))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Value != fresh.Value || got.Cost != fresh.Cost || !reflect.DeepEqual(got.Flows, fresh.Flows) {
+		t.Fatalf("%s: replayed answer (%d, %d, %v) differs from a fresh solve (%d, %d, %v)",
+			want.name, got.Value, got.Cost, got.Flows, fresh.Value, fresh.Cost, fresh.Flows)
+	}
+	if got.Value != want.value || got.Cost != want.cost {
+		t.Fatalf("%s: replayed answer (%d, %d), the writing version answered (%d, %d)",
+			want.name, got.Value, got.Cost, want.value, want.cost)
+	}
+}
+
+// A SetLimits that lands while a Swap builds its solver must survive the
+// swap: the swap carries no limit options, so after each round the
+// tenant's limits are the ones last set, both live and after a durable
+// reopen (the swap's WAL record must carry them too).
+func TestSwapKeepsConcurrentLimits(t *testing.T) {
+	dir := t.TempDir()
+	svc, err := OpenService(WithStore(dir), WithSnapshotEvery(-1), WithSeed(3), WithPoolSize(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Large enough (~5k arcs, cloned once per worker) that building the
+	// swap's solver takes a while; nothing here solves.
+	nets := []*Digraph{testFlowNetwork(120, 81), testFlowNetwork(120, 82)}
+	h, err := svc.Register("t", nets[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last Limits
+	for round := 0; round < 40; round++ {
+		last = Limits{RatePerSec: float64(round + 1), MaxInFlight: round%3 + 1}
+		started := make(chan struct{})
+		swapped := make(chan error, 1)
+		go func() {
+			close(started)
+			swapped <- h.Swap(nets[(round+1)%2])
+		}()
+		// Scan the swap's build window: a growing busy wait after the
+		// swap starts (a sleep overshoots it), so some round lands its
+		// SetLimits mid-build.
+		<-started
+		for spin := time.Now(); time.Since(spin) < time.Duration(round)*5*time.Microsecond; {
+		}
+		if err := h.SetLimits(last); err != nil {
 			t.Fatal(err)
 		}
-		st := h.Stats()
-		if st.Version != want.version || st.Backend != want.backend ||
-			st.PoolSize != want.pool || st.Cache.Capacity != want.cache {
-			t.Fatalf("%s replayed as v%d %s pool %d cache %d, want v%d %s pool %d cache %d",
-				want.name, st.Version, st.Backend, st.PoolSize, st.Cache.Capacity,
-				want.version, want.backend, want.pool, want.cache)
-		}
-		if got := h.Limits(); got != want.limits {
-			t.Fatalf("%s replayed with limits %+v, want %+v", want.name, got, want.limits)
-		}
-		s, tt := 0, want.d.N()-1
-		got, err := h.Solve(context.Background(), s, tt)
-		if err != nil {
+		if err := <-swapped; err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := solveOnce(want.d, s, tt, WithSeed(5), WithBackend(want.backend))
-		if err != nil {
-			t.Fatal(err)
+		if got := h.Limits(); got != last {
+			t.Fatalf("round %d: limits %+v after the swap, want the last set %+v", round, got, last)
 		}
-		if got.Value != fresh.Value || got.Cost != fresh.Cost || !reflect.DeepEqual(got.Flows, fresh.Flows) {
-			t.Fatalf("%s: replayed answer (%d, %d, %v) differs from a fresh solve (%d, %d, %v)",
-				want.name, got.Value, got.Cost, got.Flows, fresh.Value, fresh.Cost, fresh.Flows)
-		}
-		if got.Value != want.value || got.Cost != want.cost {
-			t.Fatalf("%s: replayed answer (%d, %d), the writing version answered (%d, %d)",
-				want.name, got.Value, got.Cost, want.value, want.cost)
-		}
+	}
+	svc.Close()
+	re, err := OpenService(WithStore(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	rh, err := re.Get("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rh.Limits(); got != last {
+		t.Fatalf("reopened with limits %+v, want the last set %+v", got, last)
 	}
 }
 
