@@ -98,7 +98,7 @@ func TestPublicSolveLP(t *testing.T) {
 	}
 }
 
-func TestPublicMinCostMaxFlow(t *testing.T) {
+func TestPublicFlowSolverMatchesBaselines(t *testing.T) {
 	rnd := rand.New(rand.NewSource(6))
 	d := graph.RandomFlowNetwork(6, 0.3, 3, 3, rnd)
 	want, wantCost, _, err := MinCostMaxFlowBaseline(d, 0, d.N()-1)

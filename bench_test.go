@@ -136,7 +136,7 @@ func BenchmarkE5LaplacianSolve(b *testing.B) {
 	b.ResetTimer()
 	var iters, rounds float64
 	for i := 0; i < b.N; i++ {
-		_, st, err := s.Solve(bb, 1e-8)
+		_, st, err := s.SolveCtx(context.Background(), bb, 1e-8)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -225,7 +225,11 @@ func BenchmarkE8LPSolve(b *testing.B) {
 	b.ResetTimer()
 	var steps float64
 	for i := 0; i < b.N; i++ {
-		sol, err := lp.Solve(prob, x0, 0.1, lp.Params{Seed: int64(i + 1)})
+		sess, err := lp.NewSession(prob)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sol, err := sess.Solve(context.Background(), x0, 0.1, lp.Params{Seed: int64(i + 1)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -241,9 +245,11 @@ func BenchmarkE9MinCostFlow(b *testing.B) {
 	d := graph.RandomFlowNetwork(6, 0.3, 3, 3, rnd)
 	b.Run("lp-pipeline", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := flow.MinCostMaxFlow(d, 0, d.N()-1, flow.Options{
-				Seed: flow.SeedOf(int64(i + 1)),
-			}); err != nil {
+			fs, err := flow.NewSolver(d, flow.Options{Seed: flow.SeedOf(int64(i + 1))})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := fs.Solve(context.Background(), flow.Query{S: 0, T: d.N() - 1}, false); err != nil {
 				b.Fatal(err)
 			}
 		}

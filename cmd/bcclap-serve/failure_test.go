@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"bcclap"
@@ -19,25 +20,37 @@ import (
 
 // corruptBackend names a backend that negates every dense AᵀDA solve. The
 // projection then pushes the interior-point iterates off Aᵀx = b, and
-// every perturbation attempt's rounded flow fails the certificate. It is
-// registered only in this test binary, whose tests never list the
-// registry.
-const corruptBackend = "test-corrupt"
+// every perturbation attempt's rounded flow fails the certificate.
+// flakyBackend negates them only while flaky is set, so a test can fail
+// exactly the attempts it chooses. Both are registered only in this test
+// binary, whose tests never list the registry.
+const (
+	corruptBackend = "test-corrupt"
+	flakyBackend   = "test-flaky"
+)
+
+var flaky atomic.Bool
 
 func init() {
-	lp.RegisterBackend(corruptBackend, func(a *linalg.CSR) (lp.ATDASolve, error) {
-		solve, _, err := lp.NewBackendSolverStats("dense", a)
-		if err != nil {
-			return nil, err
-		}
-		return func(ctx context.Context, d, y []float64) ([]float64, int, error) {
-			x, iters, err := solve(ctx, d, y)
-			for i := range x {
-				x[i] = -x[i]
+	negating := func(on func() bool) lp.BackendFactory {
+		return func(a *linalg.CSR) (lp.ATDASolve, error) {
+			solve, _, err := lp.NewBackendSolverStats("dense", a)
+			if err != nil {
+				return nil, err
 			}
-			return x, iters, err
-		}, nil
-	})
+			return func(ctx context.Context, d, y []float64) ([]float64, int, error) {
+				x, iters, err := solve(ctx, d, y)
+				if on() {
+					for i := range x {
+						x[i] = -x[i]
+					}
+				}
+				return x, iters, err
+			}, nil
+		}
+	}
+	lp.RegisterBackend(corruptBackend, negating(func() bool { return true }))
+	lp.RegisterBackend(flakyBackend, negating(flaky.Load))
 }
 
 // Retry exhaustion surfaces as ErrNotCertified through every layer: the
@@ -52,7 +65,7 @@ func TestRetryExhaustionNotCertified(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fs.Solve(ctx, s, tt); !errors.Is(err, flow.ErrNotCertified) {
+	if _, err := fs.Solve(ctx, flow.Query{S: s, T: tt}, false); !errors.Is(err, flow.ErrNotCertified) {
 		t.Fatalf("flow.Solver: got %v, want ErrNotCertified", err)
 	}
 
@@ -89,4 +102,104 @@ func TestRetryExhaustionNotCertified(t *testing.T) {
 	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(er.Error, bcclap.ErrNotCertified.Error()) {
 		t.Fatalf("daemon: status %d, error %q; want 500 naming %q", resp.StatusCode, er.Error, bcclap.ErrNotCertified)
 	}
+}
+
+// sameAsSSP fails the test unless a certified answer matches the SSP
+// baseline's value and cost and took the wanted number of attempts.
+func sameAsSSP(t *testing.T, layer string, d *graph.Digraph, value, cost int64, attempts, wantAttempts int) {
+	t.Helper()
+	wantV, wantC, _, err := flow.MinCostMaxFlowSSP(d, 0, d.N()-1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if value != wantV || cost != wantC || attempts != wantAttempts {
+		t.Fatalf("%s: (value %d, cost %d, %d attempts), want (%d, %d, %d attempts)",
+			layer, value, cost, attempts, wantV, wantC, wantAttempts)
+	}
+}
+
+// A certificate rejection on the first attempt alone is retried under a
+// fresh perturbation, and the second attempt's certified answer is exact,
+// through the flow session, the public FlowSolver and a Service handle.
+func TestSingleCertificateRejection(t *testing.T) {
+	d := graph.RandomFlowNetwork(5, 0.35, 3, 3, rand.New(rand.NewSource(3)))
+	q := flow.Query{S: 0, T: d.N() - 1}
+	ctx := context.Background()
+	defer flaky.Store(false)
+
+	fs, err := flow.NewSolver(d, flow.Options{
+		Backend:  flakyBackend,
+		Progress: func(attempt int) { flaky.Store(attempt == 1) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := fs.Solve(ctx, q, false)
+	if err != nil {
+		t.Fatalf("flow.Solver: %v", err)
+	}
+	sameAsSSP(t, "flow.Solver", d, res.Value, res.Cost, res.Attempts, 2)
+
+	failFirst := bcclap.WithProgress(func(e bcclap.Event) {
+		if e.Stage == "attempt" {
+			flaky.Store(e.Attempt == 1)
+		}
+	})
+	solver, err := bcclap.NewFlowSolver(d, bcclap.WithBackend(flakyBackend), failFirst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer solver.Close()
+	got, err := solver.Solve(ctx, q.S, q.T)
+	if err != nil {
+		t.Fatalf("FlowSolver: %v", err)
+	}
+	sameAsSSP(t, "FlowSolver", d, got.Value, got.Cost, got.Stats.Attempts, 2)
+
+	svc := bcclap.NewService()
+	defer svc.Close()
+	h, err := svc.Register("flaky", d, bcclap.WithBackend(flakyBackend), failFirst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err = h.Solve(ctx, q.S, q.T); err != nil {
+		t.Fatalf("NetworkHandle: %v", err)
+	}
+	sameAsSSP(t, "NetworkHandle", d, got.Value, got.Cost, got.Stats.Attempts, 2)
+}
+
+// A repeat query whose warm start the certificate rejects falls back to
+// the cold loop and still answers exactly: the flag corrupts only the
+// warm polish and is cleared when the first cold attempt begins.
+func TestWarmFallbackToCold(t *testing.T) {
+	d := graph.RandomFlowNetwork(5, 0.35, 3, 3, rand.New(rand.NewSource(3)))
+	s, tt := 0, d.N()-1
+	ctx := context.Background()
+	defer flaky.Store(false)
+
+	svc := bcclap.NewService()
+	defer svc.Close()
+	h, err := svc.Register("fallback", d, bcclap.WithBackend(flakyBackend), bcclap.WithCacheSize(0),
+		bcclap.WithProgress(func(e bcclap.Event) {
+			if e.Stage == "attempt" {
+				flaky.Store(false)
+			}
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := h.Solve(ctx, s, tt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameAsSSP(t, "first query", d, first.Value, first.Cost, first.Stats.Attempts, 1)
+	flaky.Store(true)
+	got, err := h.Solve(ctx, s, tt)
+	if err != nil {
+		t.Fatalf("repeat query: %v", err)
+	}
+	if got.Stats.WarmStarted {
+		t.Fatal("repeat query kept a warm start the corrupted polish produced")
+	}
+	sameAsSSP(t, "repeat query", d, got.Value, got.Cost, got.Stats.Attempts, 1)
 }

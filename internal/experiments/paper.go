@@ -224,7 +224,11 @@ func e8(ctx context.Context, quick bool) ([]Table, error) {
 			}
 		}
 		prob := &lp.Problem{A: linalg.NewCSR(m, n, ts), B: linalg.Ones(n), C: c, L: make([]float64, m), U: linalg.Ones(m)}
-		sol, err := lp.Solve(prob, linalg.Constant(m, 1.0/3), 0.1, lp.Params{Seed: 1})
+		sess, err := lp.NewSession(prob)
+		if err != nil {
+			return nil, err
+		}
+		sol, err := sess.Solve(ctx, linalg.Constant(m, 1.0/3), 0.1, lp.Params{Seed: 1})
 		if err != nil {
 			return nil, err
 		}
@@ -243,7 +247,11 @@ func e9(ctx context.Context, quick bool) ([]Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := flow.MinCostMaxFlowCtx(ctx, d, 0, d.N()-1, flow.Options{Seed: flow.SeedOf(int64(trial + 100))})
+		fs, err := flow.NewSolver(d, flow.Options{Seed: flow.SeedOf(int64(trial + 100))})
+		if err != nil {
+			return nil, err
+		}
+		res, err := fs.Solve(ctx, flow.Query{S: 0, T: d.N() - 1}, false)
 		if err != nil {
 			return nil, err
 		}
@@ -317,10 +325,14 @@ func e15(ctx context.Context, quick bool) ([]Table, error) {
 		}
 		for _, backend := range lp.Backends() {
 			start := time.Now()
-			res, err := flow.MinCostMaxFlowCtx(ctx, d, 0, d.N()-1, flow.Options{
+			fs, err := flow.NewSolver(d, flow.Options{
 				Backend: backend,
 				Seed:    flow.SeedOf(int64(n * 100)),
 			})
+			if err != nil {
+				return nil, fmt.Errorf("backend %s: %w", backend, err)
+			}
+			res, err := fs.Solve(ctx, flow.Query{S: 0, T: d.N() - 1}, false)
 			if err != nil {
 				return nil, fmt.Errorf("backend %s: %w", backend, err)
 			}

@@ -25,7 +25,7 @@ func TestBackendsProduceIdenticalCertifiedFlows(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, backend := range backends {
-			res, err := MinCostMaxFlow(d, 0, d.N()-1, Options{
+			res, err := solveCold(d, 0, d.N()-1, Options{
 				Backend: backend,
 				Seed:    SeedOf(int64(100*trial + 7)),
 			})
@@ -100,7 +100,7 @@ func TestCSRPCGCertifiedFlowsAndReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 		for q := 0; q < 2; q++ {
-			res, err := fs.Solve(t.Context(), s, tt)
+			res, err := fs.Solve(t.Context(), Query{S: s, T: tt}, false)
 			if err != nil {
 				t.Fatalf("%s query %d: %v", name, q, err)
 			}
@@ -172,7 +172,7 @@ func TestConfigureRejectsUnknownBackend(t *testing.T) {
 	if err := form.Configure(""); err != nil {
 		t.Fatalf("empty backend (default) rejected: %v", err)
 	}
-	if _, err := MinCostMaxFlow(d, 0, 3, Options{Backend: "no-such-backend"}); err == nil {
-		t.Fatal("MinCostMaxFlow accepted unknown backend")
+	if _, err := solveCold(d, 0, 3, Options{Backend: "no-such-backend"}); err == nil {
+		t.Fatal("unknown backend accepted by a solve")
 	}
 }

@@ -90,7 +90,7 @@ func TestCertificateDifferentialSSP(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := fs.Solve(t.Context(), s, tt)
+			res, err := fs.Solve(t.Context(), Query{S: s, T: tt}, false)
 			if err != nil {
 				t.Fatalf("m=%d: %v", d.M(), err)
 			}

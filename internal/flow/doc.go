@@ -15,26 +15,28 @@
 //   - an exactness certificate (no augmenting path + no negative residual
 //     cycle) used both by the retry loop and the tests.
 //
-// The serving unit is Solver, a session over one digraph: each queried
-// terminal pair lazily builds — then caches — the Section 5 LP
-// formulation, its CSR constraint matrix, the backend workspaces and the
-// last certified solution (the warm-start state batch queries re-center
-// instead of re-running path following).
+// The serving unit is Solver, a session over one digraph, and its one
+// entry point Solve(ctx, q, warm): each queried terminal pair lazily
+// builds — then caches — the Section 5 LP formulation, its CSR constraint
+// matrix, the backend workspaces and the last certified solution (the
+// warm-start state a warm query re-centers instead of re-running path
+// following).
 //
 // Invariants:
 //
 //   - Determinism: every query draws a fresh perturbation stream from
-//     Options.Seed, so session queries are bit-identical to one-shot
-//     calls and independent of the order in which *other* terminal pairs
-//     are queried. Only the per-pair solve
-//     sequence matters (warm starts), which is what internal/pool's
-//     pair-pinned routing preserves.
+//     Options.Seed, so a cold query is bit-identical to the same query on
+//     a fresh Solver and independent of the order in which *other*
+//     terminal pairs are queried. Only the per-pair solve sequence
+//     matters (warm starts), which is what internal/pool's pair-pinned
+//     routing preserves.
 //   - Exactness: every returned flow passed CertifyOptimal — warm starts
 //     and perturbation shortcuts are certificate-gated, never trusted.
-//   - Confinement: a Solver's solve methods are single-goroutine (the
-//     cached workspaces make the hot path allocation-free); only the
-//     read-only Validate may be called concurrently. Concurrency lives one
-//     layer up, in internal/pool, which gives each worker its own Solver.
+//   - Confinement: a Solver's Solve and ApplyArcDeltas are
+//     single-goroutine (the cached workspaces make the hot path
+//     allocation-free); only the read-only Validate may be called
+//     concurrently. Concurrency lives one layer up, in internal/pool,
+//     which gives each worker its own Solver.
 //   - Cancellation: the solve context is polled once per retry attempt,
 //     per path-following iteration, and every 32 inner CG/Chebyshev
 //     iterations, so cancellation aborts within one outer iteration

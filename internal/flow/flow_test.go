@@ -179,7 +179,7 @@ func TestAssembleATDAIsSDD(t *testing.T) {
 
 func TestMinCostMaxFlowLPPipelineDiamond(t *testing.T) {
 	d := diamond(t)
-	res, err := MinCostMaxFlow(d, 0, 3, Options{Seed: SeedOf(1)})
+	res, err := solveCold(d, 0, 3, Options{Seed: SeedOf(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestMinCostMaxFlowLPPipelineDiamond(t *testing.T) {
 
 func TestMinCostMaxFlowLPPipelineGremban(t *testing.T) {
 	d := diamond(t)
-	res, err := MinCostMaxFlow(d, 0, 3, Options{
+	res, err := solveCold(d, 0, 3, Options{
 		Backend: "gremban",
 		Seed:    SeedOf(2),
 	})
@@ -216,7 +216,7 @@ func TestMinCostMaxFlowMatchesSSPRandom(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := MinCostMaxFlow(d, 0, d.N()-1, Options{Seed: SeedOf(int64(trial + 10))})
+		res, err := solveCold(d, 0, d.N()-1, Options{Seed: SeedOf(int64(trial + 10))})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

@@ -89,8 +89,8 @@ type Result struct {
 	// Flows is the exact integral per-arc flow.
 	Flows []int64
 	// Attempts is the number of fresh perturbations tried (0 for a
-	// successful warm-started batch solve, which reuses the previous
-	// certified perturbation).
+	// successful warm start, which reuses the previous certified
+	// perturbation).
 	Attempts int
 	// LPStats carries the interior-point statistics of the successful
 	// attempt (path steps, centerings, inner CG iterations).
@@ -105,11 +105,11 @@ type Result struct {
 	// terminals (session amortization).
 	ReusedForm bool
 	// WarmStarted reports that the solve skipped path following entirely,
-	// re-centering the previous certified solution at t₂ (batch mode).
+	// re-centering the previous certified solution at t₂ (a warm Solve).
 	WarmStarted bool
 }
 
-// Query is a terminal pair for Solver.SolveBatch.
+// Query is a terminal pair for Solver.Solve.
 type Query struct {
 	S, T int
 }
@@ -129,7 +129,8 @@ type formState struct {
 	warmX, warmW []float64
 	// costsStale marks a form rebuilt by ApplyArcDeltas: warmX was
 	// certified against the pre-patch costs, so the warm path must redraw
-	// the perturbation over the new costs before polishing.
+	// the perturbation over the new costs before polishing (any fresh
+	// perturbation clears it).
 	costsStale bool
 }
 
@@ -137,7 +138,7 @@ type formState struct {
 // (Theorem 1.1 as a service): construction validates the options, and each
 // queried terminal pair lazily builds — then caches — the Section 5 LP
 // formulation, its CSR constraint matrix and the linear-solve backend
-// workspaces, so repeated and batched queries skip everything that is
+// workspaces, so repeated queries skip everything that is
 // query-independent. A Solver is not safe for concurrent use.
 type Solver struct {
 	d       *graph.Digraph
@@ -203,63 +204,27 @@ func (fs *Solver) lpParams(attempt int64) lp.Params {
 	return lp.Params{Seed: attempt, Net: fs.opts.Net, Progress: fs.opts.PathProgress}
 }
 
-// Solve answers one (s, t) query: perturb costs for uniqueness, solve the
-// Section 5 LP with the Lee–Sidford interior-point method, round to
-// integers and certify; on a failed certificate, retry with fresh
-// perturbation randomness, up to 5 attempts (then failing with
-// ErrNotCertified). Results are bit-identical to a one-shot call.
-// ctx cancellation aborts within one path-following iteration with an
-// error satisfying errors.Is(err, ctx.Err()).
-func (fs *Solver) Solve(ctx context.Context, s, t int) (*Result, error) {
-	return fs.solve(ctx, Query{S: s, T: t}, false)
-}
-
 // Validate checks one terminal pair against the session's digraph without
 // doing any solve work, reporting the same ErrBadQuery conditions Solve
-// would. Unlike the solve methods it only reads the immutable digraph, so
-// it is safe to call concurrently with a solve running on this session
-// (the pool layer uses it to pre-validate batches).
+// would. Unlike Solve it only reads the immutable digraph, so it is safe
+// to call concurrently with a solve running on this session (the pool
+// layer uses it to pre-validate batches).
 func (fs *Solver) Validate(q Query) error { return checkST(fs.d, q.S, q.T) }
 
-// SolveWarm answers one query with batch semantics: a repeat of a terminal
-// pair already certified on this session warm-starts from the previous
-// solution (re-centering at t₂ instead of re-running path following),
-// falling back to a cold solve whenever the exactness certificate rejects
-// the shortcut. It is the single-query unit SolveBatch — and the worker
-// sessions of internal/pool — are built from. Like Solve, it must only be
-// called from one goroutine at a time.
-func (fs *Solver) SolveWarm(ctx context.Context, q Query) (*Result, error) {
+// Solve answers one query (ErrBadQuery on malformed terminals): perturb
+// costs for uniqueness, solve the Section 5 LP with the Lee–Sidford
+// interior-point method, round to integers and certify; on a failed
+// certificate, retry with fresh perturbation randomness, up to 5 attempts
+// (then failing with ErrNotCertified). A cold answer is bit-identical to a
+// fresh Solver's. With warm set, a repeat of a pair already certified here
+// first re-centers the previous solution at t₂ instead of re-running path
+// following, and runs cold only if the certificate rejects that shortcut.
+// ctx cancellation aborts within one path-following iteration with an
+// error satisfying errors.Is(err, ctx.Err()).
+func (fs *Solver) Solve(ctx context.Context, q Query, warm bool) (*Result, error) {
 	if err := checkST(fs.d, q.S, q.T); err != nil {
 		return nil, err
 	}
-	return fs.solve(ctx, q, true)
-}
-
-// SolveBatch answers a sequence of queries, validating every terminal pair
-// up front (a malformed query fails the whole batch before any work
-// starts). Repeated terminal pairs are warm-started: the solver re-centers
-// the previous certified solution at the final path parameter instead of
-// re-running path following, falling back to a cold solve whenever the
-// exactness certificate rejects the shortcut — so every returned flow is
-// certified optimal regardless of how it was obtained.
-func (fs *Solver) SolveBatch(ctx context.Context, queries []Query) ([]*Result, error) {
-	for i, q := range queries {
-		if err := checkST(fs.d, q.S, q.T); err != nil {
-			return nil, fmt.Errorf("flow: batch query %d: %w", i, err)
-		}
-	}
-	out := make([]*Result, len(queries))
-	for i, q := range queries {
-		res, err := fs.solve(ctx, q, true)
-		if err != nil {
-			return nil, fmt.Errorf("flow: batch query %d (s=%d, t=%d): %w", i, q.S, q.T, err)
-		}
-		out[i] = res
-	}
-	return out, nil
-}
-
-func (fs *Solver) solve(ctx context.Context, q Query, tryWarm bool) (*Result, error) {
 	start := time.Now()
 	st, err := fs.formFor(q)
 	if err != nil {
@@ -272,7 +237,7 @@ func (fs *Solver) solve(ctx context.Context, q Query, tryWarm bool) (*Result, er
 	reused := st.used
 	st.used = true
 
-	if tryWarm && st.warmX != nil {
+	if warm && st.warmX != nil {
 		// The LP — including its perturbed costs — is unchanged since the
 		// last certified solve of this query: a handful of centerings at t₂
 		// from the previous optimum replaces the whole Õ(√n)-step path
@@ -320,6 +285,7 @@ func (fs *Solver) solve(ctx context.Context, q Query, tryWarm bool) (*Result, er
 			fs.opts.Progress(attempt)
 		}
 		st.form.Perturb(rnd)
+		st.costsStale = false         // fresh costs: no patch redraw pending
 		st.warmX, st.warmW = nil, nil // costs changed; prior optimum is stale
 		sol, err := st.sess.Solve(ctx, st.form.X0, lpEps, fs.lpParams(int64(attempt)))
 		if err != nil {
@@ -355,21 +321,4 @@ func (fs *Solver) newResult(q Query, flows []int64, attempts int, sol *lp.Soluti
 		res.Rounds = fs.opts.Net.Rounds() - startRounds
 	}
 	return res
-}
-
-// MinCostMaxFlow computes an exact minimum-cost maximum s-t flow through
-// the paper's pipeline (Theorem 1.1); see MinCostMaxFlowCtx.
-func MinCostMaxFlow(d *graph.Digraph, s, t int, opts Options) (*Result, error) {
-	return MinCostMaxFlowCtx(context.Background(), d, s, t, opts)
-}
-
-// MinCostMaxFlowCtx is the one-shot form of Solver: it builds a session,
-// answers the single query under ctx and discards the session. Callers
-// with more than one query per digraph should hold a Solver instead.
-func MinCostMaxFlowCtx(ctx context.Context, d *graph.Digraph, s, t int, opts Options) (*Result, error) {
-	fs, err := NewSolver(d, opts)
-	if err != nil {
-		return nil, err
-	}
-	return fs.Solve(ctx, s, t)
 }

@@ -18,15 +18,15 @@ import (
 //
 // The previous certified iterate of each pair is carried into the new form
 // (clamped back into the shrunken box when a capacity decreased) and
-// flagged costs-stale: the next warm-start query re-perturbs the new costs
+// flagged costs-stale: the next warm query re-perturbs the new costs
 // and polishes from the carried basis — a handful of centerings at t₂
 // instead of full path following — falling back to a cold solve whenever
 // the exactness certificate rejects the shortcut. Cold queries are
 // untouched: they behave exactly as on a fresh solver over the patched
 // digraph.
 //
-// Like the solve methods, ApplyArcDeltas must not run concurrently with
-// them; the pool layer serializes it onto each worker's queue. Errors wrap
+// Like Solve, ApplyArcDeltas must not run concurrently with a solve; the
+// pool layer serializes it onto each worker's queue. Errors wrap
 // graph.ErrBadDelta and leave the solver unchanged.
 func (fs *Solver) ApplyArcDeltas(deltas []graph.ArcDelta) error {
 	if len(deltas) == 0 {

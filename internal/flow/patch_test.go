@@ -28,7 +28,7 @@ func TestApplyArcDeltasValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	before, err := fs.Solve(ctx, 0, d.N()-1)
+	before, err := fs.Solve(ctx, Query{S: 0, T: d.N() - 1}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestApplyArcDeltasValidation(t *testing.T) {
 			t.Fatalf("deltas %v: err = %v, want ErrBadDelta", ds, err)
 		}
 	}
-	after, err := fs.Solve(ctx, 0, d.N()-1)
+	after, err := fs.Solve(ctx, Query{S: 0, T: d.N() - 1}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestPatchedSolveMatchesBaseline(t *testing.T) {
 		ctx := context.Background()
 		s, tt := 0, d.N()-1
 		// Solve once pre-patch so the pair holds warm-start state.
-		if _, err := fs.Solve(ctx, s, tt); err != nil {
+		if _, err := fs.Solve(ctx, Query{S: s, T: tt}, false); err != nil {
 			t.Fatalf("seed %d pre-patch: %v", seed, err)
 		}
 		// Build the expected patched graph from a clone first: the solver
@@ -78,7 +78,7 @@ func TestPatchedSolveMatchesBaseline(t *testing.T) {
 		if err := fs.ApplyArcDeltas(ds); err != nil {
 			t.Fatalf("seed %d patch: %v", seed, err)
 		}
-		res, err := fs.SolveWarm(ctx, Query{S: s, T: tt})
+		res, err := fs.Solve(ctx, Query{S: s, T: tt}, true)
 		if err != nil {
 			t.Fatalf("seed %d post-patch: %v", seed, err)
 		}
@@ -120,16 +120,47 @@ func TestPatchedColdSolveEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	got, err := fs.Solve(ctx, 0, d.N()-1) // cold: the pair was never solved
+	got, err := fs.Solve(ctx, Query{S: 0, T: d.N() - 1}, false) // cold: the pair was never solved
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := fresh.Solve(ctx, 0, d.N()-1)
+	want, err := fresh.Solve(ctx, Query{S: 0, T: d.N() - 1}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Value != want.Value || got.Cost != want.Cost {
 		t.Fatalf("patched session (value %d cost %d) diverged from fresh solver (value %d cost %d)",
 			got.Value, got.Cost, want.Value, want.Cost)
+	}
+}
+
+// A cold solve after a patch re-perturbs the costs and stores a freshly
+// certified iterate, so it must clear the patch's costs-stale flag: a warm
+// query after it must not redraw the first perturbation over an iterate
+// certified under a later one.
+func TestColdSolveClearsCostsStale(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		d := graph.RandomFlowNetwork(6, 0.35, 3, 3, rand.New(rand.NewSource(seed)))
+		fs, err := NewSolver(d, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		q := Query{S: 0, T: d.N() - 1}
+		if _, err := fs.Solve(ctx, q, false); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if err := fs.ApplyArcDeltas(patchDeltas(d)); err != nil {
+			t.Fatal(err)
+		}
+		if !fs.forms[q].costsStale {
+			t.Fatalf("seed %d: patch did not flag the certified pair costs-stale", seed)
+		}
+		if _, err := fs.Solve(ctx, q, false); err != nil {
+			t.Fatalf("seed %d post-patch: %v", seed, err)
+		}
+		if fs.forms[q].costsStale {
+			t.Fatalf("seed %d: cold solve left costsStale set", seed)
+		}
 	}
 }

@@ -11,6 +11,15 @@ import (
 	"bcclap/internal/lp"
 )
 
+// solveCold answers one cold query on a fresh Solver over d.
+func solveCold(d *graph.Digraph, s, t int, opts Options) (*Result, error) {
+	fs, err := NewSolver(d, opts)
+	if err != nil {
+		return nil, err
+	}
+	return fs.Solve(context.Background(), Query{S: s, T: t}, false)
+}
+
 // Malformed queries must surface ErrBadQuery at the API boundary, not a
 // panic or an LP-level failure.
 func TestBadQueryValidation(t *testing.T) {
@@ -20,12 +29,12 @@ func TestBadQueryValidation(t *testing.T) {
 		{-1, 2}, {0, d.N()}, {d.N() + 3, 0}, {2, 2},
 	}
 	for _, c := range cases {
-		if _, err := MinCostMaxFlow(d, c.s, c.t, Options{}); !errors.Is(err, ErrBadQuery) {
+		if _, err := solveCold(d, c.s, c.t, Options{}); !errors.Is(err, ErrBadQuery) {
 			t.Fatalf("s=%d t=%d: got %v, want ErrBadQuery", c.s, c.t, err)
 		}
 	}
 	empty := graph.NewDigraph(4) // vertices but no arcs
-	if _, err := MinCostMaxFlow(empty, 0, 1, Options{}); !errors.Is(err, ErrBadQuery) {
+	if _, err := solveCold(empty, 0, 1, Options{}); !errors.Is(err, ErrBadQuery) {
 		t.Fatalf("empty digraph: got %v, want ErrBadQuery", err)
 	}
 	if _, err := NewSolver(graph.NewDigraph(0), Options{}); !errors.Is(err, ErrBadQuery) {
@@ -35,8 +44,8 @@ func TestBadQueryValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fs.SolveBatch(context.Background(), []Query{{S: 0, T: 1}, {S: 3, T: 3}}); !errors.Is(err, ErrBadQuery) {
-		t.Fatalf("batch with bad query: got %v, want ErrBadQuery", err)
+	if _, err := fs.Solve(context.Background(), Query{S: 3, T: 3}, true); !errors.Is(err, ErrBadQuery) {
+		t.Fatalf("warm bad query: got %v, want ErrBadQuery", err)
 	}
 }
 
@@ -51,8 +60,8 @@ func TestSolverUnknownBackendFailsFast(t *testing.T) {
 	}
 }
 
-// N sequential Solve calls on one Solver must produce bit-identical
-// results to N fresh one-shot calls with the same options.
+// N sequential cold Solve calls on one Solver must produce bit-identical
+// results to N solves on fresh Solvers with the same options.
 func TestSolverSessionDeterminism(t *testing.T) {
 	rnd := rand.New(rand.NewSource(3))
 	d := graph.RandomFlowNetwork(5, 0.35, 3, 3, rnd)
@@ -64,13 +73,13 @@ func TestSolverSessionDeterminism(t *testing.T) {
 	ctx := context.Background()
 	const n = 3
 	for i := 0; i < n; i++ {
-		got, err := fs.Solve(ctx, 0, d.N()-1)
+		got, err := fs.Solve(ctx, Query{S: 0, T: d.N() - 1}, false)
 		if err != nil {
 			t.Fatalf("session solve %d: %v", i, err)
 		}
-		want, err := MinCostMaxFlow(d, 0, d.N()-1, opts)
+		want, err := solveCold(d, 0, d.N()-1, opts)
 		if err != nil {
-			t.Fatalf("one-shot solve %d: %v", i, err)
+			t.Fatalf("fresh solve %d: %v", i, err)
 		}
 		if got.Value != want.Value || got.Cost != want.Cost ||
 			got.Attempts != want.Attempts ||
@@ -78,7 +87,7 @@ func TestSolverSessionDeterminism(t *testing.T) {
 			got.LPStats.Centerings != want.LPStats.Centerings ||
 			got.LPStats.CGIterations != want.LPStats.CGIterations ||
 			!reflect.DeepEqual(got.Flows, want.Flows) {
-			t.Fatalf("solve %d diverged from one-shot:\nsession %+v\noneshot %+v", i, got, want)
+			t.Fatalf("solve %d diverged from a fresh solver:\nsession %+v\nfresh   %+v", i, got, want)
 		}
 		if !reflect.DeepEqual(got.LPStats.X, want.LPStats.X) {
 			t.Fatalf("solve %d: LP iterates differ", i)
@@ -89,9 +98,9 @@ func TestSolverSessionDeterminism(t *testing.T) {
 	}
 }
 
-// Batch warm starts must keep every answer certified-exact against the SSP
-// baseline while skipping path following on repeats.
-func TestSolveBatchWarmStart(t *testing.T) {
+// Warm repeats must keep every answer certified-exact against the SSP
+// baseline while skipping path following.
+func TestWarmSolveRepeats(t *testing.T) {
 	rnd := rand.New(rand.NewSource(4))
 	d := graph.RandomFlowNetwork(6, 0.35, 3, 3, rnd)
 	s, tt := 0, d.N()-1
@@ -103,10 +112,11 @@ func TestSolveBatchWarmStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	queries := []Query{{s, tt}, {s, tt}, {s, tt}, {s, tt}}
-	results, err := fs.SolveBatch(context.Background(), queries)
-	if err != nil {
-		t.Fatal(err)
+	results := make([]*Result, 4)
+	for i := range results {
+		if results[i], err = fs.Solve(context.Background(), Query{S: s, T: tt}, true); err != nil {
+			t.Fatal(err)
+		}
 	}
 	warm := 0
 	for i, res := range results {
@@ -144,7 +154,7 @@ func TestSolverCancellationAllBackends(t *testing.T) {
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		if _, err := fs.Solve(ctx, 0, d.N()-1); !errors.Is(err, context.Canceled) {
+		if _, err := fs.Solve(ctx, Query{S: 0, T: d.N() - 1}, false); !errors.Is(err, context.Canceled) {
 			t.Fatalf("%s pre-canceled: got %v", backend, err)
 		}
 		// Mid-solve: cancel after a few path steps via the progress hook.
@@ -160,7 +170,7 @@ func TestSolverCancellationAllBackends(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", backend, err)
 		}
-		if _, err := fs2.Solve(ctx2, 0, d.N()-1); !errors.Is(err, context.Canceled) {
+		if _, err := fs2.Solve(ctx2, Query{S: 0, T: d.N() - 1}, false); !errors.Is(err, context.Canceled) {
 			t.Fatalf("%s mid-solve: got %v", backend, err)
 		}
 		cancel2()

@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -37,7 +38,11 @@ func ShortestPathViaFlow(d *graph.Digraph, s, t int, opts Options) (int64, error
 	if _, err := aug.AddArc(n, s, 1, 0); err != nil {
 		return 0, err
 	}
-	res, err := MinCostMaxFlow(aug, n, t, opts)
+	fs, err := NewSolver(aug, opts)
+	if err != nil {
+		return 0, err
+	}
+	res, err := fs.Solve(context.TODO(), Query{S: n, T: t}, false)
 	if err != nil {
 		return 0, err
 	}

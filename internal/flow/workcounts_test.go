@@ -21,7 +21,7 @@ const workCountsGolden = "workcounts.golden"
 
 // workCounts solves RandomFlowNetwork(n, 0.35, 3, 3) from generator seed
 // seed×31 for (0, n−1) on every backend and perturbation seeds 1 and 2,
-// as a batch of the pair twice: a cold solve, then the warm-started
+// as two warm queries of the pair: a cold solve, then the warm-started
 // repeat. One line per solve.
 func workCounts(t *testing.T) string {
 	var b strings.Builder
@@ -35,12 +35,11 @@ func workCounts(t *testing.T) string {
 			if err != nil {
 				t.Fatal(err)
 			}
-			q := Query{S: 0, T: d.N() - 1}
-			res, err := fs.SolveBatch(context.Background(), []Query{q, q})
-			if err != nil {
-				t.Fatalf("%s n=%d seed=%d: %v", backend, inst.n, inst.seed, err)
-			}
-			for i, r := range res {
+			for i := 0; i < 2; i++ {
+				r, err := fs.Solve(context.Background(), Query{S: 0, T: d.N() - 1}, true)
+				if err != nil {
+					t.Fatalf("%s n=%d seed=%d #%d: %v", backend, inst.n, inst.seed, i, err)
+				}
 				kind := "cold"
 				if r.WarmStarted {
 					kind = "warm"

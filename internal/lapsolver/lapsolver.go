@@ -172,15 +172,10 @@ type Stats struct {
 	ResidualNorm float64
 }
 
-// Solve returns y with ‖x − y‖_{L_G} ≤ ε‖x‖_{L_G} for the (mean-zero)
-// solution x of L_G x = b. It is SolveCtx without cancellation.
-func (s *Solver) Solve(b []float64, eps float64) ([]float64, Stats, error) {
-	return s.SolveCtx(context.Background(), b, eps)
-}
-
-// SolveCtx is Solve under a context: the Chebyshev/CG inner loops poll ctx
-// and return an error satisfying errors.Is(err, ctx.Err()) on cancellation
-// or deadline, leaving the solver reusable for the next instance. b is
+// SolveCtx returns y with ‖x − y‖_{L_G} ≤ ε‖x‖_{L_G} for the (mean-zero)
+// solution x of L_G x = b. The Chebyshev/CG inner loops poll ctx and
+// return an error satisfying errors.Is(err, ctx.Err()) on cancellation or
+// deadline, leaving the solver reusable for the next instance. b is
 // projected orthogonal to the all-ones nullspace first, as in the model
 // every vertex holds one coordinate and the projection is a single
 // aggregate broadcast.

@@ -40,7 +40,7 @@ func TestSolveMeetsEpsilonGuarantee(t *testing.T) {
 		}
 		normX := math.Sqrt(linalg.LaplacianQuadForm(g.WEdges(), want))
 		for _, eps := range []float64{0.5, 1e-2, 1e-6} {
-			got, _, err := s.Solve(b, eps)
+			got, _, err := s.SolveCtx(context.Background(), b, eps)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -58,11 +58,11 @@ func TestIterationsScaleWithLogEps(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := randB(g.N(), rand.New(rand.NewSource(2)))
-	_, st1, err := s.Solve(b, 1e-2)
+	_, st1, err := s.SolveCtx(context.Background(), b, 1e-2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, st2, err := s.Solve(b, 1e-8)
+	_, st2, err := s.SolveCtx(context.Background(), b, 1e-8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestPreprocessingVsPerInstanceRounds(t *testing.T) {
 		t.Fatal("no preprocessing rounds recorded")
 	}
 	b := randB(g.N(), rnd)
-	_, st, err := s.Solve(b, 1e-4)
+	_, st, err := s.SolveCtx(context.Background(), b, 1e-4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,13 +111,13 @@ func TestSolveRejectsBadInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.Solve([]float64{1, 2}, 0.1); err == nil {
+	if _, _, err := s.SolveCtx(context.Background(), []float64{1, 2}, 0.1); err == nil {
 		t.Error("wrong-length b accepted")
 	}
-	if _, _, err := s.Solve(make([]float64, 4), 0.9); err == nil {
+	if _, _, err := s.SolveCtx(context.Background(), make([]float64, 4), 0.9); err == nil {
 		t.Error("eps > 1/2 accepted")
 	}
-	if _, _, err := s.Solve(make([]float64, 4), 0); err == nil {
+	if _, _, err := s.SolveCtx(context.Background(), make([]float64, 4), 0); err == nil {
 		t.Error("eps = 0 accepted")
 	}
 }
@@ -149,7 +149,7 @@ func TestSolverWithExplicitSparsifyParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := s.Solve(b, 1e-6)
+	got, _, err := s.SolveCtx(context.Background(), b, 1e-6)
 	if err != nil {
 		t.Fatal(err)
 	}

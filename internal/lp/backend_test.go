@@ -123,7 +123,7 @@ func TestSolveWithCSRCGBackend(t *testing.T) {
 			U:       linalg.Ones(m),
 			Backend: backend,
 		}
-		sol, err := Solve(prob, linalg.Constant(m, 1.0/3), 0.05, Params{Seed: 1})
+		sol, err := solveFresh(prob, linalg.Constant(m, 1.0/3), 0.05, Params{Seed: 1})
 		if err != nil {
 			t.Fatalf("backend %s: %v", backend, err)
 		}
@@ -138,7 +138,7 @@ func TestSolveWithCSRCGBackend(t *testing.T) {
 		A: linalg.NewCSR(m, nBlocks, ts), B: linalg.Ones(nBlocks), C: c,
 		L: make([]float64, m), U: linalg.Ones(m), Backend: "no-such-backend",
 	}
-	if _, err := Solve(prob, linalg.Constant(m, 1.0/3), 0.05, Params{Seed: 1}); err == nil {
-		t.Fatal("unknown backend accepted by Solve")
+	if _, err := NewSession(prob); err == nil {
+		t.Fatal("unknown backend accepted by NewSession")
 	}
 }

@@ -4,11 +4,11 @@
 // inexact centering steps (Algorithm 11), mixed-norm-ball projections
 // (Lemma 4.10) and the two-phase path-following driver (Algorithms 9–10).
 //
-// The serving unit is Session, which binds one Problem to a linear-solve
-// backend and shared IPM scratch: Solve runs the full two-phase path
-// following, Polish re-centers a prior certified iterate at t₂ (the
-// warm-start shortcut batch flow queries use; its output is only as good
-// as the caller's certificate, by design).
+// The only entry point is Session (NewSession), which binds one Problem
+// to a linear-solve backend and shared IPM scratch: Solve runs the full
+// two-phase path following, Polish re-centers a prior certified iterate
+// at t₂ (the warm-start shortcut warm flow queries use; its output is only
+// as good as the caller's certificate, by design).
 //
 // The per-step normal equations (AᵀDA)x = y go through a pluggable backend
 // registry ("dense", "gremban", "csr-cg", "csr-pcg";
@@ -28,9 +28,10 @@
 //     the hot path allocation-free after the first solve. Concurrent
 //     serving wraps one Session per worker (internal/pool), never a lock
 //     around one Session.
-//   - Determinism: results are bit-identical to one-shot solves — every
-//     scratch buffer is fully overwritten before it is read, and all
-//     randomness (leverage sketching) derives from Params.Seed.
+//   - Determinism: a solve on a reused session is bit-identical to the
+//     same solve on a fresh one — every scratch buffer is fully
+//     overwritten before it is read, and all randomness (leverage
+//     sketching) derives from Params.Seed.
 //   - Cancellation: the path-following loop checks its context every
 //     iteration and the inner CG every 32 iterations; an aborted solve
 //     returns an error satisfying errors.Is(err, ctx.Err()).

@@ -13,8 +13,8 @@ import (
 // backend (with its factorization buffers and CG workspaces) and the IPM
 // centering scratch are built once and shared by every Solve/Polish call,
 // so repeated solves of the same problem shape stop allocating after the
-// first. Results are bit-identical to one-shot SolveCtx calls — every
-// scratch buffer is fully overwritten before it is read.
+// first. Results are bit-identical to a fresh session's — every scratch
+// buffer is fully overwritten before it is read.
 //
 // A Session is not safe for concurrent use; it serves a sequential query
 // stream, matching the model (one network, one round structure).
@@ -151,9 +151,15 @@ func (s *ipm) finish(x, w []float64) *Solution {
 	return &out
 }
 
-// Solve runs the full two-phase path following (Algorithm 9) from the
-// strictly feasible x0, reusing the session's backend and scratch. See
-// SolveCtx for semantics.
+// Solve runs LPSolve (Algorithm 9) from the strictly feasible x0, reusing
+// the session's backend and scratch: center x0 against the artificial
+// cost d = −w·φ′(x0) down to a tiny t₁, then follow the weighted central
+// path for the true cost up to t₂ = 2m/ε. The returned point satisfies
+// Aᵀx = b, l < x < u and (for converged runs) cᵀx ≤ OPT + O(ε).
+//
+// ctx is checked at every outer path step and inside the CG/Chebyshev
+// kernels of the linear-solve backends; on cancellation or deadline the
+// error satisfies errors.Is(err, ctx.Err()).
 func (sess *Session) Solve(ctx context.Context, x0 []float64, eps float64, par Params) (*Solution, error) {
 	if eps <= 0 {
 		return nil, fmt.Errorf("lp: eps must be positive, got %g", eps)

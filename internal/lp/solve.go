@@ -126,28 +126,6 @@ type ipm struct {
 	scr *scratch
 }
 
-// Solve runs LPSolve (Algorithm 9) without cancellation; see SolveCtx.
-func Solve(prob *Problem, x0 []float64, eps float64, par Params) (*Solution, error) {
-	return SolveCtx(context.Background(), prob, x0, eps, par)
-}
-
-// SolveCtx runs LPSolve (Algorithm 9): center x0 against the artificial
-// cost d = −w·φ′(x0) down to a tiny t₁, then follow the weighted central
-// path for the true cost up to t₂ = 2m/ε. The returned point satisfies
-// Aᵀx = b, l < x < u and (for converged runs) cᵀx ≤ OPT + O(ε).
-//
-// ctx is checked at every outer path step and inside the CG/Chebyshev
-// kernels of the linear-solve backends; on cancellation or deadline the
-// error satisfies errors.Is(err, ctx.Err()). One-shot callers pay the
-// backend/scratch construction every call — use a Session to amortize it.
-func SolveCtx(ctx context.Context, prob *Problem, x0 []float64, eps float64, par Params) (*Solution, error) {
-	sess, err := NewSession(prob)
-	if err != nil {
-		return nil, err
-	}
-	return sess.Solve(ctx, x0, eps, par)
-}
-
 // pathFollowing implements Algorithm 10: one centering per multiplicative
 // t-step clamped by median to t_end, then polish with finalCenterings
 // extra centerings at t_end. The context is polled once per outer

@@ -26,10 +26,19 @@ func simplexProblem(c []float64) (*Problem, []float64) {
 	return prob, x0
 }
 
+// solveFresh runs Algorithm 9 on a fresh Session over prob.
+func solveFresh(prob *Problem, x0 []float64, eps float64, par Params) (*Solution, error) {
+	sess, err := NewSession(prob)
+	if err != nil {
+		return nil, err
+	}
+	return sess.Solve(context.Background(), x0, eps, par)
+}
+
 func TestSolveSimplexLP(t *testing.T) {
 	c := []float64{3, 1, 4, 1.5, 5}
 	prob, x0 := simplexProblem(c)
-	sol, err := Solve(prob, x0, 0.05, Params{Seed: 7})
+	sol, err := solveFresh(prob, x0, 0.05, Params{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +68,7 @@ func TestSolveTwoVariableLP(t *testing.T) {
 		L: []float64{0, 0},
 		U: []float64{1, 1},
 	}
-	sol, err := Solve(prob, []float64{0.5, 0.5}, 0.02, Params{Seed: 3})
+	sol, err := solveFresh(prob, []float64{0.5, 0.5}, 0.02, Params{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +87,7 @@ func TestSolveWithOneSidedBounds(t *testing.T) {
 		L: []float64{0.1, 0.1},
 		U: []float64{math.Inf(1), math.Inf(1)},
 	}
-	sol, err := Solve(prob, []float64{1, 1}, 0.02, Params{Seed: 5})
+	sol, err := solveFresh(prob, []float64{1, 1}, 0.02, Params{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,17 +98,22 @@ func TestSolveWithOneSidedBounds(t *testing.T) {
 
 func TestSolveRejectsBadInput(t *testing.T) {
 	prob, x0 := simplexProblem([]float64{1, 2, 3})
-	if _, err := Solve(prob, x0, 0, Params{}); err == nil {
+	sess, err := NewSession(prob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := sess.Solve(ctx, x0, 0, Params{}); err == nil {
 		t.Error("eps = 0 accepted")
 	}
-	if _, err := Solve(prob, []float64{1, 0, 0}, 0.1, Params{}); err == nil {
+	if _, err := sess.Solve(ctx, []float64{1, 0, 0}, 0.1, Params{}); err == nil {
 		t.Error("boundary x0 accepted")
 	}
 	bad := linalg.Constant(3, 0.5) // violates Σx = 1
-	if _, err := Solve(prob, bad, 0.1, Params{}); err == nil {
+	if _, err := sess.Solve(ctx, bad, 0.1, Params{}); err == nil {
 		t.Error("infeasible x0 accepted")
 	}
-	if _, err := Solve(prob, []float64{0.3, 0.3}, 0.1, Params{}); err == nil {
+	if _, err := sess.Solve(ctx, []float64{0.3, 0.3}, 0.1, Params{}); err == nil {
 		t.Error("wrong-length x0 accepted")
 	}
 }
@@ -125,7 +139,7 @@ func TestPathStepsScaleWithSqrtN(t *testing.T) {
 			}
 		}
 		prob := &Problem{A: linalg.NewCSR(m, n, ts), B: b, C: c, L: l, U: u}
-		sol, err := Solve(prob, x0, 0.1, Params{Seed: 11})
+		sol, err := solveFresh(prob, x0, 0.1, Params{Seed: 11})
 		if err != nil {
 			t.Fatal(err)
 		}

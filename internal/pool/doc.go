@@ -17,8 +17,9 @@
 //     the solve path takes no locks and the -race detector has nothing to
 //     find;
 //   - per-pair execution order equals submission order, which preserves
-//     the warm-start semantics of the sequential SolveBatch — pooled
-//     batches return bit-identical certified results.
+//     the warm-start semantics of warm Solve calls made in the same order
+//     on one session — pooled batches return bit-identical certified
+//     results.
 //
 // Invariants:
 //
@@ -26,8 +27,9 @@
 //     hash seeding), and every worker session is constructed with the same
 //     options, so a replayed query stream produces bit-identical results
 //     at any worker count, matching the sequential session path.
-//   - Confinement: Session.Solve/SolveWarm are only ever invoked from the
-//     owning worker goroutine; only Validate (read-only) crosses workers.
+//   - Confinement: Session.Solve and Session.ApplyArcDeltas are only ever
+//     invoked from the owning worker goroutine; only Validate (read-only)
+//     crosses workers.
 //   - Cancellation: a solve runs under the submitter's context and is
 //     additionally canceled by an aborting shutdown; the solver polls its
 //     context every few iterations, so Close interrupts within one

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"bcclap/internal/flow"
 )
 
 // Patch must run the apply function exactly once on every worker session,
@@ -78,7 +80,7 @@ func TestPatchOrdersAgainstQueries(t *testing.T) {
 		pre.Add(1)
 		go func(i int) {
 			defer pre.Done()
-			if _, err := p.Solve(context.Background(), i%4, 5+i%3); err != nil {
+			if _, err := p.Solve(context.Background(), flow.Query{S: i % 4, T: 5 + i%3}, false); err != nil {
 				t.Error(err)
 			}
 		}(i)
@@ -144,7 +146,7 @@ func TestPatchErrorPropagation(t *testing.T) {
 	}
 	// One solve still works: the sessions stay serviceable after an apply
 	// error.
-	if _, err := p.Solve(context.Background(), 0, 5); err != nil {
+	if _, err := p.Solve(context.Background(), flow.Query{S: 0, T: 5}, false); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"bcclap/internal/flow"
+	"bcclap/internal/graph"
 )
 
 // ErrClosed marks a query submitted after Close or Drain has begun, or a
@@ -18,14 +19,15 @@ var ErrClosed = errors.New("pool: closed")
 // *flow.Solver implements it; tests substitute instrumented fakes.
 type Session interface {
 	// Validate reports whether q is well-formed without doing solve work.
-	// It must be safe for concurrent use (read-only), unlike the solve
-	// methods, which the pool confines to the owning worker goroutine.
+	// It must be safe for concurrent use (read-only); the pool confines
+	// the other methods to the owning worker goroutine.
 	Validate(q flow.Query) error
-	// Solve answers one query with one-shot semantics (no warm start).
-	Solve(ctx context.Context, s, t int) (*flow.Result, error)
-	// SolveWarm answers one query with batch semantics: a repeated
-	// terminal pair warm-starts from the previous certified solve.
-	SolveWarm(ctx context.Context, q flow.Query) (*flow.Result, error)
+	// Solve answers one query; with warm set, a repeated terminal pair
+	// warm-starts from the previous certified solve.
+	Solve(ctx context.Context, q flow.Query, warm bool) (*flow.Result, error)
+	// ApplyArcDeltas folds an arc capacity/cost patch into the session
+	// (Patch broadcasts it to every worker).
+	ApplyArcDeltas(deltas []graph.ArcDelta) error
 }
 
 var _ Session = (*flow.Solver)(nil)
@@ -194,12 +196,12 @@ func (p *Pool) submit(t *task) error {
 	return nil
 }
 
-// Solve answers one (s, t) query with one-shot (cold) semantics on the
+// Solve answers one query, warm or cold (see flow.Solver.Solve), on the
 // pair's pinned worker session. If ctx expires while the query is still
 // queued or running, Solve returns ctx.Err() immediately; the worker fails
 // the abandoned task promptly when it reaches it.
-func (p *Pool) Solve(ctx context.Context, s, t int) (*flow.Result, error) {
-	tk := &task{ctx: ctx, q: flow.Query{S: s, T: t}, done: make(chan struct{})}
+func (p *Pool) Solve(ctx context.Context, q flow.Query, warm bool) (*flow.Result, error) {
+	tk := &task{ctx: ctx, q: q, warm: warm, done: make(chan struct{})}
 	if err := p.submit(tk); err != nil {
 		return nil, err
 	}
@@ -211,31 +213,14 @@ func (p *Pool) Solve(ctx context.Context, s, t int) (*flow.Result, error) {
 	}
 }
 
-// SolveWarm answers one (s, t) query with batch (warm-start) semantics on
-// the pair's pinned worker session: a repeat of an already-answered pair
-// re-centers the previous certified solution instead of re-running path
-// following. Ordering and cancellation behave exactly like Solve.
-func (p *Pool) SolveWarm(ctx context.Context, s, t int) (*flow.Result, error) {
-	tk := &task{ctx: ctx, q: flow.Query{S: s, T: t}, warm: true, done: make(chan struct{})}
-	if err := p.submit(tk); err != nil {
-		return nil, err
-	}
-	select {
-	case <-tk.done:
-		return tk.res, tk.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
-// SolveBatch fans queries out across the pool with batch (warm-start)
-// semantics and bounded concurrency — at most Workers() solves run at
-// once. Every terminal pair is validated before any work starts, matching
-// the sequential session contract. Because submission order is batch order
-// and a pair always lands on the same worker queue, per-pair solve order
-// equals the sequential path's — which is what keeps warm starts, and
-// their bit-identical results, intact under fan-out. The first failing
-// query cancels the rest of the batch and is returned.
+// SolveBatch fans warm queries out across the pool with bounded
+// concurrency — at most Workers() solves run at once. Every terminal pair
+// is validated before any work starts, so a malformed pair fails the whole
+// batch. Because submission order is batch order and a pair always lands
+// on the same worker queue, per-pair solve order equals that of warm
+// Solve calls made in batch order on one session — which is what keeps
+// warm starts, and their bit-identical results, intact under fan-out. The
+// first failing query cancels the rest of the batch and is returned.
 func (p *Pool) SolveBatch(ctx context.Context, queries []flow.Query) ([]*flow.Result, error) {
 	if len(queries) == 0 {
 		return nil, nil
@@ -514,11 +499,7 @@ func (w *worker) run(t *task) {
 		case <-watchDone:
 		}
 	}()
-	if t.warm {
-		t.res, t.err = w.sess.SolveWarm(ctx, t.q)
-	} else {
-		t.res, t.err = w.sess.Solve(ctx, t.q.S, t.q.T)
-	}
+	t.res, t.err = w.sess.Solve(ctx, t.q, t.warm)
 	close(watchDone)
 	cancel()
 	finish()

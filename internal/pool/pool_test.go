@@ -40,15 +40,9 @@ func (f *fakeSession) Validate(q flow.Query) error {
 	return nil
 }
 
-func (f *fakeSession) Solve(ctx context.Context, s, t int) (*flow.Result, error) {
-	return f.solve(ctx, flow.Query{S: s, T: t}, false)
-}
+func (f *fakeSession) ApplyArcDeltas([]graph.ArcDelta) error { return nil }
 
-func (f *fakeSession) SolveWarm(ctx context.Context, q flow.Query) (*flow.Result, error) {
-	return f.solve(ctx, q, true)
-}
-
-func (f *fakeSession) solve(ctx context.Context, q flow.Query, warm bool) (*flow.Result, error) {
+func (f *fakeSession) Solve(ctx context.Context, q flow.Query, warm bool) (*flow.Result, error) {
 	if !f.busy.CompareAndSwap(0, 1) {
 		f.t.Error("two goroutines entered one session concurrently")
 	}
@@ -209,7 +203,7 @@ func TestPoolConcurrentHammer(t *testing.T) {
 				if s == tt {
 					tt = (tt + 1) % 16
 				}
-				res, err := p.Solve(context.Background(), s, tt)
+				res, err := p.Solve(context.Background(), flow.Query{S: s, T: tt}, false)
 				if err != nil {
 					t.Errorf("goroutine %d: %v", g, err)
 					return
@@ -268,7 +262,7 @@ func TestPoolDrainGraceful(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = p.Solve(context.Background(), 0, 1+i%3)
+			_, errs[i] = p.Solve(context.Background(), flow.Query{S: 0, T: 1 + i%3}, false)
 		}(i)
 	}
 	time.Sleep(5 * time.Millisecond) // let the queues fill
@@ -281,7 +275,7 @@ func TestPoolDrainGraceful(t *testing.T) {
 			t.Fatalf("query %d failed during graceful drain: %v", i, err)
 		}
 	}
-	if _, err := p.Solve(context.Background(), 0, 1); !errors.Is(err, ErrClosed) {
+	if _, err := p.Solve(context.Background(), flow.Query{S: 0, T: 1}, false); !errors.Is(err, ErrClosed) {
 		t.Fatalf("post-drain solve: got %v, want ErrClosed", err)
 	}
 	if _, err := p.SolveBatch(context.Background(), []flow.Query{{S: 0, T: 1}}); !errors.Is(err, ErrClosed) {
@@ -300,7 +294,7 @@ func TestPoolDrainCancellation(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = p.Solve(context.Background(), 0, 1)
+			_, errs[i] = p.Solve(context.Background(), flow.Query{S: 0, T: 1}, false)
 		}(i)
 	}
 	time.Sleep(10 * time.Millisecond) // first task running, rest queued
@@ -418,7 +412,7 @@ func TestPoolClose(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = p.Solve(context.Background(), 0, 1)
+			_, errs[i] = p.Solve(context.Background(), flow.Query{S: 0, T: 1}, false)
 		}(i)
 	}
 	time.Sleep(10 * time.Millisecond)
@@ -439,12 +433,12 @@ func TestPoolClose(t *testing.T) {
 // promptly instead of waiting behind the rest of the queue.
 func TestPoolSolveCallerCancellation(t *testing.T) {
 	p := fakePool(t, 1, 50*time.Millisecond)
-	go p.Solve(context.Background(), 0, 1) // occupy the only worker
+	go p.Solve(context.Background(), flow.Query{S: 0, T: 1}, false) // occupy the only worker
 	time.Sleep(10 * time.Millisecond)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := p.Solve(ctx, 0, 2)
+	_, err := p.Solve(ctx, flow.Query{S: 0, T: 2}, false)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("got %v, want DeadlineExceeded", err)
 	}
@@ -478,9 +472,11 @@ func TestPoolRealFlowBatchBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := seq.SolveBatch(context.Background(), queries)
-	if err != nil {
-		t.Fatal(err)
+	want := make([]*flow.Result, len(queries))
+	for i, q := range queries {
+		if want[i], err = seq.Solve(context.Background(), q, true); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	p, err := New(Config{

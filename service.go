@@ -703,7 +703,7 @@ func (h *NetworkHandle) Solve(ctx context.Context, s, t int) (*FlowResult, error
 			}
 			return out, nil
 		}
-		res, err := solver.solveWarm(ctx, s, t)
+		res, err := solver.solve(ctx, s, t, true)
 		if errors.Is(err, ErrSolverClosed) && h.swappedSince(ver) {
 			continue
 		}

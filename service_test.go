@@ -315,6 +315,11 @@ func TestServiceCacheDisabled(t *testing.T) {
 	if second.Stats.CacheHit {
 		t.Fatal("disabled cache served a hit")
 	}
+	// A miss runs warm: the repeat re-centers the first solve's optimum.
+	if !second.Stats.WarmStarted || second.Stats.PathSteps != 0 {
+		t.Fatalf("uncached repeat did not warm-start: WarmStarted %v, %d path steps",
+			second.Stats.WarmStarted, second.Stats.PathSteps)
+	}
 	if second.Value != first.Value || second.Cost != first.Cost ||
 		!reflect.DeepEqual(second.Flows, first.Flows) {
 		t.Fatal("repeated uncached solves not deterministic")

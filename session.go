@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"bcclap/internal/flow"
-	"bcclap/internal/graph"
 	"bcclap/internal/lapsolver"
 	"bcclap/internal/lp"
 	"bcclap/internal/pool"
@@ -170,7 +169,14 @@ func newFlowSolver(d *Digraph, cfg config) (*FlowSolver, error) {
 // errors.Is(err, ctx.Err()). Solve calls are deterministic: they produce
 // bit-identical results to a fresh session with the same seed.
 func (fs *FlowSolver) Solve(ctx context.Context, s, t int) (*FlowResult, error) {
-	res, err := fs.pool.Solve(ctx, s, t)
+	return fs.solve(ctx, s, t, false)
+}
+
+// solve answers one query on the pair's pinned worker, warm or cold (see
+// flow.Solver.Solve). Service cache misses run warm, so a resolve after
+// PatchArcs re-centers the pre-patch optimum.
+func (fs *FlowSolver) solve(ctx context.Context, s, t int, warm bool) (*FlowResult, error) {
+	res, err := fs.pool.Solve(ctx, flow.Query{S: s, T: t}, warm)
 	if err != nil {
 		return nil, err
 	}
@@ -205,21 +211,6 @@ func (fs *FlowSolver) SolveBatch(ctx context.Context, queries []FlowQuery) ([]*F
 	return out, nil
 }
 
-// solveWarm answers one query with batch (warm-start) semantics: a repeat
-// of a terminal pair this solver has already answered re-centers the
-// previous certified solution instead of re-running path following,
-// falling back to a cold solve whenever the exactness certificate rejects
-// the shortcut. First queries of a pair behave exactly like Solve. The
-// service layer routes single queries here so that resolves after
-// PatchArcs warm-start from the pre-patch optimum.
-func (fs *FlowSolver) solveWarm(ctx context.Context, s, t int) (*FlowResult, error) {
-	res, err := fs.pool.SolveWarm(ctx, s, t)
-	if err != nil {
-		return nil, err
-	}
-	return fs.newResult(res), nil
-}
-
 // PatchArcs applies an all-or-nothing set of arc capacity/cost deltas to
 // every worker session, without rebuilding the solver: the LP constraint
 // structure (which depends only on topology) and the linear-solve backend
@@ -251,15 +242,7 @@ func (fs *FlowSolver) patchAsync(deltas []ArcDelta) (func() error, error) {
 	// Clone: the enqueued closure outlives this call, and callers may
 	// reuse or mutate their slice as soon as we return.
 	ds := append([]ArcDelta(nil), deltas...)
-	wait, err := fs.pool.Patch(func(s pool.Session) error {
-		ps, ok := s.(interface {
-			ApplyArcDeltas([]graph.ArcDelta) error
-		})
-		if !ok {
-			return fmt.Errorf("bcclap: pool session %T does not support arc patches", s)
-		}
-		return ps.ApplyArcDeltas(ds)
-	})
+	wait, err := fs.pool.Patch(func(s pool.Session) error { return s.ApplyArcDeltas(ds) })
 	if err != nil {
 		if errors.Is(err, pool.ErrClosed) {
 			return nil, fmt.Errorf("bcclap: %w", ErrSolverClosed)

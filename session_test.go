@@ -80,8 +80,9 @@ func TestFlowSolverCancellationAllBackends(t *testing.T) {
 	}
 }
 
-// Session solves must reproduce a bare one-shot flow.Solver bit for bit,
-// call after call: the pool in front of it changes no answer.
+// Session solves must reproduce a fresh bare flow.Solver bit for bit,
+// call after call: the pool in front of it changes no answer, and a
+// repeat Solve runs cold.
 func TestFlowSolverMatchesOneShot(t *testing.T) {
 	d := testFlowNetwork(5, 32)
 	const seed = 6
@@ -95,17 +96,20 @@ func TestFlowSolverMatchesOneShot(t *testing.T) {
 		if err != nil {
 			t.Fatalf("session solve %d: %v", i, err)
 		}
-		want, err := bareSolver(t, d, seed, nil).Solve(context.Background(), 0, d.N()-1)
+		want, err := bareSolver(t, d, seed, nil).Solve(context.Background(), flow.Query{S: 0, T: d.N() - 1}, false)
 		if err != nil {
-			t.Fatalf("one-shot %d: %v", i, err)
+			t.Fatalf("bare solve %d: %v", i, err)
 		}
 		if got.Value != want.Value || got.Cost != want.Cost ||
 			got.Stats.PathSteps != want.LPStats.PathSteps || !reflect.DeepEqual(got.Flows, want.Flows) {
-			t.Fatalf("solve %d diverged: session (%d, %d, %d steps) vs one-shot (%d, %d, %d steps)",
+			t.Fatalf("solve %d diverged: session (%d, %d, %d steps) vs bare (%d, %d, %d steps)",
 				i, got.Value, got.Cost, got.Stats.PathSteps, want.Value, want.Cost, want.LPStats.PathSteps)
 		}
 		if i > 0 && !got.Stats.ReusedPreprocessing {
 			t.Fatal("repeat query did not reuse preprocessing")
+		}
+		if i > 0 && (got.Stats.WarmStarted || got.Stats.Attempts < 1) {
+			t.Fatalf("repeat Solve did not run cold: WarmStarted %v, Attempts %d", got.Stats.WarmStarted, got.Stats.Attempts)
 		}
 		if got.Stats.WallTime <= 0 {
 			t.Fatal("no wall time recorded")
@@ -314,13 +318,13 @@ func TestFlowSolverPooled(t *testing.T) {
 	d := testFlowNetwork(5, 36)
 	s, tt := 0, d.N()-1
 	queries := []FlowQuery{{s, tt}, {s, tt}, {s, tt}, {s, tt}}
-	qs := make([]flow.Query, len(queries))
+	bare := bareSolver(t, d, 6, nil)
+	want := make([]*flow.Result, len(queries))
 	for i, q := range queries {
-		qs[i] = flow.Query{S: q.S, T: q.T}
-	}
-	want, err := bareSolver(t, d, 6, nil).SolveBatch(context.Background(), qs)
-	if err != nil {
-		t.Fatal(err)
+		var err error
+		if want[i], err = bare.Solve(context.Background(), flow.Query{S: q.S, T: q.T}, true); err != nil {
+			t.Fatal(err)
+		}
 	}
 	sameAsBare := func(t *testing.T, got []*FlowResult) {
 		t.Helper()
@@ -425,7 +429,7 @@ func TestFlowSolverSizeOneContract(t *testing.T) {
 		}
 		return net
 	}
-	want, err := bareSolver(t, d, 8, newNet()).Solve(context.Background(), s, tt)
+	want, err := bareSolver(t, d, 8, newNet()).Solve(context.Background(), flow.Query{S: s, T: tt}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
