@@ -276,8 +276,9 @@ func BenchmarkE10Gremban(b *testing.B) {
 		y[i] = rnd.NormFloat64()
 	}
 	b.Run("gremban-cg", func(b *testing.B) {
+		var sdd lapsolver.SDDSolver
 		for i := 0; i < b.N; i++ {
-			if _, _, err := lapsolver.SDDSolve(context.Background(), m, y, lapsolver.CGLapSolve); err != nil {
+			if _, _, err := sdd.Solve(context.Background(), m, y); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -267,6 +267,7 @@ func e9(ctx context.Context, quick bool) ([]Table, error) {
 // Laplacian reduction agree with a dense solve.
 func e10(ctx context.Context, quick bool) ([]Table, error) {
 	t := newTable("", "n|relative error vs dense")
+	var sdd lapsolver.SDDSolver
 	for _, n := range pick(quick, []int{8, 16, 32}, []int{8, 16}) {
 		rnd := rand.New(rand.NewSource(int64(n)))
 		m := graph.RandomConnected(n, 0.4, 3, rnd).Laplacian().Dense()
@@ -281,7 +282,7 @@ func e10(ctx context.Context, quick bool) ([]Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		got, _, err := lapsolver.SDDSolve(ctx, m, y, lapsolver.CGLapSolve)
+		got, _, err := sdd.Solve(ctx, m, y)
 		if err != nil {
 			return nil, err
 		}

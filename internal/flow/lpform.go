@@ -230,11 +230,11 @@ func (f *LPForm) Configure(backend string) error {
 	}
 	if backend == "gremban" {
 		gram := linalg.NewDense(f.NPrime, f.NPrime)
-		lapSolve := lapsolver.NewCGLapSolver()
+		var sdd lapsolver.SDDSolver
 		f.Prob.Backend = ""
 		f.Prob.Solve = func(ctx context.Context, dvec, y []float64) ([]float64, int, error) {
 			f.assembleATDAInto(dvec, gram)
-			return lapsolver.SDDSolve(ctx, gram, y, lapSolve)
+			return sdd.Solve(ctx, gram, y)
 		}
 		return nil
 	}

@@ -31,17 +31,6 @@ func New(n int) *Graph {
 	return &Graph{n: n, adj: make([][]int, n)}
 }
 
-// FromEdges builds a graph on n vertices from an edge list.
-func FromEdges(n int, edges []Edge) (*Graph, error) {
-	g := New(n)
-	for _, e := range edges {
-		if _, err := g.AddEdge(e.U, e.V, e.W); err != nil {
-			return nil, err
-		}
-	}
-	return g, nil
-}
-
 // AddEdge appends the undirected edge (u, v, w) and returns its index.
 func (g *Graph) AddEdge(u, v int, w float64) (int, error) {
 	if u < 0 || u >= g.n || v < 0 || v >= g.n {
@@ -158,11 +147,6 @@ func (g *Graph) WEdges() []linalg.WEdge {
 // Laplacian assembles the graph Laplacian as a CSR matrix.
 func (g *Graph) Laplacian() *linalg.CSR {
 	return linalg.LaplacianCSR(g.n, g.WEdges())
-}
-
-// Incidence assembles the m×n edge-vertex incidence matrix.
-func (g *Graph) Incidence() *linalg.CSR {
-	return linalg.IncidenceCSR(g.n, g.WEdges())
 }
 
 // Neighbors returns the distinct neighbor vertices of v in ascending order.

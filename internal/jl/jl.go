@@ -151,10 +151,6 @@ type KaneNelson struct {
 
 var _ Sketch = (*KaneNelson)(nil)
 
-// SeedBits returns the number of random bits a NewKaneNelson(k, m) sketch
-// consumes: Θ(s·log m) = O(log(1/δ)·log m) as in Theorem 4.4.
-func SeedBits(s int) int { return s * 2 * 4 * 61 }
-
 // NewKaneNelson builds the sketch from a seed. The seed models the
 // O(log²m) shared random bits broadcast by the leader in Algorithm 6: all
 // vertices expand the same seed into the same Q. s (non-zeros per column)

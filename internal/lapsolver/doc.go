@@ -7,9 +7,12 @@
 //     (Theorem 2.3 / Corollary 2.4) in O(log(1/ε)) iterations, each
 //     costing one distributed multiplication by L_G plus a free internal
 //     solve in L_H.
-//   - SDDSolve: the Gremban reduction from symmetric diagonally dominant
+//   - SDDSolver: the Gremban reduction from symmetric diagonally dominant
 //     systems to a Laplacian system on twice as many vertices (Lemma 5.1),
-//     which the min-cost-flow LP needs for its AᵀDA solves.
+//     which the min-cost-flow LP needs for its AᵀDA solves. One reusable
+//     value owns its workspace and solves the reduction by
+//     Jacobi-preconditioned CG under linalg.InexactCGTo, the policy the
+//     matrix-free AᵀDA backends share.
 //
 // Invariants:
 //

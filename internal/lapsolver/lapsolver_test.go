@@ -192,6 +192,7 @@ func TestGrembanRejectsNonSDD(t *testing.T) {
 
 func TestSDDSolveMatchesDense(t *testing.T) {
 	rnd := rand.New(rand.NewSource(12))
+	var sdd SDDSolver // one value across trials of different sizes
 	for trial := 0; trial < 8; trial++ {
 		n := 3 + rnd.Intn(8)
 		// Random SDD: Laplacian of a random connected graph + positive diag.
@@ -205,7 +206,7 @@ func TestSDDSolveMatchesDense(t *testing.T) {
 			want[i] = rnd.NormFloat64()
 		}
 		y := m.MulVec(want)
-		got, _, err := SDDSolve(context.Background(), m, y, CGLapSolve)
+		got, _, err := sdd.Solve(context.Background(), m, y)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -63,18 +63,22 @@ func GrembanLaplacian(m *linalg.Dense) ([]linalg.WEdge, error) {
 	return edges, nil
 }
 
-// LapSolveFunc solves a Laplacian system over an explicit edge list; it
-// reports the inner iteration count so callers can aggregate per-solve
-// statistics, and honors ctx for cancellation.
-type LapSolveFunc func(ctx context.Context, edges []linalg.WEdge, nn int, b []float64) ([]float64, int, error)
+// SDDSolver solves M x = y for symmetric diagonally dominant M via the
+// Gremban reduction: it builds the 2n-vertex Laplacian of GrembanLaplacian
+// and solves L[x₁;x₂] = [y;−y] by Jacobi-preconditioned CG on the
+// ones-projected operator, under linalg.InexactCGTo's policy (the IPM only
+// needs poly(1/m) precision per the paper). In the BCC the doubled network
+// is simulated by letting vertex i play both virtual vertices i and i+n,
+// doubling the round count. The zero value is ready to use; it owns the
+// workspace its solves reuse, so it is not safe for concurrent use (one
+// value per sequential solve stream).
+type SDDSolver struct {
+	ws linalg.Workspace
+}
 
-// SDDSolve solves M x = y via the Gremban reduction, delegating the
-// 2n-vertex Laplacian solve to lapSolve (for example CG, or the full
-// Theorem 1.3 BCC solver — the paper simulates the doubled network by
-// letting vertex i play both virtual vertices i and i+n, doubling the round
-// count). The int return is the inner iteration count of the delegated
-// solve.
-func SDDSolve(ctx context.Context, m *linalg.Dense, y []float64, lapSolve LapSolveFunc) ([]float64, int, error) {
+// Solve returns x with M x = y and the CG iteration count of the Laplacian
+// solve. It honors ctx for cancellation.
+func (s *SDDSolver) Solve(ctx context.Context, m *linalg.Dense, y []float64) ([]float64, int, error) {
 	n := m.Rows()
 	if len(y) != n {
 		return nil, 0, linalg.ErrDimension
@@ -83,90 +87,48 @@ func SDDSolve(ctx context.Context, m *linalg.Dense, y []float64, lapSolve LapSol
 	if err != nil {
 		return nil, 0, err
 	}
-	b := make([]float64, 2*n)
+	ws := &s.ws
+	nn := 2 * n
+	diag := ws.Get(nn)
+	b := ws.Get(nn)
+	x := ws.Get(nn)
+	defer func() {
+		ws.Put(diag)
+		ws.Put(b)
+		ws.Put(x)
+	}()
+	for i := range diag {
+		diag[i] = 0
+	}
+	for _, e := range edges {
+		diag[e.U] += e.W
+		diag[e.V] += e.W
+	}
+	for i, v := range diag {
+		if v <= 0 {
+			diag[i] = 1
+		}
+	}
 	for i := 0; i < n; i++ {
 		b[i] = y[i]
 		b[i+n] = -y[i]
 	}
-	sol, iters, err := lapSolve(ctx, edges, 2*n, b)
+	linalg.ProjectOutOnesInPlace(b)
+	op := linalg.ProjectedOp{A: linalg.LaplacianOp{N: nn, Edges: edges}, WS: ws}
+	precondTo := func(dst, r []float64) {
+		for i := range r {
+			dst[i] = r[i] / diag[i]
+		}
+		linalg.ProjectOutOnesInPlace(dst)
+	}
+	iters, err := linalg.InexactCGTo(ctx, x, op, b, precondTo, ws)
 	if err != nil {
 		return nil, iters, err
 	}
-	x := make([]float64, n)
-	for i := 0; i < n; i++ {
-		x[i] = (sol[i] - sol[i+n]) / 2
+	linalg.ProjectOutOnesInPlace(x)
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = (x[i] - x[i+n]) / 2
 	}
-	return x, iters, nil
-}
-
-// NewCGLapSolver returns a lapSolve callback for SDDSolve: Jacobi-
-// preconditioned conjugate gradients on the reduction Laplacian. The
-// barrier-weighted matrices of the LP solver span many orders of magnitude,
-// so diagonal preconditioning and a relaxed acceptance threshold (the IPM
-// only needs poly(1/m) precision per the paper) keep the solves robust.
-// The returned closure owns a workspace reused across calls (one closure
-// per sequential solve stream; not safe for concurrent use).
-func NewCGLapSolver() LapSolveFunc {
-	ws := linalg.NewWorkspace()
-	return func(ctx context.Context, edges []linalg.WEdge, nn int, b []float64) ([]float64, int, error) {
-		lap := linalg.LaplacianOp{N: nn, Edges: edges}
-		diag := ws.Get(nn)
-		pb := ws.Get(nn)
-		tmp := ws.Get(nn)
-		x := ws.Get(nn)
-		defer func() {
-			ws.Put(diag)
-			ws.Put(pb)
-			ws.Put(tmp)
-			ws.Put(x)
-		}()
-		for i := range diag {
-			diag[i] = 0
-		}
-		for _, e := range edges {
-			diag[e.U] += e.W
-			diag[e.V] += e.W
-		}
-		for i, v := range diag {
-			if v <= 0 {
-				diag[i] = 1
-			}
-		}
-		copy(pb, b)
-		linalg.ProjectOutOnesInPlace(pb)
-		op := linalg.FuncOp{R: nn, C: nn, Apply: func(dst, v []float64) {
-			copy(tmp, v)
-			linalg.ProjectOutOnesInPlace(tmp)
-			lap.MulVecTo(dst, tmp)
-			linalg.ProjectOutOnesInPlace(dst)
-		}}
-		precondTo := func(dst, r []float64) {
-			for i := range r {
-				dst[i] = r[i] / diag[i]
-			}
-			linalg.ProjectOutOnesInPlace(dst)
-		}
-		iters, err := linalg.CGTo(ctx, x, op, pb, 1e-10, 40*nn+4000, precondTo, ws)
-		if err != nil {
-			if ctxErr := ctx.Err(); ctxErr != nil {
-				return nil, iters, err
-			}
-			// Accept the best iterate when it is precise enough for the IPM.
-			ax := ws.Get(nn)
-			op.MulVecTo(ax, x)
-			res := linalg.Norm2(linalg.Sub(pb, ax))
-			ws.Put(ax)
-			if res > 1e-6*(1+linalg.Norm2(pb)) {
-				return nil, iters, err
-			}
-		}
-		// x is workspace-owned; hand the caller a fresh projected copy.
-		return linalg.ProjectOutOnes(x), iters, nil
-	}
-}
-
-// CGLapSolve is the one-shot form of NewCGLapSolver for callers outside a
-// solve loop.
-func CGLapSolve(ctx context.Context, edges []linalg.WEdge, nn int, b []float64) ([]float64, int, error) {
-	return NewCGLapSolver()(ctx, edges, nn, b)
+	return out, iters, nil
 }

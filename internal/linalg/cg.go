@@ -17,18 +17,6 @@ var ErrNoConvergence = errors.New("linalg: iterative solver did not converge")
 // kernel stays allocation-free.
 const cancelCheckInterval = 32
 
-// MulVecer is any operator that can apply itself to a vector. Both Dense and
-// CSR satisfy it, as do function adapters.
-type MulVecer interface {
-	MulVec(x []float64) []float64
-}
-
-// OpFunc adapts a function to the MulVecer interface.
-type OpFunc func(x []float64) []float64
-
-// MulVec applies the wrapped function.
-func (f OpFunc) MulVec(x []float64) []float64 { return f(x) }
-
 // CGTo solves the symmetric positive-definite system A x = b with conjugate
 // gradients to relative residual tol, writing the solution into x (length n,
 // initialized to zero by this function). precondTo, if non-nil, applies an
@@ -104,32 +92,39 @@ func CGTo(ctx context.Context, x []float64, a LinOp, b []float64, tol float64, m
 	return maxIter, ErrNoConvergence
 }
 
-// CG solves A x = b with conjugate gradients, allocating its result and
-// temporaries (wrapper over CGTo for callers without a workspace or
-// context). precond, if non-nil, applies an SPD preconditioner M⁻¹.
-func CG(a MulVecer, b []float64, tol float64, maxIter int, precond func([]float64) []float64) ([]float64, error) {
+// InexactCGTo is the inexact-solve policy of the interior-point method's
+// normal-equation solves, in one place: CGTo on A x = b with relative
+// tolerance 1e-10 and a budget of 40·n+4000 iterations, and a run that
+// exhausts the budget is still accepted (nil error) when
+// ‖b − A x‖₂ ≤ 1e-6·(1+‖b‖₂). The barrier weights span many orders of
+// magnitude, so CG aims tight, but the IPM only needs poly(1/m) precision
+// per the paper. Cancellation is never accepted. Every inexact AᵀDA solve,
+// matrix-free and Gremban alike, runs through it, so their iteration
+// counts stay comparable.
+func InexactCGTo(ctx context.Context, x []float64, a LinOp, b []float64, precondTo func(dst, r []float64), ws *Workspace) (int, error) {
 	n := len(b)
-	x := make([]float64, n)
-	op := FuncOp{R: n, C: n, Apply: func(dst, v []float64) { copy(dst, a.MulVec(v)) }}
-	var precondTo func(dst, r []float64)
-	if precond != nil {
-		precondTo = func(dst, r []float64) { copy(dst, precond(r)) }
+	iters, err := CGTo(ctx, x, a, b, 1e-10, 40*n+4000, precondTo, ws)
+	if err == nil || ctx.Err() != nil {
+		return iters, err
 	}
-	_, err := CGTo(context.Background(), x, op, b, tol, maxIter, precondTo, nil)
-	return x, err
+	ax := ws.Get(n)
+	defer ws.Put(ax)
+	a.MulVecTo(ax, x)
+	if Norm2(Sub(b, ax)) > 1e-6*(1+Norm2(b)) {
+		return iters, err
+	}
+	return iters, nil
 }
 
 // CGLaplacian solves L x = b for a graph Laplacian L, handling the span{1}
-// nullspace: b is projected orthogonal to 1 and the returned solution is the
-// minimum-norm (mean-zero) one. The graph must be connected for the result
-// to solve the projected system.
-func CGLaplacian(l MulVecer, b []float64, tol float64, maxIter int) ([]float64, error) {
-	pb := ProjectOutOnes(b)
-	op := OpFunc(func(x []float64) []float64 {
-		return ProjectOutOnes(l.MulVec(ProjectOutOnes(x)))
-	})
-	x, err := CG(op, pb, tol, maxIter, nil)
-	if err != nil {
+// nullspace: b is projected orthogonal to 1, CG runs on the projected
+// operator P·L·P, and the returned solution is the minimum-norm
+// (mean-zero) one. The graph must be connected for the result to solve the
+// projected system. On ErrNoConvergence the unprojected last iterate is
+// returned with the error.
+func CGLaplacian(l LinOp, b []float64, tol float64, maxIter int) ([]float64, error) {
+	x := make([]float64, len(b))
+	if _, err := CGTo(context.Background(), x, ProjectedOp{A: l}, ProjectOutOnes(b), tol, maxIter, nil, nil); err != nil {
 		return x, err
 	}
 	return ProjectOutOnes(x), nil

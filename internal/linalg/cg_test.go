@@ -25,8 +25,8 @@ func TestCGOnSPD(t *testing.T) {
 		want[i] = rnd.NormFloat64()
 	}
 	b := spd.MulVec(want)
-	got, err := CG(spd, b, 1e-12, 10*n, nil)
-	if err != nil {
+	got := make([]float64, n)
+	if _, err := CGTo(context.Background(), got, spd, b, 1e-12, 10*n, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if d := Norm2(Sub(got, want)); d > 1e-7 {
@@ -42,15 +42,13 @@ func TestCGWithPreconditioner(t *testing.T) {
 		d.Set(i, i, float64(i+1))
 	}
 	b := Ones(n)
-	precond := func(r []float64) []float64 {
-		out := make([]float64, n)
-		for i := range out {
-			out[i] = r[i] / float64(i+1)
+	precondTo := func(dst, r []float64) {
+		for i := range dst {
+			dst[i] = r[i] / float64(i+1)
 		}
-		return out
 	}
-	x, err := CG(d, b, 1e-14, 3, precond)
-	if err != nil {
+	x := make([]float64, n)
+	if _, err := CGTo(context.Background(), x, d, b, 1e-14, 3, precondTo, nil); err != nil {
 		t.Fatal(err)
 	}
 	for i := range x {
@@ -61,8 +59,9 @@ func TestCGWithPreconditioner(t *testing.T) {
 }
 
 func TestCGZeroRHS(t *testing.T) {
-	x, err := CG(Eye(4), Zeros(4), 1e-12, 10, nil)
-	if err != nil {
+	// CGTo zeroes x before iterating, so a stale x does not leak through.
+	x := Ones(4)
+	if _, err := CGTo(context.Background(), x, Eye(4), Zeros(4), 1e-12, 10, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if Norm2(x) != 0 {
@@ -111,14 +110,16 @@ func TestPreconditionedChebyshevExactPreconditioner(t *testing.T) {
 		d.Set(i, i, float64(i+1))
 	}
 	b := Ones(n)
-	solveB := func(r []float64) []float64 {
-		out := make([]float64, n)
-		for i := range out {
-			out[i] = r[i] / float64(i+1)
+	solveBTo := func(dst, r []float64) {
+		for i := range dst {
+			dst[i] = r[i] / float64(i+1)
 		}
-		return out
 	}
-	x, res := PreconditionedChebyshev(d.MulVec, solveB, b, 1.0001, 1e-10)
+	x := make([]float64, n)
+	res, err := PreconditionedChebyshevTo(context.Background(), x, d, solveBTo, b, 1.0001, 1e-10, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.ResidualNorm > 1e-8 {
 		t.Fatalf("residual %g after %d iterations", res.ResidualNorm, res.Iterations)
 	}
@@ -140,26 +141,20 @@ func TestPreconditionedChebyshevKappa3(t *testing.T) {
 		diagA[i] = 1 + rnd.Float64()*9
 		diagB[i] = diagA[i] * (1 + 2*rnd.Float64()) // within [1,3]·A
 	}
-	mulA := func(x []float64) []float64 {
-		out := make([]float64, n)
-		for i := range out {
-			out[i] = diagA[i] * x[i]
+	solveBTo := func(dst, r []float64) {
+		for i := range dst {
+			dst[i] = r[i] / diagB[i]
 		}
-		return out
-	}
-	solveB := func(r []float64) []float64 {
-		out := make([]float64, n)
-		for i := range out {
-			out[i] = r[i] / diagB[i]
-		}
-		return out
 	}
 	b := make([]float64, n)
 	for i := range b {
 		b[i] = rnd.NormFloat64()
 	}
-	x, res := PreconditionedChebyshev(mulA, solveB, b, 3, 1e-9)
-	_ = x
+	x := make([]float64, n)
+	res, err := PreconditionedChebyshevTo(context.Background(), x, DiagOp{D: diagA}, solveBTo, b, 3, 1e-9, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.ResidualNorm > 1e-6*Norm2(b) {
 		t.Fatalf("residual %g too large after %d iters", res.ResidualNorm, res.Iterations)
 	}
@@ -194,5 +189,46 @@ func TestIterativeSolversHonorContext(t *testing.T) {
 	solveB := func(dst, r []float64) { copy(dst, r) }
 	if _, err := PreconditionedChebyshevTo(ctx, x, spd, solveB, b, 4, 1e-6, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Chebyshev under canceled context: %v", err)
+	}
+}
+
+// InexactCGTo accepts a run that spends its whole 40·n+4000 budget only
+// when the residual of its last iterate is within 1e-6·(1+‖b‖₂), and never
+// a canceled one. The operator keeps CG from converging (a skew-symmetric
+// part as large as its diagonal) and, once the budget is spent, answers
+// the acceptance check with b plus a chosen residual.
+func TestInexactCGToAcceptance(t *testing.T) {
+	b := []float64{1, 2, 3, 4}
+	budget := 40*len(b) + 4000
+	limit := 1e-6 * (1 + Norm2(b))
+	for _, tc := range []struct {
+		resid  float64
+		accept bool
+	}{{limit / 2, true}, {2 * limit, false}} {
+		calls := 0
+		op := FuncOp{R: 4, C: 4, Apply: func(dst, x []float64) {
+			calls++
+			if calls > budget {
+				copy(dst, b)
+				dst[0] += tc.resid
+				return
+			}
+			for i := range dst {
+				dst[i] = float64(i+1)*x[i] + x[(i+1)%4] - x[(i+3)%4]
+			}
+		}}
+		x := make([]float64, len(b))
+		iters, err := InexactCGTo(context.Background(), x, op, b, nil, NewWorkspace())
+		if iters != budget || calls != budget+1 {
+			t.Fatalf("residual %g: %d iterations and %d applications, want %d and %d", tc.resid, iters, calls, budget, budget+1)
+		}
+		if tc.accept && err != nil || !tc.accept && !errors.Is(err, ErrNoConvergence) {
+			t.Fatalf("residual %g (limit %g): err = %v", tc.resid, limit, err)
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := InexactCGTo(ctx, make([]float64, len(b)), Eye(4), b, nil, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled: err = %v", err)
 	}
 }

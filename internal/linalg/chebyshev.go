@@ -88,14 +88,3 @@ func PreconditionedChebyshevTo(ctx context.Context, x []float64, a LinOp, solveB
 	}
 	return ChebyshevResult{Iterations: iters, ResidualNorm: Norm2(r)}, nil
 }
-
-// PreconditionedChebyshev is the allocating wrapper over
-// PreconditionedChebyshevTo for callers holding closures instead of LinOps
-// or a context.
-func PreconditionedChebyshev(mulA, solveB func([]float64) []float64, b []float64, kappa, eps float64) ([]float64, ChebyshevResult) {
-	n := len(b)
-	x := make([]float64, n)
-	op := FuncOp{R: n, C: n, Apply: func(dst, v []float64) { copy(dst, mulA(v)) }}
-	res, _ := PreconditionedChebyshevTo(context.Background(), x, op, func(dst, r []float64) { copy(dst, solveB(r)) }, b, kappa, eps, nil)
-	return x, res
-}

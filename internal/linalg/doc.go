@@ -1,18 +1,31 @@
 // Package linalg provides the numerical linear-algebra substrate used by
 // the Laplacian-paradigm pipeline: dense and CSR sparse matrices, graph
-// Laplacians, the LinOp operator layer (diagonal, scaled, transposed and
-// composed operators that apply A, D, Aᵀ without materializing products),
-// conjugate-gradient and preconditioned Chebyshev solvers, reusable
-// preconditioners (Jacobi and the spanning-forest incomplete Cholesky of
-// precond.go, whose symbolic structure is built once and numerically
-// refreshed per reweight), and spectral utilities (Rayleigh quotients,
-// pencil bounds).
+// Laplacians, the LinOp operator layer (diagonal, scaled, transposed,
+// composed and ones-projected operators that apply A, D, Aᵀ or P·L·P
+// without materializing products), conjugate-gradient and preconditioned
+// Chebyshev solvers, reusable preconditioners (Jacobi and the
+// spanning-forest incomplete Cholesky of precond.go, whose symbolic
+// structure is built once and numerically refreshed per reweight), and
+// spectral utilities (Rayleigh quotients, pencil bounds).
 //
 // Everything is float64 and stdlib-only. Vectors are plain []float64 so
 // they compose with the rest of the codebase without wrapper types.
 //
 // Invariants:
 //
+//   - One operator interface: every solver takes a LinOp, and matrices,
+//     compositions and closures (FuncOp) all implement it. CGLaplacian
+//     and the Gremban SDD solve share one projected-Laplacian operator,
+//     ProjectedOp.
+//   - One inexact-solve policy: InexactCGTo is the only place that fixes
+//     the interior-point method's CG tolerance (1e-10), budget
+//     (40·n+4000) and acceptance rule. The acceptance exists because the
+//     barrier weights make AᵀDA so ill-conditioned that CG can exhaust
+//     its budget short of 1e-10 while its iterate is still as precise as
+//     the IPM needs (residual ≤ 1e-6·(1+‖b‖), poly(1/m) per the paper);
+//     rejecting it would fail the solve. Inexact solves are also where the
+//     IPM iterates' drift off Aᵀx = b comes from, so the rule lives in one
+//     function that a stricter stopping rule can replace.
 //   - Allocation-free kernels: the *To solver variants (CGTo,
 //     PreconditionedChebyshevTo, MulVecTo) write into caller-owned
 //     buffers and draw scratch from a Workspace arena, so a warmed-up

@@ -3,7 +3,7 @@ package linalg
 import "fmt"
 
 // LinOp is a linear operator applied into caller-provided storage. It is the
-// shared currency of the solver stack: CSR and Dense matrices, diagonal
+// solver stack's one operator interface: CSR and Dense matrices, diagonal
 // scalings, transposes, compositions and Laplacian pencils all implement it,
 // so downstream layers (lapsolver, lp, flow) can compose solves without
 // materializing intermediate matrices or allocating per application.
@@ -100,8 +100,7 @@ func (m *Dense) MulVecTTo(dst, x []float64) {
 	}
 }
 
-// OpFunc already adapts func([]float64) []float64 to MulVecer; FuncOp adapts
-// an in-place function with explicit dimensions to LinOp.
+// FuncOp adapts an in-place function with explicit dimensions to LinOp.
 type FuncOp struct {
 	R, C  int
 	Apply func(dst, x []float64)
@@ -237,4 +236,26 @@ func (l LaplacianOp) MulVecTo(dst, x []float64) {
 		dst[e.U] += d
 		dst[e.V] -= d
 	}
+}
+
+// ProjectedOp applies P·A·P, where P projects onto 1⊥ by subtracting the
+// mean: the operator a Laplacian solve iterates on, since L's nullspace
+// span{1} is then projected out of every iterate. The intermediate P·x
+// comes from WS (nil allocates it per call).
+type ProjectedOp struct {
+	A  LinOp
+	WS *Workspace
+}
+
+// Dims implements LinOp.
+func (p ProjectedOp) Dims() (int, int) { return p.A.Dims() }
+
+// MulVecTo implements LinOp.
+func (p ProjectedOp) MulVecTo(dst, x []float64) {
+	px := p.WS.Get(len(x))
+	copy(px, x)
+	ProjectOutOnesInPlace(px)
+	p.A.MulVecTo(dst, px)
+	ProjectOutOnesInPlace(dst)
+	p.WS.Put(px)
 }

@@ -10,8 +10,9 @@
 //	dense   — assemble AᵀDA densely and factorize (Cholesky with Gaussian
 //	          fallback); the exact reference, O(n³) per solve.
 //	gremban — assemble AᵀDA, reduce to a Laplacian on 2n vertices via the
-//	          Gremban reduction (Lemma 5.1) and solve by preconditioned CG;
-//	          requires the SDD structure the flow LP guarantees.
+//	          Gremban reduction (Lemma 5.1) and solve it with one reusable
+//	          lapsolver.SDDSolver; requires the SDD structure the flow LP
+//	          guarantees.
 //	csr-cg  — never materialize AᵀDA: apply A, D and Aᵀ as composed linear
 //	          operators inside Jacobi-preconditioned CG. O(nnz) per
 //	          iteration, and the only backend that scales past tiny n.
@@ -22,6 +23,12 @@
 //	          when the IPM reweights D (see precond.go). Fewer CG
 //	          iterations per solve on incidence-structured LPs; degrades to
 //	          Jacobi on general matrices.
+//
+// csr-cg and csr-pcg are one constructor, matrixFreeSolve: csr-cg is
+// csr-pcg with an empty preconditioner structure and no counters. Every
+// inexact backend — the two matrix-free ones and gremban — stops its CG
+// by linalg.InexactCGTo, the one definition of the tolerance, budget and
+// acceptance rule.
 package lp
 
 import (
@@ -65,9 +72,16 @@ type statsFactory func(a *linalg.CSR) (ATDASolve, *PrecondStats, error)
 
 var (
 	backendMu sync.RWMutex
-	// backends holds the built-in csr-pcg, the one backend with counters,
-	// and every RegisterBackend entry.
-	backends = map[string]statsFactory{"csr-pcg": csrPCGBackend}
+	// backends holds the two matrix-free built-ins, whose factories the
+	// registry calls directly, and every RegisterBackend entry.
+	backends = map[string]statsFactory{
+		"csr-pcg": csrPCGBackend,
+		// csr-cg is csr-pcg's Jacobi fallback on every matrix, registered
+		// without counters, so its PrecondRefreshes stays 0.
+		"csr-cg": func(a *linalg.CSR) (ATDASolve, *PrecondStats, error) {
+			return matrixFreeSolve(a, &pcgStructure{}, &PrecondStats{}), nil, nil
+		},
+	}
 )
 
 // RegisterBackend makes a named AᵀDA strategy available to Problem.Backend;
@@ -144,7 +158,6 @@ const DefaultBackend = "dense"
 func init() {
 	RegisterBackend("dense", denseBackend)
 	RegisterBackend("gremban", grembanBackend)
-	RegisterBackend("csr-cg", csrCGBackend)
 }
 
 // denseBackend assembles AᵀDA into a reused n×n buffer and factorizes it
@@ -176,88 +189,65 @@ func denseBackend(a *linalg.CSR) (ATDASolve, error) {
 func grembanBackend(a *linalg.CSR) (ATDASolve, error) {
 	n := a.Cols()
 	gram := linalg.NewDense(n, n)
-	lapSolve := lapsolver.NewCGLapSolver()
+	var sdd lapsolver.SDDSolver
 	return func(ctx context.Context, d, y []float64) ([]float64, int, error) {
 		if err := checkATDAArgs(a, d, y); err != nil {
 			return nil, 0, err
 		}
 		assembleGram(a, d, gram)
-		return lapsolver.SDDSolve(ctx, gram, y, lapSolve)
+		return sdd.Solve(ctx, gram, y)
 	}, nil
 }
 
-// mfCore is the state shared by the matrix-free backends (csr-cg and
-// csr-pcg): the composed operator op = Aᵀ·diag(dbuf)·A over a reusable
-// diagonal buffer, the Gram-diagonal buffer, and the CG workspace. One
-// core serves every solve of its backend instance, so the Õ(√n) path
-// steps of an IPM run share their buffers.
-type mfCore struct {
-	a          *linalg.CSR
-	op         *linalg.ComposedOp
-	ws         *linalg.Workspace
-	dbuf, diag []float64
-}
-
-func newMFCore(a *linalg.CSR) *mfCore {
-	c := &mfCore{
-		a:    a,
-		ws:   linalg.NewWorkspace(),
-		dbuf: make([]float64, a.Rows()),
-		diag: make([]float64, a.Cols()),
-	}
-	c.op = linalg.Compose(c.ws, linalg.TransposeOp{A: a}, linalg.DiagOp{D: c.dbuf}, a)
-	return c
-}
-
-// load installs a new barrier diagonal: the composed operator tracks it
-// through dbuf without reconstruction, and diag becomes diag(AᵀDA).
-func (c *mfCore) load(d []float64) {
-	copy(c.dbuf, d)
-	c.a.GramDiagTo(c.diag, d)
-}
-
-// newSolve wires the CG loop shared by the matrix-free backends. refresh
-// runs once per call before the solve and is where each backend installs d
-// (via load) and updates its preconditioner — csr-pcg additionally skips
-// the work when d is unchanged. Tolerance and iteration budget live here,
-// in exactly one place, so csr-cg and csr-pcg iteration counts stay
-// directly comparable (the invariant the e19 snapshot gate measures).
-func (c *mfCore) newSolve(refresh func(d []float64), precondTo func(dst, r []float64)) ATDASolve {
-	n := c.a.Cols()
+// matrixFreeSolve is the ATDASolve of the matrix-free backends: it never
+// materializes AᵀDA but applies A, diag(D) and Aᵀ as one composed LinOp
+// inside linalg.InexactCGTo, preconditioned by st's fill-free incomplete
+// Cholesky — or by Jacobi when st is empty, which is all of csr-cg and
+// csr-pcg on non-incidence matrices. One operator, tolerance and budget
+// for both backends keeps their iteration counts directly comparable (the
+// invariant the e19 snapshot gate measures). The per-call refresh rewrites
+// the diagonal and the preconditioner numerics only when D changed since
+// the previous call — the leverage sketches issue many solves against one
+// D — and counts each refresh in stats.
+func matrixFreeSolve(a *linalg.CSR, st *pcgStructure, stats *PrecondStats) ATDASolve {
+	n := a.Cols()
+	ws := linalg.NewWorkspace()
+	dbuf := make([]float64, a.Rows())
+	diag := make([]float64, n)
 	x := make([]float64, n)
-	ax := make([]float64, n)
+	op := linalg.Compose(ws, linalg.TransposeOp{A: a}, linalg.DiagOp{D: dbuf}, a)
+	var jac *linalg.JacobiPrecond
+	var precondTo func(dst, r []float64)
+	if st.tree != nil {
+		precondTo = st.tree.ApplyTo
+	} else {
+		jac = linalg.NewJacobiPrecond(n)
+		precondTo = jac.ApplyTo
+	}
+	loaded := false
 	return func(ctx context.Context, d, y []float64) ([]float64, int, error) {
-		if err := checkATDAArgs(c.a, d, y); err != nil {
+		if err := checkATDAArgs(a, d, y); err != nil {
 			return nil, 0, err
 		}
-		refresh(d)
-		// The barrier weights span many orders of magnitude, so aim for a
-		// tight residual but accept poly(1/m) precision (all the IPM needs,
-		// as in the Gremban route).
-		iters, err := linalg.CGTo(ctx, x, c.op, y, 1e-10, 40*n+4000, precondTo, c.ws)
+		if !loaded || !floatsEqual(dbuf, d) {
+			// The composed operator tracks D through dbuf without
+			// reconstruction; diag becomes diag(AᵀDA).
+			copy(dbuf, d)
+			loaded = true
+			a.GramDiagTo(diag, d)
+			if jac != nil {
+				jac.Refresh(diag)
+			} else {
+				st.refresh(d, diag)
+			}
+			stats.Refreshes++
+		}
+		iters, err := linalg.InexactCGTo(ctx, x, op, y, precondTo, ws)
 		if err != nil {
-			if ctxErr := ctx.Err(); ctxErr != nil {
-				return nil, iters, err
-			}
-			c.op.MulVecTo(ax, x)
-			if linalg.Norm2(linalg.Sub(y, ax)) > 1e-6*(1+linalg.Norm2(y)) {
-				return nil, iters, err
-			}
+			return nil, iters, err
 		}
 		return linalg.Clone(x), iters, nil
 	}
-}
-
-// csrCGBackend solves (AᵀDA)x = y without ever materializing the Gram
-// matrix: A, diag(D) and Aᵀ are applied as one composed LinOp inside
-// Jacobi-preconditioned conjugate gradients.
-func csrCGBackend(a *linalg.CSR) (ATDASolve, error) {
-	core := newMFCore(a)
-	jac := linalg.NewJacobiPrecond(a.Cols())
-	return core.newSolve(func(d []float64) {
-		core.load(d)
-		jac.Refresh(core.diag)
-	}, jac.ApplyTo), nil
 }
 
 // assembleGram writes AᵀDA into gram (resetting it first), visiting each

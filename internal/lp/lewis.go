@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -14,17 +15,13 @@ import (
 // sketching with a shared Kane–Nelson seed.
 type LeverageFn func(d []float64) ([]float64, error)
 
-// GramSolve answers (AᵀDA)x = y. The leverage computations receive it as a
-// context-free closure; callers bind their context (and iteration
-// accounting) with ATDASolve.Bind.
-type GramSolve func(d, y []float64) ([]float64, error)
-
 // NewLeverageFn builds a LeverageFn over A. When exact is false and n
 // exceeds the sketch dimension k = Θ(log(m)/η²), it uses a Kane–Nelson
 // sketch with a fresh seed per call (in the BCC the leader broadcasts
 // O(log²m) seed bits once per call, as in Algorithm 6); otherwise it takes
-// the exact n-solve computation. solve answers (AᵀDA)x = y.
-func NewLeverageFn(a *linalg.CSR, solve GramSolve, exact bool, eta float64, seed int64) LeverageFn {
+// the exact n-solve computation. solve answers (AᵀDA)x = y under ctx; the
+// leverage solves' iteration counts are discarded.
+func NewLeverageFn(ctx context.Context, a *linalg.CSR, solve ATDASolve, exact bool, eta float64, seed int64) LeverageFn {
 	m, n := a.Rows(), a.Cols()
 	counter := seed
 	return func(d []float64) ([]float64, error) {
@@ -35,7 +32,10 @@ func NewLeverageFn(a *linalg.CSR, solve GramSolve, exact bool, eta float64, seed
 		for i, v := range d {
 			d2[i] = v * v
 		}
-		gram := func(y []float64) ([]float64, error) { return solve(d2, y) }
+		gram := func(y []float64) ([]float64, error) {
+			x, _, err := solve(ctx, d2, y)
+			return x, err
+		}
 		mul, mulT := jl.DiagScaledOps(a, d)
 		k := jl.SketchDim(m, eta/4)
 		// The exact computation costs n solves and the sketch k, so

@@ -29,7 +29,7 @@ func TestLewisWeightsPTwoAreLeverageScores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lev := NewLeverageFn(a, sol.Bind(context.Background()), true, 0, 1)
+	lev := NewLeverageFn(context.Background(), a, sol, true, 0, 1)
 	base := linalg.Ones(m)
 	// For p = 2, W^{1/2−1/p} = W⁰ = I, so the fixed point is σ(A) itself.
 	sigma, err := lev(base)
@@ -58,7 +58,7 @@ func TestLewisFixedPoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lev := NewLeverageFn(a, sol.Bind(context.Background()), true, 0, 1)
+	lev := NewLeverageFn(context.Background(), a, sol, true, 0, 1)
 	base := linalg.Ones(m)
 	p := 1.2
 	par := DefaultLewisParams()
@@ -102,7 +102,7 @@ func TestComputeInitialWeightsStepCountScales(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lev := NewLeverageFn(a, sol.Bind(context.Background()), true, 0, 1)
+		lev := NewLeverageFn(context.Background(), a, sol, true, 0, 1)
 		par := DefaultLewisParams()
 		par.MaxIters = 2
 		_, st, err := ComputeInitialWeights(lev, linalg.Ones(m), 1-1/math.Log(4*float64(m)), n, m, par, 10000)
@@ -129,16 +129,15 @@ func TestComputeApxWeightsRejectsBadP(t *testing.T) {
 }
 
 // countingSolve wraps the dense backend for A and counts its Gram solves.
-func countingSolve(t *testing.T, a *linalg.CSR, calls *int) GramSolve {
+func countingSolve(t *testing.T, a *linalg.CSR, calls *int) ATDASolve {
 	t.Helper()
 	sol, _, err := NewBackendSolverStats("dense", a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inner := sol.Bind(context.Background())
-	return func(d, y []float64) ([]float64, error) {
+	return func(ctx context.Context, d, y []float64) ([]float64, int, error) {
 		*calls++
-		return inner(d, y)
+		return sol(ctx, d, y)
 	}
 }
 
@@ -161,7 +160,7 @@ func TestNewLeverageFnSolveCounts(t *testing.T) {
 	for _, tc := range cases {
 		a := tallMatrix(tc.m, tc.n, rnd)
 		calls := 0
-		lev := NewLeverageFn(a, countingSolve(t, a, &calls), tc.exact, tc.eta, 1)
+		lev := NewLeverageFn(context.Background(), a, countingSolve(t, a, &calls), tc.exact, tc.eta, 1)
 		want := tc.n
 		if !tc.wantExact {
 			k := jl.SketchDim(tc.m, tc.eta/4)

@@ -160,9 +160,6 @@ func sign(v float64) float64 {
 	return 0
 }
 
-// MixedBallValue evaluates aᵀx.
-func MixedBallValue(a, x []float64) float64 { return linalg.Dot(a, x) }
-
 // MixedBallFeasible reports whether ‖x‖₂ + ‖l⁻¹x‖∞ ≤ 1 + tol.
 func MixedBallFeasible(x, l []float64, tol float64) bool {
 	infPart := 0.0

@@ -55,6 +55,7 @@ type pcgStructure struct {
 	offPtr  []int
 	offRow  []int
 	offCoef []float64
+	off     []float64 // the assembled sums, one per forest edge
 }
 
 // pcgPair is a distinct unordered column pair carrying at least one
@@ -121,7 +122,7 @@ func buildPCGStructure(a *linalg.CSR) *pcgStructure {
 		addAcyclic(e)
 	}
 	edges := make([]linalg.TreeEdge, len(forest))
-	st := &pcgStructure{offPtr: make([]int, len(forest)+1)}
+	st := &pcgStructure{offPtr: make([]int, len(forest)+1), off: make([]float64, len(forest))}
 	for i, e := range forest {
 		p := pairs[e]
 		edges[i] = linalg.TreeEdge{U: p.u, V: p.v}
@@ -187,13 +188,9 @@ func collectPairs(a *linalg.CSR) ([]*pcgPair, bool) {
 	return pairs, true
 }
 
-// csrPCGBackend builds the ATDASolve of the csr-pcg backend over the
-// matrix-free CG core shared with csr-cg (same operator, tolerance and
-// iteration budget — only the preconditioner differs, which is what keeps
-// the e19 iteration comparison meaningful). Symbolic work — structure
-// analysis, subgraph extraction, elimination ordering — happens here,
-// once; the per-call refresh only rewrites numerics, and only when the
-// diagonal actually changed since the previous call.
+// csrPCGBackend builds the ATDASolve of the csr-pcg backend: the symbolic
+// work — structure analysis, subgraph extraction, elimination ordering —
+// happens here, once, and matrixFreeSolve refreshes only the numerics.
 func csrPCGBackend(a *linalg.CSR) (ATDASolve, *PrecondStats, error) {
 	stats := &PrecondStats{}
 	st := buildPCGStructure(a)
@@ -204,48 +201,27 @@ func csrPCGBackend(a *linalg.CSR) (ATDASolve, *PrecondStats, error) {
 		// silently loses the preconditioner shows up as PrecondBuilds = 0.
 		stats.Builds++
 	}
-	core := newMFCore(a)
-	dPrev := make([]float64, a.Rows())
-	havePrev := false
-	var off []float64
-	var precondTo func(dst, r []float64)
-	var jac *linalg.JacobiPrecond
-	if st.tree != nil {
-		off = make([]float64, len(st.offPtr)-1)
-		precondTo = st.tree.ApplyTo
-	} else {
-		jac = linalg.NewJacobiPrecond(a.Cols())
-		precondTo = jac.ApplyTo
-	}
-	refresh := func(d []float64) {
-		if havePrev && floatsEqual(dPrev, d) {
-			return
+	return matrixFreeSolve(a, st, stats), stats, nil
+}
+
+// refresh refactorizes the tree preconditioner for the barrier diagonal d,
+// given diag = diag(AᵀDA). It guards numerically degenerate columns (as
+// the Jacobi path does inside Refresh) so the factor diagonal stays
+// meaningful, and sums each forest edge's off-diagonal over its rows.
+func (st *pcgStructure) refresh(d, diag []float64) {
+	for i, v := range diag {
+		if v <= 0 {
+			diag[i] = 1
 		}
-		copy(dPrev, d)
-		havePrev = true
-		core.load(d)
-		if st.tree != nil {
-			// Guard numerically degenerate columns (as the Jacobi path does
-			// inside Refresh) so the factor diagonal stays meaningful.
-			for i, v := range core.diag {
-				if v <= 0 {
-					core.diag[i] = 1
-				}
-			}
-			for t := 0; t < len(off); t++ {
-				var s float64
-				for k := st.offPtr[t]; k < st.offPtr[t+1]; k++ {
-					s += d[st.offRow[k]] * st.offCoef[k]
-				}
-				off[t] = s
-			}
-			st.tree.Refresh(core.diag, off)
-		} else {
-			jac.Refresh(core.diag)
-		}
-		stats.Refreshes++
 	}
-	return core.newSolve(refresh, precondTo), stats, nil
+	for t := range st.off {
+		var s float64
+		for k := st.offPtr[t]; k < st.offPtr[t+1]; k++ {
+			s += d[st.offRow[k]] * st.offCoef[k]
+		}
+		st.off[t] = s
+	}
+	st.tree.Refresh(diag, st.off)
 }
 
 // floatsEqual reports bitwise equality of two equal-length vectors — the

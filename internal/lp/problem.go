@@ -16,15 +16,6 @@ import (
 // on cancellation they return an error satisfying errors.Is(err, ctx.Err()).
 type ATDASolve func(ctx context.Context, d, y []float64) ([]float64, int, error)
 
-// Bind adapts an ATDASolve into a context-free GramSolve (as consumed by
-// the leverage-score computations), discarding the iteration count.
-func (f ATDASolve) Bind(ctx context.Context) GramSolve {
-	return func(d, y []float64) ([]float64, error) {
-		x, _, err := f(ctx, d, y)
-		return x, err
-	}
-}
-
 // Problem is the LP  min cᵀx  s.t.  Aᵀx = b,  l ≤ x ≤ u  (Section 4's
 // convention: A ∈ R^{m×n} with rank n, so n plays the role of the vertex
 // count and m the edge count in flow formulations).

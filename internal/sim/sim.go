@@ -108,9 +108,6 @@ func (net *Network) N() int { return net.n }
 // Mode returns the communication model.
 func (net *Network) Mode() Mode { return net.mode }
 
-// Bandwidth returns B in bits.
-func (net *Network) Bandwidth() int { return net.bandwidth }
-
 // BeginPhase starts a communication phase. Phases must not nest.
 func (net *Network) BeginPhase() {
 	if net.inPhase {

@@ -1,6 +1,7 @@
 package bcclap
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -62,7 +63,8 @@ type Stats struct {
 	// false on direct FlowSolver queries). Cached answers are bit-identical
 	// to fresh ones in value, cost and flow vector.
 	CacheHit bool
-	// Backend is the AᵀDA backend name in use (flow/LP sessions).
+	// Backend is the AᵀDA backend name in use (flow/LP sessions); empty
+	// when an LPProblem.Solve override ran instead.
 	Backend string
 	// TraceID is the request-scoped trace identifier threaded from the
 	// serving boundary (16 hex digits, minted per HTTP request or set via
@@ -312,8 +314,10 @@ type LPSolver struct {
 }
 
 // NewLPSolver validates prob and builds the session. WithBackend overrides
-// prob.Backend for this session only (prob itself is left untouched);
-// unknown names fail here with ErrBackendUnknown.
+// prob.Backend and drops a prob.Solve override for this session only (prob
+// itself is left untouched), so the named backend is the one that runs;
+// unknown names fail here with ErrBackendUnknown. Stats.Backend is "" when
+// a prob.Solve override runs.
 func NewLPSolver(prob *LPProblem, opts ...Option) (*LPSolver, error) {
 	cfg := newConfig(opts)
 	if cfg.backend != "" {
@@ -321,16 +325,16 @@ func NewLPSolver(prob *LPProblem, opts ...Option) (*LPSolver, error) {
 			return nil, err
 		}
 		cp := *prob
-		cp.Backend = cfg.backend
+		cp.Backend, cp.Solve = cfg.backend, nil
 		prob = &cp
 	}
 	sess, err := lp.NewSession(prob)
 	if err != nil {
 		return nil, err
 	}
-	backend := prob.Backend
-	if backend == "" && prob.Solve == nil {
-		backend = lp.DefaultBackend
+	backend := cmp.Or(prob.Backend, lp.DefaultBackend)
+	if prob.Solve != nil {
+		backend = ""
 	}
 	return &LPSolver{sess: sess, cfg: cfg, backend: backend}, nil
 }

@@ -248,6 +248,46 @@ func TestNewLPSolverLeavesProblemUntouched(t *testing.T) {
 	}
 }
 
+// WithBackend replaces a prob.Solve override on the session, so the named
+// backend is the one that runs; an override that does run reports no
+// backend name, even when prob.Backend is also set.
+func TestNewLPSolverBackendNamesWhatRuns(t *testing.T) {
+	calls := 0
+	prob := &LPProblem{
+		A:       linalg.NewCSR(2, 1, []linalg.Triple{{Row: 0, Col: 0, Val: 1}, {Row: 1, Col: 0, Val: 1}}),
+		B:       []float64{1},
+		C:       []float64{2, 1},
+		L:       []float64{0, 0},
+		U:       []float64{1, 1},
+		Backend: "dense",
+		// A is one all-ones column, so AᵀDA is the scalar Σd.
+		Solve: func(_ context.Context, d, y []float64) ([]float64, int, error) {
+			calls++
+			return []float64{y[0] / (d[0] + d[1])}, 0, nil
+		},
+	}
+	solve := func(prob *LPProblem, opts ...Option) Stats {
+		l, err := NewLPSolver(prob, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, st, err := l.Solve(context.Background(), []float64{0.5, 0.5}, 0.02)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	if st := solve(prob, WithBackend("csr-cg")); calls != 0 || st.Backend != "csr-cg" {
+		t.Fatalf("WithBackend(csr-cg): override called %d times, Stats.Backend %q", calls, st.Backend)
+	}
+	if prob.Solve == nil {
+		t.Fatal("NewLPSolver cleared the caller's prob.Solve")
+	}
+	if st := solve(prob); calls == 0 || st.Backend != "" {
+		t.Fatalf("override: called %d times, Stats.Backend %q, want \"\"", calls, st.Backend)
+	}
+}
+
 // The Laplacian session must honor contexts and keep serving after a
 // cancellation, and two sessions with one seed must agree bit for bit.
 func TestLaplacianSessionCtx(t *testing.T) {
