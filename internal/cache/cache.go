@@ -314,19 +314,3 @@ func (s *shard[V]) moveToFront(e *entry[V]) {
 	s.unlink(e)
 	s.pushFront(e)
 }
-
-// Counters snapshots only the lock-free cumulative counters — Entries
-// and Capacity stay zero. Metric scrapes that run at high frequency can
-// use it to avoid Len's walk over every shard lock; the full Stats is
-// still the right call for user-facing snapshots.
-func (c *Cache[V]) Counters() Stats {
-	if c == nil {
-		return Stats{}
-	}
-	return Stats{
-		Hits:          c.hits.Load(),
-		Misses:        c.misses.Load(),
-		Evictions:     c.evictions.Load(),
-		Invalidations: c.invalidations.Load(),
-	}
-}

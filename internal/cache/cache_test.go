@@ -227,30 +227,6 @@ func TestByReference(t *testing.T) {
 	}
 }
 
-func TestCounters(t *testing.T) {
-	c := New[int](2)
-	c.Put(Key{Version: 1, S: 0, T: 1}, 1)
-	c.Put(Key{Version: 1, S: 1, T: 2}, 2)
-	c.Get(Key{Version: 1, S: 0, T: 1})
-	c.Get(Key{Version: 1, S: 9, T: 9})
-	c.Put(Key{Version: 1, S: 2, T: 3}, 3) // evicts under budget 2 (same shard set)
-	c.Flush()
-
-	full, quick := c.Stats(), c.Counters()
-	if quick.Hits != full.Hits || quick.Misses != full.Misses ||
-		quick.Evictions != full.Evictions || quick.Invalidations != full.Invalidations {
-		t.Fatalf("Counters() = %+v disagrees with Stats() = %+v", quick, full)
-	}
-	if quick.Entries != 0 || quick.Capacity != 0 {
-		t.Fatalf("Counters() must leave Entries/Capacity zero, got %+v", quick)
-	}
-
-	var nilCache *Cache[int]
-	if got := nilCache.Counters(); got != (Stats{}) {
-		t.Fatalf("nil cache Counters() = %+v, want zero", got)
-	}
-}
-
 func BenchmarkCacheGetHit(b *testing.B) {
 	c := New[int](1024)
 	keys := make([]Key, 256)

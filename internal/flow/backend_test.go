@@ -141,22 +141,22 @@ func TestDefaultBackendAutoSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fs.Backend() != "csr-pcg" {
-		t.Fatalf("session backend %q, want auto-selected csr-pcg", fs.Backend())
+	if fs.backend != "csr-pcg" {
+		t.Fatalf("session backend %q, want auto-selected csr-pcg", fs.backend)
 	}
 	fs, err = NewSolver(sparse, Options{Backend: "gremban"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fs.Backend() != "gremban" {
-		t.Fatalf("named backend overridden by auto rule: %q", fs.Backend())
+	if fs.backend != "gremban" {
+		t.Fatalf("named backend overridden by auto rule: %q", fs.backend)
 	}
 	fs, err = NewSolver(sparse, Options{Backend: "dense"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fs.Backend() != "dense" {
-		t.Fatalf("explicit backend overridden: %q", fs.Backend())
+	if fs.backend != "dense" {
+		t.Fatalf("explicit backend overridden: %q", fs.backend)
 	}
 }
 

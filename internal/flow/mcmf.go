@@ -161,16 +161,22 @@ func NewSolver(d *graph.Digraph, opts Options) (*Solver, error) {
 	return &Solver{d: d, opts: opts, backend: backend, forms: map[Query]*formState{}}, nil
 }
 
-// Backend returns the resolved AᵀDA backend name this session solves
-// with — the explicit Options choice, or the DefaultBackendFor
-// auto-selection when none was named.
-func (fs *Solver) Backend() string { return fs.backend }
-
 // formFor returns the cached per-terminal state, building it on first use.
 func (fs *Solver) formFor(q Query) (*formState, error) {
 	if st, ok := fs.forms[q]; ok {
 		return st, nil
 	}
+	st, err := fs.newFormState(q)
+	if err != nil {
+		return nil, err
+	}
+	fs.forms[q] = st
+	return st, nil
+}
+
+// newFormState builds one pair's LP form over the current digraph, points
+// it at the session's backend and opens its IPM session.
+func (fs *Solver) newFormState(q Query) (*formState, error) {
 	form, err := NewLPFormStructure(fs.d, q.S, q.T)
 	if err != nil {
 		return nil, err
@@ -182,9 +188,7 @@ func (fs *Solver) formFor(q Query) (*formState, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &formState{form: form, sess: sess}
-	fs.forms[q] = st
-	return st, nil
+	return &formState{form: form, sess: sess}, nil
 }
 
 // queryRand returns the perturbation stream for one query.

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"bcclap/internal/graph"
-	"bcclap/internal/lp"
 )
 
 // ApplyArcDeltas applies an all-or-nothing set of capacity/cost deltas to
@@ -52,20 +51,13 @@ func (fs *Solver) ApplyArcDeltas(deltas []graph.ArcDelta) error {
 // rebindForm rebuilds one pair's LP form and session over the patched
 // digraph, carrying the warm-start state across.
 func (fs *Solver) rebindForm(q Query, old *formState) (*formState, error) {
-	form, err := NewLPFormStructure(fs.d, q.S, q.T)
+	st, err := fs.newFormState(q)
 	if err != nil {
 		return nil, err
 	}
-	if err := form.Configure(fs.backend); err != nil {
-		return nil, err
-	}
-	sess, err := lp.NewSession(form.Prob)
-	if err != nil {
-		return nil, err
-	}
-	st := &formState{form: form, sess: sess, used: old.used}
+	st.used = old.used
 	if old.warmX != nil {
-		st.warmX = clampInterior(old.warmX, form.Prob.L, form.Prob.U)
+		st.warmX = clampInterior(old.warmX, st.form.Prob.L, st.form.Prob.U)
 		st.warmW = old.warmW
 		st.costsStale = true
 	}

@@ -75,7 +75,7 @@ func TestApplyDeltasAllOrNothing(t *testing.T) {
 		t.Fatalf("arc 3 = %+v, want cap 7 cost 4", a)
 	}
 	// Topology untouched.
-	if d.M() != 4 || len(d.Out(0)) != 2 || len(d.In(2)) != 2 {
+	if d.M() != 4 || len(d.Out(0)) != 2 || inDegree(d, 2) != 2 {
 		t.Fatal("ApplyDeltas disturbed topology")
 	}
 }

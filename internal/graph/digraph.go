@@ -19,12 +19,11 @@ type Digraph struct {
 	n    int
 	arcs []Arc
 	out  [][]int // vertex -> indices of outgoing arcs
-	in   [][]int // vertex -> indices of incoming arcs
 }
 
 // NewDigraph returns an empty directed graph on n vertices.
 func NewDigraph(n int) *Digraph {
-	return &Digraph{n: n, out: make([][]int, n), in: make([][]int, n)}
+	return &Digraph{n: n, out: make([][]int, n)}
 }
 
 // AddArc appends a directed arc and returns its index.
@@ -41,7 +40,6 @@ func (d *Digraph) AddArc(from, to int, capacity, cost int64) (int, error) {
 	idx := len(d.arcs)
 	d.arcs = append(d.arcs, Arc{From: from, To: to, Cap: capacity, Cost: cost})
 	d.out[from] = append(d.out[from], idx)
-	d.in[to] = append(d.in[to], idx)
 	return idx, nil
 }
 
@@ -52,11 +50,9 @@ func (d *Digraph) Clone() *Digraph {
 		n:    d.n,
 		arcs: append([]Arc(nil), d.arcs...),
 		out:  make([][]int, d.n),
-		in:   make([][]int, d.n),
 	}
 	for v := 0; v < d.n; v++ {
 		nd.out[v] = append([]int(nil), d.out[v]...)
-		nd.in[v] = append([]int(nil), d.in[v]...)
 	}
 	return nd
 }
@@ -137,9 +133,6 @@ func (d *Digraph) Arcs() []Arc {
 
 // Out returns the indices of arcs leaving v (a copy).
 func (d *Digraph) Out(v int) []int { return append([]int(nil), d.out[v]...) }
-
-// In returns the indices of arcs entering v (a copy).
-func (d *Digraph) In(v int) []int { return append([]int(nil), d.in[v]...) }
 
 // MaxCap returns the largest arc capacity.
 func (d *Digraph) MaxCap() int64 {

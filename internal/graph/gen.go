@@ -102,30 +102,6 @@ func Barbell(k int) *Graph {
 	return g
 }
 
-// Expanderish returns a 3-regular-ish multigraph built from three random
-// perfect matchings on an even number of vertices; with high probability it
-// is a good expander, giving well-conditioned Laplacians.
-func Expanderish(n int, rnd *rand.Rand) *Graph {
-	if n%2 != 0 {
-		n++
-	}
-	g := New(n)
-	for m := 0; m < 3; m++ {
-		perm := rnd.Perm(n)
-		for i := 0; i < n; i += 2 {
-			u, v := perm[i], perm[i+1]
-			if u != v {
-				mustAdd(g, u, v, 1)
-			}
-		}
-	}
-	// Guarantee connectivity with a Hamiltonian cycle overlay.
-	for i := 0; i < n; i++ {
-		mustAdd(g, i, (i+1)%n, 1)
-	}
-	return g
-}
-
 func mustAdd(g *Graph, u, v int, w float64) {
 	if _, err := g.AddEdge(u, v, w); err != nil {
 		panic(fmt.Sprintf("graph generator: %v", err))

@@ -58,22 +58,12 @@ func (g *Graph) M() int { return len(g.edges) }
 // Edge returns the edge with the given index.
 func (g *Graph) Edge(i int) Edge { return g.edges[i] }
 
-// Edges returns a copy of the edge list.
-func (g *Graph) Edges() []Edge {
-	out := make([]Edge, len(g.edges))
-	copy(out, g.edges)
-	return out
-}
-
 // IncidentEdges returns the indices of edges incident to v (a copy).
 func (g *Graph) IncidentEdges(v int) []int {
 	out := make([]int, len(g.adj[v]))
 	copy(out, g.adj[v])
 	return out
 }
-
-// Degree returns the number of edges incident to v.
-func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
 
 // Other returns the endpoint of edge i that is not v.
 func (g *Graph) Other(i, v int) int {

@@ -27,7 +27,7 @@ func TestAddEdgeValidation(t *testing.T) {
 
 func TestDegreesAndNeighbors(t *testing.T) {
 	g := Path(4)
-	if g.Degree(0) != 1 || g.Degree(1) != 2 {
+	if len(g.IncidentEdges(0)) != 1 || len(g.IncidentEdges(1)) != 2 {
 		t.Fatal("degrees wrong")
 	}
 	nb := g.Neighbors(1)
@@ -132,7 +132,6 @@ func TestGenerators(t *testing.T) {
 		"grid":     Grid(4, 5),
 		"random":   RandomConnected(20, 0.2, 5, rnd),
 		"barbell":  Barbell(5),
-		"expander": Expanderish(16, rnd),
 	}
 	for name, g := range cases {
 		if !g.Connected() {
@@ -164,7 +163,7 @@ func TestLaplacianPSD(t *testing.T) {
 
 func TestUnionFind(t *testing.T) {
 	uf := NewUnionFind(5)
-	if uf.Components() != 5 {
+	if components(uf, 5) != 5 {
 		t.Fatal("initial components")
 	}
 	if !uf.Union(0, 1) || !uf.Union(1, 2) {
@@ -173,12 +172,32 @@ func TestUnionFind(t *testing.T) {
 	if uf.Union(0, 2) {
 		t.Fatal("union of same set returned true")
 	}
-	if uf.Components() != 3 {
-		t.Fatalf("components = %d", uf.Components())
+	if got := components(uf, 5); got != 3 {
+		t.Fatalf("components = %d", got)
 	}
 	if uf.Find(0) != uf.Find(2) {
 		t.Fatal("find disagrees")
 	}
+}
+
+// components counts the distinct set representatives among n elements.
+func components(uf *UnionFind, n int) int {
+	roots := make(map[int]bool)
+	for x := 0; x < n; x++ {
+		roots[uf.Find(x)] = true
+	}
+	return len(roots)
+}
+
+// inDegree counts the arcs of d entering v.
+func inDegree(d *Digraph, v int) int {
+	k := 0
+	for _, a := range d.Arcs() {
+		if a.To == v {
+			k++
+		}
+	}
+	return k
 }
 
 func TestSubgraphPreservesWeights(t *testing.T) {
@@ -187,7 +206,7 @@ func TestSubgraphPreservesWeights(t *testing.T) {
 	mustAdd(g, 1, 2, 3.5)
 	h := g.Subgraph([]int{1})
 	if h.M() != 1 || h.Edge(0).W != 3.5 {
-		t.Fatalf("subgraph wrong: %v", h.Edges())
+		t.Fatalf("subgraph wrong: %v", h.WEdges())
 	}
 }
 
@@ -208,7 +227,7 @@ func TestDigraphBasics(t *testing.T) {
 	if d.MaxCap() != 5 || d.MaxAbsCost() != 2 {
 		t.Fatal("max cap/cost wrong")
 	}
-	if len(d.Out(0)) != 1 || len(d.In(2)) != 1 {
+	if len(d.Out(0)) != 1 || inDegree(d, 2) != 1 {
 		t.Fatal("adjacency wrong")
 	}
 }
@@ -224,7 +243,7 @@ func TestFlowNetworkGenerators(t *testing.T) {
 		t.Fatalf("layered N = %d", l.N())
 	}
 	// s has outgoing arcs only to layer 0; t has incoming from last layer.
-	if len(l.Out(0)) != 2 || len(l.In(l.N()-1)) != 2 {
+	if len(l.Out(0)) != 2 || inDegree(l, l.N()-1) != 2 {
 		t.Fatal("layered structure wrong")
 	}
 }

@@ -5,12 +5,11 @@ package graph
 type UnionFind struct {
 	parent []int
 	rank   []int
-	count  int
 }
 
 // NewUnionFind returns n singleton sets.
 func NewUnionFind(n int) *UnionFind {
-	uf := &UnionFind{parent: make([]int, n), rank: make([]int, n), count: n}
+	uf := &UnionFind{parent: make([]int, n), rank: make([]int, n)}
 	for i := range uf.parent {
 		uf.parent[i] = i
 	}
@@ -39,9 +38,5 @@ func (u *UnionFind) Union(x, y int) bool {
 	if u.rank[rx] == u.rank[ry] {
 		u.rank[rx]++
 	}
-	u.count--
 	return true
 }
-
-// Components returns the current number of disjoint sets.
-func (u *UnionFind) Components() int { return u.count }

@@ -1,13 +1,11 @@
 // Package jl implements the Johnson–Lindenstrauss machinery of Section
-// 4.1 of the paper:
-//
-//   - the classical Achlioptas dense ±1 sketch, which needs Θ(k·m) random
-//     bits and is therefore *not* implementable in the Broadcast Congested
-//     Clique (one endpoint cannot tell the other its coin flips), and
-//   - the Kane–Nelson sparse sketch built from O(log(1/δ)·log m) shared
-//     random bits: a leader broadcasts a short seed, and every vertex
-//     expands it *deterministically* into the same sketch matrix via
-//     k-wise independent polynomial hash functions.
+// 4.1 of the paper: the Kane–Nelson sparse sketch built from
+// O(log(1/δ)·log m) shared random bits. A leader broadcasts a short seed,
+// and every vertex expands it *deterministically* into the same sketch
+// matrix via k-wise independent polynomial hash functions. That short
+// seed is what the Broadcast Congested Clique needs: a dense sketch with
+// an independent coin per entry would need Θ(k·m) random bits, which no
+// vertex can share in few rounds.
 //
 // On top of the sketches, the package provides approximate leverage scores
 // (Algorithm 6, Lemma 4.5): σ(M) = diag(M(MᵀM)⁻¹Mᵀ) approximated by k

@@ -3,7 +3,6 @@ package jl
 import (
 	"fmt"
 	"math"
-	"math/rand"
 )
 
 // Sketch is a k×m matrix Q with the JL property
@@ -18,58 +17,6 @@ type Sketch interface {
 	// M returns the input dimension (number of columns).
 	M() int
 }
-
-// Achlioptas is the dense ±1/√k sketch. Each entry needs its own coin flip.
-type Achlioptas struct {
-	k, m int
-	rows [][]float64
-}
-
-var _ Sketch = (*Achlioptas)(nil)
-
-// NewAchlioptas samples a k×m dense sign sketch.
-func NewAchlioptas(k, m int, rnd *rand.Rand) *Achlioptas {
-	s := &Achlioptas{k: k, m: m, rows: make([][]float64, k)}
-	inv := 1 / math.Sqrt(float64(k))
-	for j := range s.rows {
-		row := make([]float64, m)
-		for i := range row {
-			if rnd.Intn(2) == 0 {
-				row[i] = inv
-			} else {
-				row[i] = -inv
-			}
-		}
-		s.rows[j] = row
-	}
-	return s
-}
-
-// Apply returns Q·x.
-func (s *Achlioptas) Apply(x []float64) []float64 {
-	out := make([]float64, s.k)
-	for j, row := range s.rows {
-		var v float64
-		for i, r := range row {
-			v += r * x[i]
-		}
-		out[j] = v
-	}
-	return out
-}
-
-// Row returns row j (a copy).
-func (s *Achlioptas) Row(j int) []float64 {
-	out := make([]float64, s.m)
-	copy(out, s.rows[j])
-	return out
-}
-
-// K returns the sketch dimension.
-func (s *Achlioptas) K() int { return s.k }
-
-// M returns the input dimension.
-func (s *Achlioptas) M() int { return s.m }
 
 // polyHash is a degree-3 polynomial hash over the Mersenne prime 2⁶¹−1,
 // giving 4-wise independence from four 61-bit coefficients — the limited-

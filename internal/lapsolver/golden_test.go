@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"bcclap/internal/graph"
+	"bcclap/internal/linalg"
 	"bcclap/internal/sparsify"
 )
 
@@ -33,6 +34,21 @@ func hashBits(xs ...float64) uint64 {
 		h.Write(buf[:])
 	}
 	return h.Sum64()
+}
+
+// e10System builds e10's n×n SDD system: a random connected Laplacian
+// plus a positive diagonal, and a Gaussian right-hand side.
+func e10System(n int) (*linalg.Dense, []float64) {
+	rnd := rand.New(rand.NewSource(int64(n)))
+	m := graph.RandomConnected(n, 0.4, 3, rnd).Laplacian().Dense()
+	for i := 0; i < n; i++ {
+		m.Inc(i, i, 0.5+rnd.Float64())
+	}
+	y := make([]float64, n)
+	for i := range y {
+		y[i] = rnd.NormFloat64()
+	}
+	return m, y
 }
 
 // laplacianPaths runs each pinned solve and prints one line per result.
@@ -67,19 +83,10 @@ func laplacianPaths(t *testing.T) string {
 		}
 		fmt.Fprintf(&out, "exact %s x=%016x\n", c.name, hashBits(x...))
 	}
-	// e10's SDD matrices: a random connected Laplacian plus a positive
-	// diagonal, solved through the Gremban reduction.
+	// e10's SDD matrices, solved through the Gremban reduction.
 	var sdd SDDSolver
 	for _, n := range []int{8, 16, 32} {
-		rnd := rand.New(rand.NewSource(int64(n)))
-		m := graph.RandomConnected(n, 0.4, 3, rnd).Laplacian().Dense()
-		for i := 0; i < n; i++ {
-			m.Inc(i, i, 0.5+rnd.Float64())
-		}
-		y := make([]float64, n)
-		for i := range y {
-			y[i] = rnd.NormFloat64()
-		}
+		m, y := e10System(n)
 		x, iters, err := sdd.Solve(ctx, m, y)
 		if err != nil {
 			t.Fatal(err)
@@ -104,5 +111,33 @@ func TestLaplacianGolden(t *testing.T) {
 	}
 	if got := laplacianPaths(t); got != string(want) {
 		t.Fatalf("Laplacian solves moved from testdata/%s.\ngot:\n%swant:\n%s", laplacianGolden, got, want)
+	}
+}
+
+// A reused SDDSolver refills its edge list and workspace in place, so
+// after solves of other sizes it must still answer bit for bit as a fresh
+// solver does, in both the solution and the CG iteration count.
+func TestSDDSolverReuseBitIdentical(t *testing.T) {
+	ctx := context.Background()
+	var reused SDDSolver
+	for _, n := range []int{8, 32, 16, 32} {
+		m, y := e10System(n)
+		got, gotIters, err := reused.Solve(ctx, m, y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fresh SDDSolver
+		want, wantIters, err := fresh.Solve(ctx, m, y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotIters != wantIters {
+			t.Fatalf("n=%d: reused solver took %d CG iterations, fresh %d", n, gotIters, wantIters)
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("n=%d: x[%d] = %v reused, %v fresh", n, i, got[i], want[i])
+			}
+		}
 	}
 }

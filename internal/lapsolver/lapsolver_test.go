@@ -165,7 +165,7 @@ func TestGrembanLaplacianStructure(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		lap.Inc(i, i, float64(i+1))
 	}
-	edges, err := GrembanLaplacian(lap)
+	edges, err := appendGrembanEdges(nil, lap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,11 +181,11 @@ func TestGrembanLaplacianStructure(t *testing.T) {
 
 func TestGrembanRejectsNonSDD(t *testing.T) {
 	m := linalg.NewDenseFromRows([][]float64{{1, 0.5}, {0.5, 1}})
-	if _, err := GrembanLaplacian(m); err == nil {
+	if _, err := appendGrembanEdges(nil, m); err == nil {
 		t.Fatal("positive off-diagonal accepted")
 	}
 	m2 := linalg.NewDenseFromRows([][]float64{{1, -2}, {-2, 1}})
-	if _, err := GrembanLaplacian(m2); err == nil {
+	if _, err := appendGrembanEdges(nil, m2); err == nil {
 		t.Fatal("non-dominant matrix accepted")
 	}
 }

@@ -13,23 +13,22 @@ import (
 // is not symmetric diagonally dominant with non-positive off-diagonals.
 var ErrNotSDD = errors.New("lapsolver: matrix is not SDD with non-positive off-diagonals")
 
-// GrembanLaplacian builds the Laplacian reduction of Lemma 5.1 / Gremban:
+// appendGrembanEdges builds the Laplacian reduction of Lemma 5.1 / Gremban:
 // given a symmetric diagonally dominant n×n matrix M with non-positive
 // off-diagonal entries (the AᵀDA of the flow LP has this form, since
-// M_p = 0), it returns the edge list of a connected Laplacian on 2n
-// vertices such that solving L[x₁;x₂] = [y;−y] yields M x = y with
-// x = (x₁−x₂)/2.
+// M_p = 0), it appends to edges the edge list of a connected Laplacian on
+// 2n vertices such that solving L[x₁;x₂] = [y;−y] yields M x = y with
+// x = (x₁−x₂)/2. Appending lets a solver refill one slice across solves.
 //
 // The virtual graph: the two copies u and u+n carry the edges of M's
 // off-diagonal support with weight |M(u,v)|, and each vertex is tied to its
 // mirror by an edge of weight C₂(u,u)/2, where C₂ = diag(M) − C₁ is the
 // diagonal excess and C₁(u,u) = Σ_{v≠u} |M(u,v)|.
-func GrembanLaplacian(m *linalg.Dense) ([]linalg.WEdge, error) {
+func appendGrembanEdges(edges []linalg.WEdge, m *linalg.Dense) ([]linalg.WEdge, error) {
 	n := m.Rows()
 	if m.Cols() != n {
 		return nil, linalg.ErrDimension
 	}
-	var edges []linalg.WEdge
 	for u := 0; u < n; u++ {
 		var offAbs float64
 		for v := 0; v < n; v++ {
@@ -64,16 +63,17 @@ func GrembanLaplacian(m *linalg.Dense) ([]linalg.WEdge, error) {
 }
 
 // SDDSolver solves M x = y for symmetric diagonally dominant M via the
-// Gremban reduction: it builds the 2n-vertex Laplacian of GrembanLaplacian
+// Gremban reduction: it builds the 2n-vertex Laplacian of appendGrembanEdges
 // and solves L[x₁;x₂] = [y;−y] by Jacobi-preconditioned CG on the
 // ones-projected operator, under linalg.InexactCGTo's policy (the IPM only
 // needs poly(1/m) precision per the paper). In the BCC the doubled network
 // is simulated by letting vertex i play both virtual vertices i and i+n,
 // doubling the round count. The zero value is ready to use; it owns the
-// workspace its solves reuse, so it is not safe for concurrent use (one
-// value per sequential solve stream).
+// workspace and the edge list its solves reuse, so it is not safe for
+// concurrent use (one value per sequential solve stream).
 type SDDSolver struct {
-	ws linalg.Workspace
+	ws    linalg.Workspace
+	edges []linalg.WEdge
 }
 
 // Solve returns x with M x = y and the CG iteration count of the Laplacian
@@ -83,10 +83,11 @@ func (s *SDDSolver) Solve(ctx context.Context, m *linalg.Dense, y []float64) ([]
 	if len(y) != n {
 		return nil, 0, linalg.ErrDimension
 	}
-	edges, err := GrembanLaplacian(m)
+	edges, err := appendGrembanEdges(s.edges[:0], m)
 	if err != nil {
 		return nil, 0, err
 	}
+	s.edges = edges
 	ws := &s.ws
 	nn := 2 * n
 	diag := ws.Get(nn)

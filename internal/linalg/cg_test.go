@@ -61,7 +61,7 @@ func TestCGWithPreconditioner(t *testing.T) {
 func TestCGZeroRHS(t *testing.T) {
 	// CGTo zeroes x before iterating, so a stale x does not leak through.
 	x := Ones(4)
-	if _, err := CGTo(context.Background(), x, Eye(4), Zeros(4), 1e-12, 10, nil, nil); err != nil {
+	if _, err := CGTo(context.Background(), x, Eye(4), make([]float64, 4), 1e-12, 10, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if Norm2(x) != 0 {

@@ -96,19 +96,6 @@ func (m *CSR) At(i, j int) float64 {
 	return 0
 }
 
-// Diag returns the diagonal as a vector (for square matrices).
-func (m *CSR) Diag() []float64 {
-	n := m.rows
-	if m.cols < n {
-		n = m.cols
-	}
-	d := make([]float64, n)
-	for i := 0; i < n; i++ {
-		d[i] = m.At(i, i)
-	}
-	return d
-}
-
 // Dense converts to a dense matrix (for small instances and tests).
 func (m *CSR) Dense() *Dense {
 	out := NewDense(m.rows, m.cols)
@@ -123,21 +110,6 @@ func (m *CSR) Dense() *Dense {
 // QuadForm returns xᵀ m x for square m.
 func (m *CSR) QuadForm(x []float64) float64 {
 	return Dot(x, m.MulVec(x))
-}
-
-// Scale returns a new CSR with every value multiplied by a.
-func (m *CSR) Scale(a float64) *CSR {
-	out := &CSR{
-		rows:   m.rows,
-		cols:   m.cols,
-		rowPtr: append([]int(nil), m.rowPtr...),
-		colIdx: append([]int(nil), m.colIdx...),
-		vals:   make([]float64, len(m.vals)),
-	}
-	for i, v := range m.vals {
-		out.vals[i] = a * v
-	}
-	return out
 }
 
 // RowNNZ returns the number of nonzeros in row r.

@@ -246,55 +246,3 @@ func Eye(n int) *Dense {
 func (m *Dense) QuadForm(x []float64) float64 {
 	return Dot(x, m.MulVec(x))
 }
-
-// SymEigBounds estimates the extreme eigenvalues of a symmetric matrix using
-// power iteration on m and on (sI - m) with s an upper bound obtained from
-// Gershgorin discs. The estimates are accurate to the given tolerance for
-// matrices whose extreme eigenvalues are separated; they are used for bound
-// reporting, not for correctness-critical decisions.
-func (m *Dense) SymEigBounds(iters int) (lo, hi float64) {
-	n := m.rows
-	if n == 0 {
-		return 0, 0
-	}
-	// Gershgorin upper bound on |lambda|.
-	var shift float64
-	for i := 0; i < n; i++ {
-		var r float64
-		for j := 0; j < n; j++ {
-			r += math.Abs(m.At(i, j))
-		}
-		if r > shift {
-			shift = r
-		}
-	}
-	power := func(mul func([]float64) []float64) float64 {
-		x := make([]float64, n)
-		for i := range x {
-			x[i] = 1 / math.Sqrt(float64(n)) * (1 + 0.01*float64(i%7))
-		}
-		var lambda float64
-		for it := 0; it < iters; it++ {
-			y := mul(x)
-			nrm := Norm2(y)
-			if nrm == 0 {
-				return 0
-			}
-			Scale(1/nrm, y)
-			lambda = Dot(y, mul(y))
-			x = y
-		}
-		return lambda
-	}
-	hi = power(m.MulVec)
-	// Largest eigenvalue of shift*I - m gives shift - lo.
-	loShift := power(func(x []float64) []float64 {
-		y := m.MulVec(x)
-		for i := range y {
-			y[i] = shift*x[i] - y[i]
-		}
-		return y
-	})
-	lo = shift - loShift
-	return lo, hi
-}

@@ -1,7 +1,6 @@
 package linalg
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -101,21 +100,6 @@ func TestTransposeMulVec(t *testing.T) {
 		if !almostEq(got[i], want[i], 1e-12) {
 			t.Fatalf("MulVecT mismatch at %d", i)
 		}
-	}
-}
-
-func TestSymEigBounds(t *testing.T) {
-	// diag(1, 2, 5) has eigenvalues exactly 1 and 5.
-	m := NewDense(3, 3)
-	m.Set(0, 0, 1)
-	m.Set(1, 1, 2)
-	m.Set(2, 2, 5)
-	lo, hi := m.SymEigBounds(200)
-	if math.Abs(hi-5) > 1e-6 {
-		t.Errorf("hi = %v, want 5", hi)
-	}
-	if math.Abs(lo-1) > 1e-6 {
-		t.Errorf("lo = %v, want 1", lo)
 	}
 }
 

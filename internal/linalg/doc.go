@@ -1,12 +1,12 @@
 // Package linalg provides the numerical linear-algebra substrate used by
 // the Laplacian-paradigm pipeline: dense and CSR sparse matrices, graph
-// Laplacians, the LinOp operator layer (diagonal, scaled, transposed,
-// composed and ones-projected operators that apply A, D, Aᵀ or P·L·P
-// without materializing products), conjugate-gradient and preconditioned
+// Laplacians, the LinOp operator layer (diagonal, transposed, composed
+// and ones-projected operators that apply A, D, Aᵀ or P·L·P without
+// materializing products), conjugate-gradient and preconditioned
 // Chebyshev solvers, reusable preconditioners (Jacobi and the
 // spanning-forest incomplete Cholesky of precond.go, whose symbolic
 // structure is built once and numerically refreshed per reweight), and
-// spectral utilities (Rayleigh quotients, pencil bounds).
+// PencilBounds, which checks a spectral sparsifier against its graph.
 //
 // Everything is float64 and stdlib-only. Vectors are plain []float64 so
 // they compose with the rest of the codebase without wrapper types.

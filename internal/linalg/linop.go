@@ -15,9 +15,10 @@ type LinOp interface {
 	MulVecTo(dst, x []float64)
 }
 
-// checkApply panics unless dst and x match the operator shape.
-func checkApply(op LinOp, dst, x []float64) {
-	r, c := op.Dims()
+// checkApply panics unless dst and x match an operator of shape r×c. It
+// takes the shape rather than the operator so that a value-type operator
+// is not boxed, and its apply stays allocation-free.
+func checkApply(r, c int, dst, x []float64) {
 	if len(dst) != r || len(x) != c {
 		panic(fmt.Sprintf("linalg: LinOp apply got dst=%d x=%d, want dst=%d x=%d", len(dst), len(x), r, c))
 	}
@@ -69,7 +70,7 @@ func (m *Dense) Dims() (int, int) { return m.rows, m.cols }
 
 // MulVecTo computes dst = m·x without allocating.
 func (m *Dense) MulVecTo(dst, x []float64) {
-	checkApply(m, dst, x)
+	checkApply(m.rows, m.cols, dst, x)
 	for i := 0; i < m.rows; i++ {
 		row := m.Row(i)
 		var s float64
@@ -120,26 +121,9 @@ func (d DiagOp) Dims() (int, int) { return len(d.D), len(d.D) }
 
 // MulVecTo implements LinOp.
 func (d DiagOp) MulVecTo(dst, x []float64) {
-	checkApply(d, dst, x)
+	checkApply(len(d.D), len(d.D), dst, x)
 	for i, v := range d.D {
 		dst[i] = v * x[i]
-	}
-}
-
-// ScaledOp is c·A for a scalar c.
-type ScaledOp struct {
-	C float64
-	A LinOp
-}
-
-// Dims implements LinOp.
-func (s ScaledOp) Dims() (int, int) { return s.A.Dims() }
-
-// MulVecTo implements LinOp.
-func (s ScaledOp) MulVecTo(dst, x []float64) {
-	s.A.MulVecTo(dst, x)
-	for i := range dst {
-		dst[i] *= s.C
 	}
 }
 
@@ -151,7 +135,7 @@ func (t TransposeOp) Dims() (int, int) { return t.A.cols, t.A.rows }
 
 // MulVecTo implements LinOp.
 func (t TransposeOp) MulVecTo(dst, x []float64) {
-	checkApply(t, dst, x)
+	checkApply(t.A.cols, t.A.rows, dst, x)
 	t.A.MulVecTTo(dst, x)
 }
 
@@ -189,7 +173,8 @@ func (c *ComposedOp) Dims() (int, int) {
 
 // MulVecTo implements LinOp.
 func (c *ComposedOp) MulVecTo(dst, x []float64) {
-	checkApply(c, dst, x)
+	rows, cols := c.Dims()
+	checkApply(rows, cols, dst, x)
 	cur := x
 	var scratch []float64
 	for i := len(c.ops) - 1; i >= 0; i-- {
@@ -227,7 +212,7 @@ func (l LaplacianOp) Dims() (int, int) { return l.N, l.N }
 
 // MulVecTo implements LinOp.
 func (l LaplacianOp) MulVecTo(dst, x []float64) {
-	checkApply(l, dst, x)
+	checkApply(l.N, l.N, dst, x)
 	for i := range dst {
 		dst[i] = 0
 	}

@@ -245,22 +245,8 @@ func TestLaplacianOpMatchesCSR(t *testing.T) {
 			t.Fatalf("entry %d: edge-wise %v vs CSR %v", i, got[i], want[i])
 		}
 	}
-}
-
-func TestScaledOp(t *testing.T) {
-	rnd := rand.New(rand.NewSource(6))
-	n := 10
-	a := randomCSR(n, n, 0.3, rnd)
-	s := ScaledOp{C: -1.5, A: a}
-	x := randomVec(n, rnd)
-	ax := a.MulVec(x)
-	got := make([]float64, n)
-	s.MulVecTo(got, x)
-	for i := range x {
-		want := -1.5 * ax[i]
-		if diff := got[i] - want; diff > 1e-12 || diff < -1e-12 {
-			t.Fatalf("scaled entry %d: %v vs %v", i, got[i], want)
-		}
+	if allocs := testing.AllocsPerRun(100, func() { op.MulVecTo(got, x) }); allocs != 0 {
+		t.Fatalf("LaplacianOp apply allocates %v times", allocs)
 	}
 }
 

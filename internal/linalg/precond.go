@@ -5,18 +5,6 @@ import (
 	"math"
 )
 
-// Precond is an SPD preconditioner pluggable into CGTo's precondTo hook:
-// ApplyTo writes M⁻¹·r into dst without allocating. Implementations split
-// their work into a symbolic part fixed at construction and a numeric
-// Refresh, so the Õ(√n) solves of one interior-point session pay the
-// structural cost once and only update values when the barrier diagonal
-// changes.
-type Precond interface {
-	// ApplyTo computes dst = M⁻¹·r. dst and r have the operator dimension
-	// and must not alias; the call performs no allocation.
-	ApplyTo(dst, r []float64)
-}
-
 // JacobiPrecond is the diagonal preconditioner M = diag(d). Refresh copies
 // a new diagonal in (guarding non-positive entries), ApplyTo divides by it
 // — division rather than multiplication by a cached reciprocal, so it is
@@ -45,7 +33,7 @@ func (p *JacobiPrecond) Refresh(diag []float64) {
 	}
 }
 
-// ApplyTo implements Precond.
+// ApplyTo writes M⁻¹·r into dst without allocating.
 func (p *JacobiPrecond) ApplyTo(dst, r []float64) {
 	for i := range r {
 		dst[i] = r[i] / p.diag[i]
@@ -156,9 +144,6 @@ func NewTreeCholPrecond(n int, edges []TreeEdge) (*TreeCholPrecond, error) {
 	return p, nil
 }
 
-// N returns the dimension of the preconditioned system.
-func (p *TreeCholPrecond) N() int { return p.n }
-
 // Refresh refactorizes M = diag + (forest off-diagonals) for new numeric
 // values: diag is the full diagonal of the target matrix (length n) and
 // off the off-diagonal value per forest edge, in the edge order given to
@@ -184,8 +169,8 @@ func (p *TreeCholPrecond) Refresh(diag, off []float64) {
 	}
 }
 
-// ApplyTo implements Precond: dst = (LLᵀ)⁻¹·r via one forward and one
-// backward substitution along the forest, each O(n).
+// ApplyTo computes dst = (LLᵀ)⁻¹·r without allocating, via one forward
+// and one backward substitution along the forest, each O(n).
 func (p *TreeCholPrecond) ApplyTo(dst, r []float64) {
 	if len(dst) != p.n || len(r) != p.n {
 		panic(fmt.Sprintf("linalg: TreeCholPrecond ApplyTo got dst=%d r=%d, want %d", len(dst), len(r), p.n))

@@ -89,7 +89,7 @@ func TestPrecondSPD(t *testing.T) {
 		}
 		tree.Refresh(diag, off)
 		jac.Refresh(diag)
-		for _, p := range []Precond{tree, jac} {
+		for _, p := range []interface{ ApplyTo(dst, r []float64) }{tree, jac} {
 			u := make([]float64, n)
 			v := make([]float64, n)
 			for i := range u {

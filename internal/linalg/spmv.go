@@ -65,7 +65,7 @@ func (m *CSR) mulVecRange(dst, x []float64, r0, r1 int) {
 // summed in serial order inside each block, so the output is bit-for-bit
 // identical to the serial product regardless of the shard count.
 func (m *CSR) MulVecTo(dst, x []float64) {
-	checkApply(m, dst, x)
+	checkApply(m.rows, m.cols, dst, x)
 	m.MulVecToShards(dst, x, m.spmvShards())
 }
 

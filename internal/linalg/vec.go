@@ -37,15 +37,6 @@ func NormInf(x []float64) float64 {
 	return m
 }
 
-// Norm1 returns the sum of absolute entries of x.
-func Norm1(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += math.Abs(v)
-	}
-	return s
-}
-
 // WeightedNorm returns sqrt(sum_i w_i * x_i^2), the ||x||_w norm used by the
 // LP solver (Definition of ||.||_w in Section 4.1 of the paper).
 func WeightedNorm(x, w []float64) float64 {
@@ -76,18 +67,6 @@ func Scale(a float64, x []float64) {
 	}
 }
 
-// Add returns x + y as a new vector.
-func Add(x, y []float64) []float64 {
-	if len(x) != len(y) {
-		panic("linalg: Add dimension mismatch")
-	}
-	out := make([]float64, len(x))
-	for i := range x {
-		out[i] = x[i] + y[i]
-	}
-	return out
-}
-
 // Sub returns x - y as a new vector.
 func Sub(x, y []float64) []float64 {
 	if len(x) != len(y) {
@@ -107,9 +86,6 @@ func Clone(x []float64) []float64 {
 	return out
 }
 
-// Zeros returns a zero vector of length n.
-func Zeros(n int) []float64 { return make([]float64, n) }
-
 // Ones returns the all-ones vector of length n.
 func Ones(n int) []float64 {
 	out := make([]float64, n)
@@ -128,40 +104,6 @@ func Constant(n int, c float64) []float64 {
 	return out
 }
 
-// Hadamard returns the entrywise product x .* y.
-func Hadamard(x, y []float64) []float64 {
-	if len(x) != len(y) {
-		panic("linalg: Hadamard dimension mismatch")
-	}
-	out := make([]float64, len(x))
-	for i := range x {
-		out[i] = x[i] * y[i]
-	}
-	return out
-}
-
-// EntryDiv returns the entrywise quotient x ./ y.
-func EntryDiv(x, y []float64) []float64 {
-	if len(x) != len(y) {
-		panic("linalg: EntryDiv dimension mismatch")
-	}
-	out := make([]float64, len(x))
-	for i := range x {
-		out[i] = x[i] / y[i]
-	}
-	return out
-}
-
-// Apply returns f applied entrywise to x, following the paper's convention
-// that scalar operations on vectors act coordinate-wise.
-func Apply(x []float64, f func(float64) float64) []float64 {
-	out := make([]float64, len(x))
-	for i, v := range x {
-		out[i] = f(v)
-	}
-	return out
-}
-
 // Sum returns the sum of entries of x.
 func Sum(x []float64) float64 {
 	var s float64
@@ -169,34 +111,6 @@ func Sum(x []float64) float64 {
 		s += v
 	}
 	return s
-}
-
-// Max returns the maximum entry of x. It panics on an empty vector.
-func Max(x []float64) float64 {
-	if len(x) == 0 {
-		panic("linalg: Max of empty vector")
-	}
-	m := x[0]
-	for _, v := range x[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Min returns the minimum entry of x. It panics on an empty vector.
-func Min(x []float64) float64 {
-	if len(x) == 0 {
-		panic("linalg: Min of empty vector")
-	}
-	m := x[0]
-	for _, v := range x[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
 }
 
 // ProjectOutOnes removes the component of x along the all-ones vector,

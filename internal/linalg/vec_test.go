@@ -51,7 +51,9 @@ func TestTriangleInequalityProperty(t *testing.T) {
 			n = len(ys)
 		}
 		x, y := clampVec(xs[:n]), clampVec(ys[:n])
-		return Norm2(Add(x, y)) <= Norm2(x)+Norm2(y)+1e-9
+		sum := Clone(x)
+		AXPY(1, y, sum)
+		return Norm2(sum) <= Norm2(x)+Norm2(y)+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -75,9 +77,6 @@ func TestNorms(t *testing.T) {
 	x := []float64{3, -4}
 	if got := Norm2(x); got != 5 {
 		t.Errorf("Norm2 = %v", got)
-	}
-	if got := Norm1(x); got != 7 {
-		t.Errorf("Norm1 = %v", got)
 	}
 	if got := NormInf(x); got != 4 {
 		t.Errorf("NormInf = %v", got)
@@ -150,28 +149,7 @@ func TestMedian3Property(t *testing.T) {
 	}
 }
 
-func TestHadamardEntryDivApply(t *testing.T) {
-	x := []float64{2, 4}
-	y := []float64{3, 2}
-	h := Hadamard(x, y)
-	if h[0] != 6 || h[1] != 8 {
-		t.Fatalf("Hadamard = %v", h)
-	}
-	d := EntryDiv(x, y)
-	if !almostEq(d[0], 2.0/3, 1e-12) || d[1] != 2 {
-		t.Fatalf("EntryDiv = %v", d)
-	}
-	a := Apply(x, func(v float64) float64 { return v * v })
-	if a[0] != 4 || a[1] != 16 {
-		t.Fatalf("Apply = %v", a)
-	}
-}
-
 func TestMinMaxClamp(t *testing.T) {
-	x := []float64{3, -1, 7}
-	if Max(x) != 7 || Min(x) != -1 {
-		t.Fatal("Max/Min wrong")
-	}
 	if Clamp(5, 0, 3) != 3 || Clamp(-2, 0, 3) != 0 || Clamp(1, 0, 3) != 1 {
 		t.Fatal("Clamp wrong")
 	}

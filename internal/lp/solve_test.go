@@ -3,6 +3,7 @@ package lp
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"bcclap/internal/linalg"
@@ -42,7 +43,7 @@ func TestSolveSimplexLP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := linalg.Min(c)
+	opt := slices.Min(c)
 	if sol.Objective > opt+0.1 {
 		t.Fatalf("objective %v, OPT %v", sol.Objective, opt)
 	}

@@ -107,9 +107,11 @@ type Pool struct {
 	mu     sync.Mutex
 	closed bool
 	drain  chan struct{} // closed once no new work is accepted
-	kill   chan struct{} // closed to abort queued and running work
-
-	killOnce  sync.Once
+	// kill is canceled, by Close or by a Drain whose context expired, to
+	// abort queued and running work; every running solve's context
+	// derives its cancellation from it.
+	kill      context.Context
+	abort     context.CancelFunc
 	wg        sync.WaitGroup // worker goroutines
 	inflight  sync.WaitGroup // accepted but unfinished tasks
 	inflightN atomic.Int64   // readable mirror of inflight for Stats
@@ -124,10 +126,8 @@ func New(cfg Config) (*Pool, error) {
 	if cfg.New == nil {
 		return nil, errors.New("pool: Config.New is required")
 	}
-	p := &Pool{
-		drain: make(chan struct{}),
-		kill:  make(chan struct{}),
-	}
+	p := &Pool{drain: make(chan struct{})}
+	p.kill, p.abort = context.WithCancel(context.Background())
 	for i := 0; i < max(cfg.Workers, 1); i++ {
 		sess, err := cfg.New(i)
 		if err != nil {
@@ -366,7 +366,7 @@ func (p *Pool) Drain(ctx context.Context) error {
 		p.wg.Wait()
 		return nil
 	case <-ctx.Done():
-		p.killOnce.Do(func() { close(p.kill) })
+		p.abort()
 		<-done
 		p.wg.Wait()
 		return ctx.Err()
@@ -379,7 +379,7 @@ func (p *Pool) Drain(ctx context.Context) error {
 // Drain, and more than once.
 func (p *Pool) Close() {
 	p.beginShutdown()
-	p.killOnce.Do(func() { close(p.kill) })
+	p.abort()
 	p.wg.Wait()
 }
 
@@ -408,7 +408,7 @@ func (w *worker) next() (t *task, stop bool) {
 			w.queue = w.queue[1:]
 			w.mu.Unlock()
 			select {
-			case <-w.p.kill:
+			case <-w.p.kill.Done():
 				// Abort began while this task sat queued: fail it
 				// instead of running it.
 				w.fail(t, ErrClosed)
@@ -420,7 +420,7 @@ func (w *worker) next() (t *task, stop bool) {
 		w.mu.Unlock()
 		select {
 		case <-w.wake:
-		case <-w.p.kill:
+		case <-w.p.kill.Done():
 			w.failQueued()
 			return nil, true
 		case <-w.p.drain:
@@ -461,7 +461,9 @@ func (w *worker) failQueued() {
 
 // run executes one task on the worker's private session. The solve context
 // is the task's, additionally canceled if the pool is killed mid-solve, so
-// an aborting shutdown interrupts within one solver iteration.
+// an aborting shutdown interrupts within one solver iteration. The kill is
+// wired in with context.AfterFunc, which starts a goroutine only if the
+// kill fires.
 func (w *worker) run(t *task) {
 	p := w.p
 	if t.apply != nil {
@@ -491,16 +493,9 @@ func (w *worker) run(t *task) {
 		return
 	}
 	ctx, cancel := context.WithCancel(t.ctx)
-	watchDone := make(chan struct{})
-	go func() {
-		select {
-		case <-p.kill:
-			cancel()
-		case <-watchDone:
-		}
-	}()
+	stop := context.AfterFunc(p.kill, cancel)
 	t.res, t.err = w.sess.Solve(ctx, t.q, t.warm)
-	close(watchDone)
+	stop()
 	cancel()
 	finish()
 }

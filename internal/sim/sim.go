@@ -105,9 +105,6 @@ func NewNetwork(cfg Config) (*Network, error) {
 // N returns the number of vertices.
 func (net *Network) N() int { return net.n }
 
-// Mode returns the communication model.
-func (net *Network) Mode() Mode { return net.mode }
-
 // BeginPhase starts a communication phase. Phases must not nest.
 func (net *Network) BeginPhase() {
 	if net.inPhase {
@@ -179,10 +176,6 @@ func (net *Network) deliver(from int, m Message) {
 	}
 }
 
-// Inbox returns the messages vertex v received in the last completed phase.
-// The returned slice must not be modified.
-func (net *Network) Inbox(v int) []Message { return net.inbox[v] }
-
 // ChargeRounds adds k rounds for a step whose communication is accounted
 // analytically (e.g. propagating a mark down a depth-k cluster tree, where
 // building the explicit per-hop messages adds nothing to the measurement).
@@ -206,14 +199,6 @@ type Stats struct {
 // Stats returns a snapshot of the accounting counters.
 func (net *Network) Stats() Stats {
 	return Stats{Rounds: net.rounds, Messages: net.messages, Bits: net.bits}
-}
-
-// ResetCounters zeroes rounds/messages/bits (e.g. to separate preprocessing
-// from per-instance costs as in Theorem 1.3).
-func (net *Network) ResetCounters() {
-	net.rounds = 0
-	net.messages = 0
-	net.bits = 0
 }
 
 // BitsForID returns the bits needed to name one of n items: ⌈log₂ n⌉,

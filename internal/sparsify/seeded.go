@@ -1,7 +1,6 @@
 package sparsify
 
 import (
-	"math"
 	"math/rand"
 
 	"bcclap/internal/graph"
@@ -35,7 +34,7 @@ func SeededBCC(g *graph.Graph, par Params, seed int64, net *sim.Network) *Result
 		startRounds = net.Rounds()
 		// The leader broadcasts the O(log²n)-bit seed once.
 		net.BeginPhase()
-		net.Broadcast(0, 2*sim.BitsForID(g.N())*sim.BitsForID(g.N()), seed)
+		net.Broadcast(0, SeedBitsBCC(g.N()), seed)
 		net.EndPhase()
 	}
 	// Spanner computations still run distributed (they are deterministic
@@ -103,6 +102,3 @@ func SeedBitsBCC(n int) int {
 	b := sim.BitsForID(n)
 	return 2 * b * b
 }
-
-// mathLogGuard is referenced by tests that sanity-check parameter growth.
-var _ = math.Log2

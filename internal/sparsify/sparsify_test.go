@@ -89,7 +89,7 @@ func TestAprioriWholeGraphWhenBundleHuge(t *testing.T) {
 	if res.H.M() != g.M() {
 		t.Fatalf("H has %d edges, want %d", res.H.M(), g.M())
 	}
-	for i, e := range res.H.Edges() {
+	for i, e := range res.H.WEdges() {
 		if e.W != g.Edge(res.KeptEdges[i]).W {
 			t.Fatal("weights rescaled although nothing was sampled")
 		}
@@ -184,7 +184,7 @@ func TestWeightsScaledByPowersOfFour(t *testing.T) {
 	rnd := rand.New(rand.NewSource(8))
 	g := graph.Complete(16)
 	res := Adhoc(g, Params{K: 2, T: 1, Iterations: 4}, rnd, nil)
-	for i, e := range res.H.Edges() {
+	for i, e := range res.H.WEdges() {
 		orig := g.Edge(res.KeptEdges[i]).W
 		ratio := e.W / orig
 		l := math.Log2(ratio) / 2 // ratio must be 4^j

@@ -1,8 +1,9 @@
 // Package telemetry is a zero-dependency, allocation-conscious metrics
 // registry with a Prometheus text-format encoder.
 //
-// A Registry holds metric families — counters, gauges and fixed-bucket
-// latency histograms, each optionally split by a small set of labels —
+// A Registry holds metric families — counters and fixed-bucket latency
+// histograms split by a small set of labels, plus scrape-time families
+// (CollectFunc) that read counter or gauge values from existing stats —
 // and renders them in the Prometheus text exposition format (version
 // 0.0.4) via WritePrometheus. Families declare their HELP and TYPE at
 // registration, and the encoder always emits those header lines even
@@ -10,11 +11,11 @@
 // names and types exposed by a process is fixed at startup and can be
 // golden-file tested.
 //
-// Hot-path instruments are built for the solve fast path: Counter.Add
-// and Gauge.Set are single atomic operations, Histogram.Observe is a
-// bounded bucket scan plus two atomic adds, and vec children returned
-// by With are stable pointers the caller caches once, so steady-state
-// recording performs no map lookups and no allocation.
+// Hot-path instruments are built for the solve fast path: Counter.Inc
+// is a single atomic operation, Histogram.Observe is a bounded bucket
+// scan plus two atomic adds, and vec children returned by With are
+// stable pointers the caller caches once, so steady-state recording
+// performs no map lookups and no allocation.
 //
 // The package also issues compact per-request trace IDs (NewTraceID)
 // and threads them through context.Context (WithTraceID, TraceID) so

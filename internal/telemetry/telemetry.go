@@ -54,7 +54,6 @@ type child struct {
 	values []string
 
 	count   atomic.Int64   // counter value
-	bits    atomic.Uint64  // gauge value (float64 bits)
 	counts  []atomic.Int64 // histogram bucket counts; last entry is +Inf
 	sumBits atomic.Uint64  // histogram sum (float64 bits)
 }
@@ -131,36 +130,9 @@ func (f *family) child(values []string) *child {
 	return c
 }
 
-// Counter registers an unlabeled, monotonically increasing counter.
-func (r *Registry) Counter(name, help string) *Counter {
-	f := r.register(name, help, "counter", nil, nil)
-	return &Counter{f.child(nil)}
-}
-
 // CounterVec registers a counter family split by the given labels.
 func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 	return &CounterVec{r.register(name, help, "counter", nil, labels)}
-}
-
-// Gauge registers an unlabeled gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	f := r.register(name, help, "gauge", nil, nil)
-	return &Gauge{f.child(nil)}
-}
-
-// GaugeVec registers a gauge family split by the given labels.
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	return &GaugeVec{r.register(name, help, "gauge", nil, labels)}
-}
-
-// Histogram registers an unlabeled fixed-bucket histogram. A nil
-// buckets slice uses DefLatencyBuckets.
-func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
-	if buckets == nil {
-		buckets = DefLatencyBuckets
-	}
-	f := r.register(name, help, "histogram", buckets, nil)
-	return &Histogram{c: f.child(nil), buckets: f.buckets}
 }
 
 // HistogramVec registers a histogram family split by the given labels.
@@ -192,12 +164,6 @@ type Counter struct{ c *child }
 // Inc adds 1.
 func (c *Counter) Inc() { c.c.count.Add(1) }
 
-// Add adds n, which must be non-negative.
-func (c *Counter) Add(n int64) { c.c.count.Add(n) }
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.c.count.Load() }
-
 // CounterVec is a labeled counter family.
 type CounterVec struct{ f *family }
 
@@ -206,26 +172,6 @@ type CounterVec struct{ f *family }
 // hot path performs no map lookups.
 func (v *CounterVec) With(labelValues ...string) *Counter {
 	return &Counter{v.f.child(labelValues)}
-}
-
-// Gauge is a value that can go up and down.
-type Gauge struct{ c *child }
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v float64) { g.c.bits.Store(math.Float64bits(v)) }
-
-// Add adjusts the gauge by d.
-func (g *Gauge) Add(d float64) { addFloat(&g.c.bits, d) }
-
-// Value returns the current gauge value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.c.bits.Load()) }
-
-// GaugeVec is a labeled gauge family.
-type GaugeVec struct{ f *family }
-
-// With returns the gauge for the given label values (see CounterVec.With).
-func (v *GaugeVec) With(labelValues ...string) *Gauge {
-	return &Gauge{v.f.child(labelValues)}
 }
 
 // Histogram is a fixed-bucket histogram of float64 observations
@@ -244,15 +190,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 	h.c.counts[i].Add(1)
 	addFloat(&h.c.sumBits, v)
-}
-
-// Count returns the total number of observations.
-func (h *Histogram) Count() int64 {
-	var n int64
-	for i := range h.c.counts {
-		n += h.c.counts[i].Load()
-	}
-	return n
 }
 
 // HistogramVec is a labeled histogram family.
@@ -336,8 +273,6 @@ func (f *family) encode(b []byte) []byte {
 		switch f.typ {
 		case "counter":
 			b = appendSample(b, f.name, f.labels, c.values, "", float64(c.count.Load()))
-		case "gauge":
-			b = appendSample(b, f.name, f.labels, c.values, "", math.Float64frombits(c.bits.Load()))
 		case "histogram":
 			b = c.encodeHistogram(b, f)
 		}

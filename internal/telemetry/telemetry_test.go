@@ -8,21 +8,16 @@ import (
 	"testing"
 )
 
-func TestCounterGaugeBasics(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("test_ops_total", "ops")
-	g := r.Gauge("test_depth", "depth")
+// count reads a counter's value.
+func count(c *Counter) int64 { return c.c.count.Load() }
 
-	c.Inc()
-	c.Add(4)
-	if got := c.Value(); got != 5 {
-		t.Fatalf("counter = %d, want 5", got)
+// observations reads a histogram's total observation count.
+func observations(h *Histogram) int64 {
+	var n int64
+	for i := range h.c.counts {
+		n += h.c.counts[i].Load()
 	}
-	g.Set(2.5)
-	g.Add(-1)
-	if got := g.Value(); got != 1.5 {
-		t.Fatalf("gauge = %g, want 1.5", got)
-	}
+	return n
 }
 
 func TestVecChildrenStable(t *testing.T) {
@@ -32,22 +27,22 @@ func TestVecChildrenStable(t *testing.T) {
 	b := v.With("alpha", "hit")
 	a.Inc()
 	b.Inc()
-	if a.Value() != 2 || b.Value() != 2 {
-		t.Fatalf("children for identical labels not shared: %d, %d", a.Value(), b.Value())
+	if count(a) != 2 || count(b) != 2 {
+		t.Fatalf("children for identical labels not shared: %d, %d", count(a), count(b))
 	}
 	other := v.With("beta", "hit")
-	if other.Value() != 0 {
-		t.Fatalf("distinct labels share state: %d", other.Value())
+	if count(other) != 0 {
+		t.Fatalf("distinct labels share state: %d", count(other))
 	}
 }
 
 func TestHistogramBuckets(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("test_latency_seconds", "latency", []float64{0.01, 0.1, 1})
+	h := r.HistogramVec("test_latency_seconds", "latency", []float64{0.01, 0.1, 1}).With()
 	for _, v := range []float64{0.005, 0.05, 0.5, 5} {
 		h.Observe(v)
 	}
-	if got := h.Count(); got != 4 {
+	if got := observations(h); got != 4 {
 		t.Fatalf("count = %d, want 4", got)
 	}
 
@@ -74,8 +69,9 @@ func TestWritePrometheusFormat(t *testing.T) {
 	r := NewRegistry()
 	v := r.CounterVec("test_b_total", "b counter", "tenant")
 	v.With("t\"x\\y\nz").Inc()
-	r.Gauge("test_a", "a gauge\nwith newline").Set(math.Inf(1))
-	r.Histogram("test_empty_seconds", "never observed", []float64{1})
+	r.CollectFunc("test_a", "a gauge\nwith newline", "gauge", nil,
+		func(emit func(float64, ...string)) { emit(math.Inf(1)) })
+	r.HistogramVec("test_empty_seconds", "never observed", []float64{1}).With()
 
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil {
@@ -91,8 +87,8 @@ func TestWritePrometheusFormat(t *testing.T) {
 		t.Fatalf("families not sorted:\n%s", out)
 	}
 	// Headers present even for the never-observed histogram, whose
-	// unlabeled child emits a zero-valued skeleton so scrapes see a
-	// consistent series set from the first request on.
+	// child emits a zero-valued skeleton so scrapes see a consistent
+	// series set from the first request on.
 	for _, want := range []string{
 		"# TYPE test_a gauge",
 		"# TYPE test_b_total counter",
@@ -137,9 +133,8 @@ func TestCollectFunc(t *testing.T) {
 
 func TestConcurrentRecording(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("test_total", "t")
+	c := r.CounterVec("test_total", "t").With()
 	h := r.HistogramVec("test_lat_seconds", "l", nil, "tenant")
-	g := r.Gauge("test_g", "g")
 
 	const workers, each = 8, 2000
 	var wg sync.WaitGroup
@@ -150,7 +145,6 @@ func TestConcurrentRecording(t *testing.T) {
 			child := h.With("tenant")
 			for i := 0; i < each; i++ {
 				c.Inc()
-				g.Add(1)
 				child.Observe(float64(i%10) * 1e-4)
 				if i%100 == 0 {
 					var sb strings.Builder
@@ -164,13 +158,10 @@ func TestConcurrentRecording(t *testing.T) {
 	}
 	wg.Wait()
 
-	if got := c.Value(); got != workers*each {
+	if got := count(c); got != workers*each {
 		t.Fatalf("counter = %d, want %d", got, workers*each)
 	}
-	if got := g.Value(); got != workers*each {
-		t.Fatalf("gauge = %g, want %d", got, workers*each)
-	}
-	if got := h.With("tenant").Count(); got != workers*each {
+	if got := observations(h.With("tenant")); got != workers*each {
 		t.Fatalf("histogram count = %d, want %d", got, workers*each)
 	}
 }
