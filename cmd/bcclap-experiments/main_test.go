@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"context"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -56,5 +58,31 @@ func TestRunUnknownExperimentListsIDs(t *testing.T) {
 		if !strings.Contains(err.Error(), e.ID+",") {
 			t.Errorf("error %q does not list %s", err, e.ID)
 		}
+	}
+}
+
+// roundsExperiments are the experiments whose tables carry a rounds
+// column: the paper's communication costs in the BCC and Broadcast
+// CONGEST models.
+var roundsExperiments = []string{"e2", "e3", "e5", "e7"}
+
+// TestRoundsGolden pins the -quick tables of every experiment with a
+// rounds column to testdata/rounds.golden, so a change to the paper's
+// round accounting fails here on its own. The file is the output of
+//
+//	for e in e2 e3 e5 e7; do go run ./cmd/bcclap-experiments -exp $e -quick; done
+func TestRoundsGolden(t *testing.T) {
+	var got bytes.Buffer
+	for _, id := range roundsExperiments {
+		if err := run(context.Background(), &got, id, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "rounds.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Fatalf("rounds tables moved from testdata/rounds.golden.\ngot:%s\nwant:%s", got.String(), want)
 	}
 }

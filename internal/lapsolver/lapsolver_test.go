@@ -103,6 +103,12 @@ func TestPreprocessingVsPerInstanceRounds(t *testing.T) {
 	if st.Rounds >= s.PreprocessRounds {
 		t.Fatalf("instance rounds %d not below preprocessing %d", st.Rounds, s.PreprocessRounds)
 	}
+	if s.PreprocessRounds != 1015 || st.Rounds != 57 {
+		t.Fatalf("rounds: preprocessing %d, instance %d", s.PreprocessRounds, st.Rounds)
+	}
+	if got, want := net.Stats(), (sim.Stats{Rounds: 1072, Messages: 2196, Bits: 41777}); got != want {
+		t.Fatalf("stats = %+v, want %+v", got, want)
+	}
 }
 
 func TestSolveRejectsBadInput(t *testing.T) {

@@ -142,4 +142,9 @@ func TestProjectMixedBallChargesRounds(t *testing.T) {
 	if net.Rounds() >= m {
 		t.Fatalf("projection charged %d rounds — looks linear in m", net.Rounds())
 	}
+	// The exact charge: one aggregate phase of m broadcasts per search
+	// evaluation.
+	if got, want := net.Stats(), (sim.Stats{Rounds: 212, Messages: 108544, Bits: 16932864}); got != want {
+		t.Fatalf("stats = %+v, want %+v", got, want)
+	}
 }

@@ -274,6 +274,9 @@ func TestRoundAccounting(t *testing.T) {
 	if !g.Subgraph(res.FPlus).Connected() {
 		t.Fatal("spanner disconnected the graph")
 	}
+	if got, want := net.Stats(), (sim.Stats{Rounds: 14, Messages: 150, Bits: 3000}); got != want {
+		t.Fatalf("stats = %+v, want %+v", got, want)
+	}
 }
 
 // TestBundleDisjointLayers: every edge decided by layer i is excluded from

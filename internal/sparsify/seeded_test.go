@@ -72,6 +72,9 @@ func TestSeededBCCSeedBroadcastCharged(t *testing.T) {
 	if SeedBitsBCC(16) <= 0 {
 		t.Fatal("seed bits must be positive")
 	}
+	if got, want := net.Stats(), (sim.Stats{Rounds: 65, Messages: 230, Bits: 4144}); got != want {
+		t.Fatalf("stats = %+v, want %+v", got, want)
+	}
 }
 
 func TestSeededBCCQualityComparableToAdhoc(t *testing.T) {

@@ -164,6 +164,9 @@ func TestRoundsCharged(t *testing.T) {
 	if res.Rounds != net.Rounds() {
 		t.Fatal("result rounds disagree with network")
 	}
+	if got, want := net.Stats(), (sim.Stats{Rounds: 79, Messages: 306, Bits: 4572}); got != want {
+		t.Fatalf("stats = %+v, want %+v", got, want)
+	}
 }
 
 // TestOutDegreeBound: Theorem 1.2 promises small max out-degree for the

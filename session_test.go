@@ -14,6 +14,7 @@ import (
 	"bcclap/internal/flow"
 	"bcclap/internal/graph"
 	"bcclap/internal/linalg"
+	"bcclap/internal/sim"
 )
 
 func testFlowNetwork(n int, seed int64) *Digraph {
@@ -469,7 +470,8 @@ func TestFlowSolverSizeOneContract(t *testing.T) {
 		}
 		return net
 	}
-	want, err := bareSolver(t, d, 8, newNet()).Solve(context.Background(), flow.Query{S: s, T: tt}, false)
+	bareNet, sizeOneNet := newNet(), newNet()
+	want, err := bareSolver(t, d, 8, bareNet).Solve(context.Background(), flow.Query{S: s, T: tt}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,7 +480,7 @@ func TestFlowSolverSizeOneContract(t *testing.T) {
 	}
 
 	goroutines := runtime.NumGoroutine()
-	fs, err := NewFlowSolver(d, WithSeed(8), WithNetwork(newNet()))
+	fs, err := NewFlowSolver(d, WithSeed(8), WithNetwork(sizeOneNet))
 	if err != nil {
 		t.Fatalf("size-1 solver rejected WithNetwork: %v", err)
 	}
@@ -490,6 +492,15 @@ func TestFlowSolverSizeOneContract(t *testing.T) {
 		!reflect.DeepEqual(got.Flows, want.Flows) {
 		t.Fatalf("size-1 (%d rounds, %d, %d) vs bare (%d rounds, %d, %d)",
 			got.Stats.Rounds, got.Value, got.Cost, want.Rounds, want.Value, want.Cost)
+	}
+	// The exact charge of the IPM's centerings (two all-vertex broadcast
+	// phases each), the same through the bare solver and the session.
+	wantStats := sim.Stats{Rounds: 279699, Messages: 109725, Bits: 16781940}
+	if got := bareNet.Stats(); got != wantStats {
+		t.Fatalf("bare solver network stats = %+v, want %+v", got, wantStats)
+	}
+	if got := sizeOneNet.Stats(); got != wantStats {
+		t.Fatalf("size-1 solver network stats = %+v, want %+v", got, wantStats)
 	}
 	fs.Close()
 	// Close returns once the worker has called Done; an exiting goroutine
