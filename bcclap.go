@@ -181,23 +181,18 @@ func NewGraph(n int) *Graph { return graph.New(n) }
 // NewDigraph returns an empty directed graph on n vertices.
 func NewDigraph(n int) *Digraph { return graph.NewDigraph(n) }
 
-// Network is the synchronous broadcast-round simulator.
+// Network is the synchronous broadcast-round ledger: it counts rounds,
+// messages and bits, and delivers nothing.
 type Network = sim.Network
 
-// NewBCCNetwork returns a Broadcast Congested Clique network on n vertices
-// with the standard Θ(log n) bandwidth.
+// NewBCCNetwork returns a round ledger on n vertices with the standard
+// Θ(log n) bandwidth. It counts Broadcast Congested Clique rounds, and
+// also the Broadcast CONGEST rounds of the sparsifier (Theorem 1.2): in
+// both models a round lets every vertex broadcast one B-bit message, and
+// the models differ only in who receives it, which the ledger does not
+// track.
 func NewBCCNetwork(n int) (*Network, error) {
-	return sim.NewNetwork(sim.Config{N: n, Mode: sim.ModeBCC})
-}
-
-// NewBroadcastCONGESTNetwork returns a Broadcast CONGEST network over the
-// topology of g.
-func NewBroadcastCONGESTNetwork(g *Graph) (*Network, error) {
-	adj := make([][]int, g.N())
-	for v := 0; v < g.N(); v++ {
-		adj[v] = g.Neighbors(v)
-	}
-	return sim.NewNetwork(sim.Config{N: g.N(), Mode: sim.ModeBroadcastCONGEST, Adjacency: adj})
+	return sim.NewNetwork(n)
 }
 
 // SparsifyParams re-exports the sparsifier parameters (bundle size t,

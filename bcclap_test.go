@@ -15,7 +15,7 @@ var sparsifyParamsForTest = sparsify.Params{K: 4, T: 2, Iterations: 6}
 
 func TestPublicSparsify(t *testing.T) {
 	g := graph.Complete(24)
-	net, err := NewBroadcastCONGESTNetwork(g)
+	net, err := NewBCCNetwork(g.N())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,14 +52,10 @@ func BenchmarkE1Spanner(b *testing.B) {
 // E2 — Lemma 3.2: spanner rounds O(k·n^{1/k}(log n + log W)).
 func BenchmarkE2SpannerRounds(b *testing.B) {
 	g := graph.Complete(48)
-	adj := make([][]int, g.N())
-	for v := range adj {
-		adj[v] = g.Neighbors(v)
-	}
 	k := 3
 	var rounds float64
 	for i := 0; i < b.N; i++ {
-		net, err := sim.NewNetwork(sim.Config{N: g.N(), Mode: sim.ModeBroadcastCONGEST, Adjacency: adj})
+		net, err := sim.NewNetwork(g.N())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -79,14 +75,10 @@ func BenchmarkE2SpannerRounds(b *testing.B) {
 func BenchmarkE3Sparsify(b *testing.B) {
 	rnd := rand.New(rand.NewSource(3))
 	g := graph.RandomConnected(48, 0.6, 4, rnd)
-	adj := make([][]int, g.N())
-	for v := range adj {
-		adj[v] = g.Neighbors(v)
-	}
 	par := sparsify.Params{K: 4, T: 2, Iterations: 6}
 	var size, rounds float64
 	for i := 0; i < b.N; i++ {
-		net, err := sim.NewNetwork(sim.Config{N: g.N(), Mode: sim.ModeBroadcastCONGEST, Adjacency: adj})
+		net, err := sim.NewNetwork(g.N())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -42,7 +42,7 @@ func run(randomN int, seed int64, t, k int) error {
 			return err
 		}
 	}
-	net, err := bcclap.NewBroadcastCONGESTNetwork(g)
+	net, err := bcclap.NewBCCNetwork(g.N())
 	if err != nil {
 		return err
 	}

@@ -30,7 +30,7 @@ func main() {
 	}
 
 	// 1. Spectral sparsification with round accounting (Theorem 1.2).
-	net, err := bcclap.NewBroadcastCONGESTNetwork(g)
+	net, err := bcclap.NewBCCNetwork(g.N())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -21,11 +21,7 @@ func main() {
 	for i := range p {
 		p[i] = 0.5
 	}
-	adj := make([][]int, n)
-	for v := 0; v < n; v++ {
-		adj[v] = g.Neighbors(v)
-	}
-	net, err := sim.NewNetwork(sim.Config{N: n, Mode: sim.ModeBroadcastCONGEST, Adjacency: adj})
+	net, err := sim.NewNetwork(n)
 	if err != nil {
 		log.Fatal(err)
 	}

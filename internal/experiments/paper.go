@@ -41,22 +41,13 @@ func e1(ctx context.Context, quick bool) ([]Table, error) {
 	return []Table{*t}, nil
 }
 
-// broadcastNet is a Broadcast CONGEST network on g's topology.
-func broadcastNet(g *graph.Graph) (*sim.Network, error) {
-	adj := make([][]int, g.N())
-	for v := range adj {
-		adj[v] = g.Neighbors(v)
-	}
-	return sim.NewNetwork(sim.Config{N: g.N(), Mode: sim.ModeBroadcastCONGEST, Adjacency: adj})
-}
-
 // e2 measures Lemma 3.2: spanner rounds O(k·n^{1/k}(log n + log W)).
 func e2(ctx context.Context, quick bool) ([]Table, error) {
 	t := newTable("", "n|k|measured rounds|k·n^{1/k}·log n")
 	for _, n := range pick(quick, []int{16, 32, 64}, []int{16, 32}) {
 		k := 3
 		g := graph.Complete(n)
-		net, err := broadcastNet(g)
+		net, err := sim.NewNetwork(g.N())
 		if err != nil {
 			return nil, err
 		}
@@ -76,7 +67,7 @@ func e3(ctx context.Context, quick bool) ([]Table, error) {
 	for _, n := range pick(quick, []int{24, 32, 48}, []int{24, 32}) {
 		g := graph.RandomConnected(n, 0.6, 3, rand.New(rand.NewSource(int64(n))))
 		for _, t := range []int{1, 2, 4} {
-			net, err := broadcastNet(g)
+			net, err := sim.NewNetwork(g.N())
 			if err != nil {
 				return nil, err
 			}
@@ -114,7 +105,7 @@ func e4(ctx context.Context, quick bool) ([]Table, error) {
 // the preprocessing rounds.
 func e5(ctx context.Context, quick bool) ([]Table, error) {
 	g := graph.Grid(6, 6)
-	net, err := sim.NewNetwork(sim.Config{N: g.N(), Mode: sim.ModeBCC})
+	net, err := sim.NewNetwork(g.N())
 	if err != nil {
 		return nil, err
 	}
@@ -198,7 +189,7 @@ func e7(ctx context.Context, quick bool) ([]Table, error) {
 			a[i] = rnd.NormFloat64()
 			l[i] = 0.5 + rnd.Float64()
 		}
-		net, err := sim.NewNetwork(sim.Config{N: m, Mode: sim.ModeBCC})
+		net, err := sim.NewNetwork(m)
 		if err != nil {
 			return nil, err
 		}

@@ -234,10 +234,7 @@ func (fs *Solver) Solve(ctx context.Context, q Query, warm bool) (*Result, error
 	if err != nil {
 		return nil, err
 	}
-	startRounds := 0
-	if fs.opts.Net != nil {
-		startRounds = fs.opts.Net.Rounds()
-	}
+	startRounds := fs.opts.Net.Rounds()
 	reused := st.used
 	st.used = true
 
@@ -321,8 +318,6 @@ func (fs *Solver) newResult(q Query, flows []int64, attempts int, sol *lp.Soluti
 		ReusedForm:  reused,
 		WarmStarted: warm,
 	}
-	if fs.opts.Net != nil {
-		res.Rounds = fs.opts.Net.Rounds() - startRounds
-	}
+	res.Rounds = fs.opts.Net.Rounds() - startRounds
 	return res
 }

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"fmt"
-	"sort"
 
 	"bcclap/internal/linalg"
 )
@@ -137,18 +136,4 @@ func (g *Graph) WEdges() []linalg.WEdge {
 // Laplacian assembles the graph Laplacian as a CSR matrix.
 func (g *Graph) Laplacian() *linalg.CSR {
 	return linalg.LaplacianCSR(g.n, g.WEdges())
-}
-
-// Neighbors returns the distinct neighbor vertices of v in ascending order.
-func (g *Graph) Neighbors(v int) []int {
-	seen := make(map[int]bool, len(g.adj[v]))
-	for _, ei := range g.adj[v] {
-		seen[g.Other(ei, v)] = true
-	}
-	out := make([]int, 0, len(seen))
-	for u := range seen {
-		out = append(out, u)
-	}
-	sort.Ints(out)
-	return out
 }

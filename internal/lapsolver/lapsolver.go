@@ -79,10 +79,7 @@ func New(g *graph.Graph, cfg Config) (*Solver, error) {
 	if par.K == 0 {
 		par = sparsify.PracticalParams(g.N(), g.M(), 0.5)
 	}
-	startRounds := 0
-	if cfg.Net != nil {
-		startRounds = cfg.Net.Rounds()
-	}
+	startRounds := cfg.Net.Rounds()
 	sp := sparsify.Adhoc(g, par, rnd, cfg.Net)
 	h := sp.H
 	if !h.Connected() {
@@ -92,9 +89,7 @@ func New(g *graph.Graph, cfg Config) (*Solver, error) {
 		h = g.Clone()
 	}
 	s := &Solver{g: g, h: h, lg: g.Laplacian(), net: cfg.Net}
-	if cfg.Net != nil {
-		s.PreprocessRounds = cfg.Net.Rounds() - startRounds
-	}
+	s.PreprocessRounds = cfg.Net.Rounds() - startRounds
 	// Factorize L_H + (c/n)·11ᵀ. For b ⊥ 1 the solution of the corrected
 	// PD system coincides with the pseudo-inverse action of L_H.
 	n := g.N()
@@ -142,15 +137,9 @@ func New(g *graph.Graph, cfg Config) (*Solver, error) {
 	s.y = make([]float64, n)
 	s.resid = make([]float64, n)
 	s.mulA = linalg.FuncOp{R: n, C: n, Apply: func(dst, x []float64) {
-		if s.net != nil {
-			// One distributed matrix-vector product: every vertex
-			// broadcasts its coordinate with O(log(nU/ε)) bits.
-			s.net.BeginPhase()
-			for v := 0; v < n; v++ {
-				s.net.Broadcast(v, s.floatBits, nil)
-			}
-			s.net.EndPhase()
-		}
+		// One distributed matrix-vector product: every vertex broadcasts
+		// its coordinate with O(log(nU/ε)) bits.
+		s.net.BroadcastAll(s.floatBits)
 		s.lg.MulVecTo(dst, x)
 	}}
 	return s, nil
@@ -188,10 +177,7 @@ func (s *Solver) SolveCtx(ctx context.Context, b []float64, eps float64) ([]floa
 	}
 	copy(s.pb, b)
 	linalg.ProjectOutOnesInPlace(s.pb)
-	startRounds := 0
-	if s.net != nil {
-		startRounds = s.net.Rounds()
-	}
+	startRounds := s.net.Rounds()
 	// B := hi·L_H, the measured analogue of Corollary 2.4's (1+1/2)·L_H;
 	// solving in B is internal computation (H is global knowledge). The
 	// Cholesky factor was computed once in New and is reused verbatim here.
@@ -205,9 +191,7 @@ func (s *Solver) SolveCtx(ctx context.Context, b []float64, eps float64) ([]floa
 	chres, err := linalg.PreconditionedChebyshevTo(ctx, s.y, s.mulA, solveBTo, s.pb, s.kappa, eps, s.ws)
 	st := Stats{Iterations: chres.Iterations, ResidualNorm: chres.ResidualNorm}
 	if err != nil {
-		if s.net != nil {
-			st.Rounds = s.net.Rounds() - startRounds
-		}
+		st.Rounds = s.net.Rounds() - startRounds
 		return nil, st, fmt.Errorf("lapsolver: %w", err)
 	}
 	if bn := linalg.Norm2(s.pb); chres.ResidualNorm > eps*bn {
@@ -223,9 +207,7 @@ func (s *Solver) SolveCtx(ctx context.Context, b []float64, eps float64) ([]floa
 		// the finished solution.
 		if err != nil && ctx.Err() != nil {
 			s.ws.Put(y2)
-			if s.net != nil {
-				st.Rounds = s.net.Rounds() - startRounds
-			}
+			st.Rounds = s.net.Rounds() - startRounds
 			return nil, st, fmt.Errorf("lapsolver: %w", err)
 		}
 		if err == nil {
@@ -238,9 +220,7 @@ func (s *Solver) SolveCtx(ctx context.Context, b []float64, eps float64) ([]floa
 		}
 		s.ws.Put(y2)
 	}
-	if s.net != nil {
-		st.Rounds = s.net.Rounds() - startRounds
-	}
+	st.Rounds = s.net.Rounds() - startRounds
 	return linalg.ProjectOutOnes(s.y), st, nil
 }
 

@@ -79,7 +79,7 @@ func TestIterationsScaleWithLogEps(t *testing.T) {
 func TestPreprocessingVsPerInstanceRounds(t *testing.T) {
 	rnd := rand.New(rand.NewSource(3))
 	g := graph.RandomConnected(20, 0.3, 3, rnd)
-	net, err := sim.NewNetwork(sim.Config{N: g.N(), Mode: sim.ModeBCC})
+	net, err := sim.NewNetwork(g.N())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,20 +56,6 @@ func ProjectMixedBall(a, l []float64, net *sim.Network) []float64 {
 	}
 	normA2 := p3[m]
 
-	charge := func() {
-		if net == nil {
-			return
-		}
-		// One aggregate phase: every vertex broadcasts its three partial
-		// sums with O(log(mU/ε)) bits each.
-		net.BeginPhase()
-		bits := 3 * sim.BitsForFloat(1e6, 1e-9)
-		for v := 0; v < net.N(); v++ {
-			net.Broadcast(v, bits, nil)
-		}
-		net.EndPhase()
-	}
-
 	// split returns, for the normalized inner problem at ∞-budget τ =
 	// t/(1−t), the clamp count c and the proportional coefficient μ such
 	// that x_j = sign(a_j)·min(μ|a_j|, τ·l_j) has unit 2-norm.
@@ -85,7 +71,9 @@ func ProjectMixedBall(a, l []float64, net *sim.Network) []float64 {
 		return math.Sqrt(budget / rest)
 	}
 	split := func(tau float64) (int, float64) {
-		charge()
+		// One aggregate phase: every vertex broadcasts its three partial
+		// sums with O(log(mU/ε)) bits each.
+		net.BroadcastAll(3 * sim.BitsForFloat(1e6, 1e-9))
 		// Binary search for the largest c with every clamped coordinate
 		// consistent: μ_c·|a_{σ(c)}| ≥ τ·l_{σ(c)} and budget ≥ 0.
 		lo, hi := 0, m

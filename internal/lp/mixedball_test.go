@@ -121,7 +121,7 @@ func TestProjectMixedBallLargeL(t *testing.T) {
 
 func TestProjectMixedBallChargesRounds(t *testing.T) {
 	const m = 2048
-	net, err := sim.NewNetwork(sim.Config{N: m, Mode: sim.ModeBCC})
+	net, err := sim.NewNetwork(m)
 	if err != nil {
 		t.Fatal(err)
 	}

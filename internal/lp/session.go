@@ -62,9 +62,7 @@ func (sess *Session) newIPM(ctx context.Context, par Params) *ipm {
 		scr:    sess.scr,
 	}
 	s.cNorm = 24 * math.Sqrt(4*s.cK)
-	if par.Net != nil {
-		s.startRounds = par.Net.Rounds()
-	}
+	s.startRounds = par.Net.Rounds()
 	if s.pstats != nil {
 		s.startRefreshes = s.pstats.Refreshes
 	}
@@ -140,9 +138,7 @@ func (s *ipm) finish(x, w []float64) *Solution {
 	s.counts.X = linalg.Clone(x)
 	s.counts.Weights = linalg.Clone(w)
 	s.counts.Objective = s.prob.Objective(x)
-	if s.par.Net != nil {
-		s.counts.Rounds = s.par.Net.Rounds() - s.startRounds
-	}
+	s.counts.Rounds = s.par.Net.Rounds() - s.startRounds
 	if s.pstats != nil {
 		s.counts.PrecondBuilds = s.pstats.Builds
 		s.counts.PrecondRefreshes = s.pstats.Refreshes - s.startRefreshes

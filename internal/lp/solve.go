@@ -205,17 +205,10 @@ func (s *ipm) center(x, w []float64, t float64, c []float64) ([]float64, []float
 	if !s.bar.Interior(xNew) {
 		return x, w, fmt.Errorf("lp: Newton step left the domain")
 	}
-	if s.par.Net != nil {
-		// Two distributed matrix-vector products per centering (A and Aᵀ),
-		// one coordinate broadcast each.
-		bits := sim.BitsForFloat(1e9, 1e-12)
-		for phase := 0; phase < 2; phase++ {
-			s.par.Net.BeginPhase()
-			for v := 0; v < s.par.Net.N(); v++ {
-				s.par.Net.Broadcast(v, bits, nil)
-			}
-			s.par.Net.EndPhase()
-		}
+	// Two distributed matrix-vector products per centering (A and Aᵀ),
+	// one coordinate broadcast each.
+	for phase := 0; phase < 2; phase++ {
+		s.par.Net.BroadcastAll(sim.BitsForFloat(1e9, 1e-12))
 	}
 
 	// Weight update (Algorithm 11 lines 4–6). We compute the fresh

@@ -3,183 +3,110 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
-// Mode selects the communication model.
-type Mode int
-
-const (
-	// ModeBroadcastCONGEST restricts delivery to graph neighbors.
-	ModeBroadcastCONGEST Mode = iota + 1
-	// ModeBCC delivers every broadcast to every vertex (shared blackboard).
-	ModeBCC
-)
-
-// String implements fmt.Stringer.
-func (m Mode) String() string {
-	switch m {
-	case ModeBroadcastCONGEST:
-		return "Broadcast CONGEST"
-	case ModeBCC:
-		return "Broadcast Congested Clique"
-	default:
-		return fmt.Sprintf("Mode(%d)", int(m))
-	}
-}
-
-// Message is a broadcast with a declared size in bits. Payload is opaque to
-// the simulator.
-type Message struct {
-	From    int
-	Bits    int
-	Payload interface{}
-}
-
-// Config configures a Network.
-type Config struct {
-	// N is the number of vertices.
-	N int
-	// Mode is the communication model.
-	Mode Mode
-	// BandwidthBits is B, the per-round message size. Zero means the
-	// standard B = 4·⌈log₂ N⌉ (the Θ(log n) of the model with a concrete
-	// constant; IDs, weights and float mantissa chunks all fit in O(1)
-	// messages).
-	BandwidthBits int
-	// Adjacency gives, for ModeBroadcastCONGEST, the neighbor lists. It is
-	// ignored in ModeBCC.
-	Adjacency [][]int
-}
-
-// Network is a synchronous broadcast network with round accounting.
+// Network is the round ledger of a synchronous broadcast network. A nil
+// *Network is a valid ledger that charges nothing.
 type Network struct {
 	n         int
-	mode      Mode
-	bandwidth int
-	adj       [][]int
+	bandwidth int // B = 4·⌈log₂ n⌉
 
 	rounds   int
 	messages int64
 	bits     int64
 
 	inPhase bool
-	pending [][]Message // per-sender queue for the current phase
-	inbox   [][]Message // per-receiver messages from the last phase
+	sent    []int // bits each vertex has broadcast in the current phase
 }
 
-// NewNetwork creates a network from cfg.
-func NewNetwork(cfg Config) (*Network, error) {
-	if cfg.N <= 0 {
-		return nil, fmt.Errorf("sim: need at least one vertex, got %d", cfg.N)
+// NewNetwork returns a ledger for n vertices with the standard bandwidth
+// B = 4·⌈log₂ n⌉: the Θ(log n) of the model with a concrete constant, so
+// IDs, weights and float mantissa chunks all fit in O(1) messages.
+func NewNetwork(n int) (*Network, error) {
+	if n <= 0 {
+		return nil, fmt.Errorf("sim: need at least one vertex, got %d", n)
 	}
-	if cfg.Mode != ModeBCC && cfg.Mode != ModeBroadcastCONGEST {
-		return nil, fmt.Errorf("sim: unknown mode %d", cfg.Mode)
-	}
-	bw := cfg.BandwidthBits
-	if bw == 0 {
-		bw = 4 * BitsForID(cfg.N)
-	}
-	if bw <= 0 {
-		return nil, fmt.Errorf("sim: non-positive bandwidth %d", bw)
-	}
-	var adj [][]int
-	if cfg.Mode == ModeBroadcastCONGEST {
-		if len(cfg.Adjacency) != cfg.N {
-			return nil, fmt.Errorf("sim: adjacency has %d entries, want %d", len(cfg.Adjacency), cfg.N)
-		}
-		adj = make([][]int, cfg.N)
-		for v, ns := range cfg.Adjacency {
-			adj[v] = append([]int(nil), ns...)
-		}
-	}
-	return &Network{
-		n:         cfg.N,
-		mode:      cfg.Mode,
-		bandwidth: bw,
-		adj:       adj,
-		pending:   make([][]Message, cfg.N),
-		inbox:     make([][]Message, cfg.N),
-	}, nil
+	return &Network{n: n, bandwidth: 4 * BitsForID(n), sent: make([]int, n)}, nil
 }
-
-// N returns the number of vertices.
-func (net *Network) N() int { return net.n }
 
 // BeginPhase starts a communication phase. Phases must not nest.
 func (net *Network) BeginPhase() {
+	if net == nil {
+		return
+	}
 	if net.inPhase {
 		panic("sim: BeginPhase inside a phase")
 	}
 	net.inPhase = true
-	for v := range net.pending {
-		net.pending[v] = nil
-	}
 }
 
-// Broadcast queues a broadcast by vertex from of the given size. It must be
-// called between BeginPhase and EndPhase.
-func (net *Network) Broadcast(from, bits int, payload interface{}) {
+// Broadcast charges a broadcast of the given size by vertex from; a
+// non-positive size counts as one bit. It must be called between
+// BeginPhase and EndPhase.
+func (net *Network) Broadcast(from, bits int) {
+	if net == nil {
+		return
+	}
 	if !net.inPhase {
 		panic("sim: Broadcast outside a phase")
 	}
 	if from < 0 || from >= net.n {
 		panic(fmt.Sprintf("sim: sender %d out of range", from))
 	}
-	if bits <= 0 {
-		bits = 1
-	}
-	net.pending[from] = append(net.pending[from], Message{From: from, Bits: bits, Payload: payload})
+	bits = max(bits, 1)
+	net.sent[from] += bits
+	net.messages++
+	net.bits += int64(bits)
 }
 
-// EndPhase closes the phase: it charges max_v ⌈bits_v/B⌉ rounds, delivers
-// all queued messages to the receivers' inboxes (replacing the previous
-// phase's inboxes) and returns the number of rounds charged.
+// EndPhase closes the phase, charges it max_v ⌈bits_v/B⌉ rounds and
+// returns that charge.
 func (net *Network) EndPhase() int {
+	if net == nil {
+		return 0
+	}
 	if !net.inPhase {
 		panic("sim: EndPhase outside a phase")
 	}
 	net.inPhase = false
-	maxRounds := 0
-	for v := range net.inbox {
-		net.inbox[v] = nil
-	}
-	for v, msgs := range net.pending {
-		var vbits int
-		for _, m := range msgs {
-			vbits += m.Bits
-			net.messages++
-			net.bits += int64(m.Bits)
-		}
-		if r := (vbits + net.bandwidth - 1) / net.bandwidth; r > maxRounds {
-			maxRounds = r
-		}
-		for _, m := range msgs {
-			net.deliver(v, m)
-		}
-	}
-	net.rounds += maxRounds
-	return maxRounds
+	r := net.roundsFor(slices.Max(net.sent))
+	clear(net.sent)
+	net.rounds += r
+	return r
 }
 
-func (net *Network) deliver(from int, m Message) {
-	switch net.mode {
-	case ModeBCC:
-		for u := 0; u < net.n; u++ {
-			if u != from {
-				net.inbox[u] = append(net.inbox[u], m)
-			}
-		}
-	case ModeBroadcastCONGEST:
-		for _, u := range net.adj[from] {
-			net.inbox[u] = append(net.inbox[u], m)
-		}
+// BroadcastAll charges one phase in which every vertex broadcasts bits
+// (a non-positive size counts as one bit) and returns its ⌈bits/B⌉
+// rounds. It is the phase BeginPhase, Broadcast(v, bits) for every v,
+// EndPhase, in O(1), and must be called outside a phase.
+func (net *Network) BroadcastAll(bits int) int {
+	if net == nil {
+		return 0
 	}
+	if net.inPhase {
+		panic("sim: BroadcastAll inside a phase")
+	}
+	bits = max(bits, 1)
+	r := net.roundsFor(bits)
+	net.messages += int64(net.n)
+	net.bits += int64(net.n) * int64(bits)
+	net.rounds += r
+	return r
+}
+
+// roundsFor is ⌈bits/B⌉, the rounds one vertex needs to broadcast bits.
+func (net *Network) roundsFor(bits int) int {
+	return (bits + net.bandwidth - 1) / net.bandwidth
 }
 
 // ChargeRounds adds k rounds for a step whose communication is accounted
 // analytically (e.g. propagating a mark down a depth-k cluster tree, where
 // building the explicit per-hop messages adds nothing to the measurement).
 func (net *Network) ChargeRounds(k int) {
+	if net == nil {
+		return
+	}
 	if k < 0 {
 		panic("sim: negative round charge")
 	}
@@ -187,7 +114,12 @@ func (net *Network) ChargeRounds(k int) {
 }
 
 // Rounds returns the total rounds charged so far.
-func (net *Network) Rounds() int { return net.rounds }
+func (net *Network) Rounds() int {
+	if net == nil {
+		return 0
+	}
+	return net.rounds
+}
 
 // Stats summarizes the traffic so far.
 type Stats struct {
@@ -198,6 +130,9 @@ type Stats struct {
 
 // Stats returns a snapshot of the accounting counters.
 func (net *Network) Stats() Stats {
+	if net == nil {
+		return Stats{}
+	}
 	return Stats{Rounds: net.rounds, Messages: net.messages, Bits: net.bits}
 }
 

@@ -4,7 +4,7 @@ import "testing"
 
 func newBCC(t *testing.T, n int) *Network {
 	t.Helper()
-	net, err := NewNetwork(Config{N: n, Mode: ModeBCC})
+	net, err := NewNetwork(n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -12,91 +12,33 @@ func newBCC(t *testing.T, n int) *Network {
 }
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := NewNetwork(Config{N: 0, Mode: ModeBCC}); err == nil {
+	if _, err := NewNetwork(0); err == nil {
 		t.Error("zero vertices accepted")
-	}
-	if _, err := NewNetwork(Config{N: 3, Mode: Mode(99)}); err == nil {
-		t.Error("bad mode accepted")
-	}
-	if _, err := NewNetwork(Config{N: 3, Mode: ModeBroadcastCONGEST}); err == nil {
-		t.Error("missing adjacency accepted")
-	}
-}
-
-func TestBCCDelivery(t *testing.T) {
-	net := newBCC(t, 4)
-	net.BeginPhase()
-	net.Broadcast(1, 8, "hello")
-	rounds := net.EndPhase()
-	if rounds != 1 {
-		t.Fatalf("rounds = %d, want 1", rounds)
-	}
-	for v := 0; v < 4; v++ {
-		in := net.inbox[v]
-		if v == 1 {
-			if len(in) != 0 {
-				t.Fatalf("sender received own message")
-			}
-			continue
-		}
-		if len(in) != 1 || in[0].From != 1 || in[0].Payload.(string) != "hello" {
-			t.Fatalf("vertex %d inbox = %v", v, in)
-		}
-	}
-}
-
-func TestCONGESTDeliveryRestrictedToNeighbors(t *testing.T) {
-	adj := [][]int{{1}, {0, 2}, {1}}
-	net, err := NewNetwork(Config{N: 3, Mode: ModeBroadcastCONGEST, Adjacency: adj})
-	if err != nil {
-		t.Fatal(err)
-	}
-	net.BeginPhase()
-	net.Broadcast(0, 4, 7)
-	net.EndPhase()
-	if len(net.inbox[1]) != 1 {
-		t.Fatal("neighbor did not receive")
-	}
-	if len(net.inbox[2]) != 0 {
-		t.Fatal("non-neighbor received")
 	}
 }
 
 func TestRoundChargingIsMaxOverVertices(t *testing.T) {
-	net, err := NewNetwork(Config{N: 3, Mode: ModeBCC, BandwidthBits: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := newBCC(t, 3) // B = 4·⌈log₂ 3⌉ = 8
 	net.BeginPhase()
-	net.Broadcast(0, 25, nil) // 3 rounds for vertex 0
-	net.Broadcast(1, 10, nil) // 1 round for vertex 1
-	net.Broadcast(1, 10, nil) // 2 rounds total for vertex 1
+	net.Broadcast(0, 20) // 3 rounds for vertex 0
+	net.Broadcast(1, 8)  // 1 round for vertex 1
+	net.Broadcast(1, 8)  // 2 rounds total for vertex 1
 	rounds := net.EndPhase()
 	if rounds != 3 {
 		t.Fatalf("phase rounds = %d, want 3 (max over vertices)", rounds)
 	}
-	if net.Rounds() != 3 {
-		t.Fatalf("total rounds = %d", net.Rounds())
+	// The next phase starts from empty per-sender totals.
+	net.BeginPhase()
+	net.Broadcast(1, 8)
+	if rounds := net.EndPhase(); rounds != 1 {
+		t.Fatalf("second phase rounds = %d, want 1", rounds)
 	}
-	st := net.Stats()
-	if st.Messages != 3 || st.Bits != 45 {
-		t.Fatalf("stats = %+v", st)
+	if got, want := net.Stats(), (Stats{Rounds: 4, Messages: 4, Bits: 44}); got != want {
+		t.Fatalf("stats = %+v, want %+v", got, want)
 	}
 }
 
-func TestInboxReplacedEachPhase(t *testing.T) {
-	net := newBCC(t, 2)
-	net.BeginPhase()
-	net.Broadcast(0, 1, "a")
-	net.EndPhase()
-	net.BeginPhase()
-	net.EndPhase()
-	if len(net.inbox[1]) != 0 {
-		t.Fatal("stale inbox")
-	}
-}
-
-func TestChargeRoundsAndReset(t *testing.T) {
+func TestChargeRounds(t *testing.T) {
 	net := newBCC(t, 2)
 	net.ChargeRounds(5)
 	if net.Rounds() != 5 {
@@ -104,12 +46,50 @@ func TestChargeRoundsAndReset(t *testing.T) {
 	}
 }
 
+// BroadcastAll(bits) charges exactly the phase in which every vertex
+// broadcasts bits, non-positive sizes counting as one bit.
+func TestBroadcastAllMatchesPerVertexPhase(t *testing.T) {
+	for _, n := range []int{1, 3, 64} {
+		for _, bits := range []int{-3, 0, 1, 7, 8, 24, 25, 156} {
+			all, loop := newBCC(t, n), newBCC(t, n)
+			gotRounds := all.BroadcastAll(bits)
+			loop.BeginPhase()
+			for v := 0; v < n; v++ {
+				loop.Broadcast(v, bits)
+			}
+			wantRounds := loop.EndPhase()
+			if gotRounds != wantRounds || all.Stats() != loop.Stats() {
+				t.Fatalf("n=%d bits=%d: BroadcastAll charged %d rounds, %+v; the loop %d rounds, %+v",
+					n, bits, gotRounds, all.Stats(), wantRounds, loop.Stats())
+			}
+		}
+	}
+}
+
+// A nil network is a ledger that charges nothing.
+func TestNilNetworkChargesNothing(t *testing.T) {
+	var net *Network
+	net.BeginPhase()
+	net.Broadcast(0, 8)
+	if r := net.EndPhase(); r != 0 {
+		t.Fatalf("EndPhase = %d", r)
+	}
+	if r := net.BroadcastAll(8); r != 0 {
+		t.Fatalf("BroadcastAll = %d", r)
+	}
+	net.ChargeRounds(5)
+	if net.Rounds() != 0 || net.Stats() != (Stats{}) {
+		t.Fatalf("nil network charged %d rounds, %+v", net.Rounds(), net.Stats())
+	}
+}
+
 func TestPhaseDiscipline(t *testing.T) {
 	net := newBCC(t, 2)
-	mustPanic(t, func() { net.Broadcast(0, 1, nil) })
+	mustPanic(t, func() { net.Broadcast(0, 1) })
 	mustPanic(t, func() { net.EndPhase() })
 	net.BeginPhase()
 	mustPanic(t, func() { net.BeginPhase() })
+	mustPanic(t, func() { net.BroadcastAll(1) })
 	net.EndPhase()
 }
 
@@ -135,11 +115,5 @@ func TestBitHelpers(t *testing.T) {
 	}
 	if BitsForFloat(0, 0) <= 0 {
 		t.Fatal("BitsForFloat should default sanely")
-	}
-}
-
-func TestModeString(t *testing.T) {
-	if ModeBCC.String() == "" || ModeBroadcastCONGEST.String() == "" {
-		t.Fatal("empty mode strings")
 	}
 }

@@ -144,9 +144,7 @@ func Run(g *graph.Graph, alive []bool, p []float64, k int, opts Options) *Result
 				marked[c] = true
 			}
 		}
-		if r.opts.Net != nil {
-			r.opts.Net.ChargeRounds(phase)
-		}
+		r.opts.Net.ChargeRounds(phase)
 
 		// Step 2: vertices in unmarked clusters try to connect to a marked
 		// cluster; one broadcast each, carrying W^(i)_v.
@@ -291,9 +289,7 @@ func (r *run) broadcastCost(bot bool) int {
 // connect to marked clusters.
 func (r *run) step2(marked map[int]bool) {
 	n := r.n
-	if r.opts.Net != nil {
-		r.opts.Net.BeginPhase()
-	}
+	r.opts.Net.BeginPhase()
 	type decision struct {
 		v    int
 		msg  broadcastMsg
@@ -341,13 +337,9 @@ func (r *run) step2(marked map[int]bool) {
 			r.wThresh[v] = infCandidate()
 		}
 		decisions = append(decisions, decision{v: v, msg: msg, acc: acc, ok: ok, rejs: rejs})
-		if r.opts.Net != nil {
-			r.opts.Net.Broadcast(v, r.broadcastCost(!ok), msg)
-		}
+		r.opts.Net.Broadcast(v, r.broadcastCost(!ok))
 	}
-	if r.opts.Net != nil {
-		r.opts.Net.EndPhase()
-	}
+	r.opts.Net.EndPhase()
 	// Apply decisions and neighbor deductions synchronously.
 	for _, d := range decisions {
 		r.decide(d.v, d.acc, d.ok, d.rejs)
@@ -436,9 +428,7 @@ func (r *run) step4(active map[int]bool) {
 // outcome, and neighbors deduce their edges' fates.
 func (r *run) clusterConnectStep(isDecider func(int) (bool, int), isTarget func(v, cu int) bool, wFilter bool) {
 	n := r.n
-	if r.opts.Net != nil {
-		r.opts.Net.BeginPhase()
-	}
+	r.opts.Net.BeginPhase()
 	type decision struct {
 		v    int
 		msg  broadcastMsg
@@ -485,14 +475,10 @@ func (r *run) clusterConnectStep(isDecider func(int) (bool, int), isTarget func(
 				msg.w = acc.w
 			}
 			decisions = append(decisions, decision{v: v, msg: msg, acc: acc, ok: ok, rejs: rejs})
-			if r.opts.Net != nil {
-				r.opts.Net.Broadcast(v, r.broadcastCost(!ok), msg)
-			}
+			r.opts.Net.Broadcast(v, r.broadcastCost(!ok))
 		}
 	}
-	if r.opts.Net != nil {
-		r.opts.Net.EndPhase()
-	}
+	r.opts.Net.EndPhase()
 	for _, d := range decisions {
 		r.decide(d.v, d.acc, d.ok, d.rejs)
 	}

@@ -253,11 +253,7 @@ func TestSpannerSizeBound(t *testing.T) {
 // should scale with k·n^{1/k} structure rather than m (Lemma 3.2).
 func TestRoundAccounting(t *testing.T) {
 	g := graph.Complete(24)
-	adj := make([][]int, g.N())
-	for v := 0; v < g.N(); v++ {
-		adj[v] = g.Neighbors(v)
-	}
-	net, err := sim.NewNetwork(sim.Config{N: g.N(), Mode: sim.ModeBroadcastCONGEST, Adjacency: adj})
+	net, err := sim.NewNetwork(g.N())
 	if err != nil {
 		t.Fatal(err)
 	}

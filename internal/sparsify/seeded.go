@@ -29,14 +29,11 @@ func SeededBCC(g *graph.Graph, par Params, seed int64, net *sim.Network) *Result
 		alive[e] = true
 	}
 	res := &Result{OutDeg: make([]int, g.N())}
-	startRounds := 0
-	if net != nil {
-		startRounds = net.Rounds()
-		// The leader broadcasts the O(log²n)-bit seed once.
-		net.BeginPhase()
-		net.Broadcast(0, SeedBitsBCC(g.N()), seed)
-		net.EndPhase()
-	}
+	startRounds := net.Rounds()
+	// The leader broadcasts the O(log²n)-bit seed once.
+	net.BeginPhase()
+	net.Broadcast(0, SeedBitsBCC(g.N()))
+	net.EndPhase()
 	// Spanner computations still run distributed (they are deterministic
 	// given the marking bits, which also derive from the shared seed).
 	opts := spanner.Options{
@@ -82,9 +79,7 @@ func SeededBCC(g *graph.Graph, par Params, seed int64, net *sim.Network) *Result
 			res.KeptEdges = append(res.KeptEdges, e)
 		}
 	}
-	if net != nil {
-		res.Rounds = net.Rounds() - startRounds
-	}
+	res.Rounds = net.Rounds() - startRounds
 	return res
 }
 

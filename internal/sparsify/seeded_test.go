@@ -61,7 +61,7 @@ func TestSeededBCCMatchesAprioriDistribution(t *testing.T) {
 
 func TestSeededBCCSeedBroadcastCharged(t *testing.T) {
 	g := graph.Complete(16)
-	net, err := sim.NewNetwork(sim.Config{N: g.N(), Mode: sim.ModeBCC})
+	net, err := sim.NewNetwork(g.N())
 	if err != nil {
 		t.Fatal(err)
 	}

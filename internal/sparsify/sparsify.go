@@ -99,10 +99,7 @@ func Adhoc(g *graph.Graph, par Params, rnd *rand.Rand, net *sim.Network) *Result
 		p[e] = 1
 	}
 	res := &Result{OutDeg: make([]int, g.N())}
-	startRounds := 0
-	if net != nil {
-		startRounds = net.Rounds()
-	}
+	startRounds := net.Rounds()
 	opts := spanner.Options{MarkRand: rnd, EdgeRand: rnd, Net: net}
 
 	for it := 0; it < par.Iterations; it++ {
@@ -135,9 +132,7 @@ func Adhoc(g *graph.Graph, par Params, rnd *rand.Rand, net *sim.Network) *Result
 			// Final step (lines 11–15): keep the last bundle outright, then
 			// each remaining edge is sampled by its lower-ID endpoint with
 			// its accumulated probability and broadcast if kept.
-			if net != nil {
-				net.BeginPhase()
-			}
+			net.BeginPhase()
 			kept := make([]bool, m)
 			for _, e := range bundle.B {
 				kept[e] = true
@@ -154,14 +149,10 @@ func Adhoc(g *graph.Graph, par Params, rnd *rand.Rand, net *sim.Network) *Result
 						lo = ed.V
 					}
 					res.OutDeg[lo]++ // oriented toward the higher ID
-					if net != nil {
-						net.Broadcast(lo, 2*sim.BitsForID(g.N()), e)
-					}
+					net.Broadcast(lo, 2*sim.BitsForID(g.N()))
 				}
 			}
-			if net != nil {
-				net.EndPhase()
-			}
+			net.EndPhase()
 			res.H = graph.New(g.N())
 			for e := 0; e < m; e++ {
 				if kept[e] {
@@ -174,9 +165,7 @@ func Adhoc(g *graph.Graph, par Params, rnd *rand.Rand, net *sim.Network) *Result
 			}
 		}
 	}
-	if net != nil {
-		res.Rounds = net.Rounds() - startRounds
-	}
+	res.Rounds = net.Rounds() - startRounds
 	return res
 }
 

@@ -144,16 +144,12 @@ func TestLemma33Distribution(t *testing.T) {
 	}
 }
 
-// TestRoundsCharged: running Adhoc on a Broadcast CONGEST network charges
+// TestRoundsCharged: running Adhoc with a network charges Broadcast CONGEST
 // rounds, and the final-sampling broadcast is included.
 func TestRoundsCharged(t *testing.T) {
 	rnd := rand.New(rand.NewSource(6))
 	g := graph.RandomConnected(16, 0.4, 2, rnd)
-	adj := make([][]int, g.N())
-	for v := 0; v < g.N(); v++ {
-		adj[v] = g.Neighbors(v)
-	}
-	net, err := sim.NewNetwork(sim.Config{N: g.N(), Mode: sim.ModeBroadcastCONGEST, Adjacency: adj})
+	net, err := sim.NewNetwork(g.N())
 	if err != nil {
 		t.Fatal(err)
 	}
