@@ -195,6 +195,16 @@ func NewBCCNetwork(n int) (*Network, error) {
 	return sim.NewNetwork(n)
 }
 
+// checkNetwork rejects a WithNetwork ledger whose vertex count is not the
+// graph's n: an all-vertex phase charges one message per ledger vertex,
+// and a broadcast by a vertex the ledger lacks has no sender to charge.
+func checkNetwork(net *Network, n int) error {
+	if net != nil && net.N() != n {
+		return fmt.Errorf("bcclap: WithNetwork ledger has %d vertices, the graph %d", net.N(), n)
+	}
+	return nil
+}
+
 // SparsifyParams re-exports the sparsifier parameters (bundle size t,
 // stretch parameter k, iteration count).
 type SparsifyParams = sparsify.Params
@@ -233,6 +243,9 @@ func SparsifyGraph(g *Graph, eps float64, opts ...Option) (*SparsifyResult, erro
 	}
 	if eps <= 0 {
 		return nil, fmt.Errorf("bcclap: eps must be positive, got %g", eps)
+	}
+	if err := checkNetwork(cfg.net, g.N()); err != nil {
+		return nil, err
 	}
 	par := cfg.sparsifyParams
 	if par.K == 0 {

@@ -8,6 +8,7 @@ import (
 
 	"bcclap/internal/graph"
 	"bcclap/internal/linalg"
+	"bcclap/internal/sim"
 	"bcclap/internal/sparsify"
 )
 
@@ -41,6 +42,36 @@ func TestPublicSparsifyValidation(t *testing.T) {
 	g := graph.Path(4)
 	if _, err := SparsifyGraph(g, 0); err == nil {
 		t.Fatal("eps = 0 accepted")
+	}
+}
+
+// A WithNetwork ledger must have the graph's vertex count: every entry
+// point rejects a smaller or larger one before charging anything.
+func TestWithNetworkSizeMustMatchGraph(t *testing.T) {
+	g := graph.Grid(4, 5)
+	d := testFlowNetwork(5, 37)
+	for _, delta := range []int{-1, 1} {
+		gNet, err := NewBCCNetwork(g.N() + delta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := SparsifyGraph(g, 0.5, WithNetwork(gNet)); err == nil {
+			t.Errorf("SparsifyGraph accepted a %d-vertex ledger on %d vertices", gNet.N(), g.N())
+		}
+		if _, err := NewLaplacianSession(g, WithNetwork(gNet)); err == nil {
+			t.Errorf("NewLaplacianSession accepted a %d-vertex ledger on %d vertices", gNet.N(), g.N())
+		}
+		if gNet.Stats() != (sim.Stats{}) {
+			t.Errorf("rejected ledger charged %+v", gNet.Stats())
+		}
+		dNet, err := NewBCCNetwork(d.N() + delta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fs, err := NewFlowSolver(d, WithNetwork(dNet)); err == nil {
+			fs.Close()
+			t.Errorf("NewFlowSolver accepted a %d-vertex ledger on %d vertices", dNet.N(), d.N())
+		}
 	}
 }
 

@@ -66,9 +66,11 @@ func TestRunUnknownExperimentListsIDs(t *testing.T) {
 // CONGEST models.
 var roundsExperiments = []string{"e2", "e3", "e5", "e7"}
 
-// TestRoundsGolden pins the -quick tables of every experiment with a
-// rounds column to testdata/rounds.golden, so a change to the paper's
-// round accounting fails here on its own. The file is the output of
+// TestRoundsGolden pins the whole -quick tables of every experiment with
+// a rounds column to testdata/rounds.golden. A change to the paper's
+// round accounting fails here, and so does any change to the other cells
+// (spectral bands, kept-edge counts, residuals), so numerical drift in
+// the sparsifier or the solver fails here too. The file is the output of
 //
 //	for e in e2 e3 e5 e7; do go run ./cmd/bcclap-experiments -exp $e -quick; done
 func TestRoundsGolden(t *testing.T) {

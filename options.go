@@ -100,7 +100,8 @@ func WithSeed(seed int64) Option {
 }
 
 // WithNetwork attaches a round-accounting simulator network; Stats.Rounds
-// then reports the rounds consumed by each solve. The simulator is
+// then reports the rounds consumed by each solve. The network must have
+// the graph's vertex count, else construction fails. The simulator is
 // single-stream, so a FlowSolver accepts it only with one worker:
 // combining it with WithPoolSize above 1 fails at construction, and
 // Service registrations reject it outright. Applies to every entry point.

@@ -147,6 +147,9 @@ func newFlowSolver(d *Digraph, cfg config) (*FlowSolver, error) {
 	if cfg.net != nil && workers > 1 {
 		return nil, fmt.Errorf("bcclap: WithNetwork needs a single-worker solver; drop WithPoolSize")
 	}
+	if err := checkNetwork(cfg.net, d.N()); err != nil {
+		return nil, err
+	}
 	// Every worker session gets identical options (flow takes the seed by
 	// pointer and derives a fresh per-query stream from it), so any worker
 	// answers any query exactly as any other would. Each worker owns a
@@ -375,6 +378,9 @@ func (l *LPSolver) Solve(ctx context.Context, x0 []float64, eps float64) (*LPSol
 // that answers repeated right-hand sides. WithSeed, WithNetwork and WithSparsifyParams apply.
 func NewLaplacianSession(g *Graph, opts ...Option) (*LaplacianSolver, error) {
 	cfg := newConfig(opts)
+	if err := checkNetwork(cfg.net, g.N()); err != nil {
+		return nil, err
+	}
 	s, err := lapsolver.New(g, lapsolver.Config{
 		Sparsify: cfg.sparsifyParams,
 		Rand:     seededRand(cfg.seed + 3),
