@@ -144,9 +144,7 @@
 // FlowSolver.Backend and Stats.Backend report the resolved name.
 // FlowBackends lists the registered names; unknown names fail at session
 // construction with ErrBackendUnknown. All matrix-vector products ride on
-// a parallel sparse kernel that shards rows by balanced nonzero count
-// (serial below an nnz threshold) with output bit-for-bit identical to the
-// serial product.
+// one serial sparse kernel, so a solve's bits do not depend on the host.
 package bcclap
 
 import (

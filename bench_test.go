@@ -1,7 +1,7 @@
 package bcclap_test
 
 // One benchmark per experiment of EXPERIMENTS.md. The paper is a theory
-// contribution without empirical tables, so each of BenchmarkE1–E16
+// contribution without empirical tables, so each of BenchmarkE1–E15
 // measures the quantity a theorem bounds (or times one operation) and
 // reports it via ReportMetric next to the bound. The serving experiments
 // e16–e22 are defined once in internal/experiments: the TestBench*Snapshot
@@ -380,25 +380,6 @@ func BenchmarkE15BackendSolve(b *testing.B) {
 	}
 }
 
-// E16 — row-sharded parallel SpMV vs the serial kernel on the same matrix
-// (the product every solver iteration pays for).
-func BenchmarkE16SpMV(b *testing.B) {
-	m, x := experiments.SpMVInstance()
-	dst := make([]float64, m.Rows())
-	b.ReportMetric(float64(m.NNZ()), "nnz")
-	b.Run("serial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			m.MulVecToShards(dst, x, 1)
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		shards := runtime.NumCPU()
-		for i := 0; i < b.N; i++ {
-			m.MulVecToShards(dst, x, shards)
-		}
-	})
-}
-
 // benchWorkloads runs each workload of a serving experiment as a
 // sub-benchmark: its untimed Start, b.N timed steps, its untimed release,
 // then its metrics.
@@ -458,9 +439,7 @@ func writeSnapshot(t *testing.T, file string, v any, extra map[string]any) {
 }
 
 // TestBenchBackendsSnapshot regenerates BENCH_backends.json from e16, the
-// backend and SpMV comparison. It gates csr-cg beating dense at n = 384
-// and the shard heuristic: the auto SpMV path must either fall back to
-// serial or not lose to it beyond timing noise.
+// backend comparison. It gates csr-cg beating dense at n = 384.
 func TestBenchBackendsSnapshot(t *testing.T) {
 	requireSnapshot(t, "BENCH_backends.json")
 	r, err := experiments.E16(context.Background(), false)
@@ -469,9 +448,6 @@ func TestBenchBackendsSnapshot(t *testing.T) {
 	}
 	if cg, dense := r.ATDA.Solve["csr-cg"], r.ATDA.Solve["dense"]; cg >= dense {
 		t.Errorf("csr-cg (%v) does not beat dense (%v) at n = %d", cg, dense, r.ATDA.N)
-	}
-	if s := r.SpMV; s.AutoShards > 1 && s.Auto > s.Serial+s.Serial/10 {
-		t.Errorf("auto SpMV picked %d shards but runs at %v vs %v serial", s.AutoShards, s.Auto, s.Serial)
 	}
 	writeSnapshot(t, "BENCH_backends.json", r, nil)
 }

@@ -25,7 +25,7 @@ type Stats struct {
 	Entries, Capacity int
 }
 
-// entry is one cached value threaded onto its shard's intrusive LRU list
+// entry is one cached value threaded onto the cache's intrusive LRU list
 // (head = most recent, tail = next eviction victim).
 type entry[V any] struct {
 	key        Key
@@ -33,64 +33,30 @@ type entry[V any] struct {
 	prev, next *entry[V]
 }
 
-// shard is one independently locked slice of the key space.
-type shard[V any] struct {
+// Cache is an LRU of certified results behind one mutex. The nil pointer
+// is a valid disabled cache: Get always misses, Put and Flush are no-ops,
+// Stats is zero. Construct with New.
+type Cache[V any] struct {
 	mu         sync.Mutex
 	items      map[Key]*entry[V]
 	head, tail *entry[V]
 	cap        int
-}
-
-// Cache is a sharded LRU of certified results. The zero value and the nil
-// pointer are valid disabled caches: Get always misses, Put and Flush are
-// no-ops, Stats is zero. Construct with New.
-type Cache[V any] struct {
-	shards []shard[V]
-	mask   uint64
 
 	hits, misses, evictions, invalidations atomic.Int64
 }
 
-// shardCount is the fixed shard fan-out for caches large enough to split
-// (power of two so the router can mask instead of mod).
-const shardCount = 8
-
-// maxPresize caps the per-shard map size hint New allocates up front, so
-// a large budget does not allocate for entries never stored.
+// maxPresize caps the map size hint New allocates up front, so a large
+// budget does not allocate for entries never stored.
 const maxPresize = 1 << 10
 
-// New builds a cache bounded to capacity entries in total. A capacity
-// ≤ 0 returns nil — the valid disabled cache — so a single construction
-// site implements the "0 disables" contract.
+// New builds a cache bounded to capacity entries. A capacity ≤ 0 returns
+// nil — the valid disabled cache — so a single construction site
+// implements the "0 disables" contract.
 func New[V any](capacity int) *Cache[V] {
 	if capacity <= 0 {
 		return nil
 	}
-	n := shardCount
-	if capacity < n {
-		n = 1
-	}
-	c := &Cache[V]{shards: make([]shard[V], n), mask: uint64(n - 1)}
-	base, extra := capacity/n, capacity%n
-	for i := range c.shards {
-		sc := base
-		if i < extra {
-			sc++
-		}
-		c.shards[i] = shard[V]{items: make(map[Key]*entry[V], min(sc, maxPresize)), cap: sc}
-	}
-	return c
-}
-
-// shardFor routes a key with a splitmix64 finalizer over its packed
-// fields — deterministic across processes, like the pool's pair router.
-func (c *Cache[V]) shardFor(k Key) *shard[V] {
-	x := k.Version*0x9e3779b97f4a7c15 + uint64(uint32(k.S))<<32 | uint64(uint32(k.T))
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	x ^= x >> 31
-	return &c.shards[x&c.mask]
+	return &Cache[V]{items: make(map[Key]*entry[V], min(capacity, maxPresize)), cap: capacity}
 }
 
 // Get returns the cached value for k, marking it most recently used.
@@ -98,14 +64,13 @@ func (c *Cache[V]) Get(k Key) (v V, ok bool) {
 	if c == nil {
 		return v, false
 	}
-	s := c.shardFor(k)
-	s.mu.Lock()
-	e, ok := s.items[k]
+	c.mu.Lock()
+	e, ok := c.items[k]
 	if ok {
-		s.moveToFront(e)
+		c.moveToFront(e)
 		v = e.val
 	}
-	s.mu.Unlock()
+	c.mu.Unlock()
 	if ok {
 		c.hits.Add(1)
 	} else {
@@ -114,34 +79,33 @@ func (c *Cache[V]) Get(k Key) (v V, ok bool) {
 	return v, ok
 }
 
-// Put inserts (or refreshes) k → v, evicting the shard's least recently
-// used entry if the insert overflows the budget.
+// Put inserts (or refreshes) k → v, evicting the least recently used
+// entry if the insert overflows the budget.
 func (c *Cache[V]) Put(k Key, v V) {
 	if c == nil {
 		return
 	}
-	s := c.shardFor(k)
-	s.mu.Lock()
-	if e, ok := s.items[k]; ok {
+	c.mu.Lock()
+	c.put(k, v)
+	c.mu.Unlock()
+}
+
+// put is Put with c.mu held.
+func (c *Cache[V]) put(k Key, v V) {
+	if e, ok := c.items[k]; ok {
 		e.val = v
-		s.moveToFront(e)
-		s.mu.Unlock()
+		c.moveToFront(e)
 		return
 	}
-	evicted := 0
-	for len(s.items) >= s.cap && s.tail != nil {
-		victim := s.tail
-		s.unlink(victim)
-		delete(s.items, victim.key)
-		evicted++
+	for len(c.items) >= c.cap && c.tail != nil {
+		victim := c.tail
+		c.unlink(victim)
+		delete(c.items, victim.key)
+		c.evictions.Add(1)
 	}
 	e := &entry[V]{key: k, val: v}
-	s.items[k] = e
-	s.pushFront(e)
-	s.mu.Unlock()
-	if evicted > 0 {
-		c.evictions.Add(int64(evicted))
-	}
+	c.items[k] = e
+	c.pushFront(e)
 }
 
 // Rekey migrates the entries of version from to version to, dropping the
@@ -151,43 +115,32 @@ func (c *Cache[V]) Put(k Key, v V) {
 // survive the mutation and drops only the invalidated ones (counted as
 // invalidations, like Flush). Entries of other versions are untouched.
 //
-// drop is called once per matching entry, under the entry's shard lock: it
-// must be fast, must not call back into the cache, and must be a pure
-// function of the key and value. Survivors are re-inserted most recently
-// used. No-op on a nil cache, when from == to, or with a nil drop (then
-// every entry survives).
+// drop is called once per matching entry, under the cache lock: it must
+// be fast, must not call back into the cache, and must be a pure function
+// of the key and value. Survivors are re-inserted most recently used.
+// No-op on a nil cache, when from == to, or with a nil drop (then every
+// entry survives).
 func (c *Cache[V]) Rekey(from, to uint64, drop func(Key, V) bool) {
 	if c == nil || from == to {
 		return
 	}
-	type moved struct {
-		k Key
-		v V
-	}
-	var keep []moved
-	dropped := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		for k, e := range s.items {
-			if k.Version != from {
-				continue
-			}
-			s.unlink(e)
-			delete(s.items, k)
-			if drop != nil && drop(k, e.val) {
-				dropped++
-			} else {
-				keep = append(keep, moved{Key{Version: to, S: k.S, T: k.T}, e.val})
-			}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var keep []*entry[V]
+	for k, e := range c.items {
+		if k.Version != from {
+			continue
 		}
-		s.mu.Unlock()
+		c.unlink(e)
+		delete(c.items, k)
+		if drop != nil && drop(k, e.val) {
+			c.invalidations.Add(1)
+		} else {
+			keep = append(keep, e)
+		}
 	}
-	if dropped > 0 {
-		c.invalidations.Add(int64(dropped))
-	}
-	for _, m := range keep {
-		c.Put(m.k, m.v)
+	for _, e := range keep {
+		c.put(Key{Version: to, S: e.key.S, T: e.key.T}, e.val)
 	}
 }
 
@@ -197,18 +150,11 @@ func (c *Cache[V]) Flush() {
 	if c == nil {
 		return
 	}
-	dropped := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		dropped += len(s.items)
-		s.items = make(map[Key]*entry[V])
-		s.head, s.tail = nil, nil
-		s.mu.Unlock()
-	}
-	if dropped > 0 {
-		c.invalidations.Add(int64(dropped))
-	}
+	c.mu.Lock()
+	c.invalidations.Add(int64(len(c.items)))
+	c.items = make(map[Key]*entry[V])
+	c.head, c.tail = nil, nil
+	c.mu.Unlock()
 }
 
 // Len returns the current entry count.
@@ -216,14 +162,9 @@ func (c *Cache[V]) Len() int {
 	if c == nil {
 		return 0
 	}
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += len(s.items)
-		s.mu.Unlock()
-	}
-	return n
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.items)
 }
 
 // Capacity returns the fixed entry budget (0 when disabled).
@@ -231,11 +172,7 @@ func (c *Cache[V]) Capacity() int {
 	if c == nil {
 		return 0
 	}
-	n := 0
-	for i := range c.shards {
-		n += c.shards[i].cap
-	}
-	return n
+	return c.cap
 }
 
 // CarryCounters seeds c's cumulative counters from another cache's, so
@@ -280,37 +217,37 @@ func (s Stats) Add(o Stats) Stats {
 }
 
 // pushFront links e as the most recently used entry.
-func (s *shard[V]) pushFront(e *entry[V]) {
-	e.prev, e.next = nil, s.head
-	if s.head != nil {
-		s.head.prev = e
+func (c *Cache[V]) pushFront(e *entry[V]) {
+	e.prev, e.next = nil, c.head
+	if c.head != nil {
+		c.head.prev = e
 	}
-	s.head = e
-	if s.tail == nil {
-		s.tail = e
+	c.head = e
+	if c.tail == nil {
+		c.tail = e
 	}
 }
 
 // unlink removes e from the list.
-func (s *shard[V]) unlink(e *entry[V]) {
+func (c *Cache[V]) unlink(e *entry[V]) {
 	if e.prev != nil {
 		e.prev.next = e.next
 	} else {
-		s.head = e.next
+		c.head = e.next
 	}
 	if e.next != nil {
 		e.next.prev = e.prev
 	} else {
-		s.tail = e.prev
+		c.tail = e.prev
 	}
 	e.prev, e.next = nil, nil
 }
 
 // moveToFront refreshes e's recency.
-func (s *shard[V]) moveToFront(e *entry[V]) {
-	if s.head == e {
+func (c *Cache[V]) moveToFront(e *entry[V]) {
+	if c.head == e {
 		return
 	}
-	s.unlink(e)
-	s.pushFront(e)
+	c.unlink(e)
+	c.pushFront(e)
 }

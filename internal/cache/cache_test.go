@@ -50,10 +50,8 @@ func TestGetPutCounters(t *testing.T) {
 }
 
 // The budget must hold under overflow, evicting least-recently-used
-// entries per shard, and recently touched entries must survive.
+// entries, and recently touched entries must survive.
 func TestLRUEviction(t *testing.T) {
-	// Single-shard cache (capacity below shardCount) so global LRU order
-	// is exact.
 	c := New[int](4)
 	for i := 0; i < 4; i++ {
 		c.Put(Key{Version: 1, S: i, T: 99}, i)
@@ -112,19 +110,42 @@ func TestFlush(t *testing.T) {
 	}
 }
 
-// The budget must be exact across shards: capacity splits over shards and
-// the total never exceeds it.
-func TestShardedBudget(t *testing.T) {
+// The budget must bound the entry count under overflow from many versions
+// and pairs, and Capacity must report it.
+func TestBudget(t *testing.T) {
 	const capacity = 50
 	c := New[int](capacity)
 	for i := 0; i < 10*capacity; i++ {
 		c.Put(Key{Version: uint64(i % 7), S: i, T: i * 31}, i)
 	}
-	if got := c.Len(); got > capacity {
-		t.Fatalf("len %d exceeds budget %d", got, capacity)
+	if got := c.Len(); got != capacity {
+		t.Fatalf("len %d, want the full budget %d", got, capacity)
 	}
 	if got := c.Capacity(); got != capacity {
 		t.Fatalf("capacity %d, want %d", got, capacity)
+	}
+	if got := c.Stats().Evictions; got != 9*capacity {
+		t.Fatalf("evictions %d, want %d", got, 9*capacity)
+	}
+}
+
+// A budget-k cache must hold k distinct keys of one version without
+// evicting any: the budget is the bound, not a per-slice share of it.
+func TestBudgetHoldsDistinctKeys(t *testing.T) {
+	for _, k := range []int{8, 16, 1024} {
+		c := New[int](k)
+		for i := 0; i < k; i++ {
+			c.Put(Key{Version: 1, S: i / 32, T: i % 32}, i)
+		}
+		if st := c.Stats(); st.Entries != k || st.Evictions != 0 {
+			t.Errorf("budget %d: %d entries, %d evictions; want %d and 0", k, st.Entries, st.Evictions, k)
+		}
+		for i := 0; i < k; i++ {
+			if v, ok := c.Get(Key{Version: 1, S: i / 32, T: i % 32}); !ok || v != i {
+				t.Errorf("budget %d: key %d lost", k, i)
+				break
+			}
+		}
 	}
 }
 

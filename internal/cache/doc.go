@@ -1,6 +1,6 @@
 // Package cache is the certified-result cache behind the multi-tenant
-// service layer: a sharded, concurrency-safe LRU keyed by
-// (network version, source, sink).
+// service layer: a concurrency-safe LRU keyed by (network version,
+// source, sink).
 //
 // The flow pipeline's answers are exact and deterministic — a certified
 // (value, cost, flows) triple for a terminal pair is a pure function of
@@ -14,15 +14,13 @@
 // Invariants:
 //
 //   - Concurrency-safe: Get/Put/Flush/Stats may be called from any number
-//     of goroutines. Contention is bounded by sharding — a splitmix64
-//     finalizer over the key picks the shard, and each shard serializes
-//     on its own mutex (the same deterministic routing idiom as
-//     internal/pool's terminal-pair router).
-//   - Bounded: the entry budget is fixed at construction and split evenly
-//     across shards; each shard evicts its least-recently-used entry on
-//     overflow. A budget of 0 constructs a nil cache on which every
-//     operation is a cheap no-op, so callers need no disabled-path
-//     branching.
+//     of goroutines; one mutex serializes them. Each tenant owns its own
+//     cache, so the lock is shared only by that tenant's requests.
+//   - Bounded: the entry budget is fixed at construction and is the exact
+//     bound — the cache holds up to that many entries and evicts its
+//     least-recently-used entry on overflow. A budget of 0 constructs a
+//     nil cache on which every operation is a cheap no-op, so callers need
+//     no disabled-path branching.
 //   - Observable: Stats snapshots hits, misses, evictions (budget
 //     pressure) and invalidations (Flush) as monotonic counters, plus the
 //     current entry count against the budget.

@@ -56,7 +56,7 @@ var All = []Experiment{
 	{"e11", "Ablation: bundle size t vs sparsifier size and quality", e11},
 	{"e12", "Theorem 1.2's orientation: globalization rounds = max out-degree", e12},
 	{"e15", "Backend registry: identical certified (value, cost), per-backend wall-clock", e15},
-	{"e16", "Backend registry at scale: median AᵀDA solve per backend, serial vs sharded SpMV", rendered(E16)},
+	{"e16", "Backend registry at scale: median AᵀDA solve per backend", rendered(E16)},
 	{"e17", "Session API: batch per-query time vs one-shot, identical certified results", measured(SessionWorkloads)},
 	{"e18", "Session pool: batch throughput vs pool size, identical to sequential", measured(PoolWorkloads)},
 	{"e19", "Combinatorial preconditioning: csr-pcg vs csr-cg inner iterations per query", measured(PrecondWorkloads)},

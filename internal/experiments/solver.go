@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"slices"
 	"time"
 
@@ -37,27 +36,8 @@ func ATDAInstance(n int) (a *linalg.CSR, dvec, y []float64, err error) {
 	return a, dvec, y, nil
 }
 
-// SpMVInstance builds the random 3000×3000 CSR matrix (60 nonzeros per
-// row) and input vector of e16's SpMV comparison and BenchmarkE16SpMV.
-func SpMVInstance() (*linalg.CSR, []float64) {
-	rnd := rand.New(rand.NewSource(17))
-	n := 3000
-	var ts []linalg.Triple
-	for r := 0; r < n; r++ {
-		for k := 0; k < 60; k++ {
-			ts = append(ts, linalg.Triple{Row: r, Col: rnd.Intn(n), Val: rnd.NormFloat64()})
-		}
-	}
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = rnd.NormFloat64()
-	}
-	return linalg.NewCSR(n, n, ts), x
-}
-
 // BackendsResult is e16, shaped as BENCH_backends.json: the median AᵀDA
-// solve per backend on one flow LP, and the median sparse matrix-vector
-// product serial, sharded over every CPU, and through the auto heuristic.
+// solve per backend on one flow LP.
 type BackendsResult struct {
 	ATDA struct {
 		N     int                      `json:"graph_n"`
@@ -66,20 +46,10 @@ type BackendsResult struct {
 		NNZ   int                      `json:"nnz"`
 		Solve map[string]time.Duration `json:"solve_ns"`
 	} `json:"atda"`
-	SpMV struct {
-		N          int           `json:"n"`
-		NNZ        int           `json:"nnz"`
-		NumCPU     int           `json:"num_cpu"`
-		Serial     time.Duration `json:"serial_ns"`
-		Parallel   time.Duration `json:"parallel_ns"`
-		Auto       time.Duration `json:"auto_ns"`
-		AutoShards int           `json:"auto_shards"`
-	} `json:"spmv"`
 }
 
 // E16 times every registered AᵀDA backend on the flow LP of a 384-vertex
-// network (after one warm-up solve), and the SpMV kernel on SpMVInstance
-// at each shard policy, 50 products per repetition. It has no quick scale.
+// network (after one warm-up solve). It has no quick scale.
 func E16(ctx context.Context, quick bool) (*BackendsResult, error) {
 	a, dvec, y, err := ATDAInstance(384)
 	if err != nil {
@@ -100,23 +70,6 @@ func E16(ctx context.Context, quick bool) (*BackendsResult, error) {
 			return nil, fmt.Errorf("backend %s: %w", name, err)
 		}
 	}
-	m, x := SpMVInstance()
-	dst := make([]float64, m.Rows())
-	perOp := func(run func()) time.Duration {
-		const reps = 50
-		d, _ := median(func() error {
-			for i := 0; i < reps; i++ {
-				run()
-			}
-			return nil
-		})
-		return d / reps
-	}
-	s := &r.SpMV
-	s.N, s.NNZ, s.NumCPU, s.AutoShards = m.Rows(), m.NNZ(), runtime.NumCPU(), m.AutoShards()
-	s.Serial = perOp(func() { m.MulVecToShards(dst, x, 1) })
-	s.Parallel = perOp(func() { m.MulVecToShards(dst, x, s.NumCPU) })
-	s.Auto = perOp(func() { m.MulVecTo(dst, x) })
 	return r, nil
 }
 

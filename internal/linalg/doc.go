@@ -31,12 +31,11 @@
 //     buffers and draw scratch from a Workspace arena, so a warmed-up
 //     solve allocates nothing — the property the session and pool layers
 //     are built around (one workspace per session, never shared).
-//   - Bit-for-bit parallel SpMV: the CSR kernel shards rows into blocks of
-//     balanced *nonzero* count (never row count — a hub row would
-//     serialize its shard) and sums each row in serial order, so its
-//     output is identical to the serial kernel for every shard count
-//     (property-tested and raced in CI). Below the nnz threshold the auto
-//     path stays serial: fan-out only ever pays above it.
+//   - Serial kernels: the package starts no goroutine, and the CSR
+//     product sums each row in column order, so every product and solver
+//     iterate is the same bit for bit on every host. The flow LPs solved
+//     here have at most tens of thousands of nonzeros, too few for a
+//     product sharded across goroutines to pay for its fan-out.
 //   - Cancellation: the iterative solvers poll their context every 32
 //     iterations — frequent enough to abort within one outer
 //     path-following step, rare enough to keep the kernels branch-lean.

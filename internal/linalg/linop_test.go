@@ -3,7 +3,6 @@ package linalg
 import (
 	"context"
 	"math/rand"
-	"runtime"
 	"testing"
 )
 
@@ -29,105 +28,6 @@ func randomVec(n int, rnd *rand.Rand) []float64 {
 		x[i] = rnd.NormFloat64()
 	}
 	return x
-}
-
-// The nnz-balanced shard partition must stay bit-for-bit identical to the
-// serial product even on pathologically skewed row-length distributions
-// (one hub row holding most of the nonzeros next to thousands of short
-// rows — the shape that defeated the old row-count partition), and the
-// auto heuristic must stay serial below the nnz threshold.
-func TestSpMVNNZBalancedSharding(t *testing.T) {
-	rnd := rand.New(rand.NewSource(7))
-	n := 2000
-	var ts []Triple
-	for c := 0; c < n; c++ {
-		// Row 0 is the hub: dense.
-		ts = append(ts, Triple{Row: 0, Col: c, Val: rnd.NormFloat64()})
-	}
-	for r := 1; r < n; r++ {
-		ts = append(ts, Triple{Row: r, Col: rnd.Intn(n), Val: rnd.NormFloat64()})
-	}
-	m := NewCSR(n, n, ts)
-	x := randomVec(n, rnd)
-	serial := make([]float64, n)
-	m.MulVecToShards(serial, x, 1)
-	for _, shards := range []int{2, 3, 5, 16, n, 3 * n} {
-		got := make([]float64, n)
-		m.MulVecToShards(got, x, shards)
-		for i := range got {
-			if got[i] != serial[i] {
-				t.Fatalf("shards=%d: row %d: %v != serial %v", shards, i, got[i], serial[i])
-			}
-		}
-	}
-	// Below the threshold the auto path must not fan out at all.
-	small := randomCSR(64, 64, 0.1, rnd)
-	if small.NNZ() >= spmvMinNNZ {
-		t.Fatalf("test instance too large: %d nnz", small.NNZ())
-	}
-	if s := small.spmvShards(); s != 1 {
-		t.Fatalf("auto shards = %d for %d nnz, want serial", s, small.NNZ())
-	}
-	// Above it the heuristic is bounded by both resources: never more
-	// shards than CPUs, and never so many that a shard owns less than
-	// spmvShardNNZ nonzeros. The instance is built to sit just above the
-	// threshold (≈ 2.4 shards of work), where a heuristic regression that
-	// ignored the work cap and took runtime.NumCPU() shards outright is
-	// visible on any multi-core host.
-	bigRows := 300
-	perRow := (spmvShardNNZ*12/5)/bigRows + 1
-	var bigTS []Triple
-	for r := 0; r < bigRows; r++ {
-		for k := 0; k < perRow; k++ {
-			bigTS = append(bigTS, Triple{Row: r, Col: (r*perRow + k) % bigRows, Val: 1})
-		}
-	}
-	big := NewCSR(bigRows, bigRows, bigTS)
-	if big.NNZ() < spmvMinNNZ {
-		t.Fatalf("test instance too small: %d nnz", big.NNZ())
-	}
-	s := big.spmvShards()
-	if s > runtime.NumCPU() {
-		t.Fatalf("auto shards = %d exceeds %d CPUs", s, runtime.NumCPU())
-	}
-	if s > big.NNZ()/spmvShardNNZ {
-		t.Fatalf("auto shards = %d leaves only %d nnz per shard (want ≥ %d)",
-			s, big.NNZ()/s, spmvShardNNZ)
-	}
-	if got := big.AutoShards(); got != s {
-		t.Fatalf("AutoShards() = %d, spmvShards() = %d", got, s)
-	}
-}
-
-// Parallel SpMV must be bit-for-bit identical to the serial product for
-// every shard count: the row partition never changes the per-row summation
-// order.
-func TestSpMVDeterministicAcrossShards(t *testing.T) {
-	rnd := rand.New(rand.NewSource(1))
-	for _, size := range []struct{ rows, cols int }{{7, 5}, {64, 48}, {301, 211}, {1024, 1024}} {
-		m := randomCSR(size.rows, size.cols, 0.1, rnd)
-		x := randomVec(size.cols, rnd)
-		serial := make([]float64, size.rows)
-		m.MulVecToShards(serial, x, 1)
-		for _, shards := range []int{2, 3, 4, 7, 8, 16, 1000} {
-			got := make([]float64, size.rows)
-			m.MulVecToShards(got, x, shards)
-			for i := range got {
-				if got[i] != serial[i] {
-					t.Fatalf("%dx%d shards=%d: row %d: parallel %v != serial %v (not bit-for-bit)",
-						size.rows, size.cols, shards, i, got[i], serial[i])
-				}
-			}
-		}
-		// The automatic path must agree too, whatever shard count it picks.
-		auto := make([]float64, size.rows)
-		m.MulVecTo(auto, x)
-		for i := range auto {
-			if auto[i] != serial[i] {
-				t.Fatalf("MulVecTo differs from serial at row %d", i)
-			}
-		}
-	}
 }
 
 func TestMulVecToMatchesMulVec(t *testing.T) {

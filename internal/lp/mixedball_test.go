@@ -136,9 +136,10 @@ func TestProjectMixedBallChargesRounds(t *testing.T) {
 	if net.Rounds() == 0 {
 		t.Fatal("projection charged no rounds")
 	}
-	// O(log) evaluations of O(1) rounds each: if every coordinate needed
-	// its own aggregate phase (the naive approach) we would be at ≥ m
-	// rounds.
+	// O(log m) aggregate phases of O(1) rounds each. The naive approach
+	// spends one phase per coordinate, and every phase costs at least one
+	// round, so m rounds is a floor the naive cost never goes below (e7
+	// prints its exact cost: m times the rounds of one phase).
 	if net.Rounds() >= m {
 		t.Fatalf("projection charged %d rounds — looks linear in m", net.Rounds())
 	}

@@ -58,8 +58,8 @@ type AdmissionStats = admission.Stats
 //
 // Every handle wraps a FlowSolver — per-network WithBackend /
 // WithPoolSize / WithSeed / WithCacheSize overrides layer over the
-// service-level defaults given to NewService — and fronts it with a
-// sharded LRU of certified results keyed by (network, version, s, t).
+// service-level defaults given to NewService — and fronts it with
+// an LRU of certified results keyed by (network, version, s, t).
 // Since solves are exact and deterministic, cached answers are
 // bit-identical to fresh ones, turning repeated production queries into
 // O(1) lookups; the cache is invalidated whole-tenant on Swap and
