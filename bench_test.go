@@ -4,10 +4,14 @@ package bcclap_test
 // contribution without empirical tables, so each of BenchmarkE1–E15
 // measures the quantity a theorem bounds (or times one operation) and
 // reports it via ReportMetric next to the bound. The serving experiments
-// e16–e22 are defined once in internal/experiments: the TestBench*Snapshot
-// tests run them at full scale, gate the results and write the committed
-// BENCH_*.json files, and their benchmarks time the same instances and
-// workloads. cmd/bcclap-experiments prints every experiment's tables.
+// e16–e19 and e22 are defined once in internal/experiments: the
+// TestBench*Snapshot tests run them at full scale, gate the results and
+// write the committed BENCH_*.json files, and their benchmarks time the
+// same instances and workloads. cmd/bcclap-experiments prints every
+// experiment's tables. The retired e20 and e21 have no benchmark: their
+// gates are assertions in TestServiceBatchCache,
+// TestServicePatchSelectiveInvalidation, TestServicePatchEquivalentToSwap
+// and TestServiceRestartBitIdentical.
 
 import (
 	"context"
@@ -560,97 +564,6 @@ func TestBenchPoolSnapshot(t *testing.T) {
 	}
 	writeSnapshot(t, "BENCH_pool.json", r, map[string]any{
 		"num_cpu": runtime.NumCPU(), "gomaxprocs": runtime.GOMAXPROCS(0), "note": note,
-	})
-}
-
-// E20 — the multi-tenant service, cache off and on, vs the single-tenant
-// pool; see experiments.ServiceWorkloads.
-func BenchmarkE20Service(b *testing.B) {
-	_, ws, err := experiments.ServiceWorkloads(context.Background(), false)
-	benchWorkloads(b, ws, err)
-}
-
-// TestBenchServiceSnapshot regenerates BENCH_service.json from e20, which
-// fails unless every service answer — cached or fresh, on both tenants —
-// is bit-identical to the single-tenant pooled baseline in value, cost and
-// flow vector. Two more properties are gated on every host, because
-// neither depends on parallelism: the repeat-heavy stream reaches its
-// predicted cache hit-rate ((repeats-1)/repeats of queries after the cold
-// round), and the cached stream beats both the uncached service and the
-// bare-pool baseline on throughput — a cache hit is a hash lookup, orders
-// of magnitude under any certified solve, so timing noise cannot flip the
-// gate even on a 1-CPU snapshot host.
-func TestBenchServiceSnapshot(t *testing.T) {
-	requireSnapshot(t, "BENCH_service.json")
-	r, err := experiments.Measure(experiments.ServiceWorkloads(context.Background(), false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := float64(r.Instance.Repeats-1) / float64(r.Instance.Repeats); r.Cache.HitRate < want {
-		t.Errorf("cache hit rate %.3f below the stream's repeat fraction %.3f", r.Cache.HitRate, want)
-	}
-	q := r.Throughput
-	if q.Cached <= q.Uncached {
-		t.Errorf("cached throughput %.1f q/s does not beat uncached %.1f q/s", q.Cached, q.Uncached)
-	}
-	if q.Cached <= q.Baseline {
-		t.Errorf("cached service %.1f q/s does not beat the single-tenant pool baseline %.1f q/s", q.Cached, q.Baseline)
-	}
-	writeSnapshot(t, "BENCH_service.json", r, map[string]any{
-		"num_cpu": runtime.NumCPU(), "gomaxprocs": runtime.GOMAXPROCS(0),
-		"note": "cached vs fresh results are gated bit-identical (value, cost, flow vector) on both " +
-			"tenants; the cached stream must beat both the uncached service and the PR-3 " +
-			"single-tenant pool on every host — hits are O(1) lookups, not solves",
-	})
-}
-
-// E21 — WAL append tax, recovery, and patch vs swap; see
-// experiments.StoreWorkloads.
-func BenchmarkE21Store(b *testing.B) {
-	_, ws, err := experiments.StoreWorkloads(context.Background(), false)
-	benchWorkloads(b, ws, err)
-}
-
-// TestBenchStoreSnapshot regenerates BENCH_store.json from e21, which
-// fails unless a service reopened from its data directory serves each
-// tenant at its exact pre-shutdown version with a bit-identical flow
-// vector. Three more properties are gated on every host: the post-patch
-// resolve of an affected pair warm-starts (no path following) and still
-// matches the exact SSP baseline on the patched network; patches
-// invalidate selectively — the untouched pair survives as a cache hit,
-// only the touched pair re-solves; and patch-resolve beats swap-resolve,
-// which pays full solver construction for the same state change.
-func TestBenchStoreSnapshot(t *testing.T) {
-	requireSnapshot(t, "BENCH_store.json")
-	r, err := experiments.Measure(experiments.StoreWorkloads(context.Background(), false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Selective.UntouchedHit {
-		t.Error("selective invalidation gate: untouched pair did not survive the patch")
-	}
-	if !r.Selective.TouchedMissed {
-		t.Error("selective invalidation gate: touched pair served stale from cache")
-	}
-	if st := r.Touched.Stats; !st.WarmStarted || st.PathSteps != 0 {
-		t.Errorf("warm gate: post-patch resolve warm=%v path_steps=%d, want a warm start with no path following",
-			st.WarmStarted, st.PathSteps)
-	}
-	if r.Touched.Value != r.SSPValue || r.Touched.Cost != r.SSPCost {
-		t.Errorf("exactness gate: post-patch (%d, %d), SSP baseline (%d, %d)", r.Touched.Value, r.Touched.Cost, r.SSPValue, r.SSPCost)
-	}
-	// Host-independent by construction: swap pays full solver construction
-	// plus a cold resolve for the same state change the patch folds into
-	// live sessions with a warm resolve.
-	if p := r.PatchVsSwap; p.Patch >= p.Swap {
-		t.Errorf("patch-resolve %v does not beat swap-resolve %v", p.Patch, p.Swap)
-	}
-	writeSnapshot(t, "BENCH_store.json", r, map[string]any{
-		"num_cpu": runtime.NumCPU(), "gomaxprocs": runtime.GOMAXPROCS(0),
-		"note": "gates are timing-free except patch vs swap (structural: swap rebuilds the solver pool, " +
-			"patch folds deltas into live sessions): restart fidelity is bit-identical flows, the " +
-			"post-patch resolve must warm-start with zero path steps and match the exact SSP baseline, " +
-			"and patches drop only cache entries whose flows touch a modified arc",
 	})
 }
 

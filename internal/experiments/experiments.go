@@ -60,8 +60,6 @@ var All = []Experiment{
 	{"e17", "Session API: batch per-query time vs one-shot, identical certified results", measured(SessionWorkloads)},
 	{"e18", "Session pool: batch throughput vs pool size, identical to sequential", measured(PoolWorkloads)},
 	{"e19", "Combinatorial preconditioning: csr-pcg vs csr-cg inner iterations per query", measured(PrecondWorkloads)},
-	{"e20", "Service layer: multi-tenant certified-result cache vs single-tenant baseline", measured(ServiceWorkloads)},
-	{"e21", "Durable store: WAL append tax, recovery scaling, patch vs swap", measured(StoreWorkloads)},
 	{"e22", "QoS: admission gate isolates tenants; telemetry rides the hot path for free", rendered(E22)},
 }
 
@@ -96,7 +94,7 @@ func measured[R any](f func(context.Context, bool) (R, []Workload, error)) func(
 }
 
 // Snapshot decodes v's JSON encoding into a map, every number kept as
-// encoded. The results of e16–e22 encode as the layout of their
+// encoded. The results of e16–e19 and e22 encode as the layout of their
 // BENCH_*.json snapshots, which are this map plus host facts.
 func Snapshot(v any) (map[string]any, error) {
 	buf, err := json.Marshal(v)
@@ -179,7 +177,7 @@ func median(f func() error) (time.Duration, error) {
 	return times[len(times)/2], nil
 }
 
-// Workload is one named operation of a serving experiment (e17–e22),
+// Workload is one named operation of a serving experiment (e17–e19, e22),
 // timed two ways: Measure takes the median of five repetitions, and the
 // experiment's benchmark in the root package runs it b.N times. Start
 // builds the operation's state, untimed, and returns the step to time
@@ -191,14 +189,13 @@ type Workload struct {
 	Start   func() (step func(i int) error, release func(), err error)
 	Metrics func() map[string]float64
 
-	reps   int                 // step calls per timed repetition; 0 means 1
 	record func(time.Duration) // receives the median repetition; nil: benchmark only
 }
 
-// Measure times the workloads of one of SessionWorkloads, PoolWorkloads,
-// PrecondWorkloads, ServiceWorkloads or StoreWorkloads in order, each as
-// the median of five repetitions, and returns the result they record
-// into. It skips the workloads that only the benchmarks time.
+// Measure times the workloads of one of SessionWorkloads, PoolWorkloads
+// or PrecondWorkloads in order, each as the median of five repetitions,
+// and returns the result they record into. It skips the workloads that
+// only the benchmarks time.
 func Measure[R any](r R, ws []Workload, err error) (R, error) {
 	if err != nil {
 		return r, err
@@ -211,14 +208,10 @@ func Measure[R any](r R, ws []Workload, err error) (R, error) {
 		if err != nil {
 			return r, fmt.Errorf("%s: %w", w.Name, err)
 		}
-		i := 0
+		i := -1
 		d, err := median(func() error {
-			for end := i + max(w.reps, 1); i < end; i++ {
-				if err := step(i); err != nil {
-					return err
-				}
-			}
-			return nil
+			i++
+			return step(i)
 		})
 		release()
 		if err != nil {
@@ -232,13 +225,9 @@ func Measure[R any](r R, ws []Workload, err error) (R, error) {
 // noop releases a workload that holds no state.
 func noop() {}
 
-// ready ends a workload's Start over state that release frees: unless err
-// is set, it makes one untimed step(0) call if warm is set, and on any
+// ready ends a workload's Start over state that release frees: on an
 // error it releases the state and fails.
-func ready(step func(int) error, release func(), warm bool, err error) (func(int) error, func(), error) {
-	if err == nil && warm {
-		err = step(0)
-	}
+func ready(step func(int) error, release func(), err error) (func(int) error, func(), error) {
 	if err != nil {
 		release()
 		return nil, nil, err

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
 	"reflect"
 	"runtime"
 	"slices"
@@ -14,362 +13,8 @@ import (
 	"time"
 
 	"bcclap"
-	"bcclap/internal/flow"
 	"bcclap/internal/graph"
-	"bcclap/internal/store"
 )
-
-// ServiceResult is e20, shaped as BENCH_service.json: throughput of the
-// same query streams through bare pooled FlowSolvers (the single-tenant
-// baseline), an uncached Service and a cached one, and the cached runs'
-// cache counters summed over tenants.
-type ServiceResult struct {
-	Instance struct {
-		Tenants int `json:"tenants"`
-		Queries int `json:"stream_len_total"`
-		Repeats int `json:"repeats_per_pair"`
-	} `json:"instance"`
-	Cache struct {
-		HitRate float64 `json:"hit_rate"`
-		Hits    int64   `json:"hits"`
-		Misses  int64   `json:"misses"`
-		Budget  int     `json:"budget"`
-	} `json:"cache"`
-	Throughput struct {
-		Baseline float64 `json:"baseline_pool_qps"`
-		Uncached float64 `json:"service_uncached_qps"`
-		Cached   float64 `json:"service_cached_qps"`
-		Speedup  float64 `json:"cached_speedup_vs_baseline"`
-	} `json:"throughput"`
-
-	walls [3]time.Duration // summed medians: baseline, uncached, cached
-}
-
-// ServiceWorkloads defines e20 on two tenants, each serving its own small
-// network with a stream that repeats every usable terminal pair `repeats`
-// times (4, or 2 at quick scale) — the repeat-heavy shape whose tail the
-// certified-result cache turns into lookups. Per tenant,
-// "baseline-pool/<tenant>" answers the stream on a pooled FlowSolver, and
-// "service-uncached/<tenant>" and "service-cached/<tenant>" on a Service
-// tenant with the cache off and on. Each starts with an untimed cold
-// round; an answer that differs from a fresh baseline solve in value,
-// cost or flow vector fails the step. The cached workloads'
-// benchmarks report their cache hit rate.
-func ServiceWorkloads(ctx context.Context, quick bool) (*ServiceResult, []Workload, error) {
-	r := &ServiceResult{}
-	r.Instance.Tenants, r.Instance.Repeats = 2, pick(quick, 4, 2)
-	q := &r.Throughput
-	// A path's throughput is over the sum of its tenants' medians.
-	addWall := func(k int, qps *float64) func(time.Duration) {
-		return func(d time.Duration) {
-			r.walls[k] += d
-			*qps = float64(r.Instance.Queries) / r.walls[k].Seconds()
-			q.Speedup = q.Cached / q.Baseline
-		}
-	}
-	var ws []Workload
-	for i, name := range []string{"tenant-a", "tenant-b"} {
-		d := graph.RandomFlowNetwork(6, 0.35, 3, 3, rand.New(rand.NewSource(19+int64(i))))
-		pairs, err := usablePairs(d)
-		if err != nil {
-			return nil, nil, fmt.Errorf("tenant %s: %w", name, err)
-		}
-		stream := slices.Repeat(pairs, r.Instance.Repeats)
-		r.Instance.Queries += len(stream)
-		newPool := func() (*bcclap.FlowSolver, error) {
-			return bcclap.NewFlowSolver(d, bcclap.WithSeed(7), bcclap.WithPoolSize(2))
-		}
-		fs, err := newPool()
-		if err != nil {
-			return nil, nil, err
-		}
-		baseline, err := fs.SolveBatch(ctx, stream)
-		fs.Close()
-		if err != nil {
-			return nil, nil, err
-		}
-		// serve answers the stream through solve after an untimed cold
-		// round, which fills a cache; an answer that differs from the
-		// baseline's fails the step.
-		serve := func(solve func(context.Context, []bcclap.FlowQuery) ([]*bcclap.FlowResult, error), release func()) (func(int) error, func(), error) {
-			return ready(func(int) error {
-				got, err := solve(ctx, stream)
-				for i := range got {
-					if want := baseline[i]; !sameAnswer(got[i], want) {
-						return fmt.Errorf("query %d: (%d, %d, %v), baseline (%d, %d, %v)",
-							i, got[i].Value, got[i].Cost, got[i].Flows, want.Value, want.Cost, want.Flows)
-					}
-				}
-				return err
-			}, release, true, nil)
-		}
-		ws = append(ws, Workload{Name: "baseline-pool/" + name, Start: func() (func(int) error, func(), error) {
-			fs, err := newPool()
-			if err != nil {
-				return nil, nil, err
-			}
-			return serve(fs.SolveBatch, fs.Close)
-		}, record: addWall(0, &q.Baseline)})
-		for _, cacheSize := range []int{0, bcclap.DefaultCacheSize} {
-			w := Workload{Name: "service-uncached/" + name, record: addWall(1, &q.Uncached)}
-			var hitRate float64
-			if cacheSize > 0 {
-				w.Name, w.record = "service-cached/"+name, addWall(2, &q.Cached)
-				w.Metrics = func() map[string]float64 { return map[string]float64{"hit_rate": hitRate} }
-			}
-			w.Start = func() (func(int) error, func(), error) {
-				svc := bcclap.NewService(bcclap.WithSeed(7), bcclap.WithPoolSize(2), bcclap.WithCacheSize(cacheSize))
-				h, err := svc.Register(name, d)
-				if err != nil {
-					svc.Close()
-					return nil, nil, err
-				}
-				return serve(h.SolveBatch, func() {
-					if cacheSize > 0 {
-						c, st := &r.Cache, h.Stats().Cache
-						c.Hits, c.Misses, c.Budget = c.Hits+st.Hits, c.Misses+st.Misses, c.Budget+st.Capacity
-						c.HitRate = float64(c.Hits) / float64(c.Hits+c.Misses)
-						hitRate = float64(st.Hits) / float64(st.Hits+st.Misses)
-					}
-					svc.Close()
-				})
-			}
-			ws = append(ws, w)
-		}
-	}
-	return r, ws, nil
-}
-
-// StoreResult is e21, shaped as BENCH_store.json. Restart fidelity is
-// checked as each recovery workload starts: a recovered tenant at the
-// wrong version or with different flows fails it.
-type StoreResult struct {
-	Instance struct {
-		N      int `json:"graph_n"`
-		M      int `json:"graph_m"`
-		Deltas int `json:"patch_deltas"`
-	} `json:"instance"`
-	WAL struct {
-		Sync      float64 `json:"sync"`
-		NoSync    float64 `json:"nosync"`
-		FsyncCost float64 `json:"fsync_cost"`
-	} `json:"wal_append_ns_per_record"`
-	PatchVsSwap struct {
-		Patch   time.Duration `json:"patch_resolve_ns"`
-		Swap    time.Duration `json:"swap_resolve_ns"`
-		Speedup float64       `json:"patch_speedup"`
-	} `json:"patch_vs_swap"`
-	// Selective is what a patch of one island of a two-island network did
-	// to the cached answers of both.
-	Selective struct {
-		Invalidations int64 `json:"invalidations"`
-		UntouchedHit  bool  `json:"untouched_hit"`
-		TouchedMissed bool  `json:"touched_missed"`
-	} `json:"selective_invalidation"`
-	// Recovery is the wall clock of reopening a durable service of n
-	// tenants, keyed tenants_<n>.
-	Recovery map[string]time.Duration `json:"recovery_wall_ns"`
-	// Touched is the patched island's post-patch answer; SSPValue and
-	// SSPCost are its exact answer on the patched network.
-	Touched           *bcclap.FlowResult `json:"-"`
-	SSPValue, SSPCost int64              `json:"-"`
-}
-
-// StoreWorkloads defines e21 on a small random tenant and the patch that
-// changes capacity and cost on its first arc and cost on its last:
-// "wal-append-sync" and "wal-append-nosync" journal the next patch record
-// with and without fsync (timed per 256 records, 64 at quick scale);
-// "recovery-<n>-tenants" reopens a durable service of n tenants (1, 4, 8;
-// 1, 4 at quick scale), whose Start checks restart fidelity first; and
-// "patch-resolve" and "swap-resolve" make the same state change and
-// re-solve — the patch folds the deltas into the live sessions, the swap
-// replaces the network. Even calls apply the change, odd ones undo it.
-// Building the workloads records selective invalidation (see islands).
-func StoreWorkloads(ctx context.Context, quick bool) (*StoreResult, []Workload, error) {
-	d := graph.RandomFlowNetwork(6, 0.35, 3, 3, rand.New(rand.NewSource(23)))
-	deltas := []bcclap.ArcDelta{{Arc: 0, CapDelta: 1, CostDelta: 1}, {Arc: d.M() - 1, CostDelta: 1}}
-	inverse := make([]bcclap.ArcDelta, len(deltas))
-	for i, dl := range deltas {
-		inverse[i] = bcclap.ArcDelta{Arc: dl.Arc, CapDelta: -dl.CapDelta, CostDelta: -dl.CostDelta}
-	}
-	patched := d.Clone()
-	if err := patched.ApplyDeltas(deltas); err != nil {
-		return nil, nil, err
-	}
-	r, records := &StoreResult{Recovery: map[string]time.Duration{}}, pick(quick, 256, 64)
-	r.Instance.N, r.Instance.M, r.Instance.Deltas = d.N(), d.M(), len(deltas)
-	if err := r.islands(ctx); err != nil {
-		return nil, nil, err
-	}
-	var ws []Workload
-	for _, pol := range []store.SyncPolicy{store.SyncAlways, store.SyncNever} {
-		name, out := "wal-append-sync", &r.WAL.Sync
-		if pol == store.SyncNever {
-			name, out = "wal-append-nosync", &r.WAL.NoSync
-		}
-		ws = append(ws, Workload{Name: name, reps: records, Start: func() (func(int) error, func(), error) {
-			dir, err := os.MkdirTemp("", "bcclap-wal-*")
-			if err != nil {
-				return nil, nil, err
-			}
-			lg, err := store.Open(dir, store.Options{Sync: pol, SnapshotEvery: -1})
-			if err != nil {
-				os.RemoveAll(dir)
-				return nil, nil, err
-			}
-			return ready(func(i int) error {
-				return lg.Append(store.Record{Type: store.RecPatch, Name: "bench", Version: uint64(i) + 2, Deltas: deltas})
-			}, func() { lg.Close(); os.RemoveAll(dir) }, false, lg.Append(store.Record{Type: store.RecRegister, Name: "bench",
-				Version: 1, Opts: store.TenantOpts{Backend: "dense", Seed: 7}, N: d.N(), Arcs: d.Arcs()}))
-		}, record: func(wall time.Duration) {
-			*out = float64(wall.Nanoseconds()) / float64(records)
-			r.WAL.FsyncCost = r.WAL.Sync / r.WAL.NoSync
-		}})
-	}
-	for _, n := range pick(quick, []int{1, 4, 8}, []int{1, 4}) {
-		ws = append(ws, Workload{Name: fmt.Sprintf("recovery-%d-tenants", n), Start: func() (func(int) error, func(), error) {
-			dir, err := os.MkdirTemp("", "bcclap-recovery-*")
-			if err != nil {
-				return nil, nil, err
-			}
-			return ready(func(int) error {
-				re, err := openDurable(dir)
-				if err != nil {
-					return err
-				}
-				defer re.Close()
-				if got := len(re.Names()); got != n {
-					return fmt.Errorf("recovered %d tenants, want %d", got, n)
-				}
-				return nil
-			}, func() { os.RemoveAll(dir) }, false, recoveryFixture(ctx, dir, n))
-		}, record: func(wall time.Duration) { r.Recovery[fmt.Sprintf("tenants_%d", n)] = wall }})
-	}
-	mutate := func(name string, out *time.Duration, change func(h *bcclap.NetworkHandle, i int) error) Workload {
-		return Workload{Name: name, Start: func() (func(int) error, func(), error) {
-			svc := bcclap.NewService(bcclap.WithSeed(7), bcclap.WithPoolSize(1))
-			h, err := svc.Register("bench", d)
-			if err == nil {
-				_, err = h.Solve(ctx, 0, d.N()-1)
-			}
-			return ready(func(i int) error {
-				if err := change(h, i); err != nil {
-					return err
-				}
-				_, err := h.Solve(ctx, 0, d.N()-1)
-				return err
-			}, svc.Close, false, err)
-		}, record: func(wall time.Duration) {
-			*out = wall
-			p := &r.PatchVsSwap
-			p.Speedup = float64(p.Swap) / float64(p.Patch)
-		}}
-	}
-	ws = append(ws,
-		mutate("patch-resolve", &r.PatchVsSwap.Patch, func(h *bcclap.NetworkHandle, i int) error {
-			return h.PatchArcs([][]bcclap.ArcDelta{deltas, inverse}[i%2])
-		}),
-		mutate("swap-resolve", &r.PatchVsSwap.Swap, func(h *bcclap.NetworkHandle, i int) error {
-			return h.Swap([]*graph.Digraph{patched, d}[i%2])
-		}))
-	return r, ws, nil
-}
-
-// openDurable opens the durable service of e21's recovery runs over dir.
-func openDurable(dir string) (*bcclap.Service, error) {
-	return bcclap.OpenService(bcclap.WithStore(dir), bcclap.WithSeed(7), bcclap.WithPoolSize(1))
-}
-
-// recoveryFixture journals n small tenants to a durable service over dir,
-// solves each once and drains the service, then requires a reopened
-// service to serve every tenant at version 1 with a bit-identical flow
-// vector.
-func recoveryFixture(ctx context.Context, dir string, n int) error {
-	// pass registers (first) or looks up (after the restart) every tenant
-	// and solves it once, returning each tenant's flow vector.
-	pass := func(register bool) (map[string][]int64, error) {
-		svc, err := openDurable(dir)
-		if err != nil {
-			return nil, err
-		}
-		defer svc.Close()
-		flows := map[string][]int64{}
-		for i := 0; i < n; i++ {
-			name := fmt.Sprintf("t%d", i)
-			d := graph.RandomFlowNetwork(5, 0.35, 3, 3, rand.New(rand.NewSource(60+int64(i))))
-			var h *bcclap.NetworkHandle
-			if register {
-				h, err = svc.Register(name, d)
-			} else if h, err = svc.Get(name); err == nil && h.Version() != 1 {
-				err = fmt.Errorf("tenant %s recovered at v%d, want v1", name, h.Version())
-			}
-			var res *bcclap.FlowResult
-			if err == nil {
-				res, err = h.Solve(ctx, 0, d.N()-1)
-			}
-			if err != nil {
-				return nil, err
-			}
-			flows[name] = res.Flows
-		}
-		if register {
-			err = svc.Drain(ctx)
-		}
-		return flows, err
-	}
-	before, err := pass(true)
-	if err != nil {
-		return err
-	}
-	after, err := pass(false)
-	if err == nil && !reflect.DeepEqual(after, before) {
-		err = fmt.Errorf("post-restart flows %v, pre-shutdown %v", after, before)
-	}
-	return err
-}
-
-// islands caches both pairs of a network of two disconnected islands —
-// (0,2) and (3,5) have disjoint arc supports, so a patch on one island
-// provably cannot touch the other's cached flow — patches one island, and
-// records what the patch did to both pairs' cached answers and the
-// touched pair's exact answer on the patched network.
-func (r *StoreResult) islands(ctx context.Context) error {
-	d := graph.NewDigraph(6)
-	for _, a := range [][4]int64{{0, 1, 4, 1}, {1, 2, 4, 1}, {0, 2, 3, 5}, {3, 4, 4, 1}, {4, 5, 4, 1}, {3, 5, 3, 5}} {
-		if _, err := d.AddArc(int(a[0]), int(a[1]), a[2], a[3]); err != nil {
-			return err
-		}
-	}
-	svc := bcclap.NewService(bcclap.WithSeed(7), bcclap.WithPoolSize(1))
-	defer svc.Close()
-	h, err := svc.Register("islands", d)
-	if err != nil {
-		return err
-	}
-	for _, p := range [][2]int{{0, 2}, {3, 5}} {
-		if _, err := h.Solve(ctx, p[0], p[1]); err != nil {
-			return err
-		}
-	}
-	deltas := []bcclap.ArcDelta{{Arc: 3, CostDelta: 2}, {Arc: 4, CapDelta: 1}}
-	if err := h.PatchArcs(deltas); err != nil {
-		return err
-	}
-	if err := d.ApplyDeltas(deltas); err != nil {
-		return err
-	}
-	kept, err := h.Solve(ctx, 0, 2)
-	if err != nil {
-		return err
-	}
-	if r.Touched, err = h.Solve(ctx, 3, 5); err != nil {
-		return err
-	}
-	sel := &r.Selective
-	sel.Invalidations, sel.UntouchedHit, sel.TouchedMissed = h.Stats().Cache.Invalidations, kept.Stats.CacheHit, !r.Touched.Stats.CacheHit
-	r.SSPValue, r.SSPCost, _, err = flow.MinCostMaxFlowSSP(d, 3, 5)
-	return err
-}
 
 // QoSResult is e22, shaped as BENCH_qos.json: the quiet tenant's latency
 // quantiles with and without the flood, what the flood did, and the cached
@@ -554,7 +199,7 @@ func QoSWorkloads(ctx context.Context, quick bool) (*QoSResult, []Workload, erro
 					err = fmt.Errorf("telemetry=%v hot path missed the cache", on)
 				}
 				return err
-			}, svc.Close, false, err)
+			}, svc.Close, err)
 		}
 	}
 	return r, []Workload{

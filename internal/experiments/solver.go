@@ -136,7 +136,7 @@ func SessionWorkloads(ctx context.Context, quick bool) (*SessionResult, []Worklo
 				if prime {
 					_, err = fs.SolveBatch(ctx, queries[:1])
 				}
-				return ready(func(int) error { return step(fs) }, fs.Close, false, err)
+				return ready(func(int) error { return step(fs) }, fs.Close, err)
 			}
 		}
 		batch := func(fs *bcclap.FlowSolver) error {

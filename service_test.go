@@ -162,6 +162,49 @@ func TestServiceBatchCache(t *testing.T) {
 	if _, err := h.SolveBatch(context.Background(), []FlowQuery{{s, s}}); !errors.Is(err, ErrBadQuery) {
 		t.Fatalf("malformed batch: %v, want ErrBadQuery", err)
 	}
+
+	// A repeat stream: every usable pair, four times over. Only the first
+	// round may reach the pool; the other three are hits, and every
+	// answer is bit-identical to a fresh solver with the same seed.
+	var pairs []FlowQuery
+	for u := 0; u < d.N(); u++ {
+		for w := 0; w < d.N(); w++ {
+			if v, _, _, err := MinCostMaxFlowBaseline(d, u, w); err == nil && v > 0 {
+				pairs = append(pairs, FlowQuery{u, w})
+			}
+		}
+	}
+	fresh, err := NewFlowSolver(d, WithSeed(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	want, err := fresh.SolveBatch(context.Background(), pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := svc.Register("repeats", d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 4
+	for round := 0; round < rounds; round++ {
+		got, err := rep.SolveBatch(context.Background(), pairs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range got {
+			if w := want[i]; r.Value != w.Value || r.Cost != w.Cost || !reflect.DeepEqual(r.Flows, w.Flows) {
+				t.Fatalf("round %d pair %v: (%d, %d, %v), fresh solver (%d, %d, %v)",
+					round, pairs[i], r.Value, r.Cost, r.Flows, w.Value, w.Cost, w.Flows)
+			}
+		}
+	}
+	n := int64(len(pairs))
+	if st := rep.Stats(); st.Cache.Hits != (rounds-1)*n || st.Cache.Misses != n || st.Pool.Submitted != n {
+		t.Fatalf("%d pairs × %d rounds: %d hits, %d misses, %d pool submissions; want %d, %d, %d",
+			n, rounds, st.Cache.Hits, st.Cache.Misses, st.Pool.Submitted, (rounds-1)*n, n, n)
+	}
 }
 
 // Acceptance: Swap must bump the version, invalidate exactly its own

@@ -338,11 +338,17 @@ func TestServicePatchSelectiveInvalidation(t *testing.T) {
 	}
 	// Reprice island B's backbone (arcs 3 and 4 carry flow for (3,5);
 	// island A's flow has zero on them).
-	if err := h.PatchArcs([]ArcDelta{{Arc: 3, CostDelta: 2}, {Arc: 4, CapDelta: 1}}); err != nil {
+	deltas := []ArcDelta{{Arc: 3, CostDelta: 2}, {Arc: 4, CapDelta: 1}}
+	if err := h.PatchArcs(deltas); err != nil {
 		t.Fatal(err)
 	}
-	if st := h.Stats(); st.Version != 2 || st.Patches != 1 {
+	st := h.Stats()
+	if st.Version != 2 || st.Patches != 1 {
 		t.Fatalf("post-patch stats v%d patches %d, want v2 patches 1", st.Version, st.Patches)
+	}
+	// The patch folds into the live sessions: each worker applies it once.
+	if st.Pool.Patches != int64(st.PoolSize) {
+		t.Errorf("Pool.Patches = %d, want one per worker (%d)", st.Pool.Patches, st.PoolSize)
 	}
 
 	resA, err := h.Solve(ctx, 0, 2)
@@ -362,13 +368,21 @@ func TestServicePatchSelectiveInvalidation(t *testing.T) {
 	if resB.Stats.CacheHit {
 		t.Fatal("touched island's entry survived the patch")
 	}
-	// The re-solve reflects the patch: backbone repriced +2 per unit on
-	// arcs 3 (cap 4) and widened arc 4. Max flow 3+4=7 pre-patch vs new
-	// caps: arcs 3,4 now cap 4,5 and shortcut 3. Just verify against an
-	// independently patched graph via the exact baseline in Solve's own
-	// certification — value must not regress below the pre-patch max.
-	if resB.Value < 7 {
-		t.Fatalf("post-patch (3,5) value = %d, want ≥ 7", resB.Value)
+	// The touched pair re-centers from its pre-patch optimum in the
+	// session that solved it: no path following, no fresh attempt, and the
+	// exact answer on an independently patched network.
+	if bs := resB.Stats; !bs.WarmStarted || bs.PathSteps != 0 || bs.Attempts != 0 || !bs.ReusedPreprocessing {
+		t.Errorf("post-patch (3,5) resolve: warm %v, %d path steps, %d attempts, reused preprocessing %v; want a warm start with none and reuse",
+			bs.WarmStarted, bs.PathSteps, bs.Attempts, bs.ReusedPreprocessing)
+	}
+	patched := twoIslandNetwork(t)
+	if err := patched.ApplyDeltas(deltas); err != nil {
+		t.Fatal(err)
+	}
+	if v, c, _, err := MinCostMaxFlowBaseline(patched, 3, 5); err != nil {
+		t.Fatal(err)
+	} else if resB.Value != v || resB.Cost != c {
+		t.Errorf("post-patch (3,5) = (%d, %d), SSP baseline on the patched network (%d, %d)", resB.Value, resB.Cost, v, c)
 	}
 	if st := h.Stats(); st.Cache.Invalidations != 1 {
 		t.Fatalf("Cache.Invalidations = %d, want exactly 1 (the touched pair)", st.Cache.Invalidations)
@@ -476,8 +490,10 @@ func TestServiceSwapAtomicUnderFailure(t *testing.T) {
 	}
 }
 
-// A patched tenant's answers must match a tenant registered directly on
-// the patched network — the incremental path changes no semantics.
+// A patched tenant's answers must match a tenant swapped onto the
+// patched network — the incremental path changes no semantics — while
+// only the swap pays for new sessions: its resolve follows the central
+// path from scratch.
 func TestServicePatchEquivalentToSwap(t *testing.T) {
 	ctx := context.Background()
 	d := testFlowNetwork(6, 44)
@@ -489,31 +505,39 @@ func TestServicePatchEquivalentToSwap(t *testing.T) {
 
 	svc := NewService(WithSeed(9))
 	defer svc.Close()
-	inc, err := svc.Register("incremental", d)
-	if err != nil {
-		t.Fatal(err)
+	var hs [2]*NetworkHandle
+	for i, name := range []string{"incremental", "swapped"} {
+		h, err := svc.Register(name, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.Solve(ctx, 0, d.N()-1); err != nil { // warm the sessions
+			t.Fatal(err)
+		}
+		hs[i] = h
 	}
-	if _, err := inc.Solve(ctx, 0, d.N()-1); err != nil { // warm the sessions
-		t.Fatal(err)
-	}
+	inc, swapped := hs[0], hs[1]
 	if err := inc.PatchArcs(deltas); err != nil {
 		t.Fatal(err)
 	}
-	ref, err := svc.Register("reference", patched)
-	if err != nil {
+	if err := swapped.Swap(patched); err != nil {
 		t.Fatal(err)
 	}
 	got, err := inc.Solve(ctx, 0, d.N()-1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ref.Solve(ctx, 0, d.N()-1)
+	want, err := swapped.Solve(ctx, 0, d.N()-1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Value != want.Value || got.Cost != want.Cost {
-		t.Fatalf("patched tenant (value %d cost %d) vs direct registration (value %d cost %d)",
+		t.Fatalf("patched tenant (value %d cost %d) vs swapped tenant (value %d cost %d)",
 			got.Value, got.Cost, want.Value, want.Cost)
+	}
+	if ws := want.Stats; ws.PathSteps == 0 || ws.ReusedPreprocessing {
+		t.Errorf("post-swap resolve: %d path steps, reused preprocessing %v; want a cold solve on new sessions",
+			ws.PathSteps, ws.ReusedPreprocessing)
 	}
 }
 
