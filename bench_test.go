@@ -4,12 +4,14 @@ package bcclap_test
 // contribution without empirical tables, so each of BenchmarkE1–E15
 // measures the quantity a theorem bounds (or times one operation) and
 // reports it via ReportMetric next to the bound. The serving experiments
-// e16–e19 and e22 are defined once in internal/experiments: the
+// e16, e19 and e22 are defined once in internal/experiments: the
 // TestBench*Snapshot tests run them at full scale, gate the results and
 // write the committed BENCH_*.json files, and their benchmarks time the
 // same instances and workloads. cmd/bcclap-experiments prints every
-// experiment's tables. The retired e20 and e21 have no benchmark: their
-// gates are assertions in TestServiceBatchCache,
+// experiment's tables. The retired e17, e18, e20 and e21 have no
+// benchmark: their gates are counter assertions in TestFlowSolverBatch,
+// TestFlowSolverPooled, internal/pool's
+// TestPoolBatchRunsWorkersConcurrently, TestServiceBatchCache,
 // TestServicePatchSelectiveInvalidation, TestServicePatchEquivalentToSwap
 // and TestServiceRestartBitIdentical.
 
@@ -456,34 +458,6 @@ func TestBenchBackendsSnapshot(t *testing.T) {
 	writeSnapshot(t, "BENCH_backends.json", r, nil)
 }
 
-// E17 — session reuse: one-shot solves vs a warm-starting batch session;
-// see experiments.SessionWorkloads.
-func BenchmarkFlowSolverReuse(b *testing.B) {
-	_, ws, err := experiments.SessionWorkloads(context.Background(), false)
-	benchWorkloads(b, ws, err)
-}
-
-// TestBenchSessionSnapshot regenerates BENCH_session.json from e17, which
-// fails unless every certified (value, cost) equals the baseline. The
-// acceptance gate lives here: batch per-query time must come in below
-// one-shot on every backend, with every batch query warm-started.
-func TestBenchSessionSnapshot(t *testing.T) {
-	requireSnapshot(t, "BENCH_session.json")
-	r, err := experiments.Measure(experiments.SessionWorkloads(context.Background(), false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, b := range r.Backends {
-		if b.BatchPerQuery >= b.OneShot {
-			t.Errorf("%s: batch per-query %v does not beat one-shot %v", name, b.BatchPerQuery, b.OneShot)
-		}
-		if b.Warm != b.BatchLen {
-			t.Errorf("%s: %d of %d batch queries warm-started", name, b.Warm, b.BatchLen)
-		}
-	}
-	writeSnapshot(t, "BENCH_session.json", r, nil)
-}
-
 // E19 — combinatorial preconditioning, csr-cg vs csr-pcg per certified
 // query; see experiments.PrecondWorkloads.
 func BenchmarkE19Precond(b *testing.B) {
@@ -493,13 +467,13 @@ func BenchmarkE19Precond(b *testing.B) {
 
 // TestBenchPrecondSnapshot regenerates BENCH_precond.json from e19, which
 // fails unless every certified (value, cost) equals the SSP baseline.
-// Following the e18 convention the gates adapt to the host: correctness
-// (certified value/cost equal to the SSP baseline) and the
-// inner-iteration reduction — strictly fewer total CG iterations per
-// query — are gated on every host, while the wall-clock win is gated only
-// on multi-core hosts where timing is not at the mercy of a shared single
-// CPU. The committed snapshot must still *show* lower solve_ns; it simply
-// is not what fails the run on a noisy container.
+// The gates adapt to the host: correctness (certified value/cost equal to
+// the SSP baseline) and the inner-iteration reduction — strictly fewer
+// total CG iterations per query — are gated on every host, while the
+// wall-clock win is gated only on multi-core hosts where timing is not at
+// the mercy of a shared single CPU. The committed snapshot must still
+// *show* lower solve_ns; it simply is not what fails the run on a noisy
+// container.
 func TestBenchPrecondSnapshot(t *testing.T) {
 	requireSnapshot(t, "BENCH_precond.json")
 	r, err := experiments.Measure(experiments.PrecondWorkloads(context.Background(), false))
@@ -513,7 +487,7 @@ func TestBenchPrecondSnapshot(t *testing.T) {
 		if pcg.CGIters >= cg.CGIters {
 			t.Errorf("n=%d: csr-pcg used %d CG iterations, csr-cg %d — no reduction", q.N, pcg.CGIters, cg.CGIters)
 		}
-		// Wall-clock gate, multi-core hosts only (e18 convention).
+		// Wall-clock gate, multi-core hosts only.
 		if runtime.NumCPU() > 1 && pcg.Time >= cg.Time {
 			t.Errorf("n=%d: csr-pcg %v per query does not beat csr-cg %v on %d CPUs", q.N, pcg.Time, cg.Time, runtime.NumCPU())
 		}
@@ -525,45 +499,6 @@ func TestBenchPrecondSnapshot(t *testing.T) {
 			"the iteration gate holds on every host, the per-query wall-clock gate on multi-core hosts " +
 			"(the committed snapshot machine has 1 CPU; its per-query times still show the win because " +
 			"it comes from the iteration reduction, not from parallelism)",
-	})
-}
-
-// E18 — batch throughput through the session pool vs pool size; see
-// experiments.PoolWorkloads.
-func BenchmarkE18PoolBatch(b *testing.B) {
-	_, ws, err := experiments.PoolWorkloads(context.Background(), false)
-	benchWorkloads(b, ws, err)
-}
-
-// TestBenchPoolSnapshot regenerates BENCH_pool.json from e18, which fails
-// unless pooled (value, cost) equal sequential on every query. The
-// throughput gate adapts to the host: with more than one CPU the widest
-// pool must beat the sequential baseline; on a single-CPU host (like the
-// committed snapshot's) pooling cannot help, so the gate only rejects
-// pathological overhead (< 0.5× sequential throughput).
-func TestBenchPoolSnapshot(t *testing.T) {
-	requireSnapshot(t, "BENCH_pool.json")
-	r, err := experiments.Measure(experiments.PoolWorkloads(context.Background(), false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, widest := r.Throughput["pool_1"], r.Throughput["pool_4"]
-	if runtime.NumCPU() > 1 {
-		if widest.QPS <= seq.QPS {
-			t.Errorf("pool-%d throughput %.2f q/s does not beat sequential %.2f q/s on %d CPUs",
-				widest.Pool, widest.QPS, seq.QPS, runtime.NumCPU())
-		}
-	} else if widest.QPS < 0.5*seq.QPS {
-		t.Errorf("pool-%d throughput %.2f q/s collapsed vs sequential %.2f q/s", widest.Pool, widest.QPS, seq.QPS)
-	}
-	note := "throughput scales with pool size up to GOMAXPROCS; regenerate locally to measure your host"
-	if runtime.NumCPU() == 1 {
-		note = "snapshot host has 1 CPU, so pooled ≈ sequential here (solves are CPU-bound); " +
-			"on multi-core hosts distinct-pair solves run in parallel and the gate requires " +
-			"pool-4 to beat sequential — regenerate locally to measure yours"
-	}
-	writeSnapshot(t, "BENCH_pool.json", r, map[string]any{
-		"num_cpu": runtime.NumCPU(), "gomaxprocs": runtime.GOMAXPROCS(0), "note": note,
 	})
 }
 

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"bcclap"
-	"bcclap/internal/flow"
 	"bcclap/internal/graph"
 )
 
@@ -57,8 +56,6 @@ var All = []Experiment{
 	{"e12", "Theorem 1.2's orientation: globalization rounds = max out-degree", e12},
 	{"e15", "Backend registry: identical certified (value, cost), per-backend wall-clock", e15},
 	{"e16", "Backend registry at scale: median AᵀDA solve per backend", rendered(E16)},
-	{"e17", "Session API: batch per-query time vs one-shot, identical certified results", measured(SessionWorkloads)},
-	{"e18", "Session pool: batch throughput vs pool size, identical to sequential", measured(PoolWorkloads)},
 	{"e19", "Combinatorial preconditioning: csr-pcg vs csr-cg inner iterations per query", measured(PrecondWorkloads)},
 	{"e22", "QoS: admission gate isolates tenants; telemetry rides the hot path for free", rendered(E22)},
 }
@@ -94,7 +91,7 @@ func measured[R any](f func(context.Context, bool) (R, []Workload, error)) func(
 }
 
 // Snapshot decodes v's JSON encoding into a map, every number kept as
-// encoded. The results of e16–e19 and e22 encode as the layout of their
+// encoded. The results of e16, e19 and e22 encode as the layout of their
 // BENCH_*.json snapshots, which are this map plus host facts.
 func Snapshot(v any) (map[string]any, error) {
 	buf, err := json.Marshal(v)
@@ -177,9 +174,10 @@ func median(f func() error) (time.Duration, error) {
 	return times[len(times)/2], nil
 }
 
-// Workload is one named operation of a serving experiment (e17–e19, e22),
-// timed two ways: Measure takes the median of five repetitions, and the
-// experiment's benchmark in the root package runs it b.N times. Start
+// Workload is one named operation of a serving experiment (e19, e22),
+// timed by the experiment's benchmark in the root package, which runs it
+// b.N times, and, for e19, by Measure, which takes the median of five
+// repetitions. Start
 // builds the operation's state, untimed, and returns the step to time
 // (its argument counts calls from 0) and, unless err is set, the release
 // of that state. Metrics, if set, reports quantities of the last step
@@ -189,21 +187,16 @@ type Workload struct {
 	Start   func() (step func(i int) error, release func(), err error)
 	Metrics func() map[string]float64
 
-	record func(time.Duration) // receives the median repetition; nil: benchmark only
+	record func(time.Duration) // receives Measure's median repetition
 }
 
-// Measure times the workloads of one of SessionWorkloads, PoolWorkloads
-// or PrecondWorkloads in order, each as the median of five repetitions,
-// and returns the result they record into. It skips the workloads that
-// only the benchmarks time.
+// Measure times the workloads of PrecondWorkloads in order, each as the
+// median of five repetitions, and returns the result they record into.
 func Measure[R any](r R, ws []Workload, err error) (R, error) {
 	if err != nil {
 		return r, err
 	}
 	for _, w := range ws {
-		if w.record == nil {
-			continue
-		}
 		step, release, err := w.Start()
 		if err != nil {
 			return r, fmt.Errorf("%s: %w", w.Name, err)
@@ -222,9 +215,6 @@ func Measure[R any](r R, ws []Workload, err error) (R, error) {
 	return r, nil
 }
 
-// noop releases a workload that holds no state.
-func noop() {}
-
 // ready ends a workload's Start over state that release frees: on an
 // error it releases the state and fails.
 func ready(step func(int) error, release func(), err error) (func(int) error, func(), error) {
@@ -235,7 +225,7 @@ func ready(step func(int) error, release func(), err error) (func(int) error, fu
 	return step, release, nil
 }
 
-// Instance is a flow query of e17 or e19 with its exact answer (the SSP
+// Instance is a flow query of e19 with its exact answer (the SSP
 // baseline), as the snapshots record it.
 type Instance struct {
 	N     int   `json:"graph_n"`
@@ -258,21 +248,4 @@ func (in Instance) check(res *bcclap.FlowResult) error {
 		return fmt.Errorf("certified (%d, %d) differs from the SSP baseline (%d, %d)", res.Value, res.Cost, in.Value, in.Cost)
 	}
 	return nil
-}
-
-// usablePairs returns up to three terminal pairs of d with a positive
-// max-flow value, scanning sources upward and sinks downward.
-func usablePairs(d *graph.Digraph) ([]bcclap.FlowQuery, error) {
-	var pairs []bcclap.FlowQuery
-	for s := 0; s < d.N() && len(pairs) < 3; s++ {
-		for t := d.N() - 1; t > s && len(pairs) < 3; t-- {
-			if v, _, _, err := flow.MinCostMaxFlowSSP(d, s, t); err == nil && v > 0 {
-				pairs = append(pairs, bcclap.FlowQuery{S: s, T: t})
-			}
-		}
-	}
-	if len(pairs) < 2 {
-		return nil, fmt.Errorf("instance too sparse: %d usable pairs", len(pairs))
-	}
-	return pairs, nil
 }

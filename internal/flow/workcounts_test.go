@@ -22,10 +22,13 @@ const workCountsGolden = "workcounts.golden"
 // workCounts solves RandomFlowNetwork(n, 0.35, 3, 3) from generator seed
 // seed×31 for (0, n−1) on every backend and perturbation seeds 1 and 2,
 // as two warm queries of the pair: a cold solve, then the warm-started
-// repeat. One line per solve.
-func workCounts(t *testing.T) string {
+// repeat. One line per solve. It also returns the CG iterations of each
+// first (cold) solve, keyed by backend and then by n.
+func workCounts(t *testing.T) (string, map[string]map[int]int) {
 	var b strings.Builder
+	coldCG := map[string]map[int]int{}
 	for _, backend := range []string{"dense", "gremban", "csr-cg", "csr-pcg"} {
+		coldCG[backend] = map[int]int{}
 		for _, inst := range []struct {
 			n    int
 			seed int64
@@ -40,6 +43,9 @@ func workCounts(t *testing.T) string {
 				if err != nil {
 					t.Fatalf("%s n=%d seed=%d #%d: %v", backend, inst.n, inst.seed, i, err)
 				}
+				if i == 0 {
+					coldCG[backend][inst.n] = r.LPStats.CGIterations
+				}
 				kind := "cold"
 				if r.WarmStarted {
 					kind = "warm"
@@ -50,18 +56,26 @@ func workCounts(t *testing.T) string {
 			}
 		}
 	}
-	return b.String()
+	return b.String(), coldCG
 }
 
 // TestWorkCountsGolden fails when the answer or the work of any pinned
 // solve moves. A change that alters the solver's work on purpose updates
-// testdata/workcounts.golden with the new lines and says why.
+// testdata/workcounts.golden with the new lines and says why. Whatever
+// the golden says, csr-pcg's cold solve of each instance must take fewer
+// CG iterations than csr-cg's: a regenerated golden cannot silently lose
+// the preconditioner.
 func TestWorkCountsGolden(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join("testdata", workCountsGolden))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := workCounts(t)
+	got, coldCG := workCounts(t)
+	for n, cg := range coldCG["csr-cg"] {
+		if pcg := coldCG["csr-pcg"][n]; pcg >= cg {
+			t.Errorf("n=%d: csr-pcg's cold solve took %d CG iterations, csr-cg's %d; want fewer", n, pcg, cg)
+		}
+	}
 	if got != string(want) {
 		t.Fatalf("work counts moved from testdata/%s.\ngot:\n%swant:\n%s", workCountsGolden, got, want)
 	}

@@ -15,13 +15,14 @@ import (
 // sketching with a shared Kane–Nelson seed.
 type LeverageFn func(d []float64) ([]float64, error)
 
-// NewLeverageFn builds a LeverageFn over A. When exact is false and n
-// exceeds the sketch dimension k = Θ(log(m)/η²), it uses a Kane–Nelson
-// sketch with a fresh seed per call (in the BCC the leader broadcasts
-// O(log²m) seed bits once per call, as in Algorithm 6); otherwise it takes
-// the exact n-solve computation. solve answers (AᵀDA)x = y under ctx; the
-// leverage solves' iteration counts are discarded.
-func NewLeverageFn(ctx context.Context, a *linalg.CSR, solve ATDASolve, exact bool, eta float64, seed int64) LeverageFn {
+// NewLeverageFn builds a LeverageFn over A. When n exceeds the sketch
+// dimension k = Θ(log(m)/η²), it uses a Kane–Nelson sketch with a fresh
+// seed per call (in the BCC the leader broadcasts O(log²m) seed bits once
+// per call, as in Algorithm 6); otherwise it takes the exact n-solve
+// computation. eta must be positive (η = 0 overflows k to its floor of 4,
+// which sketches). solve answers (AᵀDA)x = y under ctx; the leverage
+// solves' iteration counts are discarded.
+func NewLeverageFn(ctx context.Context, a *linalg.CSR, solve ATDASolve, eta float64, seed int64) LeverageFn {
 	m, n := a.Rows(), a.Cols()
 	counter := seed
 	return func(d []float64) ([]float64, error) {
@@ -41,7 +42,7 @@ func NewLeverageFn(ctx context.Context, a *linalg.CSR, solve ATDASolve, exact bo
 		// The exact computation costs n solves and the sketch k, so
 		// sketching only pays off once n > k; below that, exact is both
 		// exact and cheaper.
-		if exact || k >= n {
+		if k >= n {
 			return jl.LeverageScoresExact(mul, m, n, gram)
 		}
 		counter++

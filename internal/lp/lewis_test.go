@@ -29,7 +29,7 @@ func TestLewisWeightsPTwoAreLeverageScores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lev := NewLeverageFn(context.Background(), a, sol, true, 0, 1)
+	lev := NewLeverageFn(context.Background(), a, sol, 0.5, 1)
 	base := linalg.Ones(m)
 	// For p = 2, W^{1/2−1/p} = W⁰ = I, so the fixed point is σ(A) itself.
 	sigma, err := lev(base)
@@ -58,7 +58,7 @@ func TestLewisFixedPoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lev := NewLeverageFn(context.Background(), a, sol, true, 0, 1)
+	lev := NewLeverageFn(context.Background(), a, sol, 0.5, 1)
 	base := linalg.Ones(m)
 	p := 1.2
 	par := DefaultLewisParams()
@@ -102,7 +102,7 @@ func TestComputeInitialWeightsStepCountScales(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lev := NewLeverageFn(context.Background(), a, sol, true, 0, 1)
+		lev := NewLeverageFn(context.Background(), a, sol, 0.5, 1)
 		par := DefaultLewisParams()
 		par.MaxIters = 2
 		_, st, err := ComputeInitialWeights(lev, linalg.Ones(m), 1-1/math.Log(4*float64(m)), n, m, par, 10000)
@@ -149,18 +149,16 @@ func TestNewLeverageFnSolveCounts(t *testing.T) {
 	cases := []struct {
 		name      string
 		m, n      int
-		exact     bool
 		eta       float64
 		wantExact bool
 	}{
-		{"exact requested", 30, 6, true, 0.5, true},
-		{"sketch dimension above n", 30, 6, false, 0.5, true},
-		{"sketch dimension below n", 60, 12, false, 8, false},
+		{"sketch dimension above n", 30, 6, 0.5, true},
+		{"sketch dimension below n", 60, 12, 8, false},
 	}
 	for _, tc := range cases {
 		a := tallMatrix(tc.m, tc.n, rnd)
 		calls := 0
-		lev := NewLeverageFn(context.Background(), a, countingSolve(t, a, &calls), tc.exact, tc.eta, 1)
+		lev := NewLeverageFn(context.Background(), a, countingSolve(t, a, &calls), tc.eta, 1)
 		want := tc.n
 		if !tc.wantExact {
 			k := jl.SketchDim(tc.m, tc.eta/4)

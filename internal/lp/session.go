@@ -66,7 +66,7 @@ func (sess *Session) newIPM(ctx context.Context, par Params) *ipm {
 	if s.pstats != nil {
 		s.startRefreshes = s.pstats.Refreshes
 	}
-	s.lev = NewLeverageFn(ctx, sess.prob.A, s.sol, false, leverageEta, cmp.Or(par.Seed, 1))
+	s.lev = NewLeverageFn(ctx, sess.prob.A, s.sol, leverageEta, cmp.Or(par.Seed, 1))
 	return s
 }
 

@@ -173,6 +173,91 @@ func TestPoolRoutingPinsPairs(t *testing.T) {
 	}
 }
 
+// meetSession is a Session whose solves meet at a rendezvous: each Solve
+// counts itself in and waits until every expected solve is inside at
+// once, or until the rendezvous's one shared deadline passes.
+type meetSession struct {
+	*fakeSession // Validate and ApplyArcDeltas
+	m            *rendezvous
+}
+
+type rendezvous struct {
+	k            int
+	deadline     context.Context
+	met          chan struct{} // closed once k solves are inside
+	mu           sync.Mutex
+	inside, peak int
+}
+
+func (s meetSession) Solve(ctx context.Context, q flow.Query, warm bool) (*flow.Result, error) {
+	m := s.m
+	m.mu.Lock()
+	m.inside++
+	m.peak = max(m.peak, m.inside)
+	if m.inside == m.k {
+		close(m.met)
+	}
+	m.mu.Unlock()
+	select {
+	case <-m.met:
+	case <-m.deadline.Done():
+	case <-ctx.Done():
+	}
+	m.mu.Lock()
+	m.inside--
+	m.mu.Unlock()
+	return &flow.Result{Value: int64(q.S*1000 + q.T)}, nil
+}
+
+// A batch of k distinct pairs routed to k distinct workers must run its k
+// solves at the same time: that fan-out is the pool's whole gain over one
+// session. The solves meet at a rendezvous, so the peak number of solves
+// in progress at once is k exactly when the workers overlap, and 1 if
+// solves were serialized across the pool.
+func TestPoolBatchRunsWorkersConcurrently(t *testing.T) {
+	const k = 3
+	deadline, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	m := &rendezvous{k: k, deadline: deadline, met: make(chan struct{})}
+	p, err := New(Config{
+		Workers: k,
+		New: func(int) (Session, error) {
+			return meetSession{newFake(t, 16, 0), m}, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	// One pair per worker, the first each worker's routing receives.
+	pairs := make([]flow.Query, k)
+	found := 0
+	for s := 0; s < 16 && found < k; s++ {
+		for tt := 0; tt < 16 && found < k; tt++ {
+			q := flow.Query{S: s, T: tt}
+			if w := p.workerFor(q).id; s != tt && pairs[w] == (flow.Query{}) {
+				pairs[w] = q
+				found++
+			}
+		}
+	}
+	if found < k {
+		t.Fatalf("the 240 pairs on 16 vertices reached only %d of %d workers", found, k)
+	}
+	out, err := p.SolveBatch(context.Background(), pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, res := range out {
+		if res.Value != int64(pairs[i].S*1000+pairs[i].T) {
+			t.Fatalf("query %d: wrong value %d", i, res.Value)
+		}
+	}
+	if m.peak != k {
+		t.Fatalf("peak %d solves at once over %d pairs on %d workers, want %d", m.peak, k, k, k)
+	}
+}
+
 // A malformed pair must fail the whole batch up front, before any solve.
 func TestPoolBatchValidatesUpFront(t *testing.T) {
 	p := fakePool(t, 2, 0)

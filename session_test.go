@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -118,37 +119,54 @@ func TestFlowSolverMatchesOneShot(t *testing.T) {
 	}
 }
 
-// Batch answers must match the SSP baseline with warm starts engaged.
+// A batch primed with a terminal pair must warm-start every repeat of it
+// on every backend: each answer equals the SSP baseline and a one-shot
+// solve's flows, runs no perturbation attempt and no path step, and
+// re-centers in fewer centerings than the one-shot's full path (12
+// against 469 here). This work gap is the whole of session reuse's speed
+// on repeat queries.
 func TestFlowSolverBatch(t *testing.T) {
-	d := testFlowNetwork(6, 33)
+	d := graph.RandomFlowNetwork(6, 0.3, 3, 3, rand.New(rand.NewSource(18)))
 	s, tt := 0, d.N()-1
 	wantV, wantC, _, err := MinCostMaxFlowBaseline(d, s, tt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs, err := NewFlowSolver(d, WithSeed(4), WithBackend("csr-cg"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fs.Close()
-	res, err := fs.SolveBatch(context.Background(), []FlowQuery{{s, tt}, {s, tt}, {s, tt}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm := 0
-	for i, r := range res {
-		if r.Value != wantV || r.Cost != wantC {
-			t.Fatalf("query %d: (%d, %d) vs baseline (%d, %d)", i, r.Value, r.Cost, wantV, wantC)
-		}
-		if r.Stats.Backend != "csr-cg" {
-			t.Fatalf("query %d: backend %q", i, r.Stats.Backend)
-		}
-		if r.Stats.WarmStarted {
-			warm++
-		}
-	}
-	if warm == 0 {
-		t.Fatal("no warm starts in a repeated-query batch")
+	for _, backend := range FlowBackends() {
+		t.Run(backend, func(t *testing.T) {
+			opts := []Option{WithSeed(7), WithBackend(backend)}
+			one, err := solveOnce(d, s, tt, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if one.Value != wantV || one.Cost != wantC {
+				t.Fatalf("one-shot: (%d, %d) vs baseline (%d, %d)", one.Value, one.Cost, wantV, wantC)
+			}
+			fs, err := NewFlowSolver(d, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fs.Close()
+			if _, err := fs.SolveBatch(context.Background(), []FlowQuery{{s, tt}}); err != nil {
+				t.Fatal(err)
+			}
+			res, err := fs.SolveBatch(context.Background(), slices.Repeat([]FlowQuery{{s, tt}}, 6))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, r := range res {
+				if r.Value != wantV || r.Cost != wantC || !reflect.DeepEqual(r.Flows, one.Flows) {
+					t.Fatalf("query %d: (%d, %d, %v) vs one-shot (%d, %d, %v)", i, r.Value, r.Cost, r.Flows, one.Value, one.Cost, one.Flows)
+				}
+				if r.Stats.Backend != backend {
+					t.Fatalf("query %d: backend %q", i, r.Stats.Backend)
+				}
+				if st := r.Stats; !st.WarmStarted || st.Attempts != 0 || st.PathSteps != 0 || st.Centerings >= one.Stats.Centerings {
+					t.Fatalf("query %d: warm %v, %d attempts, %d path steps, %d centerings; want a warm start with no attempt or path step and fewer centerings than the one-shot's %d",
+						i, st.WarmStarted, st.Attempts, st.PathSteps, st.Centerings, one.Stats.Centerings)
+				}
+			}
+		})
 	}
 }
 
@@ -353,8 +371,9 @@ func TestProgressEvents(t *testing.T) {
 }
 
 // A FlowSolver must answer batches bit-identically to a bare flow.Solver
-// at every pool size, accept concurrent callers, and shut down with the
-// ErrSolverClosed sentinel.
+// at every pool size, with the same work (attempts, path steps,
+// centerings, CG iterations), so pooling adds no solver work; accept
+// concurrent callers; and shut down with the ErrSolverClosed sentinel.
 func TestFlowSolverPooled(t *testing.T) {
 	d := testFlowNetwork(5, 36)
 	s, tt := 0, d.N()-1
@@ -372,7 +391,11 @@ func TestFlowSolverPooled(t *testing.T) {
 		for i := range queries {
 			if got[i].Value != want[i].Value || got[i].Cost != want[i].Cost ||
 				!reflect.DeepEqual(got[i].Flows, want[i].Flows) ||
-				got[i].Stats.WarmStarted != want[i].WarmStarted {
+				got[i].Stats.WarmStarted != want[i].WarmStarted ||
+				got[i].Stats.Attempts != want[i].Attempts ||
+				got[i].Stats.PathSteps != want[i].LPStats.PathSteps ||
+				got[i].Stats.Centerings != want[i].LPStats.Centerings ||
+				got[i].Stats.CGIterations != want[i].LPStats.CGIterations {
 				t.Fatalf("query %d: pooled %+v vs bare %+v", i, got[i], want[i])
 			}
 		}
