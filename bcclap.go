@@ -124,10 +124,11 @@
 // strategy is pluggable through a backend registry shared by flow and LP
 // sessions (WithBackend):
 //
-//	dense   — assemble AᵀDA and factorize it; exact reference, O(n³)/solve
+//	dense   — assemble AᵀDA and factorize it once per barrier diagonal;
+//	          exact reference, O(n³) per diagonal and O(n²) per solve
 //	gremban — Gremban reduction to a Laplacian + preconditioned CG (Lemma 5.1)
-//	csr-cg  — matrix-free CG applying A, D, Aᵀ as composed operators;
-//	          never materializes AᵀDA and scales to large instances
+//	csr-cg  — matrix-free CG applying AᵀDA in one fused pass over A's
+//	          rows; never materializes AᵀDA and scales to large instances
 //	csr-pcg — csr-cg plus a combinatorial preconditioner: a spanning-forest
 //	          incomplete Cholesky extracted from the flow network with the
 //	          paper's spanner/sparsifier machinery, built once per session

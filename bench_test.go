@@ -158,14 +158,14 @@ func BenchmarkE6LeverageScores(b *testing.B) {
 	}
 	a := linalg.NewCSR(m, n, ts)
 	d := linalg.Ones(m)
-	mul, mulT := jl.DiagScaledOps(a, d)
 	solve, err := jl.DenseGramSolver(a, d)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Run("exact", func(b *testing.B) {
+		lev := jl.NewExactLeverage(a)
 		for i := 0; i < b.N; i++ {
-			if _, err := jl.LeverageScoresExact(mul, m, n, solve); err != nil {
+			if _, err := lev.Scores(d, solve); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -176,7 +176,7 @@ func BenchmarkE6LeverageScores(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := jl.LeverageScoresApprox(mul, mulT, m, n, solve, sk); err != nil {
+			if _, err := jl.LeverageScoresApprox(a, d, solve, sk); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -148,12 +148,11 @@ func e6(ctx context.Context, quick bool) ([]Table, error) {
 	}
 	a := linalg.NewCSR(m, n, ts)
 	d := linalg.Ones(m)
-	mul, mulT := jl.DiagScaledOps(a, d)
 	solve, err := jl.DenseGramSolver(a, d)
 	if err != nil {
 		return nil, err
 	}
-	exact, err := jl.LeverageScoresExact(mul, m, n, solve)
+	exact, err := jl.NewExactLeverage(a).Scores(d, solve)
 	if err != nil {
 		return nil, err
 	}
@@ -163,7 +162,7 @@ func e6(ctx context.Context, quick bool) ([]Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		approx, err := jl.LeverageScoresApprox(mul, mulT, m, n, solve, sk)
+		approx, err := jl.LeverageScoresApprox(a, d, solve, sk)
 		if err != nil {
 			return nil, err
 		}

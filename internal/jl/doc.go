@@ -10,8 +10,9 @@
 // On top of the sketches, the package provides approximate leverage scores
 // (Algorithm 6, Lemma 4.5): σ(M) = diag(M(MᵀM)⁻¹Mᵀ) approximated by k
 // regression solves, which the LP solver's Lewis-weight updates consume.
-// The exact computation costs one Gram solve per column of the m×n matrix
-// M (σᵢ = Σⱼ (M·(MᵀM)⁻¹)ᵢⱼ·Mᵢⱼ), so for the tall matrices of the LP it is
+// The exact computation (ExactLeverage) costs one Gram solve per column
+// of the m×n matrix M = diag(d)·A (σᵢ = Σⱼ (M·(MᵀM)⁻¹)ᵢⱼ·Mᵢⱼ) plus one
+// O(nnz) pass over A's columns, so for the tall matrices of the LP it is
 // n solves against the sketch's k, and the cheaper choice until n > k.
 //
 // Invariants:
@@ -19,7 +20,6 @@
 //   - Shared-seed determinism is the point: expanding the same broadcast
 //     seed on every vertex yields the same sketch, so a sketch never needs
 //     to be communicated — only its seed.
-//   - Sketch application is matrix-free: only Mul/MulT closures over the
-//     constraint matrix are required, matching the operator discipline of
-//     internal/linalg.
+//   - Leverage scores never form M: they take A in CSR form and the row
+//     scaling d, and reach (MᵀM)⁻¹ only through a GramSolver.
 package jl

@@ -163,12 +163,11 @@ func TestLeverageScoresExactProperties(t *testing.T) {
 	for i := range d {
 		d[i] = 0.5 + rnd.Float64()
 	}
-	mul, _ := DiagScaledOps(a, d)
 	solve, err := DenseGramSolver(a, d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sigma, err := LeverageScoresExact(mul, m, n, solve)
+	sigma, err := NewExactLeverage(a).Scores(d, solve)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,17 +185,18 @@ func TestLeverageScoresExactProperties(t *testing.T) {
 }
 
 // leverageScoresPerRow is the one-solve-per-row reference for
-// LeverageScoresExact: σᵢ = eᵢᵀM(MᵀM)⁻¹Mᵀeᵢ, m solves.
-func leverageScoresPerRow(mul, mulT func([]float64) []float64, m int, solve GramSolver) ([]float64, error) {
+// ExactLeverage: σᵢ = eᵢᵀM(MᵀM)⁻¹Mᵀeᵢ with M = diag(d)·A, m solves.
+func leverageScoresPerRow(a *linalg.CSR, d []float64, solve GramSolver) ([]float64, error) {
+	m := a.Rows()
 	sigma := make([]float64, m)
 	for i := 0; i < m; i++ {
 		ei := make([]float64, m)
-		ei[i] = 1
-		s, err := solve(mulT(ei))
+		ei[i] = d[i]
+		s, err := solve(a.MulVecT(ei))
 		if err != nil {
 			return nil, err
 		}
-		sigma[i] = mul(s)[i]
+		sigma[i] = d[i] * a.MulVec(s)[i]
 	}
 	return sigma, nil
 }
@@ -250,7 +250,6 @@ func TestLeverageScoresExactMatchesPerRow(t *testing.T) {
 		for i := range d {
 			d[i] = math.Pow(10, -6+12*rnd.Float64())
 		}
-		mul, mulT := DiagScaledOps(a, d)
 		solve, err := DenseGramSolver(a, d)
 		if err != nil {
 			continue // G numerically singular: no leverage scores to compare
@@ -264,11 +263,11 @@ func TestLeverageScoresExactMatchesPerRow(t *testing.T) {
 		if tol == 1e-10 {
 			atFloor++
 		}
-		got, err := LeverageScoresExact(mul, m, n, solve)
+		got, err := NewExactLeverage(a).Scores(d, solve)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := leverageScoresPerRow(mul, mulT, m, solve)
+		want, err := leverageScoresPerRow(a, d, solve)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -298,12 +297,11 @@ func TestLeverageScoresApproxVsExact(t *testing.T) {
 	for i := range d {
 		d[i] = 0.5 + rnd.Float64()
 	}
-	mul, mulT := DiagScaledOps(a, d)
 	solve, err := DenseGramSolver(a, d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := LeverageScoresExact(mul, m, n, solve)
+	exact, err := NewExactLeverage(a).Scores(d, solve)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +310,7 @@ func TestLeverageScoresApproxVsExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	approx, err := LeverageScoresApprox(mul, mulT, m, n, solve, sk)
+	approx, err := LeverageScoresApprox(a, d, solve, sk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,39 +329,23 @@ func TestLeverageScoresApproxVsExact(t *testing.T) {
 	}
 }
 
-func TestDiagScaledOpsAgainstDense(t *testing.T) {
-	rnd := rand.New(rand.NewSource(7))
-	a := buildTallMatrix(8, 4, rnd)
-	d := []float64{1, 2, 0.5, 3, 1, 1, 2, 0.25}
-	mul, mulT := DiagScaledOps(a, d)
-	x := []float64{1, -1, 2, 0.5}
-	got := mul(x)
-	ax := a.MulVec(x)
-	for i := range got {
-		if math.Abs(got[i]-d[i]*ax[i]) > 1e-12 {
-			t.Fatal("mul mismatch")
-		}
-	}
-	y := make([]float64, 8)
-	for i := range y {
-		y[i] = rnd.NormFloat64()
-	}
-	gotT := mulT(y)
-	dy := make([]float64, 8)
-	for i := range dy {
-		dy[i] = d[i] * y[i]
-	}
-	wantT := a.MulVecT(dy)
-	for i := range gotT {
-		if math.Abs(gotT[i]-wantT[i]) > 1e-12 {
-			t.Fatal("mulT mismatch")
-		}
-	}
-}
-
+// SketchDim saturates to math.MaxInt when no sketch can meet η — η = 0,
+// or η so small that 4·ln(m+2)/η² overflows — so the caller takes the
+// exact path; otherwise it is ⌈4·ln(m+2)/η²⌉, floored at 4.
 func TestSketchDim(t *testing.T) {
-	if SketchDim(100, 0.5) < 4 {
-		t.Fatal("sketch dim too small")
+	for _, tc := range []struct {
+		eta  float64
+		want int
+	}{
+		{0, math.MaxInt},
+		{1e-300, math.MaxInt},
+		{-0.5, math.MaxInt},
+		{0.5, 74}, // ⌈16·ln 102⌉
+		{4, 4},    // ⌈ln(102)/4⌉ = 2, floored
+	} {
+		if got := SketchDim(100, tc.eta); got != tc.want {
+			t.Errorf("SketchDim(100, %g) = %d, want %d", tc.eta, got, tc.want)
+		}
 	}
 	if SketchDim(100, 0.1) <= SketchDim(100, 0.5) {
 		t.Fatal("sketch dim should grow as eta shrinks")

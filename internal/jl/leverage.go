@@ -11,49 +11,76 @@ import (
 // for flow constraint matrices.
 type GramSolver func(y []float64) ([]float64, error)
 
-// LeverageScoresExact computes σ(M) = diag(M(MᵀM)⁻¹Mᵀ) exactly with one
-// Gram solve per column: with G = MᵀM, column j of G⁻¹ is the solve
-// against eⱼ, and σᵢ = Σⱼ (M·G⁻¹)ᵢⱼ·Mᵢⱼ. That is n solves, not the m of
-// the per-row form, so for tall M (m ≫ n) it undercuts the k = Θ(log m/η²)
-// solves of Algorithm 6 until n exceeds k.
-func LeverageScoresExact(mul func([]float64) []float64, m, n int, solve GramSolver) ([]float64, error) {
-	sigma := make([]float64, m)
-	ej := make([]float64, n)
-	for j := 0; j < n; j++ {
-		ej[j] = 1
-		col := mul(ej) // column j of M
-		s, err := solve(ej)
-		ej[j] = 0
+// ExactLeverage computes exact leverage scores σ(diag(d)·A) for one fixed
+// A. It holds A's column index (Aᵀ in CSR form, built once in O(nnz)) and
+// the unit right-hand side, so a call allocates only σ and what its solves
+// return.
+type ExactLeverage struct {
+	a, at *linalg.CSR
+	ej    []float64 // all zero between calls
+}
+
+// NewExactLeverage builds the column index of A.
+func NewExactLeverage(a *linalg.CSR) *ExactLeverage {
+	return &ExactLeverage{a: a, at: a.Transpose(), ej: make([]float64, a.Cols())}
+}
+
+// Scores returns σ(M) = diag(M(MᵀM)⁻¹Mᵀ) for M = diag(d)·A with one Gram
+// solve per column: with G = MᵀM, column j of G⁻¹ is the solve s against
+// eⱼ, and σᵢ = Σⱼ (M·s)ᵢ·Mᵢⱼ. Mᵢⱼ is zero off column j's support, so each
+// solve updates only the rows in it, j ascending: n solves plus O(nnz),
+// and the same bits as summing over every row. That is n solves, not the
+// m of the per-row form, so for tall M (m ≫ n) it undercuts the
+// k = Θ(log m/η²) solves of Algorithm 6 until n exceeds k. solve answers
+// (MᵀM)x = y.
+func (e *ExactLeverage) Scores(d []float64, solve GramSolver) ([]float64, error) {
+	sigma := make([]float64, e.a.Rows())
+	for j := range e.ej {
+		e.ej[j] = 1
+		s, err := solve(e.ej)
+		e.ej[j] = 0
 		if err != nil {
 			return nil, fmt.Errorf("jl: exact leverage column %d: %w", j, err)
 		}
-		p := mul(s) // column j of M·G⁻¹
-		for i := range sigma {
-			sigma[i] += p[i] * col[i]
+		rows, colj := e.at.Row(j)
+		for k, i := range rows {
+			cols, vals := e.a.Row(i)
+			var p float64 // (A·s)ᵢ, summed as CSR.MulVecTo sums it
+			for q, c := range cols {
+				p += vals[q] * s[c]
+			}
+			sigma[i] += p * d[i] * (colj[k] * d[i])
 		}
 	}
 	return sigma, nil
 }
 
-// LeverageScoresApprox implements ComputeLeverageScores (Algorithm 6):
-// σ_apx = Σ_j (M(MᵀM)⁻¹Mᵀ Q⁽ʲ⁾)², using the rows of a shared-seed sketch.
-// By Lemma 4.5 the result is within (1±η) of σ(M) w.h.p. when the sketch
-// dimension is Θ(log(m)/η²).
-func LeverageScoresApprox(mul, mulT func([]float64) []float64, m, n int, solve GramSolver, sk Sketch) ([]float64, error) {
+// LeverageScoresApprox implements ComputeLeverageScores (Algorithm 6) for
+// M = diag(d)·A: σ_apx = Σ_j (M(MᵀM)⁻¹Mᵀ Q⁽ʲ⁾)², using the rows of a
+// shared-seed sketch. By Lemma 4.5 the result is within (1±η) of σ(M)
+// w.h.p. when the sketch dimension is Θ(log(m)/η²). solve answers
+// (MᵀM)x = y.
+func LeverageScoresApprox(a *linalg.CSR, d []float64, solve GramSolver, sk Sketch) ([]float64, error) {
+	m := a.Rows()
 	if sk.M() != m {
 		return nil, fmt.Errorf("jl: sketch is %d-dimensional, matrix has %d rows", sk.M(), m)
 	}
 	sigma := make([]float64, m)
+	dq := make([]float64, m)
+	p := make([]float64, m)
 	for j := 0; j < sk.K(); j++ {
 		q := sk.Row(j)
-		t := mulT(q)
-		s, err := solve(t)
+		for i := range dq {
+			dq[i] = d[i] * q[i]
+		}
+		s, err := solve(a.MulVecT(dq))
 		if err != nil {
 			return nil, fmt.Errorf("jl: approx leverage sketch row %d: %w", j, err)
 		}
-		p := mul(s)
+		a.MulVecTo(p, s)
 		for i := range sigma {
-			sigma[i] += p[i] * p[i]
+			pi := p[i] * d[i]
+			sigma[i] += pi * pi
 		}
 	}
 	// Leverage scores lie in [0, 1]; clamp numerical noise.
@@ -61,27 +88,6 @@ func LeverageScoresApprox(mul, mulT func([]float64) []float64, m, n int, solve G
 		sigma[i] = linalg.Clamp(sigma[i], 0, 1)
 	}
 	return sigma, nil
-}
-
-// DiagScaledOps returns mul/mulT closures for M = diag(d)·A with A in CSR
-// form — the shape every leverage-score call in the LP solver has
-// (M = W^{1/2−1/p}A or M = Φ″(x)^{−1/2}A).
-func DiagScaledOps(a *linalg.CSR, d []float64) (mul, mulT func([]float64) []float64) {
-	mul = func(x []float64) []float64 {
-		out := a.MulVec(x)
-		for i := range out {
-			out[i] *= d[i]
-		}
-		return out
-	}
-	mulT = func(y []float64) []float64 {
-		scaled := make([]float64, len(y))
-		for i := range y {
-			scaled[i] = d[i] * y[i]
-		}
-		return a.MulVecT(scaled)
-	}
-	return mul, mulT
 }
 
 // DenseGramSolver builds a GramSolver for M = diag(d)·A by assembling and

@@ -136,12 +136,12 @@ func New(g *graph.Graph, cfg Config) (*Solver, error) {
 	s.pb = make([]float64, n)
 	s.y = make([]float64, n)
 	s.resid = make([]float64, n)
-	s.mulA = linalg.FuncOp{R: n, C: n, Apply: func(dst, x []float64) {
+	s.mulA = linalg.FuncOp(func(dst, x []float64) {
 		// One distributed matrix-vector product: every vertex broadcasts
 		// its coordinate with O(log(nU/ε)) bits.
 		s.net.BroadcastAll(s.floatBits)
 		s.lg.MulVecTo(dst, x)
-	}}
+	})
 	return s, nil
 }
 

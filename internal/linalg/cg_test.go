@@ -150,8 +150,13 @@ func TestPreconditionedChebyshevKappa3(t *testing.T) {
 	for i := range b {
 		b[i] = rnd.NormFloat64()
 	}
+	opA := FuncOp(func(dst, x []float64) {
+		for i, v := range diagA {
+			dst[i] = v * x[i]
+		}
+	})
 	x := make([]float64, n)
-	res, err := PreconditionedChebyshevTo(context.Background(), x, DiagOp{D: diagA}, solveBTo, b, 3, 1e-9, nil)
+	res, err := PreconditionedChebyshevTo(context.Background(), x, opA, solveBTo, b, 3, 1e-9, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +211,7 @@ func TestInexactCGToAcceptance(t *testing.T) {
 		accept bool
 	}{{limit / 2, true}, {2 * limit, false}} {
 		calls := 0
-		op := FuncOp{R: 4, C: 4, Apply: func(dst, x []float64) {
+		op := FuncOp(func(dst, x []float64) {
 			calls++
 			if calls > budget {
 				copy(dst, b)
@@ -216,7 +221,7 @@ func TestInexactCGToAcceptance(t *testing.T) {
 			for i := range dst {
 				dst[i] = float64(i+1)*x[i] + x[(i+1)%4] - x[(i+3)%4]
 			}
-		}}
+		})
 		x := make([]float64, len(b))
 		iters, err := InexactCGTo(context.Background(), x, op, b, nil, NewWorkspace())
 		if iters != budget || calls != budget+1 {

@@ -112,12 +112,31 @@ func (m *CSR) QuadForm(x []float64) float64 {
 	return Dot(x, m.MulVec(x))
 }
 
-// RowNNZ returns the number of nonzeros in row r.
-func (m *CSR) RowNNZ(r int) int { return m.rowPtr[r+1] - m.rowPtr[r] }
+// Row returns row r's stored nonzeros, columns ascending, as views into
+// the matrix (not copies; the caller must not modify them).
+func (m *CSR) Row(r int) (cols []int, vals []float64) {
+	lo, hi := m.rowPtr[r], m.rowPtr[r+1]
+	return m.colIdx[lo:hi], m.vals[lo:hi]
+}
 
-// VisitRow calls f(col, val) for every stored nonzero in row r.
-func (m *CSR) VisitRow(r int, f func(col int, val float64)) {
-	for k := m.rowPtr[r]; k < m.rowPtr[r+1]; k++ {
-		f(m.colIdx[k], m.vals[k])
+// Transpose returns mᵀ in CSR form, built in O(nnz) by a counting pass:
+// row j of the result lists column j of m, rows ascending.
+func (m *CSR) Transpose() *CSR {
+	t := &CSR{rows: m.cols, cols: m.rows, rowPtr: make([]int, m.cols+1),
+		colIdx: make([]int, len(m.colIdx)), vals: make([]float64, len(m.vals))}
+	for _, c := range m.colIdx {
+		t.rowPtr[c+1]++
 	}
+	for c := 0; c < m.cols; c++ {
+		t.rowPtr[c+1] += t.rowPtr[c]
+	}
+	next := append([]int(nil), t.rowPtr[:m.cols]...)
+	for r := 0; r < m.rows; r++ {
+		for k := m.rowPtr[r]; k < m.rowPtr[r+1]; k++ {
+			c := m.colIdx[k]
+			t.colIdx[next[c]], t.vals[next[c]] = r, m.vals[k]
+			next[c]++
+		}
+	}
+	return t
 }

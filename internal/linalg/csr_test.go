@@ -62,13 +62,9 @@ func TestCSRDiagAndVisit(t *testing.T) {
 	if csr.At(0, 0) != 2 || csr.At(1, 1) != 5 || csr.At(2, 2) != 0 {
 		t.Fatalf("diagonal = %v %v %v", csr.At(0, 0), csr.At(1, 1), csr.At(2, 2))
 	}
-	var cols []int
-	csr.VisitRow(1, func(c int, v float64) { cols = append(cols, c) })
-	if len(cols) != 2 || cols[0] != 1 || cols[1] != 2 {
-		t.Fatalf("VisitRow = %v", cols)
-	}
-	if csr.RowNNZ(1) != 2 {
-		t.Fatal("RowNNZ wrong")
+	cols, vals := csr.Row(1)
+	if len(cols) != 2 || cols[0] != 1 || cols[1] != 2 || vals[0] != 5 || vals[1] != -1 {
+		t.Fatalf("Row(1) = %v %v", cols, vals)
 	}
 }
 

@@ -1,8 +1,9 @@
 // Package linalg provides the numerical linear-algebra substrate used by
 // the Laplacian-paradigm pipeline: dense and CSR sparse matrices, graph
-// Laplacians, the LinOp operator layer (diagonal, transposed, composed
-// and ones-projected operators that apply A, D, Aᵀ or P·L·P without
-// materializing products), conjugate-gradient and preconditioned
+// Laplacians, the LinOp operator layer (matrices, closures, edge-list
+// Laplacians and the ones-projected P·L·P, applied without materializing
+// products; AᵀDA is one fused CSR pass, GramMulVecTo, not a composition
+// of operators), conjugate-gradient and preconditioned
 // Chebyshev solvers, reusable preconditioners (Jacobi and the
 // spanning-forest incomplete Cholesky of precond.go, whose symbolic
 // structure is built once and numerically refreshed per reweight), and
@@ -13,8 +14,8 @@
 //
 // Invariants:
 //
-//   - One operator interface: every solver takes a LinOp, and matrices,
-//     compositions and closures (FuncOp) all implement it. CGLaplacian
+//   - One operator interface: every solver takes a LinOp, and matrices
+//     and closures (FuncOp) implement it. CGLaplacian
 //     and the Gremban SDD solve share one projected-Laplacian operator,
 //     ProjectedOp.
 //   - One inexact-solve policy: InexactCGTo is the only place that fixes

@@ -3,13 +3,11 @@ package linalg
 import "fmt"
 
 // LinOp is a linear operator applied into caller-provided storage. It is the
-// solver stack's one operator interface: CSR and Dense matrices, diagonal
-// scalings, transposes, compositions and Laplacian pencils all implement it,
-// so downstream layers (lapsolver, lp, flow) can compose solves without
+// solver stack's one operator interface: CSR and Dense matrices, closures
+// (FuncOp), Laplacian pencils and their ones-projection all implement it,
+// so downstream layers (lapsolver, lp, flow) can solve without
 // materializing intermediate matrices or allocating per application.
 type LinOp interface {
-	// Dims returns the (rows, cols) shape of the operator.
-	Dims() (rows, cols int)
 	// MulVecTo computes dst = Op · x. dst must have length rows and x
 	// length cols; dst and x must not alias.
 	MulVecTo(dst, x []float64)
@@ -25,7 +23,7 @@ func checkApply(r, c int, dst, x []float64) {
 }
 
 // Workspace is a small arena of reusable float64 buffers. Iterative solvers
-// and composed operators draw their temporaries from one workspace so that
+// and projected operators draw their temporaries from one workspace so that
 // repeated solves (e.g. the Õ(√n) path steps of the interior-point method)
 // stop allocating after the first call. A Workspace is NOT safe for
 // concurrent use; give each goroutine its own.
@@ -62,12 +60,6 @@ func (w *Workspace) Put(b []float64) {
 	w.free = append(w.free, b[:cap(b)])
 }
 
-// Dims implements LinOp for CSR.
-func (m *CSR) Dims() (int, int) { return m.rows, m.cols }
-
-// Dims implements LinOp for Dense.
-func (m *Dense) Dims() (int, int) { return m.rows, m.cols }
-
 // MulVecTo computes dst = m·x without allocating.
 func (m *Dense) MulVecTo(dst, x []float64) {
 	checkApply(m.rows, m.cols, dst, x)
@@ -101,102 +93,11 @@ func (m *Dense) MulVecTTo(dst, x []float64) {
 	}
 }
 
-// FuncOp adapts an in-place function with explicit dimensions to LinOp.
-type FuncOp struct {
-	R, C  int
-	Apply func(dst, x []float64)
-}
-
-// Dims implements LinOp.
-func (f FuncOp) Dims() (int, int) { return f.R, f.C }
+// FuncOp adapts an in-place function dst = Op·x to LinOp.
+type FuncOp func(dst, x []float64)
 
 // MulVecTo implements LinOp.
-func (f FuncOp) MulVecTo(dst, x []float64) { f.Apply(dst, x) }
-
-// DiagOp is the diagonal operator diag(D).
-type DiagOp struct{ D []float64 }
-
-// Dims implements LinOp.
-func (d DiagOp) Dims() (int, int) { return len(d.D), len(d.D) }
-
-// MulVecTo implements LinOp.
-func (d DiagOp) MulVecTo(dst, x []float64) {
-	checkApply(len(d.D), len(d.D), dst, x)
-	for i, v := range d.D {
-		dst[i] = v * x[i]
-	}
-}
-
-// TransposeOp applies Aᵀ for a CSR matrix A (row-scatter; serial).
-type TransposeOp struct{ A *CSR }
-
-// Dims implements LinOp.
-func (t TransposeOp) Dims() (int, int) { return t.A.cols, t.A.rows }
-
-// MulVecTo implements LinOp.
-func (t TransposeOp) MulVecTo(dst, x []float64) {
-	checkApply(t.A.cols, t.A.rows, dst, x)
-	t.A.MulVecTTo(dst, x)
-}
-
-// ComposedOp applies Ops[0]·Ops[1]·…·Ops[k-1] (rightmost first), drawing
-// intermediate vectors from its workspace so repeated applications allocate
-// nothing. Construct with Compose.
-type ComposedOp struct {
-	ops []LinOp
-	ws  *Workspace
-}
-
-// Compose chains operators into their product op0·op1·…; it panics on an
-// inner dimension mismatch. ws may be nil (then intermediates are allocated
-// per call).
-func Compose(ws *Workspace, ops ...LinOp) *ComposedOp {
-	if len(ops) == 0 {
-		panic("linalg: Compose needs at least one operator")
-	}
-	for i := 0; i+1 < len(ops); i++ {
-		_, c := ops[i].Dims()
-		r, _ := ops[i+1].Dims()
-		if c != r {
-			panic(fmt.Sprintf("linalg: Compose inner dimension mismatch at %d: %d vs %d", i, c, r))
-		}
-	}
-	return &ComposedOp{ops: ops, ws: ws}
-}
-
-// Dims implements LinOp.
-func (c *ComposedOp) Dims() (int, int) {
-	r, _ := c.ops[0].Dims()
-	_, cc := c.ops[len(c.ops)-1].Dims()
-	return r, cc
-}
-
-// MulVecTo implements LinOp.
-func (c *ComposedOp) MulVecTo(dst, x []float64) {
-	rows, cols := c.Dims()
-	checkApply(rows, cols, dst, x)
-	cur := x
-	var scratch []float64
-	for i := len(c.ops) - 1; i >= 0; i-- {
-		op := c.ops[i]
-		r, _ := op.Dims()
-		var out []float64
-		if i == 0 {
-			out = dst
-		} else {
-			out = c.ws.Get(r)
-		}
-		op.MulVecTo(out, cur)
-		if scratch != nil {
-			c.ws.Put(scratch)
-		}
-		scratch = nil
-		if i != 0 {
-			scratch = out
-		}
-		cur = out
-	}
-}
+func (f FuncOp) MulVecTo(dst, x []float64) { f(dst, x) }
 
 // LaplacianOp applies the graph Laplacian L = BᵀWB directly from its edge
 // list: (Lx)_u = Σ_{(u,v)} w(x_u − x_v). It is allocation-free and never
@@ -206,9 +107,6 @@ type LaplacianOp struct {
 	N     int
 	Edges []WEdge
 }
-
-// Dims implements LinOp.
-func (l LaplacianOp) Dims() (int, int) { return l.N, l.N }
 
 // MulVecTo implements LinOp.
 func (l LaplacianOp) MulVecTo(dst, x []float64) {
@@ -231,9 +129,6 @@ type ProjectedOp struct {
 	A  LinOp
 	WS *Workspace
 }
-
-// Dims implements LinOp.
-func (p ProjectedOp) Dims() (int, int) { return p.A.Dims() }
 
 // MulVecTo implements LinOp.
 func (p ProjectedOp) MulVecTo(dst, x []float64) {

@@ -2,6 +2,7 @@ package linalg
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -53,49 +54,15 @@ func TestMulVecToMatchesMulVec(t *testing.T) {
 	}
 }
 
-// Composition of LinOps must match the dense reference product.
-func TestComposeMatchesDense(t *testing.T) {
-	rnd := rand.New(rand.NewSource(3))
-	a := randomCSR(12, 8, 0.4, rnd) // 12x8
-	d := randomVec(12, rnd)         // diag 12x12
-	ws := NewWorkspace()
-	// Op = Aᵀ · diag(d) · A : 8x8.
-	op := Compose(ws, TransposeOp{A: a}, DiagOp{D: d}, a)
-	ad := a.Dense()
-	ref := ad.Transpose()
-	scaled := NewDense(12, 8)
-	for i := 0; i < 12; i++ {
-		for j := 0; j < 8; j++ {
-			scaled.Set(i, j, d[i]*ad.At(i, j))
-		}
-	}
-	refM := ref.Mul(scaled) // 8x8
-	if r, c := op.Dims(); r != 8 || c != 8 {
-		t.Fatalf("composed dims %dx%d, want 8x8", r, c)
-	}
-	for trial := 0; trial < 5; trial++ {
-		x := randomVec(8, rnd)
-		got := make([]float64, 8)
-		op.MulVecTo(got, x)
-		want := refM.MulVec(x)
-		for i := range got {
-			if diff := got[i] - want[i]; diff > 1e-12 || diff < -1e-12 {
-				t.Fatalf("trial %d entry %d: composed %v vs dense %v", trial, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-func TestComposedGramMatchesDense(t *testing.T) {
+// GramMulVecTo must match the dense reference AᵀDA, and GramDiagTo its
+// diagonal.
+func TestGramMulVecToMatchesDense(t *testing.T) {
 	rnd := rand.New(rand.NewSource(4))
 	a := randomCSR(20, 9, 0.3, rnd)
 	d := make([]float64, 20)
 	for i := range d {
 		d[i] = 0.1 + rnd.Float64()
 	}
-	// The csr-cg backend's operator shape: AᵀDA as a composition.
-	op := Compose(NewWorkspace(), TransposeOp{A: a}, DiagOp{D: d}, a)
-	// Dense reference AᵀDA.
 	ad := a.Dense()
 	gram := NewDense(9, 9)
 	for r := 0; r < 20; r++ {
@@ -105,13 +72,15 @@ func TestComposedGramMatchesDense(t *testing.T) {
 			}
 		}
 	}
-	x := randomVec(9, rnd)
-	got := make([]float64, 9)
-	op.MulVecTo(got, x)
-	want := gram.MulVec(x)
-	for i := range got {
-		if diff := got[i] - want[i]; diff > 1e-10 || diff < -1e-10 {
-			t.Fatalf("entry %d: composed Gram %v vs dense %v", i, got[i], want[i])
+	for trial := 0; trial < 5; trial++ {
+		x := randomVec(9, rnd)
+		got := make([]float64, 9)
+		a.GramMulVecTo(got, d, x)
+		want := gram.MulVec(x)
+		for i := range got {
+			if diff := got[i] - want[i]; diff > 1e-10 || diff < -1e-10 {
+				t.Fatalf("trial %d entry %d: AᵀDA·x %v vs dense %v", trial, i, got[i], want[i])
+			}
 		}
 	}
 	diag := make([]float64, 9)
@@ -119,6 +88,75 @@ func TestComposedGramMatchesDense(t *testing.T) {
 	for i := range diag {
 		if diff := diag[i] - gram.At(i, i); diff > 1e-10 || diff < -1e-10 {
 			t.Fatalf("diag %d: %v vs %v", i, diag[i], gram.At(i, i))
+		}
+	}
+}
+
+// GramMulVecTo must give the bits of Aᵀ(D(Ax)) applied as three products,
+// on matrices with negative entries and one-nonzero rows, zero and
+// negative dᵣ, and x with zero entries (rows whose sum is exactly 0).
+func TestGramMulVecToBitIdenticalToThreeProducts(t *testing.T) {
+	rnd := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 50; trial++ {
+		rows, cols := 5+rnd.Intn(20), 2+rnd.Intn(8)
+		var ts []Triple
+		for r := 0; r < rows; r++ {
+			ts = append(ts, Triple{Row: r, Col: rnd.Intn(cols), Val: rnd.NormFloat64()})
+			if r%3 != 0 { // every third row keeps one nonzero
+				ts = append(ts, Triple{Row: r, Col: rnd.Intn(cols), Val: rnd.NormFloat64()})
+				ts = append(ts, Triple{Row: r, Col: rnd.Intn(cols), Val: -1})
+			}
+		}
+		a := NewCSR(rows, cols, ts)
+		d := randomVec(rows, rnd)
+		for r := 0; r < rows; r += 4 {
+			d[r] = 0
+		}
+		x := randomVec(cols, rnd)
+		x[rnd.Intn(cols)] = 0
+		if trial%2 == 0 {
+			for j := range x {
+				x[j] = float64(rnd.Intn(3) - 1) // many exact zero row sums
+			}
+		}
+		ax := make([]float64, rows)
+		a.MulVecTo(ax, x)
+		for r := range ax {
+			ax[r] = d[r] * ax[r]
+		}
+		want := make([]float64, cols)
+		a.MulVecTTo(want, ax)
+		got := make([]float64, cols)
+		a.GramMulVecTo(got, d, x)
+		for j := range got {
+			if got[j] != want[j] || math.Signbit(got[j]) != math.Signbit(want[j]) {
+				t.Fatalf("trial %d entry %d: fused %v, three products %v", trial, j, got[j], want[j])
+			}
+		}
+	}
+}
+
+func TestCSRTransposeMatchesDense(t *testing.T) {
+	rnd := rand.New(rand.NewSource(6))
+	a := randomCSR(15, 7, 0.3, rnd)
+	at, ad := a.Transpose(), a.Dense()
+	if at.Rows() != 7 || at.Cols() != 15 || at.NNZ() != a.NNZ() {
+		t.Fatalf("transpose is %dx%d with %d nonzeros, want 7x15 with %d", at.Rows(), at.Cols(), at.NNZ(), a.NNZ())
+	}
+	for j := 0; j < 7; j++ {
+		rows, vals := at.Row(j)
+		for k := range rows {
+			if k > 0 && rows[k] <= rows[k-1] {
+				t.Fatalf("column %d: rows not ascending: %v", j, rows)
+			}
+			if vals[k] != ad.At(rows[k], j) {
+				t.Fatalf("entry (%d,%d): %v vs %v", rows[k], j, vals[k], ad.At(rows[k], j))
+			}
+		}
+		for i := 0; i < 15; i++ {
+			if at.At(j, i) != ad.At(i, j) {
+				t.Fatalf("entry (%d,%d): %v vs %v", i, j, at.At(j, i), ad.At(i, j))
+			}
 		}
 	}
 }
@@ -177,13 +215,13 @@ func TestCGToMatchesCG(t *testing.T) {
 	n := 24
 	// SPD matrix AᵀA + I.
 	a := randomCSR(n, n, 0.3, rnd)
-	gram := Compose(NewWorkspace(), TransposeOp{A: a}, a)
-	spd := FuncOp{R: n, C: n, Apply: func(dst, x []float64) {
-		gram.MulVecTo(dst, x)
+	ones := Ones(n)
+	spd := FuncOp(func(dst, x []float64) {
+		a.GramMulVecTo(dst, ones, x)
 		for i := range dst {
 			dst[i] += x[i]
 		}
-	}}
+	})
 	ws := NewWorkspace()
 	for solve := 0; solve < 2; solve++ {
 		b := randomVec(n, rnd)

@@ -36,6 +36,33 @@ func (m *CSR) GramDiagTo(dst, d []float64) {
 	}
 }
 
+// GramMulVecTo computes dst = mᵀ·diag(d)·m·x in one pass over the rows
+// without allocating: each row's sum (column order, as in MulVecTo) is
+// scaled by d[r] and, unless zero, scattered as in MulVecTTo. So it gives
+// the bits of the three products applied one after another.
+func (m *CSR) GramMulVecTo(dst, d, x []float64) {
+	if len(d) != m.rows || len(dst) != m.cols || len(x) != m.cols {
+		panic(fmt.Sprintf("linalg: CSR GramMulVecTo got dst=%d d=%d x=%d, want dst=%d d=%d x=%d", len(dst), len(d), len(x), m.cols, m.rows, m.cols))
+	}
+	for j := range dst {
+		dst[j] = 0
+	}
+	for r := 0; r < m.rows; r++ {
+		lo, hi := m.rowPtr[r], m.rowPtr[r+1]
+		var s float64
+		for k := lo; k < hi; k++ {
+			s += m.vals[k] * x[m.colIdx[k]]
+		}
+		s = d[r] * s
+		if s == 0 {
+			continue
+		}
+		for k := lo; k < hi; k++ {
+			dst[m.colIdx[k]] += m.vals[k] * s
+		}
+	}
+}
+
 // MulVecTTo computes dst = mᵀ·x without allocating, scattering row by row.
 func (m *CSR) MulVecTTo(dst, x []float64) {
 	if len(x) != m.rows || len(dst) != m.cols {

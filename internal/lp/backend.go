@@ -7,15 +7,17 @@
 //
 // Built-in backends:
 //
-//	dense   — assemble AᵀDA densely and factorize (Cholesky with Gaussian
-//	          fallback); the exact reference, O(n³) per solve.
+//	dense   — assemble AᵀDA densely and factorize it once per diagonal D
+//	          (Cholesky, kept until D changes, with an uncached Gaussian
+//	          fallback); the exact reference, O(n³) per D and O(n²) per
+//	          solve.
 //	gremban — assemble AᵀDA, reduce to a Laplacian on 2n vertices via the
 //	          Gremban reduction (Lemma 5.1) and solve it with one reusable
 //	          lapsolver.SDDSolver; requires the SDD structure the flow LP
 //	          guarantees.
-//	csr-cg  — never materialize AᵀDA: apply A, D and Aᵀ as composed linear
-//	          operators inside Jacobi-preconditioned CG. O(nnz) per
-//	          iteration, and the only backend that scales past tiny n.
+//	csr-cg  — never materialize AᵀDA: apply Aᵀ·diag(D)·A in one fused
+//	          pass over A's rows inside Jacobi-preconditioned CG. O(nnz)
+//	          per iteration, and the only backend that scales past tiny n.
 //	csr-pcg — csr-cg with a combinatorial preconditioner: a spanning-forest
 //	          incomplete Cholesky whose support is extracted once per
 //	          session from the constraint matrix with the paper's
@@ -161,21 +163,30 @@ func init() {
 }
 
 // denseBackend assembles AᵀDA into a reused n×n buffer and factorizes it
-// per call; the reference for tests and small instances.
+// once per diagonal: the Cholesky factor is kept until D changes (the
+// floatsEqual rule of matrixFreeSolve), so the n′ leverage solves against
+// one D share one factorization. The reference for tests and small
+// instances.
 func denseBackend(a *linalg.CSR) (ATDASolve, error) {
 	n := a.Cols()
 	gram := linalg.NewDense(n, n)
+	dbuf := make([]float64, a.Rows())
+	var chol *linalg.Dense // factor of AᵀDA for D = dbuf; nil when none
 	return func(_ context.Context, d, y []float64) ([]float64, int, error) {
 		if err := checkATDAArgs(a, d, y); err != nil {
 			return nil, 0, err
 		}
-		assembleGram(a, d, gram)
-		chol, err := gram.Cholesky()
-		if err != nil {
-			// Fall back to pivoted Gaussian elimination for semidefinite
-			// edge cases (e.g. a bound exactly hit by degenerate weights).
-			x, err := gram.Solve(y)
-			return x, 0, err
+		if chol == nil || !floatsEqual(dbuf, d) {
+			assembleGram(a, d, gram)
+			var err error
+			if chol, err = gram.Cholesky(); err != nil {
+				// Fall back to pivoted Gaussian elimination for
+				// semidefinite edge cases (e.g. a bound exactly hit by
+				// degenerate weights); nothing is kept for the next call.
+				x, err := gram.Solve(y)
+				return x, 0, err
+			}
+			copy(dbuf, d)
 		}
 		return linalg.CholSolve(chol, y), 0, nil
 	}, nil
@@ -200,22 +211,24 @@ func grembanBackend(a *linalg.CSR) (ATDASolve, error) {
 }
 
 // matrixFreeSolve is the ATDASolve of the matrix-free backends: it never
-// materializes AᵀDA but applies A, diag(D) and Aᵀ as one composed LinOp
-// inside linalg.InexactCGTo, preconditioned by st's fill-free incomplete
-// Cholesky — or by Jacobi when st is empty, which is all of csr-cg and
-// csr-pcg on non-incidence matrices. One operator, tolerance and budget
-// for both backends keeps their iteration counts directly comparable (the
-// invariant the e19 snapshot gate measures). The per-call refresh rewrites
-// the diagonal and the preconditioner numerics only when D changed since
-// the previous call — the leverage sketches issue many solves against one
-// D — and counts each refresh in stats.
+// materializes AᵀDA but applies it in one pass over A's rows
+// (CSR.GramMulVecTo) inside linalg.InexactCGTo, preconditioned by st's
+// fill-free incomplete Cholesky — or by Jacobi when st is empty, which is
+// all of csr-cg and csr-pcg on non-incidence matrices. One operator,
+// tolerance and budget for both backends keeps their iteration counts
+// directly comparable (the invariant the e19 snapshot gate measures). The
+// per-call refresh rewrites the diagonal and the preconditioner numerics
+// only when D changed since the previous call — exact leverage issues n′
+// solves against one D — and counts each refresh in stats.
 func matrixFreeSolve(a *linalg.CSR, st *pcgStructure, stats *PrecondStats) ATDASolve {
 	n := a.Cols()
 	ws := linalg.NewWorkspace()
 	dbuf := make([]float64, a.Rows())
 	diag := make([]float64, n)
 	x := make([]float64, n)
-	op := linalg.Compose(ws, linalg.TransposeOp{A: a}, linalg.DiagOp{D: dbuf}, a)
+	op := linalg.FuncOp(func(dst, x []float64) {
+		a.GramMulVecTo(dst, dbuf, x)
+	})
 	var jac *linalg.JacobiPrecond
 	var precondTo func(dst, r []float64)
 	if st.tree != nil {
@@ -230,8 +243,7 @@ func matrixFreeSolve(a *linalg.CSR, st *pcgStructure, stats *PrecondStats) ATDAS
 			return nil, 0, err
 		}
 		if !loaded || !floatsEqual(dbuf, d) {
-			// The composed operator tracks D through dbuf without
-			// reconstruction; diag becomes diag(AᵀDA).
+			// The operator reads D from dbuf; diag becomes diag(AᵀDA).
 			copy(dbuf, d)
 			loaded = true
 			a.GramDiagTo(diag, d)
@@ -265,11 +277,12 @@ func assembleGram(a *linalg.CSR, d []float64, gram *linalg.Dense) {
 		if dr == 0 {
 			continue
 		}
-		a.VisitRow(r, func(ci int, vi float64) {
-			a.VisitRow(r, func(cj int, vj float64) {
-				gram.Inc(ci, cj, dr*vi*vj)
-			})
-		})
+		cols, vals := a.Row(r)
+		for p, ci := range cols {
+			for q, cj := range cols {
+				gram.Inc(ci, cj, dr*vals[p]*vals[q])
+			}
+		}
 	}
 }
 

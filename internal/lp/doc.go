@@ -48,8 +48,8 @@
 // Algorithm 10's one CenteringInexact per t-step, whose weight update is
 // scaled by the centrality measure δ; exactness rests on the flow
 // pipeline's rounding certificate, not on driving δ below a threshold.
-// Leverage scores are exact (n Gram solves, one per column of A) until n
-// exceeds the sketch dimension k = Θ(log(m)/η²), where Algorithm 6's k
-// sketch solves take over. Deviations are local and documented at the
-// point they occur.
+// Leverage scores are exact (n Gram solves, one per column of A, plus an
+// O(nnz) pass over A's columns) until n exceeds the sketch dimension
+// k = Θ(log(m)/η²), where Algorithm 6's k sketch solves take over.
+// Deviations are local and documented at the point they occur.
 package lp

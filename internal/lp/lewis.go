@@ -19,38 +19,42 @@ type LeverageFn func(d []float64) ([]float64, error)
 // dimension k = Θ(log(m)/η²), it uses a Kane–Nelson sketch with a fresh
 // seed per call (in the BCC the leader broadcasts O(log²m) seed bits once
 // per call, as in Algorithm 6); otherwise it takes the exact n-solve
-// computation. eta must be positive (η = 0 overflows k to its floor of 4,
-// which sketches). solve answers (AᵀDA)x = y under ctx; the leverage
-// solves' iteration counts are discarded.
+// computation, whose column index of A it builds here, once. η ≤ 0 always
+// takes the exact path. solve answers (AᵀDA)x = y under ctx; the
+// leverage solves' iteration counts are discarded. The returned function
+// reuses its buffers, so it is not safe for concurrent calls.
 func NewLeverageFn(ctx context.Context, a *linalg.CSR, solve ATDASolve, eta float64, seed int64) LeverageFn {
 	m, n := a.Rows(), a.Cols()
+	d2 := make([]float64, m)
+	gram := func(y []float64) ([]float64, error) {
+		x, _, err := solve(ctx, d2, y)
+		return x, err
+	}
+	// The exact computation costs n solves and the sketch k, so sketching
+	// only pays off once n > k; below that, exact is both exact and
+	// cheaper.
+	k := jl.SketchDim(m, eta/4)
+	var exact *jl.ExactLeverage
+	if k >= n {
+		exact = jl.NewExactLeverage(a)
+	}
 	counter := seed
 	return func(d []float64) ([]float64, error) {
 		if len(d) != m {
 			return nil, fmt.Errorf("lp: leverage scaling has %d entries, want %d", len(d), m)
 		}
-		d2 := make([]float64, m)
 		for i, v := range d {
 			d2[i] = v * v
 		}
-		gram := func(y []float64) ([]float64, error) {
-			x, _, err := solve(ctx, d2, y)
-			return x, err
-		}
-		mul, mulT := jl.DiagScaledOps(a, d)
-		k := jl.SketchDim(m, eta/4)
-		// The exact computation costs n solves and the sketch k, so
-		// sketching only pays off once n > k; below that, exact is both
-		// exact and cheaper.
-		if k >= n {
-			return jl.LeverageScoresExact(mul, m, n, gram)
+		if exact != nil {
+			return exact.Scores(d, gram)
 		}
 		counter++
 		sk, err := jl.NewKaneNelson(k, m, 0, counter)
 		if err != nil {
 			return nil, err
 		}
-		return jl.LeverageScoresApprox(mul, mulT, m, n, gram, sk)
+		return jl.LeverageScoresApprox(a, d, gram, sk)
 	}
 }
 

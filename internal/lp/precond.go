@@ -1,4 +1,4 @@
-// The csr-pcg backend: matrix-free CG over the composed AᵀDA operator (as
+// The csr-pcg backend: matrix-free CG over the fused AᵀDA operator (as
 // csr-cg) preconditioned by a combinatorial, fill-free incomplete Cholesky
 // whose support is extracted from the constraint matrix with the paper's
 // own spanner/sparsifier machinery.
@@ -147,21 +147,14 @@ func buildPCGStructure(a *linalg.CSR) *pcgStructure {
 func collectPairs(a *linalg.CSR) ([]*pcgPair, bool) {
 	type key struct{ u, v int }
 	byPair := map[key]*pcgPair{}
-	var cols [3]int
-	var vals [3]float64
 	for r := 0; r < a.Rows(); r++ {
-		nnz := a.RowNNZ(r)
-		if nnz <= 1 {
+		cols, vals := a.Row(r)
+		if len(cols) <= 1 {
 			continue
 		}
-		if nnz > 2 {
+		if len(cols) > 2 {
 			return nil, false
 		}
-		k := 0
-		a.VisitRow(r, func(c int, v float64) {
-			cols[k], vals[k] = c, v
-			k++
-		})
 		u, v := cols[0], cols[1]
 		if u > v {
 			u, v = v, u
