@@ -16,7 +16,7 @@ type differentialCase struct {
 	seed    int64
 	backend string // forced backend, "" for auto-selection
 	auto    string // the backend auto-selection must pick when backend is ""
-	known   bool   // a known failure, kept in view but skipped
+	slow    bool   // tens of seconds per solve: run without -race only
 }
 
 func (c differentialCase) name() string {
@@ -46,14 +46,18 @@ func (c differentialCase) digraph() *graph.Digraph {
 // TestCertificateDifferentialSSP is the seeded guard on the certified
 // pipeline: every instance must certify against the successive-shortest-
 // paths oracle within the retry budget, on the backends auto-selection
-// picks and on the small csr-pcg shape the benchmark forces. Attempts per
-// instance are logged, so a change that needs more perturbations to
-// certify shows up before it shows up as failures.
+// picks, on the small csr-pcg shape the benchmark forces, and on csr-pcg
+// forced onto denser graphs (n ≥ 16), whose iterates drift off Aᵀx = b
+// late in phase 2: those certify only because each attempt stops at its
+// first certified rounding. Attempts per instance are logged, so a change
+// that needs more perturbations to certify shows up before it shows up as
+// failures.
 //
-// csr-pcg forced onto dense graphs with n ≥ 16 is a known failure: the
-// listed instances exhaust all 5 attempts ("conservation violated" at
-// the certificate). They stay in the list as skipped subtests until the
-// backend handles that shape.
+// The slow cases (forced csr-pcg at n=24, 5–15 s each) run in every
+// build without the race detector, CI's own "certificate differential"
+// step included. Under -race they would take over ten minutes and hit
+// the package timeout, and a solve runs on one goroutine, so the detector
+// has nothing to find in them.
 func TestCertificateDifferentialSSP(t *testing.T) {
 	var cases []differentialCase
 	for _, n := range []int{5, 8, 12} {
@@ -64,16 +68,16 @@ func TestCertificateDifferentialSSP(t *testing.T) {
 	cases = append(cases,
 		differentialCase{n: 32, p: 0.07, seed: 1, auto: "csr-pcg"},
 		differentialCase{n: 5, p: 0.3, arcs: 9, seed: 1, backend: "csr-pcg"},
-		differentialCase{n: 16, p: 0.3, seed: 3, backend: "csr-pcg", known: true},
-		differentialCase{n: 24, p: 0.3, seed: 1, backend: "csr-pcg", known: true},
-		differentialCase{n: 24, p: 0.3, seed: 2, backend: "csr-pcg", known: true},
-		differentialCase{n: 24, p: 0.3, seed: 3, backend: "csr-pcg", known: true},
+		differentialCase{n: 16, p: 0.3, seed: 3, backend: "csr-pcg"},
+		differentialCase{n: 24, p: 0.3, seed: 1, backend: "csr-pcg", slow: true},
+		differentialCase{n: 24, p: 0.3, seed: 2, backend: "csr-pcg", slow: true},
+		differentialCase{n: 24, p: 0.3, seed: 3, backend: "csr-pcg", slow: true},
 	)
 	total := 0
 	for _, c := range cases {
 		t.Run(c.name(), func(t *testing.T) {
-			if c.known {
-				t.Skip("known failure: csr-pcg forced onto a dense graph exhausts its attempts")
+			if c.slow && raceEnabled {
+				t.Skip("too slow under -race; the certificate differential CI step runs it without")
 			}
 			d := c.digraph()
 			if c.backend == "" {

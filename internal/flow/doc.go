@@ -13,7 +13,10 @@
 //     shortest paths with potentials) that the experiments compare
 //     against; and
 //   - an exactness certificate (no augmenting path + no negative residual
-//     cycle) used both by the retry loop and the tests.
+//     cycle) used by the retry loop, by every phase-2 path step (the
+//     first step whose rounding certifies ends the attempt) and by the
+//     tests. The certificate is a local check and charges nothing to the
+//     BCC round ledger, per step or at the end.
 //
 // The serving unit is Solver, a session over one digraph, and its one
 // entry point Solve(ctx, q, warm): each queried terminal pair lazily

@@ -219,7 +219,11 @@ func (fs *Solver) Validate(q Query) error { return checkST(fs.d, q.S, q.T) }
 // costs for uniqueness, solve the Section 5 LP with the Lee–Sidford
 // interior-point method, round to integers and certify; on a failed
 // certificate, retry with fresh perturbation randomness, up to 5 attempts
-// (then failing with ErrNotCertified). A cold answer is bit-identical to a
+// (then failing with ErrNotCertified). Each attempt rounds and certifies
+// after every phase-2 path step (lp.Params.Stop) and ends its LP at the
+// first rounding that certifies, so it never runs past the full path to
+// t₂. These per-step certificates, like the final one, are local checks
+// and charge nothing to Options.Net. A cold answer is bit-identical to a
 // fresh Solver's. With warm set, a repeat of a pair already certified here
 // first re-centers the previous solution at t₂ instead of re-running path
 // following, and runs cold only if the certificate rejects that shortcut.
@@ -288,7 +292,14 @@ func (fs *Solver) Solve(ctx context.Context, q Query, warm bool) (*Result, error
 		st.form.Perturb(rnd)
 		st.costsStale = false         // fresh costs: no patch redraw pending
 		st.warmX, st.warmW = nil, nil // costs changed; prior optimum is stale
-		sol, err := st.sess.Solve(ctx, st.form.X0, lpEps, fs.lpParams(int64(attempt)))
+		par := fs.lpParams(int64(attempt))
+		// Certify early: phase 2 ends at the first path step whose rounding
+		// certifies. The check after the solve repeats it on the returned
+		// iterate, so exactness still rests on that certificate alone.
+		par.Stop = func(x []float64) bool {
+			return CertifyOptimal(fs.d, q.S, q.T, st.form.RoundFlow(x)) == nil
+		}
+		sol, err := st.sess.Solve(ctx, st.form.X0, lpEps, par)
 		if err != nil {
 			lastErr = fmt.Errorf("flow: LP attempt %d: %w", attempt, err)
 			if ctx.Err() != nil {

@@ -90,27 +90,16 @@ func LeverageScoresApprox(a *linalg.CSR, d []float64, solve GramSolver, sk Sketc
 	return sigma, nil
 }
 
-// DenseGramSolver builds a GramSolver for M = diag(d)·A by assembling and
-// factorizing AᵀD²A densely (for tests and small instances).
+// DenseGramSolver builds a GramSolver for M = diag(d)·A by assembling
+// AᵀD²A with linalg.CSR.GramTo and factorizing it (for tests and small
+// instances).
 func DenseGramSolver(a *linalg.CSR, d []float64) (GramSolver, error) {
-	n := a.Cols()
-	gram := linalg.NewDense(n, n)
-	ad := a.Dense()
-	for r := 0; r < a.Rows(); r++ {
-		dr := d[r] * d[r]
-		if dr == 0 {
-			continue
-		}
-		row := ad.Row(r)
-		for i := 0; i < n; i++ {
-			if row[i] == 0 {
-				continue
-			}
-			for j := 0; j < n; j++ {
-				gram.Inc(i, j, dr*row[i]*row[j])
-			}
-		}
+	d2 := make([]float64, len(d))
+	for i, di := range d {
+		d2[i] = di * di
 	}
+	gram := linalg.NewDense(a.Cols(), a.Cols())
+	a.GramTo(gram, d2)
 	chol, err := gram.Cholesky()
 	if err != nil {
 		return nil, fmt.Errorf("jl: gram factorization: %w", err)

@@ -54,8 +54,9 @@ func TestMulVecToMatchesMulVec(t *testing.T) {
 	}
 }
 
-// GramMulVecTo must match the dense reference AᵀDA, and GramDiagTo its
-// diagonal.
+// GramMulVecTo must match the dense reference AᵀDA, GramDiagTo its
+// diagonal, and GramTo the reference itself bit for bit (both sum each
+// cell in row order), over stale contents.
 func TestGramMulVecToMatchesDense(t *testing.T) {
 	rnd := rand.New(rand.NewSource(4))
 	a := randomCSR(20, 9, 0.3, rnd)
@@ -80,6 +81,18 @@ func TestGramMulVecToMatchesDense(t *testing.T) {
 		for i := range got {
 			if diff := got[i] - want[i]; diff > 1e-10 || diff < -1e-10 {
 				t.Fatalf("trial %d entry %d: AᵀDA·x %v vs dense %v", trial, i, got[i], want[i])
+			}
+		}
+	}
+	assembled := NewDense(9, 9)
+	for i := range assembled.data {
+		assembled.data[i] = math.NaN()
+	}
+	a.GramTo(assembled, d)
+	for i := 0; i < 9; i++ {
+		for j := 0; j < 9; j++ {
+			if got, want := assembled.At(i, j), gram.At(i, j); got != want {
+				t.Fatalf("GramTo (%d, %d): %v, dense reference %v", i, j, got, want)
 			}
 		}
 	}

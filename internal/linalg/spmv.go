@@ -36,6 +36,32 @@ func (m *CSR) GramDiagTo(dst, d []float64) {
 	}
 }
 
+// GramTo writes the dense Cols×Cols matrix mᵀ·diag(d)·m into g,
+// overwriting it. Each row r with d[r] ≠ 0 adds d[r]·v_p·v_q to the cell
+// of every pair (p, q) of its entries, so every cell sums its terms in row
+// order: the one dense Gram assembly of the normal-equation backends and
+// the dense leverage reference.
+func (m *CSR) GramTo(g *Dense, d []float64) {
+	if len(d) != m.rows || g.rows != m.cols || g.cols != m.cols {
+		panic(fmt.Sprintf("linalg: CSR GramTo got g=%dx%d d=%d, want g=%dx%d d=%d", g.rows, g.cols, len(d), m.cols, m.cols, m.rows))
+	}
+	clear(g.data)
+	for r := 0; r < m.rows; r++ {
+		dr := d[r]
+		if dr == 0 {
+			continue
+		}
+		lo, hi := m.rowPtr[r], m.rowPtr[r+1]
+		for p := lo; p < hi; p++ {
+			row := g.data[m.colIdx[p]*g.cols:]
+			v := dr * m.vals[p]
+			for q := lo; q < hi; q++ {
+				row[m.colIdx[q]] += v * m.vals[q]
+			}
+		}
+	}
+}
+
 // GramMulVecTo computes dst = mᵀ·diag(d)·m·x in one pass over the rows
 // without allocating: each row's sum (column order, as in MulVecTo) is
 // scaled by d[r] and, unless zero, scattered as in MulVecTTo. So it gives

@@ -177,7 +177,7 @@ func denseBackend(a *linalg.CSR) (ATDASolve, error) {
 			return nil, 0, err
 		}
 		if chol == nil || !floatsEqual(dbuf, d) {
-			assembleGram(a, d, gram)
+			a.GramTo(gram, d)
 			var err error
 			if chol, err = gram.Cholesky(); err != nil {
 				// Fall back to pivoted Gaussian elimination for
@@ -205,7 +205,7 @@ func grembanBackend(a *linalg.CSR) (ATDASolve, error) {
 		if err := checkATDAArgs(a, d, y); err != nil {
 			return nil, 0, err
 		}
-		assembleGram(a, d, gram)
+		a.GramTo(gram, d)
 		return sdd.Solve(ctx, gram, y)
 	}, nil
 }
@@ -259,30 +259,6 @@ func matrixFreeSolve(a *linalg.CSR, st *pcgStructure, stats *PrecondStats) ATDAS
 			return nil, iters, err
 		}
 		return linalg.Clone(x), iters, nil
-	}
-}
-
-// assembleGram writes AᵀDA into gram (resetting it first), visiting each
-// row's nonzero pattern once per pair.
-func assembleGram(a *linalg.CSR, d []float64, gram *linalg.Dense) {
-	n := a.Cols()
-	for i := 0; i < n; i++ {
-		row := gram.Row(i)
-		for j := range row {
-			row[j] = 0
-		}
-	}
-	for r := 0; r < a.Rows(); r++ {
-		dr := d[r]
-		if dr == 0 {
-			continue
-		}
-		cols, vals := a.Row(r)
-		for p, ci := range cols {
-			for q, cj := range cols {
-				gram.Inc(ci, cj, dr*vals[p]*vals[q])
-			}
-		}
 	}
 }
 

@@ -48,6 +48,11 @@
 // Algorithm 10's one CenteringInexact per t-step, whose weight update is
 // scaled by the centrality measure δ; exactness rests on the flow
 // pipeline's rounding certificate, not on driving δ below a threshold.
+// That certificate is also why Params.Stop exists: the flow pipeline
+// rounds and certifies after every phase-2 step and ends the solve at the
+// first success, so Theorem 1.4's Õ(√n·log(U/ε)) step count is a ceiling
+// on a solve, not its length. Stop is the caller's computation and is
+// not charged to the round ledger (Params.Net).
 // Leverage scores are exact (n Gram solves, one per column of A, plus an
 // O(nnz) pass over A's columns) until n exceeds the sketch dimension
 // k = Θ(log(m)/η²), where Algorithm 6's k sketch solves take over.

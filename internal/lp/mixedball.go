@@ -8,6 +8,11 @@ import (
 	"bcclap/internal/sim"
 )
 
+// splitBits is the message size of one split evaluation's aggregate
+// phase: three partial sums of O(log(mU/ε)) bits each. It is computed once
+// because ProjectMixedBall evaluates ~100 splits per call.
+var splitBits = 3 * sim.BitsForFloat(1e6, 1e-9)
+
 // ProjectMixedBall solves
 //
 //	argmax_{‖x‖₂ + ‖l⁻¹x‖∞ ≤ 1} aᵀx
@@ -72,8 +77,8 @@ func ProjectMixedBall(a, l []float64, net *sim.Network) []float64 {
 	}
 	split := func(tau float64) (int, float64) {
 		// One aggregate phase: every vertex broadcasts its three partial
-		// sums with O(log(mU/ε)) bits each.
-		net.BroadcastAll(3 * sim.BitsForFloat(1e6, 1e-9))
+		// sums.
+		net.BroadcastAll(splitBits)
 		// Binary search for the largest c with every clamped coordinate
 		// consistent: μ_c·|a_{σ(c)}| ≥ τ·l_{σ(c)} and budget ≥ 0.
 		lo, hi := 0, m

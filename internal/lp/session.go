@@ -152,6 +152,9 @@ func (s *ipm) finish(x, w []float64) *Solution {
 // cost d = −w·φ′(x0) down to a tiny t₁, then follow the weighted central
 // path for the true cost up to t₂ = 2m/ε. The returned point satisfies
 // Aᵀx = b, l < x < u and (for converged runs) cᵀx ≤ OPT + O(ε).
+// With Params.Stop set, phase 2 ends at the first step Stop accepts, so
+// Theorem 1.4's step count is a ceiling; the early iterate is only as
+// good as what Stop checked.
 //
 // ctx is checked at every outer path step and inside the CG/Chebyshev
 // kernels of the linear-solve backends; on cancellation or deadline the
@@ -184,12 +187,12 @@ func (sess *Session) Solve(ctx context.Context, x0 []float64, eps float64, par P
 
 	x := linalg.Clone(x0)
 	s.phase = 1
-	x, w, err = s.pathFollowing(x, w, 1, t1, d)
+	x, w, err = s.pathFollowing(x, w, 1, t1, d, nil)
 	if err != nil {
 		return nil, fmt.Errorf("lp: phase 1: %w", err)
 	}
 	s.phase = 2
-	x, w, err = s.pathFollowing(x, w, t1, t2, sess.prob.C)
+	x, w, err = s.pathFollowing(x, w, t1, t2, sess.prob.C, par.Stop)
 	if err != nil {
 		return nil, fmt.Errorf("lp: phase 2: %w", err)
 	}

@@ -28,6 +28,13 @@ type Params struct {
 	// and the current path parameter t. Observability only; it must be fast
 	// and must not mutate solver state.
 	Progress func(phase, step int, t float64)
+	// Stop, if non-nil, is called with the iterate after every phase-2
+	// path step of Session.Solve (after Progress). When it returns true,
+	// Solve returns that iterate and its weights at once, without the
+	// remaining path steps or the final centerings; every earlier iterate
+	// is the one a nil Stop produces. x is the solver's own buffer: Stop
+	// must neither modify nor retain it. Phase 1 and Polish never call it.
+	Stop func(x []float64) bool
 }
 
 // Practical values for the paper's (m, n)-dependent constants, keeping the
@@ -40,6 +47,11 @@ const (
 	maxPathSteps    = 200000 // safety cap on total t-steps
 	initWeightSteps = 400    // cap on the Algorithm 8 homotopy length
 )
+
+// centeringBits is the message size of a centering's coordinate
+// broadcasts, computed once: sim.BitsForFloat takes a logarithm, and a
+// centering charges it twice whether or not a network is attached.
+var centeringBits = sim.BitsForFloat(1e9, 1e-12)
 
 // Solution is the result of Solve.
 type Solution struct {
@@ -128,9 +140,11 @@ type ipm struct {
 
 // pathFollowing implements Algorithm 10: one centering per multiplicative
 // t-step clamped by median to t_end, then polish with finalCenterings
-// extra centerings at t_end. The context is polled once per outer
-// iteration, so cancellation surfaces within one path step.
-func (s *ipm) pathFollowing(x, w []float64, tStart, tEnd float64, c []float64) ([]float64, []float64, error) {
+// extra centerings at t_end. A non-nil stop is consulted after every path
+// step and ends the phase at once, final centerings included, when it
+// returns true. The context is polled once per outer iteration, so
+// cancellation surfaces within one path step.
+func (s *ipm) pathFollowing(x, w []float64, tStart, tEnd float64, c []float64, stop func(x []float64) bool) ([]float64, []float64, error) {
 	t, alpha := tStart, alphaScale/math.Sqrt(float64(max(s.n, 1)))
 	var err error
 	for t != tEnd {
@@ -148,6 +162,9 @@ func (s *ipm) pathFollowing(x, w []float64, tStart, tEnd float64, c []float64) (
 		s.counts.PathSteps++
 		if s.par.Progress != nil {
 			s.par.Progress(s.phase, s.counts.PathSteps, t)
+		}
+		if stop != nil && stop(x) {
+			return x, w, nil
 		}
 	}
 	for i := 0; i < finalCenterings; i++ {
@@ -208,7 +225,7 @@ func (s *ipm) center(x, w []float64, t float64, c []float64) ([]float64, []float
 	// Two distributed matrix-vector products per centering (A and Aᵀ),
 	// one coordinate broadcast each.
 	for phase := 0; phase < 2; phase++ {
-		s.par.Net.BroadcastAll(sim.BitsForFloat(1e9, 1e-12))
+		s.par.Net.BroadcastAll(centeringBits)
 	}
 
 	// Weight update (Algorithm 11 lines 4–6). We compute the fresh

@@ -124,22 +124,7 @@ func TestPathStepsScaleWithSqrtN(t *testing.T) {
 	// constraint count, 1 for the simplex — instead scale the α the solver
 	// derives from n by constructing block problems with growing n).
 	steps := func(n int) int {
-		// n independent simplex blocks of 3 variables: Aᵀx = 1 per block.
-		m := 3 * n
-		var ts []linalg.Triple
-		c := make([]float64, m)
-		l := make([]float64, m)
-		u := linalg.Ones(m)
-		b := linalg.Ones(n)
-		x0 := linalg.Constant(m, 1.0/3)
-		for blk := 0; blk < n; blk++ {
-			for j := 0; j < 3; j++ {
-				row := 3*blk + j
-				ts = append(ts, linalg.Triple{Row: row, Col: blk, Val: 1})
-				c[row] = float64(j + 1)
-			}
-		}
-		prob := &Problem{A: linalg.NewCSR(m, n, ts), B: b, C: c, L: l, U: u}
+		prob, x0 := blockSimplexProblem(n, "")
 		sol, err := solveFresh(prob, x0, 0.1, Params{Seed: 11})
 		if err != nil {
 			t.Fatal(err)
@@ -162,7 +147,7 @@ func TestPathStepsScaleWithSqrtN(t *testing.T) {
 
 // Algorithm 10 as written: one CenteringInexact per path step, plus
 // finalCenterings at the end of each of the two phases; Polish runs only
-// its finalCenterings.
+// its finalCenterings and never consults Params.Stop.
 func TestCenteringsPerPathStep(t *testing.T) {
 	prob, x0 := simplexProblem([]float64{3, 1, 4, 1.5, 5})
 	sess, err := NewSession(prob)
@@ -178,11 +163,122 @@ func TestCenteringsPerPathStep(t *testing.T) {
 	if want := sol.PathSteps + 2*final; sol.Centerings != want {
 		t.Fatalf("Solve: %d centerings over %d path steps, want %d", sol.Centerings, sol.PathSteps, want)
 	}
+	par.Stop = func([]float64) bool {
+		t.Fatal("Polish called Stop")
+		return true
+	}
 	pol, err := sess.Polish(context.Background(), sol.X, sol.Weights, 0.05, par)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pol.Centerings != final || pol.PathSteps != 0 {
 		t.Fatalf("Polish: %d centerings, %d path steps; want %d, 0", pol.Centerings, pol.PathSteps, final)
+	}
+}
+
+// blockSimplexProblem is n independent simplex blocks of 3 variables
+// (Aᵀx = 1 per block, 0 ≤ x ≤ 1) on the named backend, started at the
+// block centres.
+func blockSimplexProblem(n int, backend string) (*Problem, []float64) {
+	m := 3 * n
+	var ts []linalg.Triple
+	c := make([]float64, m)
+	for blk := 0; blk < n; blk++ {
+		for j := 0; j < 3; j++ {
+			row := 3*blk + j
+			ts = append(ts, linalg.Triple{Row: row, Col: blk, Val: 1})
+			c[row] = float64(j + 1)
+		}
+	}
+	prob := &Problem{
+		A: linalg.NewCSR(m, n, ts), B: linalg.Ones(n), C: c,
+		L: make([]float64, m), U: linalg.Ones(m), Backend: backend,
+	}
+	return prob, linalg.Constant(m, 1.0/3)
+}
+
+// stopRun is one Solve with a Stop hook that records, per call, the
+// phase Progress last reported, and returns true at its k-th call (never
+// when k is 0).
+type stopRun struct {
+	sol                *Solution
+	phase1Steps, calls int
+	badPhase           int       // a phase other than 2 seen at a Stop call, or 0
+	stopX              []float64 // the iterate Stop accepted
+}
+
+func solveWithStop(t *testing.T, backend string, k int) *stopRun {
+	t.Helper()
+	prob, x0 := blockSimplexProblem(3, backend)
+	run := &stopRun{}
+	phase := 0
+	par := Params{Seed: 5, Progress: func(p, _ int, _ float64) {
+		phase = p
+		if p == 1 {
+			run.phase1Steps++
+		}
+	}}
+	par.Stop = func(x []float64) bool {
+		run.calls++
+		if phase != 2 {
+			run.badPhase = phase
+		}
+		if run.calls == k {
+			run.stopX = linalg.Clone(x)
+			return true
+		}
+		return false
+	}
+	sol, err := solveFresh(prob, x0, 0.1, par)
+	if err != nil {
+		t.Fatalf("%s: %v", backend, err)
+	}
+	run.sol = sol
+	return run
+}
+
+// Params.Stop: a Stop that never fires leaves the solve bit-identical to
+// a nil one; one that fires at phase-2 step k ends the solve there with
+// that iterate and no final centerings; phase 1 never consults it.
+func TestStopEndsPhaseTwo(t *testing.T) {
+	for _, backend := range []string{"dense", "csr-pcg"} {
+		t.Run(backend, func(t *testing.T) {
+			prob, x0 := blockSimplexProblem(3, backend)
+			ref, err := solveFresh(prob, x0, 0.1, Params{Seed: 5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if backend == "csr-pcg" && ref.CGIterations == 0 {
+				t.Fatal("csr-pcg counted no CG iterations")
+			}
+			never := solveWithStop(t, backend, 0)
+			got := never.sol
+			if !slices.Equal(got.X, ref.X) || !slices.Equal(got.Weights, ref.Weights) ||
+				got.PathSteps != ref.PathSteps || got.Centerings != ref.Centerings ||
+				got.CGIterations != ref.CGIterations {
+				t.Fatalf("never-firing Stop: %d steps, %d centerings, %d CG; nil Stop: %d, %d, %d (or X/Weights differ)",
+					got.PathSteps, got.Centerings, got.CGIterations, ref.PathSteps, ref.Centerings, ref.CGIterations)
+			}
+			phase2 := ref.PathSteps - never.phase1Steps
+			if never.calls != phase2 || never.badPhase != 0 {
+				t.Fatalf("Stop called %d times (once in phase %d); want once per phase-2 step, %d", never.calls, never.badPhase, phase2)
+			}
+
+			const k = 7
+			early := solveWithStop(t, backend, k)
+			if want := early.phase1Steps + k; early.sol.PathSteps != want {
+				t.Fatalf("Stop at phase-2 step %d: %d path steps, want %d", k, early.sol.PathSteps, want)
+			}
+			// Phase 1 keeps its final centerings; phase 2 has none left.
+			if want := early.sol.PathSteps + finalCenterings; early.sol.Centerings != want {
+				t.Fatalf("Stop at phase-2 step %d: %d centerings, want %d", k, early.sol.Centerings, want)
+			}
+			if early.calls != k || early.badPhase != 0 {
+				t.Fatalf("Stop called %d times (once in phase %d), want %d in phase 2", early.calls, early.badPhase, k)
+			}
+			if !slices.Equal(early.sol.X, early.stopX) {
+				t.Fatal("the solve did not return the iterate Stop accepted")
+			}
+		})
 	}
 }

@@ -122,8 +122,8 @@ func TestFlowSolverMatchesOneShot(t *testing.T) {
 // A batch primed with a terminal pair must warm-start every repeat of it
 // on every backend: each answer equals the SSP baseline and a one-shot
 // solve's flows, runs no perturbation attempt and no path step, and
-// re-centers in fewer centerings than the one-shot's full path (12
-// against 469 here). This work gap is the whole of session reuse's speed
+// re-centers in fewer centerings than the one-shot's path (12 against
+// 382–383 here). This work gap is the whole of session reuse's speed
 // on repeat queries.
 func TestFlowSolverBatch(t *testing.T) {
 	d := graph.RandomFlowNetwork(6, 0.3, 3, 3, rand.New(rand.NewSource(18)))
@@ -517,8 +517,11 @@ func TestFlowSolverSizeOneContract(t *testing.T) {
 			got.Stats.Rounds, got.Value, got.Cost, want.Rounds, want.Value, want.Cost)
 	}
 	// The exact charge of the IPM's centerings (two all-vertex broadcast
-	// phases each), the same through the bare solver and the session.
-	wantStats := sim.Stats{Rounds: 279699, Messages: 109725, Bits: 16781940}
+	// phases each, plus the mixed-ball projection's), the same through the
+	// bare solver and the session: 316 centerings at 701 rounds, 275
+	// messages and 42,060 bits each. Phase 2 stops at its first certified
+	// rounding (304 path steps); the certificates themselves are local.
+	wantStats := sim.Stats{Rounds: 221516, Messages: 86900, Bits: 13290960}
 	if got := bareNet.Stats(); got != wantStats {
 		t.Fatalf("bare solver network stats = %+v, want %+v", got, wantStats)
 	}
