@@ -4,16 +4,17 @@ package bcclap_test
 // contribution without empirical tables, so each of BenchmarkE1–E15
 // measures the quantity a theorem bounds (or times one operation) and
 // reports it via ReportMetric next to the bound. The serving experiments
-// e16, e19 and e22 are defined once in internal/experiments: the
+// e16 and e19 are defined once in internal/experiments: the
 // TestBench*Snapshot tests run them at full scale, gate the results and
 // write the committed BENCH_*.json files, and their benchmarks time the
 // same instances and workloads. cmd/bcclap-experiments prints every
-// experiment's tables. The retired e17, e18, e20 and e21 have no
+// experiment's tables. The retired e17, e18, e20, e21 and e22 have no
 // benchmark: their gates are counter assertions in TestFlowSolverBatch,
 // TestFlowSolverPooled, internal/pool's
 // TestPoolBatchRunsWorkersConcurrently, TestServiceBatchCache,
-// TestServicePatchSelectiveInvalidation, TestServicePatchEquivalentToSwap
-// and TestServiceRestartBitIdentical.
+// TestServicePatchSelectiveInvalidation, TestServicePatchEquivalentToSwap,
+// TestServiceRestartBitIdentical, TestQoSNoStarvation and
+// TestQoSTelemetryTax.
 
 import (
 	"context"
@@ -406,7 +407,7 @@ func benchWorkloads(b *testing.B, ws []experiments.Workload, err error) {
 					b.Fatal(err)
 				}
 			}
-			b.StopTimer() // stopping a flood can wait out its queued solves
+			b.StopTimer()
 			release()
 			if w.Metrics != nil {
 				for unit, v := range w.Metrics() {
@@ -499,51 +500,5 @@ func TestBenchPrecondSnapshot(t *testing.T) {
 			"the iteration gate holds on every host, the per-query wall-clock gate on multi-core hosts " +
 			"(the committed snapshot machine has 1 CPU; its per-query times still show the win because " +
 			"it comes from the iteration reduction, not from parallelism)",
-	})
-}
-
-// E22 — the quiet tenant with and without a flooded neighbor, and the
-// telemetry tax on cache hits; see experiments.QoSWorkloads.
-func BenchmarkE22QoS(b *testing.B) {
-	_, ws, err := experiments.QoSWorkloads(context.Background(), false)
-	benchWorkloads(b, ws, err)
-}
-
-// TestBenchQoSSnapshot regenerates BENCH_qos.json from e22, which fails
-// unless the quiet tenant's answers under flood are bit-identical to its
-// unloaded ones. Gated on every host: (1) the quiet p99 under flood stays
-// within 2x the unloaded baseline (1ms noise floor) — the admission gate,
-// not luck, keeps the noisy tenant's queue off the shared pool; (2) the
-// flood actually rejected work and the noisy tenant still got admitted
-// solves through (goodput, not a blackout); (3) telemetry keeps at least
-// 95% of the cached hot path's throughput (interleaved min-of-rounds, so
-// GC and scheduler noise cannot fake a regression).
-func TestBenchQoSSnapshot(t *testing.T) {
-	requireSnapshot(t, "BENCH_qos.json")
-	r, err := experiments.E22(context.Background(), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if iso := r.Isolation; iso.P99Ratio > 2 {
-		t.Errorf("quiet p99 under flood %dµs exceeds 2x unloaded baseline %dµs", iso.FloodP99, iso.UnloadedP99)
-	}
-	n := r.Noisy
-	if n.Rejected == 0 {
-		t.Error("flood saw no rejections; the admission gate is not limiting")
-	}
-	if n.Completed == 0 {
-		t.Error("noisy tenant had zero goodput under its own flood")
-	}
-	if n.QueueFull+n.Deadline == 0 {
-		t.Errorf("admission stats recorded no rejections: %+v", n)
-	}
-	if ratio := r.Telemetry.Ratio; ratio < 0.95 {
-		t.Errorf("telemetry keeps only %.1f%% of cached hot-path throughput, want >= 95%%", 100*ratio)
-	}
-	writeSnapshot(t, "BENCH_qos.json", r, map[string]any{
-		"num_cpu": runtime.NumCPU(), "gomaxprocs": runtime.GOMAXPROCS(0),
-		"note": "quiet answers under flood are gated bit-identical to unloaded ones, quiet p99 within 2x " +
-			"the unloaded baseline (1ms floor), the flood must see rejections while the noisy tenant keeps " +
-			"goodput, and telemetry must keep >=95% of cached hot-path throughput (interleaved min-of-rounds)",
 	})
 }

@@ -57,7 +57,6 @@ var All = []Experiment{
 	{"e15", "Backend registry: identical certified (value, cost), per-backend wall-clock", e15},
 	{"e16", "Backend registry at scale: median AᵀDA solve per backend", rendered(E16)},
 	{"e19", "Combinatorial preconditioning: csr-pcg vs csr-cg inner iterations per query", measured(PrecondWorkloads)},
-	{"e22", "QoS: admission gate isolates tenants; telemetry rides the hot path for free", rendered(E22)},
 }
 
 // Lookup returns the experiment with the given ID, ignoring case. The
@@ -91,7 +90,7 @@ func measured[R any](f func(context.Context, bool) (R, []Workload, error)) func(
 }
 
 // Snapshot decodes v's JSON encoding into a map, every number kept as
-// encoded. The results of e16, e19 and e22 encode as the layout of their
+// encoded. The results of e16 and e19 encode as the layout of their
 // BENCH_*.json snapshots, which are this map plus host facts.
 func Snapshot(v any) (map[string]any, error) {
 	buf, err := json.Marshal(v)
@@ -174,14 +173,13 @@ func median(f func() error) (time.Duration, error) {
 	return times[len(times)/2], nil
 }
 
-// Workload is one named operation of a serving experiment (e19, e22),
-// timed by the experiment's benchmark in the root package, which runs it
-// b.N times, and, for e19, by Measure, which takes the median of five
-// repetitions. Start
-// builds the operation's state, untimed, and returns the step to time
-// (its argument counts calls from 0) and, unless err is set, the release
-// of that state. Metrics, if set, reports quantities of the last step
-// after the release, for the benchmark to print next to its timing.
+// Workload is one named operation of e19, timed by its benchmark in the
+// root package, which runs it b.N times, and by Measure, which takes the
+// median of five repetitions. Start builds the operation's state,
+// untimed, and returns the step to time (its argument counts calls from
+// 0) and, unless err is set, the release of that state. Metrics, if set,
+// reports quantities of the last step after the release, for the
+// benchmark to print next to its timing.
 type Workload struct {
 	Name    string
 	Start   func() (step func(i int) error, release func(), err error)
@@ -213,16 +211,6 @@ func Measure[R any](r R, ws []Workload, err error) (R, error) {
 		w.record(d)
 	}
 	return r, nil
-}
-
-// ready ends a workload's Start over state that release frees: on an
-// error it releases the state and fails.
-func ready(step func(int) error, release func(), err error) (func(int) error, func(), error) {
-	if err != nil {
-		release()
-		return nil, nil, err
-	}
-	return step, release, nil
 }
 
 // Instance is a flow query of e19 with its exact answer (the SSP

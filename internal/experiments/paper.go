@@ -199,7 +199,7 @@ func e7(ctx context.Context, quick bool) ([]Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.row("%d|%d|%d", m, net.Rounds(), m*naive.BroadcastAll(3*sim.BitsForFloat(1e6, 1e-9)))
+		t.row("%d|%d|%d", m, net.Rounds(), m*naive.BroadcastAll(lp.SplitBits))
 	}
 	return []Table{*t}, nil
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"bcclap/internal/graph"
-	"bcclap/internal/linalg"
 )
 
 func diamond(t *testing.T) *graph.Digraph {
@@ -135,44 +134,6 @@ func TestLPFormStructure(t *testing.T) {
 		lo := d.Arc(i).Cost * form.CostScale
 		if form.QTilde[i] <= lo || form.QTilde[i] > lo+2*int64(d.M())*form.CostScale {
 			t.Fatalf("perturbation out of range on arc %d", i)
-		}
-	}
-}
-
-func TestAssembleATDAIsSDD(t *testing.T) {
-	d := diamond(t)
-	rnd := rand.New(rand.NewSource(8))
-	form, err := NewLPForm(d, 0, 3, rnd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dvec := make([]float64, form.Prob.M())
-	for i := range dvec {
-		dvec[i] = 0.1 + rnd.Float64()
-	}
-	// Start from a dirty buffer: the assembly must overwrite, not add to,
-	// whatever a previous call left behind.
-	n := form.NPrime
-	m := linalg.NewDense(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			m.Set(i, j, 7)
-		}
-	}
-	form.assembleATDAInto(dvec, m)
-	// Compare against the definition AᵀDA computed from the CSR matrix.
-	for i := 0; i < n; i++ {
-		ei := make([]float64, n)
-		ei[i] = 1
-		aei := form.Prob.A.MulVec(ei)
-		for r := range aei {
-			aei[r] *= dvec[r]
-		}
-		col := form.Prob.A.MulVecT(aei)
-		for j := 0; j < n; j++ {
-			if diff := m.At(i, j) - col[j]; diff > 1e-9 || diff < -1e-9 {
-				t.Fatalf("AᵀDA mismatch at (%d,%d): %v vs %v", i, j, m.At(i, j), col[j])
-			}
 		}
 	}
 }

@@ -1,13 +1,12 @@
 package flow
 
 import (
-	"context"
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
 
 	"bcclap/internal/graph"
-	"bcclap/internal/lapsolver"
 	"bcclap/internal/linalg"
 	"bcclap/internal/lp"
 )
@@ -219,66 +218,16 @@ func abs64(v int64) int64 {
 	return v
 }
 
-// Configure points the LP at the named AᵀDA backend. For "gremban" it
-// installs the flow-structured fast path (assembling the SDD matrix
-// directly from arcs instead of generic Gram assembly); every other name is
-// resolved through the lp registry, erroring on unknown backends before the
-// IPM starts.
+// Configure points the LP at the named AᵀDA backend (lp.DefaultBackend
+// when empty). The name is validated here, before the IPM starts, but the
+// lp session instantiates the backend, so the session owns the solver's
+// preconditioner counters and surfaces them in every Solution.
 func (f *LPForm) Configure(backend string) error {
-	if backend == "" {
-		backend = lp.DefaultBackend
-	}
-	if backend == "gremban" {
-		gram := linalg.NewDense(f.NPrime, f.NPrime)
-		var sdd lapsolver.SDDSolver
-		f.Prob.Backend = ""
-		f.Prob.Solve = func(ctx context.Context, dvec, y []float64) ([]float64, int, error) {
-			f.assembleATDAInto(dvec, gram)
-			return sdd.Solve(ctx, gram, y)
-		}
-		return nil
-	}
-	// Validate the name up front (before the IPM starts) but let the lp
-	// session instantiate the backend: the session then owns the solver's
-	// preconditioner counters and surfaces them in every Solution.
 	if err := lp.ValidateBackend(backend); err != nil {
 		return err
 	}
-	f.Prob.Solve = nil
-	f.Prob.Backend = backend
+	f.Prob.Backend = cmp.Or(backend, lp.DefaultBackend)
 	return nil
-}
-
-// assembleATDAInto writes AᵀDA into a caller-owned (reused) buffer.
-func (f *LPForm) assembleATDAInto(dvec []float64, out *linalg.Dense) {
-	n := f.NPrime
-	for i := 0; i < n; i++ {
-		row := out.Row(i)
-		for j := range row {
-			row[j] = 0
-		}
-	}
-	vidx := vertexIndex(f.D.N(), f.S)
-	for i := 0; i < f.D.M(); i++ {
-		a := f.D.Arc(i)
-		ji, jj := vidx[a.From], vidx[a.To]
-		w := dvec[i]
-		if ji >= 0 {
-			out.Inc(ji, ji, w)
-		}
-		if jj >= 0 {
-			out.Inc(jj, jj, w)
-		}
-		if ji >= 0 && jj >= 0 {
-			out.Inc(ji, jj, -w)
-			out.Inc(jj, ji, -w)
-		}
-	}
-	for j := 0; j < n; j++ {
-		out.Inc(j, j, dvec[f.OffY+j]+dvec[f.OffZ+j])
-	}
-	tIdx := vidx[f.T]
-	out.Inc(tIdx, tIdx, dvec[f.OffF])
 }
 
 // RoundFlow converts an approximate LP point into integral per-arc flows:

@@ -52,9 +52,6 @@ func (m *Dense) Set(i, j int, v float64) { m.data[i*m.cols+j] = v }
 // Inc adds v to the entry at (i, j).
 func (m *Dense) Inc(i, j int, v float64) { m.data[i*m.cols+j] += v }
 
-// Row returns a view of row i (not a copy).
-func (m *Dense) Row(i int) []float64 { return m.data[i*m.cols : (i+1)*m.cols] }
-
 // Clone returns a deep copy.
 func (m *Dense) Clone() *Dense {
 	out := NewDense(m.rows, m.cols)
@@ -95,8 +92,8 @@ func (m *Dense) Mul(b *Dense) *Dense {
 			if a == 0 {
 				continue
 			}
-			brow := b.Row(k)
-			orow := out.Row(i)
+			brow := b.data[k*b.cols : (k+1)*b.cols]
+			orow := out.data[i*out.cols : (i+1)*out.cols]
 			for j, v := range brow {
 				orow[j] += a * v
 			}

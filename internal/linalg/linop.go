@@ -64,7 +64,7 @@ func (w *Workspace) Put(b []float64) {
 func (m *Dense) MulVecTo(dst, x []float64) {
 	checkApply(m.rows, m.cols, dst, x)
 	for i := 0; i < m.rows; i++ {
-		row := m.Row(i)
+		row := m.data[i*m.cols : (i+1)*m.cols]
 		var s float64
 		for j, v := range row {
 			s += v * x[j]
@@ -86,7 +86,7 @@ func (m *Dense) MulVecTTo(dst, x []float64) {
 		if xi == 0 {
 			continue
 		}
-		row := m.Row(i)
+		row := m.data[i*m.cols : (i+1)*m.cols]
 		for j, v := range row {
 			dst[j] += v * xi
 		}

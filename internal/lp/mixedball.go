@@ -8,10 +8,11 @@ import (
 	"bcclap/internal/sim"
 )
 
-// splitBits is the message size of one split evaluation's aggregate
+// SplitBits is the message size of one split evaluation's aggregate
 // phase: three partial sums of O(log(mU/ε)) bits each. It is computed once
-// because ProjectMixedBall evaluates ~100 splits per call.
-var splitBits = 3 * sim.BitsForFloat(1e6, 1e-9)
+// because ProjectMixedBall evaluates ~100 splits per call, and exported so
+// that E7's naive baseline charges the same message size.
+var SplitBits = 3 * sim.BitsForFloat(1e6, 1e-9)
 
 // ProjectMixedBall solves
 //
@@ -78,7 +79,7 @@ func ProjectMixedBall(a, l []float64, net *sim.Network) []float64 {
 	split := func(tau float64) (int, float64) {
 		// One aggregate phase: every vertex broadcasts its three partial
 		// sums.
-		net.BroadcastAll(splitBits)
+		net.BroadcastAll(SplitBits)
 		// Binary search for the largest c with every clamped coordinate
 		// consistent: μ_c·|a_{σ(c)}| ≥ τ·l_{σ(c)} and budget ≥ 0.
 		lo, hi := 0, m

@@ -5,7 +5,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -15,19 +17,24 @@ import (
 	"bcclap/internal/telemetry"
 )
 
-// Acceptance (satellite): a flooding rate-limited tenant must not starve
-// a well-behaved one. Tenant "noisy" is flooded from many goroutines
-// behind a tight gate; tenant "quiet" keeps solving sequentially on the
-// same Service and pool. Quiet's answers must stay bit-identical to its
-// unloaded baseline and never see an admission error, while the flood
-// piles up rejections on noisy. Run under -race.
+// A flooding rate-limited tenant must not starve a well-behaved one, and
+// its gate, not luck, is what keeps the flood off the shared service.
+// Tenant "noisy" is flooded from many goroutines behind a tight gate;
+// tenant "quiet" keeps solving sequentially on the same Service. Quiet's
+// answers must stay bit-identical to its unloaded baseline and its gate
+// must never queue or reject, while the flood piles up rejections on
+// noisy. Over the flood window noisy's admissions stay within what its
+// token bucket allows, and each admitted noisy solve is a warm start with
+// no path step, so the flood's admitted work is bounded and cheap. Run
+// under -race.
 func TestQoSNoStarvation(t *testing.T) {
+	const rate, burst = 5.0, 1
 	dNoisy, dQuiet := testFlowNetwork(5, 51), testFlowNetwork(6, 52)
 	svc := NewService(WithSeed(9), WithPoolSize(2))
 	defer svc.Close()
 
 	noisy, err := svc.Register("noisy", dNoisy,
-		WithRateLimit(40, 2), WithMaxInFlight(1), WithQueueDepth(2), WithCacheSize(0))
+		WithRateLimit(rate, burst), WithMaxInFlight(1), WithQueueDepth(2), WithCacheSize(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,11 +48,23 @@ func TestQoSNoStarvation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Prime noisy until the worker its pair is pinned to has answered it:
+	// from then on every admitted noisy solve re-centers that answer.
+	for warm := false; !warm; {
+		res, err := noisy.Solve(ctx, 0, dNoisy.N()-1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		warm = res.Stats.WarmStarted
+		if !warm && noisy.Stats().Pool.Completed > 2 {
+			t.Fatalf("noisy pair not warm-started after %d solves", noisy.Stats().Pool.Completed)
+		}
+	}
 
 	var (
-		wg       sync.WaitGroup
-		rejected atomic.Int64
-		stop     = make(chan struct{})
+		wg                 sync.WaitGroup
+		rejected, admitted atomic.Int64
+		stop               = make(chan struct{})
 	)
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -57,12 +76,19 @@ func TestQoSNoStarvation(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := noisy.Solve(ctx, 0, dNoisy.N()-1); err != nil {
-					if !errors.Is(err, ErrOverloaded) {
-						t.Errorf("flood got a non-admission error: %v", err)
-						return
+				res, err := noisy.Solve(ctx, 0, dNoisy.N()-1)
+				switch {
+				case err == nil:
+					admitted.Add(1)
+					if !res.Stats.WarmStarted || res.Stats.PathSteps != 0 {
+						t.Errorf("admitted noisy solve: warm %v, %d path steps; want a warm start with none",
+							res.Stats.WarmStarted, res.Stats.PathSteps)
 					}
+				case errors.Is(err, ErrOverloaded):
 					rejected.Add(1)
+				default:
+					t.Errorf("flood got a non-admission error: %v", err)
+					return
 				}
 			}
 		}()
@@ -79,6 +105,10 @@ func TestQoSNoStarvation(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
+	// The window opens before the first count is read and closes after
+	// the last, so every admission counted falls inside it.
+	start := time.Now()
+	before := noisy.Stats().Admission.Admitted
 	for i := 0; i < 30; i++ {
 		res, err := quiet.Solve(ctx, 0, dQuiet.N()-1)
 		if err != nil {
@@ -89,21 +119,87 @@ func TestQoSNoStarvation(t *testing.T) {
 			t.Fatalf("quiet tenant answer diverged under flood: %+v vs %+v", res, base)
 		}
 	}
+	grew := noisy.Stats().Admission.Admitted - before
+	window := time.Since(start)
 	close(stop)
 	wg.Wait()
 
-	if rejected.Load() == 0 {
-		t.Fatal("flood saw no ErrOverloaded rejections; the gate is not limiting")
+	bound := burst + int64(math.Ceil(rate*window.Seconds()))
+	t.Logf("flood window %v: noisy admitted %d (bound %d), %d flood solves admitted, %d rejected",
+		window, grew, bound, admitted.Load(), rejected.Load())
+	if grew > bound {
+		t.Errorf("noisy admitted %d queries in %v, want at most burst + ⌈rate·window⌉ = %d", grew, window, bound)
+	}
+	if admitted.Load() == 0 {
+		t.Error("noisy tenant had zero goodput under its own flood")
 	}
 	ad := noisy.Stats().Admission
 	if ad.RejectedQueueFull+ad.RejectedDeadline == 0 {
-		t.Fatalf("admission stats recorded no rejections: %+v", ad)
+		t.Errorf("admission stats recorded no rejections: %+v", ad)
 	}
-	if ad.Admitted == 0 {
-		t.Fatalf("admission stats recorded no admissions: %+v", ad)
+	if q := quiet.Stats().Admission; q.Queued != 0 || q.QueueWait != 0 || q.RejectedQueueFull+q.RejectedDeadline != 0 {
+		t.Errorf("quiet tenant's (unlimited) gate queued or rejected work: %+v", q)
 	}
-	if quiet.Stats().Admission.RejectedQueueFull != 0 {
-		t.Fatal("quiet tenant's (unlimited) gate rejected work")
+}
+
+// The telemetry tax on the cached hot path: a hit records its latency
+// only once in 64 (the 1-in-64 sample of NetworkHandle.Solve), and
+// telemetry adds no allocation to cached solves. Allocations are counted
+// over one whole sampling period of 64 hits, so an allocation on the
+// sampled hit alone shows too.
+func TestQoSTelemetryTax(t *testing.T) {
+	d := testFlowNetwork(5, 59)
+	ctx := context.Background()
+	hot := func(on bool) (*Service, func()) {
+		svc := NewService(WithSeed(9), WithPoolSize(1), WithTelemetry(on))
+		h, err := svc.Register("hot", d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.Solve(ctx, 0, d.N()-1); err != nil { // the one miss
+			t.Fatal(err)
+		}
+		return svc, func() {
+			res, err := h.Solve(ctx, 0, d.N()-1)
+			if err != nil || !res.Stats.CacheHit {
+				t.Fatalf("hot path: hit %v, err %v; want a cache hit", res != nil && res.Stats.CacheHit, err)
+			}
+		}
+	}
+	period := func(hit func()) func() {
+		return func() {
+			for range 64 {
+				hit()
+			}
+		}
+	}
+
+	on, hitOn := hot(true)
+	defer on.Close()
+	const k = 5
+	for range 64 * k {
+		hitOn()
+	}
+	var buf bytes.Buffer
+	if err := on.WriteMetrics(&buf); err != nil {
+		t.Fatal(err)
+	}
+	count := ""
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if strings.HasPrefix(line, "bcclap_solve_latency_seconds_count{") && strings.Contains(line, `cache="hit"`) {
+			count = line[strings.LastIndexByte(line, ' ')+1:]
+		}
+	}
+	if count != strconv.Itoa(k) {
+		t.Errorf("after %d cache hits the hit latency _count is %q, want %d (one sample per 64 hits)", 64*k, count, k)
+	}
+
+	off, hitOff := hot(false)
+	defer off.Close()
+	a, b := testing.AllocsPerRun(8, period(hitOn)), testing.AllocsPerRun(8, period(hitOff))
+	t.Logf("64 cached solves: %v allocations with telemetry on, %v off", a, b)
+	if a != b {
+		t.Errorf("64 cached solves allocate %v times with telemetry on, %v with it off; want equal", a, b)
 	}
 }
 
