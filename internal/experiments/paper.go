@@ -148,9 +148,14 @@ func e6(ctx context.Context, quick bool) ([]Table, error) {
 	}
 	a := linalg.NewCSR(m, n, ts)
 	d := linalg.Ones(m)
-	solve, err := jl.DenseGramSolver(a, d)
+	dense, _, err := lp.NewBackendSolverStats("dense", a)
 	if err != nil {
 		return nil, err
+	}
+	// With d² = d = 1, lp's dense AᵀDA solve is the Gram solve of diag(d)·A.
+	solve := func(y []float64) ([]float64, error) {
+		x, _, err := dense(ctx, d, y)
+		return x, err
 	}
 	exact, err := jl.NewExactLeverage(a).Scores(d, solve)
 	if err != nil {

@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -161,18 +162,7 @@ func TestDefaultBackendAutoSelection(t *testing.T) {
 }
 
 func TestConfigureRejectsUnknownBackend(t *testing.T) {
-	d := diamond(t)
-	form, err := NewLPForm(d, 0, 3, rand.New(rand.NewSource(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := form.Configure("no-such-backend"); err == nil {
-		t.Fatal("unknown backend accepted")
-	}
-	if err := form.Configure(""); err != nil {
-		t.Fatalf("empty backend (default) rejected: %v", err)
-	}
-	if _, err := solveCold(d, 0, 3, Options{Backend: "no-such-backend"}); err == nil {
-		t.Fatal("unknown backend accepted by a solve")
+	if _, err := solveCold(diamond(t), 0, 3, Options{Backend: "no-such-backend"}); !errors.Is(err, lp.ErrBackendUnknown) {
+		t.Fatalf("unknown backend: solve returned %v, want lp.ErrBackendUnknown", err)
 	}
 }

@@ -347,7 +347,6 @@ func CertifyOptimal(d *graph.Digraph, s, t int, flows []int64) error {
 	}
 	// Optimality: Bellman–Ford from a virtual super-source over residual
 	// arcs; relaxation after n−1 rounds ⇒ negative cycle.
-	const inf = math.MaxInt64 / 4
 	dist := make([]int64, r.n)
 	for round := 0; round < r.n; round++ {
 		changed := false
@@ -366,7 +365,6 @@ func CertifyOptimal(d *graph.Digraph, s, t int, flows []int64) error {
 		if !changed {
 			return nil
 		}
-		_ = inf
 	}
 	return fmt.Errorf("flow: negative-cost residual cycle — not minimum cost")
 }

@@ -1,7 +1,6 @@
 package flow
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -33,10 +32,6 @@ type LPForm struct {
 	OffY   int
 	OffZ   int
 	OffF   int
-
-	// Big-M constants actually used (see the comment in NewLPForm).
-	Lambda    float64
-	FlowBonus float64
 }
 
 // vertexIndex maps original vertex ids to LP row ids, skipping the source.
@@ -208,7 +203,6 @@ func (f *LPForm) Perturb(rnd *rand.Rand) {
 	}
 	c[f.OffF] = -flowBonus
 	f.QTilde, f.CostScale = q, scale
-	f.Lambda, f.FlowBonus = lambda, flowBonus
 }
 
 func abs64(v int64) int64 {
@@ -216,18 +210,6 @@ func abs64(v int64) int64 {
 		return -v
 	}
 	return v
-}
-
-// Configure points the LP at the named AᵀDA backend (lp.DefaultBackend
-// when empty). The name is validated here, before the IPM starts, but the
-// lp session instantiates the backend, so the session owns the solver's
-// preconditioner counters and surfaces them in every Solution.
-func (f *LPForm) Configure(backend string) error {
-	if err := lp.ValidateBackend(backend); err != nil {
-		return err
-	}
-	f.Prob.Backend = cmp.Or(backend, lp.DefaultBackend)
-	return nil
 }
 
 // RoundFlow converts an approximate LP point into integral per-arc flows:

@@ -181,9 +181,7 @@ func (fs *Solver) newFormState(q Query) (*formState, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := form.Configure(fs.backend); err != nil {
-		return nil, err
-	}
+	form.Prob.Backend = fs.backend
 	sess, err := lp.NewSession(form.Prob)
 	if err != nil {
 		return nil, err

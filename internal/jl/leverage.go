@@ -89,22 +89,3 @@ func LeverageScoresApprox(a *linalg.CSR, d []float64, solve GramSolver, sk Sketc
 	}
 	return sigma, nil
 }
-
-// DenseGramSolver builds a GramSolver for M = diag(d)·A by assembling
-// AᵀD²A with linalg.CSR.GramTo and factorizing it (for tests and small
-// instances).
-func DenseGramSolver(a *linalg.CSR, d []float64) (GramSolver, error) {
-	d2 := make([]float64, len(d))
-	for i, di := range d {
-		d2[i] = di * di
-	}
-	gram := linalg.NewDense(a.Cols(), a.Cols())
-	a.GramTo(gram, d2)
-	chol, err := gram.Cholesky()
-	if err != nil {
-		return nil, fmt.Errorf("jl: gram factorization: %w", err)
-	}
-	return func(y []float64) ([]float64, error) {
-		return linalg.CholSolve(chol, y), nil
-	}, nil
-}

@@ -2,8 +2,8 @@
 // method. Every path step of Solve reduces to systems (AᵀDA)x = y with a
 // fresh positive diagonal D; how those systems are solved is the single
 // biggest performance lever in the pipeline, so the strategy is pluggable:
-// callers pick a registered backend by name (Problem.Backend) or inject a
-// custom ATDASolve (Problem.Solve).
+// callers name a registered backend in Problem.Backend, and NewSession,
+// the one place a session gets its solver, builds it.
 //
 // Built-in backends:
 //
@@ -142,19 +142,16 @@ func lookupBackend(name string) (statsFactory, error) {
 }
 
 // ValidateBackend reports whether name resolves in the registry without
-// instantiating it ("" is valid and selects DefaultBackend). The error
-// satisfies errors.Is(err, ErrBackendUnknown) and lists the registered
-// names, so API boundaries can reject typos before any work starts.
+// instantiating it. The error satisfies errors.Is(err, ErrBackendUnknown)
+// and lists the registered names, so API boundaries can reject typos
+// before any work starts.
 func ValidateBackend(name string) error {
-	if name == "" {
-		return nil
-	}
 	_, err := lookupBackend(name)
 	return err
 }
 
-// DefaultBackend is the name Problem.solver falls back to when neither
-// Solve nor Backend is set.
+// DefaultBackend is the backend NewSession builds when Problem.Backend is
+// empty.
 const DefaultBackend = "dense"
 
 func init() {

@@ -2,6 +2,7 @@ package lp
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -138,7 +139,19 @@ func TestSolveWithCSRCGBackend(t *testing.T) {
 		A: linalg.NewCSR(m, nBlocks, ts), B: linalg.Ones(nBlocks), C: c,
 		L: make([]float64, m), U: linalg.Ones(m), Backend: "no-such-backend",
 	}
-	if _, err := NewSession(prob); err == nil {
-		t.Fatal("unknown backend accepted by NewSession")
+	if _, err := NewSession(prob); !errors.Is(err, ErrBackendUnknown) {
+		t.Fatalf("unknown backend: NewSession returned %v, want ErrBackendUnknown", err)
+	}
+	// NewSession is the one place the default applies, and Backend
+	// reports the name it resolved.
+	for backend, want := range map[string]string{"": DefaultBackend, "csr-cg": "csr-cg"} {
+		prob.Backend = backend
+		sess, err := NewSession(prob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sess.Backend(); got != want {
+			t.Fatalf("prob.Backend %q: Session.Backend() = %q, want %q", backend, got, want)
+		}
 	}
 }

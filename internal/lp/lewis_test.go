@@ -24,8 +24,7 @@ func TestLewisWeightsPTwoAreLeverageScores(t *testing.T) {
 	rnd := rand.New(rand.NewSource(1))
 	m, n := 20, 4
 	a := tallMatrix(m, n, rnd)
-	prob := &Problem{A: a}
-	sol, _, err := prob.solver()
+	sol, _, err := NewBackendSolverStats("dense", a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,8 +52,7 @@ func TestLewisFixedPoint(t *testing.T) {
 	rnd := rand.New(rand.NewSource(2))
 	m, n := 24, 4
 	a := tallMatrix(m, n, rnd)
-	prob := &Problem{A: a}
-	sol, _, err := prob.solver()
+	sol, _, err := NewBackendSolverStats("dense", a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,8 +95,7 @@ func TestComputeInitialWeightsStepCountScales(t *testing.T) {
 	steps := func(n int) int {
 		m := 3 * n
 		a := tallMatrix(m, n, rnd)
-		prob := &Problem{A: a}
-		sol, _, err := prob.solver()
+		sol, _, err := NewBackendSolverStats("dense", a)
 		if err != nil {
 			t.Fatal(err)
 		}

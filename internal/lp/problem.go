@@ -9,8 +9,8 @@ import (
 )
 
 // ATDASolve solves (AᵀDA)x = y for the positive diagonal D (given as a
-// vector). Implementations come from the backend registry (see backend.go)
-// or from a caller-supplied override on Problem.Solve. The int return is
+// vector). Implementations come from the backend registry (see backend.go);
+// NewSession builds the one named by Problem.Backend. The int return is
 // the number of inner (CG) iterations spent — 0 for direct methods — which
 // the IPM aggregates into Solution.CGIterations. Implementations honor ctx:
 // on cancellation they return an error satisfying errors.Is(err, ctx.Err()).
@@ -29,9 +29,6 @@ type Problem struct {
 	// Backend names a registered AᵀDA strategy ("dense", "gremban",
 	// "csr-cg", …); empty selects DefaultBackend.
 	Backend string
-
-	// Solve, if non-nil, overrides Backend with a custom (AᵀDA)⁻¹ solver.
-	Solve ATDASolve
 }
 
 // Validate checks dimensions and bound sanity.
@@ -60,21 +57,6 @@ func (p *Problem) M() int { return p.A.Rows() }
 
 // N returns the number of equality constraints (columns of A).
 func (p *Problem) N() int { return p.A.Cols() }
-
-// solver instantiates the ATDASolve in use: the Solve override when set,
-// otherwise the registered backend named by Backend (DefaultBackend when
-// empty). The PrecondStats are the live counters of a combinatorial
-// preconditioner, nil for overrides and backends without one.
-func (p *Problem) solver() (ATDASolve, *PrecondStats, error) {
-	if p.Solve != nil {
-		return p.Solve, nil, nil
-	}
-	name := p.Backend
-	if name == "" {
-		name = DefaultBackend
-	}
-	return NewBackendSolverStats(name, p.A)
-}
 
 // Residual returns ‖Aᵀx − b‖₂, the equality-constraint violation.
 func (p *Problem) Residual(x []float64) float64 {

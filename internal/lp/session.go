@@ -19,19 +19,28 @@ import (
 // A Session is not safe for concurrent use; it serves a sequential query
 // stream, matching the model (one network, one round structure).
 type Session struct {
-	prob  *Problem
-	bar   *Barriers
-	solve ATDASolve
+	prob    *Problem
+	bar     *Barriers
+	backend string
+	solve   ATDASolve
 	// pstats are the live preconditioner counters of the backend (nil for
 	// backends without a combinatorial preconditioner); cumulative over
 	// the session, reported per solve in every Solution.
 	pstats *PrecondStats
 	scr    *scratch
+
+	// The problem shape and the IPM constants it fixes.
+	m, n  int
+	p     float64 // Lewis exponent 1 − 1/log(4m)
+	c0    float64 // weight regularization n/(2m)
+	cK    float64
+	cNorm float64
 }
 
-// NewSession validates prob, instantiates its linear-solve backend (an
-// unknown Problem.Backend fails here with ErrBackendUnknown, before any
-// solve starts) and allocates the shared scratch.
+// NewSession validates prob, instantiates the backend named by
+// prob.Backend (DefaultBackend when empty; an unknown name fails here
+// with ErrBackendUnknown, before any solve starts) and allocates the
+// shared scratch.
 func NewSession(prob *Problem) (*Session, error) {
 	if err := prob.Validate(); err != nil {
 		return nil, err
@@ -40,40 +49,42 @@ func NewSession(prob *Problem) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	solve, pstats, err := prob.solver()
+	backend := cmp.Or(prob.Backend, DefaultBackend)
+	solve, pstats, err := NewBackendSolverStats(backend, prob.A)
 	if err != nil {
 		return nil, err
 	}
-	return &Session{prob: prob, bar: bar, solve: solve, pstats: pstats, scr: newScratch(prob.M(), prob.N())}, nil
+	m, n := prob.M(), prob.N()
+	cK := 2 * math.Log(4*float64(m))
+	return &Session{
+		prob: prob, bar: bar, backend: backend, solve: solve, pstats: pstats,
+		scr: newScratch(m, n),
+		m:   m, n: n,
+		p:     1 - 1/math.Log(4*float64(m)),
+		c0:    float64(n) / (2 * float64(m)),
+		cK:    cK,
+		cNorm: 24 * math.Sqrt(4*cK),
+	}, nil
 }
+
+// Backend returns the name of the registered backend the session runs.
+func (sess *Session) Backend() string { return sess.backend }
 
 // newIPM builds the per-call solver state over the session's shared
 // backend and scratch.
 func (sess *Session) newIPM(ctx context.Context, par Params) *ipm {
-	m, n := sess.prob.M(), sess.prob.N()
-	s := &ipm{
-		ctx: ctx, prob: sess.prob, bar: sess.bar, par: par,
-		m: m, n: n,
-		p:      1 - 1/math.Log(4*float64(m)),
-		c0:     float64(n) / (2 * float64(m)),
-		cK:     2 * math.Log(4*float64(m)),
-		sol:    sess.solve,
-		pstats: sess.pstats,
-		scr:    sess.scr,
+	s := &ipm{Session: sess, ctx: ctx, par: par, startRounds: par.Net.Rounds()}
+	if sess.pstats != nil {
+		s.startRefreshes = sess.pstats.Refreshes
 	}
-	s.cNorm = 24 * math.Sqrt(4*s.cK)
-	s.startRounds = par.Net.Rounds()
-	if s.pstats != nil {
-		s.startRefreshes = s.pstats.Refreshes
-	}
-	s.lev = NewLeverageFn(ctx, sess.prob.A, s.sol, leverageEta, cmp.Or(par.Seed, 1))
+	s.lev = NewLeverageFn(ctx, sess.prob.A, sess.solve, leverageEta, cmp.Or(par.Seed, 1))
 	return s
 }
 
 // checkStart verifies that x0 is a strictly feasible starting point.
 func (sess *Session) checkStart(x0 []float64) error {
-	if len(x0) != sess.prob.M() {
-		return fmt.Errorf("lp: x0 has %d entries, want %d", len(x0), sess.prob.M())
+	if len(x0) != sess.m {
+		return fmt.Errorf("lp: x0 has %d entries, want %d", len(x0), sess.m)
 	}
 	if !sess.bar.Interior(x0) {
 		return fmt.Errorf("%w: x0 is not strictly interior", ErrInfeasible)
@@ -90,8 +101,7 @@ func (sess *Session) checkStart(x0 []float64) error {
 // on solver failure x is left unchanged and the caller's feasibility check
 // decides.
 func (sess *Session) repairFeasibility(ctx context.Context, x []float64) {
-	m, n := sess.prob.M(), sess.prob.N()
-	r := make([]float64, n)
+	r := make([]float64, sess.n)
 	sess.prob.A.MulVecTTo(r, x)
 	for i, bi := range sess.prob.B {
 		r[i] -= bi
@@ -99,15 +109,11 @@ func (sess *Session) repairFeasibility(ctx context.Context, x []float64) {
 	if linalg.Norm2(r) == 0 {
 		return
 	}
-	ones := make([]float64, m)
-	for i := range ones {
-		ones[i] = 1
-	}
-	z, _, err := sess.solve(ctx, ones, r)
+	z, _, err := sess.solve(ctx, linalg.Ones(sess.m), r)
 	if err != nil {
 		return
 	}
-	az := make([]float64, m)
+	az := make([]float64, sess.m)
 	sess.prob.A.MulVecTo(az, z)
 	for i := range x {
 		x[i] -= az[i]
@@ -167,7 +173,7 @@ func (sess *Session) Solve(ctx context.Context, x0 []float64, eps float64, par P
 		return nil, err
 	}
 	s := sess.newIPM(ctx, par)
-	m := s.m
+	m := sess.m
 
 	w, err := s.initialWeights(x0)
 	if err != nil {
@@ -211,7 +217,7 @@ func (sess *Session) Polish(ctx context.Context, x0, w0 []float64, eps float64, 
 	if eps <= 0 {
 		return nil, fmt.Errorf("lp: eps must be positive, got %g", eps)
 	}
-	m := sess.prob.M()
+	m := sess.m
 	if len(x0) != m || len(w0) != m {
 		return nil, fmt.Errorf("lp: x0 has %d entries and w0 %d, want %d", len(x0), len(w0), m)
 	}

@@ -113,29 +113,19 @@ func newScratch(m, n int) *scratch {
 	return s
 }
 
-// ipm carries one solver run.
+// ipm carries one solver run over its session's backend, scratch and
+// shape constants.
 type ipm struct {
+	*Session
 	ctx    context.Context
-	prob   *Problem
-	bar    *Barriers
 	par    Params
 	lev    LeverageFn
-	sol    ATDASolve
-	pstats *PrecondStats // live backend counters (nil without a preconditioner)
-	phase  int           // 1 = artificial cost, 2 = true cost, 3 = polish
-
-	m, n   int
-	p      float64 // Lewis exponent 1 − 1/log(4m)
-	c0     float64 // weight regularization n/(2m)
-	cK     float64
-	cNorm  float64
+	phase  int // 1 = artificial cost, 2 = true cost, 3 = polish
 	counts Solution
 
 	// Counter readings at solve start, so Solution reports this solve's
 	// share of the session-lifetime network and refresh counters.
 	startRounds, startRefreshes int
-
-	scr *scratch
 }
 
 // pathFollowing implements Algorithm 10: one centering per multiplicative
@@ -284,7 +274,7 @@ func (s *ipm) applyProjection(q, w, phi2 []float64) ([]float64, error) {
 	for i := 0; i < m; i++ {
 		tmp[i] = 1 / (w[i] * phi2[i])
 	}
-	sol, iters, err := s.sol(s.ctx, tmp, s.scr.rhs)
+	sol, iters, err := s.solve(s.ctx, tmp, s.scr.rhs)
 	s.counts.CGIterations += iters
 	if err != nil {
 		return nil, fmt.Errorf("lp: projection solve: %w", err)

@@ -84,8 +84,8 @@ func (c *config) apply(opts []Option) {
 // when the flow network is sparse (n ≥ 32 vertices and m ≤ n²/8 arcs),
 // the exact dense reference otherwise. NewLPSolver has no graph to
 // inspect and defaults to prob.Backend (then "dense"); WithBackend there
-// also replaces a prob.Solve override. An unknown name
-// makes the session constructor fail fast with ErrBackendUnknown.
+// overrides prob.Backend for the session without writing prob. An unknown
+// name makes the session constructor fail fast with ErrBackendUnknown.
 // Applies to NewFlowSolver and NewLPSolver.
 func WithBackend(name string) Option {
 	return func(c *config) { c.backend = name }

@@ -1,7 +1,6 @@
 package bcclap
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -63,8 +62,9 @@ type Stats struct {
 	// false on direct FlowSolver queries). Cached answers are bit-identical
 	// to fresh ones in value, cost and flow vector.
 	CacheHit bool
-	// Backend is the AᵀDA backend name in use (flow/LP sessions); empty
-	// when an LPProblem.Solve override ran instead.
+	// Backend is the registered AᵀDA backend the session ran (flow/LP
+	// sessions): the WithBackend name, else the flow auto-selection or
+	// LPProblem.Backend, else "dense".
 	Backend string
 	// TraceID is the request-scoped trace identifier threaded from the
 	// serving boundary (16 hex digits, minted per HTTP request or set via
@@ -310,36 +310,26 @@ func (fs *FlowSolver) newResult(res *flow.Result) *FlowResult {
 // backend and interior-point scratch are built once by NewLPSolver and
 // shared by every Solve call. Not safe for concurrent use.
 type LPSolver struct {
-	sess    *lp.Session
-	cfg     config
-	backend string
-	used    bool
+	sess *lp.Session
+	cfg  config
+	used bool
 }
 
 // NewLPSolver validates prob and builds the session. WithBackend overrides
-// prob.Backend and drops a prob.Solve override for this session only (prob
-// itself is left untouched), so the named backend is the one that runs;
-// unknown names fail here with ErrBackendUnknown. Stats.Backend is "" when
-// a prob.Solve override runs.
+// prob.Backend for this session only (prob itself is left untouched);
+// unknown names fail here with ErrBackendUnknown.
 func NewLPSolver(prob *LPProblem, opts ...Option) (*LPSolver, error) {
 	cfg := newConfig(opts)
 	if cfg.backend != "" {
-		if err := lp.ValidateBackend(cfg.backend); err != nil {
-			return nil, err
-		}
 		cp := *prob
-		cp.Backend, cp.Solve = cfg.backend, nil
+		cp.Backend = cfg.backend
 		prob = &cp
 	}
 	sess, err := lp.NewSession(prob)
 	if err != nil {
 		return nil, err
 	}
-	backend := cmp.Or(prob.Backend, lp.DefaultBackend)
-	if prob.Solve != nil {
-		backend = ""
-	}
-	return &LPSolver{sess: sess, cfg: cfg, backend: backend}, nil
+	return &LPSolver{sess: sess, cfg: cfg}, nil
 }
 
 // Solve runs the Theorem 1.4 path-following method from the strictly
@@ -367,7 +357,7 @@ func (l *LPSolver) Solve(ctx context.Context, x0 []float64, eps float64) (*LPSol
 		Rounds:              sol.Rounds,
 		WallTime:            time.Since(start),
 		ReusedPreprocessing: l.used,
-		Backend:             l.backend,
+		Backend:             l.sess.Backend(),
 	}
 	l.used = true
 	return sol, st, nil

@@ -267,25 +267,21 @@ func TestNewLPSolverLeavesProblemUntouched(t *testing.T) {
 	}
 }
 
-// WithBackend replaces a prob.Solve override on the session, so the named
-// backend is the one that runs; an override that does run reports no
-// backend name, even when prob.Backend is also set.
+// Stats.Backend names the backend the session ran: "dense" when none is
+// named, else prob.Backend, else WithBackend, which wins without writing
+// prob. An unknown name from either source fails in NewLPSolver.
 func TestNewLPSolverBackendNamesWhatRuns(t *testing.T) {
-	calls := 0
-	prob := &LPProblem{
-		A:       linalg.NewCSR(2, 1, []linalg.Triple{{Row: 0, Col: 0, Val: 1}, {Row: 1, Col: 0, Val: 1}}),
-		B:       []float64{1},
-		C:       []float64{2, 1},
-		L:       []float64{0, 0},
-		U:       []float64{1, 1},
-		Backend: "dense",
-		// A is one all-ones column, so AᵀDA is the scalar Σd.
-		Solve: func(_ context.Context, d, y []float64) ([]float64, int, error) {
-			calls++
-			return []float64{y[0] / (d[0] + d[1])}, 0, nil
-		},
+	newProb := func(backend string) *LPProblem {
+		return &LPProblem{
+			A:       linalg.NewCSR(2, 1, []linalg.Triple{{Row: 0, Col: 0, Val: 1}, {Row: 1, Col: 0, Val: 1}}),
+			B:       []float64{1},
+			C:       []float64{2, 1},
+			L:       []float64{0, 0},
+			U:       []float64{1, 1},
+			Backend: backend,
+		}
 	}
-	solve := func(prob *LPProblem, opts ...Option) Stats {
+	ran := func(prob *LPProblem, opts ...Option) string {
 		l, err := NewLPSolver(prob, opts...)
 		if err != nil {
 			t.Fatal(err)
@@ -294,16 +290,31 @@ func TestNewLPSolverBackendNamesWhatRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return st
+		return st.Backend
 	}
-	if st := solve(prob, WithBackend("csr-cg")); calls != 0 || st.Backend != "csr-cg" {
-		t.Fatalf("WithBackend(csr-cg): override called %d times, Stats.Backend %q", calls, st.Backend)
+	if got := ran(newProb("")); got != "dense" {
+		t.Fatalf("no backend named: Stats.Backend %q, want dense", got)
 	}
-	if prob.Solve == nil {
-		t.Fatal("NewLPSolver cleared the caller's prob.Solve")
+	if got := ran(newProb("csr-cg")); got != "csr-cg" {
+		t.Fatalf("prob.Backend csr-cg: Stats.Backend %q", got)
 	}
-	if st := solve(prob); calls == 0 || st.Backend != "" {
-		t.Fatalf("override: called %d times, Stats.Backend %q, want \"\"", calls, st.Backend)
+	prob := newProb("csr-cg")
+	if got := ran(prob, WithBackend("csr-pcg")); got != "csr-pcg" {
+		t.Fatalf("WithBackend(csr-pcg) over prob.Backend csr-cg: Stats.Backend %q", got)
+	}
+	if prob.Backend != "csr-cg" {
+		t.Fatalf("NewLPSolver wrote prob.Backend = %q", prob.Backend)
+	}
+	for _, c := range []struct {
+		prob *LPProblem
+		opts []Option
+	}{
+		{newProb(""), []Option{WithBackend("no-such-backend")}},
+		{newProb("no-such-backend"), nil},
+	} {
+		if _, err := NewLPSolver(c.prob, c.opts...); !errors.Is(err, ErrBackendUnknown) {
+			t.Fatalf("unknown backend (prob.Backend %q): got %v, want ErrBackendUnknown", c.prob.Backend, err)
+		}
 	}
 }
 
