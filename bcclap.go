@@ -133,7 +133,8 @@
 //	          incomplete Cholesky extracted from the flow network with the
 //	          paper's spanner/sparsifier machinery, built once per session
 //	          and only numerically refreshed when the IPM reweights D —
-//	          fewer inner CG iterations per query (see BENCH_precond.json);
+//	          fewer inner CG iterations per query (internal/flow's
+//	          TestWorkCountsGolden asserts csr-pcg < csr-cg);
 //	          Stats.PrecondBuilds/PrecondRefreshes expose its counters
 //
 //	solver, err := bcclap.NewFlowSolver(d, bcclap.WithBackend("csr-pcg"))

@@ -3,9 +3,9 @@
 // relevant parameter, measures the bounded quantity (size, stretch,
 // rounds, iterations, approximation band), and prints it next to the
 // paper's bound so the scaling shape can be inspected directly; for the
-// serving layer (e15, e16, e19) it prints what the committed BENCH_*.json
-// snapshots record. The experiments are defined in internal/experiments;
-// this command selects and renders them.
+// backend registry (e15) it solves one certified flow per AᵀDA backend
+// and prints each answer and wall clock. The experiments are defined in
+// internal/experiments; this command selects and renders them.
 //
 // Usage:
 //
@@ -27,7 +27,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id (e1..e12, e15, e16, e19) or all")
+	exp := flag.String("exp", "all", "experiment id (e1..e12, e15) or all")
 	quick := flag.Bool("quick", false, "smaller sweeps")
 	timeout := flag.Duration("timeout", 0, "abort the whole run after this duration (e.g. 10m; 0 = no limit)")
 	flag.Parse()

@@ -153,10 +153,7 @@ func e6(ctx context.Context, quick bool) ([]Table, error) {
 		return nil, err
 	}
 	// With d² = d = 1, lp's dense AᵀDA solve is the Gram solve of diag(d)·A.
-	solve := func(y []float64) ([]float64, error) {
-		x, _, err := dense(ctx, d, y)
-		return x, err
-	}
+	solve := dense.Gram(ctx, d)
 	exact, err := jl.NewExactLeverage(a).Scores(d, solve)
 	if err != nil {
 		return nil, err

@@ -46,12 +46,13 @@ func (c differentialCase) digraph() *graph.Digraph {
 // TestCertificateDifferentialSSP is the seeded guard on the certified
 // pipeline: every instance must certify against the successive-shortest-
 // paths oracle within the retry budget, on the backends auto-selection
-// picks, on the small csr-pcg shape the benchmark forces, and on csr-pcg
-// forced onto denser graphs (n ≥ 16), whose iterates drift off Aᵀx = b
-// late in phase 2: those certify only because each attempt stops at its
-// first certified rounding. Attempts per instance are logged, so a change
-// that needs more perturbations to certify shows up before it shows up as
-// failures.
+// picks, on the small csr-pcg shape the benchmark forces, on csr-cg
+// forced at n=12 (the Jacobi-only baseline of csr-pcg, which auto-
+// selection never picks), and on csr-pcg forced onto denser graphs
+// (n ≥ 16), whose iterates drift off Aᵀx = b late in phase 2: those
+// certify only because each attempt stops at its first certified
+// rounding. Attempts per instance are logged, so a change that needs more
+// perturbations to certify shows up before it shows up as failures.
 //
 // The slow cases (forced csr-pcg at n=24, 5–15 s each) run in every
 // build without the race detector, CI's own "certificate differential"
@@ -68,6 +69,7 @@ func TestCertificateDifferentialSSP(t *testing.T) {
 	cases = append(cases,
 		differentialCase{n: 32, p: 0.07, seed: 1, auto: "csr-pcg"},
 		differentialCase{n: 5, p: 0.3, arcs: 9, seed: 1, backend: "csr-pcg"},
+		differentialCase{n: 12, p: 0.3, seed: 3, backend: "csr-cg"},
 		differentialCase{n: 16, p: 0.3, seed: 3, backend: "csr-pcg"},
 		differentialCase{n: 24, p: 0.3, seed: 1, backend: "csr-pcg", slow: true},
 		differentialCase{n: 24, p: 0.3, seed: 2, backend: "csr-pcg", slow: true},

@@ -107,10 +107,11 @@ func TestCertifyRejectsSuboptimal(t *testing.T) {
 func TestLPFormStructure(t *testing.T) {
 	d := diamond(t)
 	rnd := rand.New(rand.NewSource(7))
-	form, err := NewLPForm(d, 0, 3, rnd)
+	form, err := NewLPFormStructure(d, 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	form.Perturb(rnd)
 	if form.NPrime != 3 {
 		t.Fatalf("NPrime = %d", form.NPrime)
 	}

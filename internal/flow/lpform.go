@@ -49,27 +49,6 @@ func vertexIndex(n, s int) (idx []int) {
 	return idx
 }
 
-// NewLPForm builds the LP. The Daitch–Spielman perturbation multiplies all
-// costs by 4m²M² and adds an independent uniform integer from [1, 2mM] to
-// each arc, which makes the optimum unique with probability ≥ 1/2; rnd
-// drives the perturbation (callers retry with fresh randomness on
-// certification failure, the boosting of the paper's footnote 7).
-//
-// Big-M constants: the paper's λ = 440m⁴M̃²M³ and flow bonus 2n·M̃ certify
-// exactness in exact arithmetic but overflow float64's 53-bit mantissa for
-// any interesting instance. We use the smallest constants with the same
-// one-way domination chain (flowBonus > any achievable routing cost,
-// λ > flowBonus's worth of slack), which preserves the argument: slack is
-// never worth buying, and flow units always are.
-func NewLPForm(d *graph.Digraph, s, t int, rnd *rand.Rand) (*LPForm, error) {
-	form, err := NewLPFormStructure(d, s, t)
-	if err != nil {
-		return nil, err
-	}
-	form.Perturb(rnd)
-	return form, nil
-}
-
 // NewLPFormStructure builds everything about the LP that does not depend
 // on the cost perturbation: the constraint matrix, box bounds and interior
 // starting point are functions of (d, s, t) only. A session caches this
@@ -174,9 +153,19 @@ func formBigM(d *graph.Digraph) int64 {
 
 // Perturb draws a fresh Daitch–Spielman cost perturbation and writes the
 // resulting objective into the LP (only the cost vector changes; matrix,
-// bounds and starting point are perturbation-independent). Consuming
-// exactly m draws from rnd, it matches NewLPForm's stream so session
-// re-perturbation is bit-identical to rebuilding the form.
+// bounds and starting point are perturbation-independent). It multiplies
+// all costs by 4m²M² and adds an independent uniform integer from
+// [1, 2mM] to each arc, which makes the optimum unique with probability
+// ≥ 1/2; rnd drives the perturbation (callers retry with fresh
+// randomness on certification failure, the boosting of the paper's
+// footnote 7). It consumes exactly m draws from rnd.
+//
+// Big-M constants: the paper's λ = 440m⁴M̃²M³ and flow bonus 2n·M̃ certify
+// exactness in exact arithmetic but overflow float64's 53-bit mantissa for
+// any interesting instance. We use the smallest constants with the same
+// one-way domination chain (flowBonus > any achievable routing cost,
+// λ > flowBonus's worth of slack), which preserves the argument: slack is
+// never worth buying, and flow units always are.
 func (f *LPForm) Perturb(rnd *rand.Rand) {
 	d, m := f.D, f.D.M()
 	bigM := formBigM(d)

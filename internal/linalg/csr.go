@@ -62,9 +62,6 @@ func (m *CSR) Rows() int { return m.rows }
 // Cols returns the number of columns.
 func (m *CSR) Cols() int { return m.cols }
 
-// NNZ returns the number of stored nonzeros.
-func (m *CSR) NNZ() int { return len(m.vals) }
-
 // MulVec returns m * x as a fresh vector (allocating wrapper over MulVecTo).
 func (m *CSR) MulVec(x []float64) []float64 {
 	if len(x) != m.cols {

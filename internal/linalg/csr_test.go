@@ -52,8 +52,8 @@ func TestCSRDuplicatesSummed(t *testing.T) {
 	if got := csr.At(1, 1); got != 0 {
 		t.Fatalf("At(1,1) = %v, want 0", got)
 	}
-	if csr.NNZ() != 1 {
-		t.Fatalf("NNZ = %d, want 1", csr.NNZ())
+	if len(csr.vals) != 1 {
+		t.Fatalf("NNZ = %d, want 1", len(csr.vals))
 	}
 }
 

@@ -213,7 +213,8 @@ func grembanBackend(a *linalg.CSR) (ATDASolve, error) {
 // fill-free incomplete Cholesky — or by Jacobi when st is empty, which is
 // all of csr-cg and csr-pcg on non-incidence matrices. One operator,
 // tolerance and budget for both backends keeps their iteration counts
-// directly comparable (the invariant the e19 snapshot gate measures). The
+// directly comparable (flow's TestWorkCountsGolden asserts csr-pcg takes
+// fewer CG iterations than csr-cg on every pinned instance). The
 // per-call refresh rewrites the diagonal and the preconditioner numerics
 // only when D changed since the previous call — exact leverage issues n′
 // solves against one D — and counts each refresh in stats.

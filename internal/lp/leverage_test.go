@@ -48,10 +48,7 @@ func gramSolve(sol lp.ATDASolve, d []float64) jl.GramSolver {
 	for i, v := range d {
 		d2[i] = v * v
 	}
-	return func(y []float64) ([]float64, error) {
-		x, _, err := sol(context.Background(), d2, y)
-		return x, err
-	}
+	return sol.Gram(context.Background(), d2)
 }
 
 // leverageFullSpMV is exact leverage with two full products per column:

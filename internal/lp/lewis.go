@@ -26,10 +26,7 @@ type LeverageFn func(d []float64) ([]float64, error)
 func NewLeverageFn(ctx context.Context, a *linalg.CSR, solve ATDASolve, eta float64, seed int64) LeverageFn {
 	m, n := a.Rows(), a.Cols()
 	d2 := make([]float64, m)
-	gram := func(y []float64) ([]float64, error) {
-		x, _, err := solve(ctx, d2, y)
-		return x, err
-	}
+	gram := solve.Gram(ctx, d2)
 	// The exact computation costs n solves and the sketch k, so sketching
 	// only pays off once n > k; below that, exact is both exact and
 	// cheaper.
