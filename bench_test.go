@@ -218,7 +218,7 @@ func BenchmarkE8LPSolve(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		sol, err := sess.Solve(context.Background(), x0, 0.1, lp.Params{Seed: int64(i + 1)})
+		sol, err := sess.Solve(context.Background(), x0, 0.1, lp.Params{})
 		if err != nil {
 			b.Fatal(err)
 		}

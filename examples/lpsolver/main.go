@@ -36,7 +36,7 @@ func main() {
 	}
 	x0 := linalg.Constant(m, 1.0/3) // uniform split: strictly feasible
 
-	solver, err := bcclap.NewLPSolver(prob, bcclap.WithSeed(2))
+	solver, err := bcclap.NewLPSolver(prob)
 	if err != nil {
 		log.Fatal(err)
 	}

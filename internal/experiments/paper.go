@@ -226,7 +226,7 @@ func e8(ctx context.Context, quick bool) ([]Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		sol, err := sess.Solve(ctx, linalg.Constant(m, 1.0/3), 0.1, lp.Params{Seed: 1})
+		sol, err := sess.Solve(ctx, linalg.Constant(m, 1.0/3), 0.1, lp.Params{})
 		if err != nil {
 			return nil, err
 		}

@@ -201,9 +201,9 @@ func (fs *Solver) queryRand() *rand.Rand {
 // SeedOf is a convenience for composing Options literals: Seed: SeedOf(7).
 func SeedOf(seed int64) *int64 { return &seed }
 
-// lpParams prepares the interior-point parameters for one attempt.
-func (fs *Solver) lpParams(attempt int64) lp.Params {
-	return lp.Params{Seed: attempt, Net: fs.opts.Net, Progress: fs.opts.PathProgress}
+// lpParams prepares the interior-point parameters of one LP solve.
+func (fs *Solver) lpParams() lp.Params {
+	return lp.Params{Net: fs.opts.Net, Progress: fs.opts.PathProgress}
 }
 
 // Validate checks one terminal pair against the session's digraph without
@@ -263,7 +263,7 @@ func (fs *Solver) Solve(ctx context.Context, q Query, warm bool) (*Result, error
 		for i := range x {
 			x[i] = (1-warmBlend)*st.warmX[i] + warmBlend*st.form.X0[i]
 		}
-		sol, err := st.sess.Polish(ctx, x, st.warmW, lpEps, fs.lpParams(1))
+		sol, err := st.sess.Polish(ctx, x, st.warmW, lpEps, fs.lpParams())
 		if err != nil {
 			if ctx.Err() != nil {
 				return nil, fmt.Errorf("flow: warm solve: %w", err)
@@ -290,7 +290,7 @@ func (fs *Solver) Solve(ctx context.Context, q Query, warm bool) (*Result, error
 		st.form.Perturb(rnd)
 		st.costsStale = false         // fresh costs: no patch redraw pending
 		st.warmX, st.warmW = nil, nil // costs changed; prior optimum is stale
-		par := fs.lpParams(int64(attempt))
+		par := fs.lpParams()
 		// Certify early: phase 2 ends at the first path step whose rounding
 		// certifies. The check after the solve repeats it on the returned
 		// iterate, so exactness still rests on that certificate alone.

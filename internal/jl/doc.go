@@ -12,8 +12,9 @@
 // regression solves, which the LP solver's Lewis-weight updates consume.
 // The exact computation (ExactLeverage) costs one Gram solve per column
 // of the m×n matrix M = diag(d)·A (σᵢ = Σⱼ (M·(MᵀM)⁻¹)ᵢⱼ·Mᵢⱼ) plus one
-// O(nnz) pass over A's columns, so for the tall matrices of the LP it is
-// n solves against the sketch's k, and the cheaper choice until n > k.
+// O(nnz) pass over A's columns: n solves against the sketch's k. The LP
+// solver uses ExactLeverage alone (see package lp); Algorithm 6 is
+// measured against it by experiment e6.
 //
 // Invariants:
 //

@@ -190,15 +190,3 @@ func (s *KaneNelson) K() int { return s.k }
 
 // M returns the input dimension.
 func (s *KaneNelson) M() int { return s.m }
-
-// SketchDim returns the standard k = Θ(log(m)/η²) sketch dimension for
-// target distortion η on m-dimensional inputs, at least 4. It saturates
-// to math.MaxInt for η ≤ 0 or when k overflows an int: a request that
-// accurate gets no sketch that could meet it.
-func SketchDim(m int, eta float64) int {
-	k := math.Ceil(4 * math.Log(float64(m)+2) / (eta * eta))
-	if eta <= 0 || !(k < math.MaxInt) {
-		return math.MaxInt
-	}
-	return max(int(k), 4)
-}

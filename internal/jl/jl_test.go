@@ -12,7 +12,7 @@ import (
 func TestKaneNelsonNormPreservation(t *testing.T) {
 	rnd := rand.New(rand.NewSource(2))
 	m := 200
-	k := SketchDim(m, 0.3)
+	k := 236 // ⌈4·ln(m+2)/η²⌉ at η = 0.3
 	sk, err := NewKaneNelson(k, m, 0, 12345)
 	if err != nil {
 		t.Fatal(err)
@@ -307,7 +307,7 @@ func TestLeverageScoresApproxVsExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	eta := 0.5
-	sk, err := NewKaneNelson(SketchDim(m, eta/4), m, 0, 2024)
+	sk, err := NewKaneNelson(957, m, 0, 2024) // ⌈4·ln(m+2)/(η/4)²⌉ rows
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,29 +327,6 @@ func TestLeverageScoresApproxVsExact(t *testing.T) {
 	}
 	if bad > m/10 {
 		t.Fatalf("%d/%d leverage scores outside (1±%v)", bad, m, eta)
-	}
-}
-
-// SketchDim saturates to math.MaxInt when no sketch can meet η — η = 0,
-// or η so small that 4·ln(m+2)/η² overflows — so the caller takes the
-// exact path; otherwise it is ⌈4·ln(m+2)/η²⌉, floored at 4.
-func TestSketchDim(t *testing.T) {
-	for _, tc := range []struct {
-		eta  float64
-		want int
-	}{
-		{0, math.MaxInt},
-		{1e-300, math.MaxInt},
-		{-0.5, math.MaxInt},
-		{0.5, 74}, // ⌈16·ln 102⌉
-		{4, 4},    // ⌈ln(102)/4⌉ = 2, floored
-	} {
-		if got := SketchDim(100, tc.eta); got != tc.want {
-			t.Errorf("SketchDim(100, %g) = %d, want %d", tc.eta, got, tc.want)
-		}
-	}
-	if SketchDim(100, 0.1) <= SketchDim(100, 0.5) {
-		t.Fatal("sketch dim should grow as eta shrinks")
 	}
 }
 

@@ -65,10 +65,9 @@ func appendGrembanEdges(edges []linalg.WEdge, m *linalg.Dense) ([]linalg.WEdge, 
 // SDDSolver solves M x = y for symmetric diagonally dominant M via the
 // Gremban reduction: it builds the 2n-vertex Laplacian of appendGrembanEdges
 // and solves L[x₁;x₂] = [y;−y] by Jacobi-preconditioned CG on the
-// ones-projected operator, under linalg.InexactCGTo's policy (the IPM only
-// needs poly(1/m) precision per the paper). In the BCC the doubled network
-// is simulated by letting vertex i play both virtual vertices i and i+n,
-// doubling the round count. The zero value is ready to use; it owns the
+// ones-projected operator, under linalg.InexactCGTo's tolerance and
+// budget. In the BCC the doubled network is simulated by letting vertex i
+// play both virtual vertices i and i+n, doubling the round count. The zero value is ready to use; it owns the
 // workspace and the edge list its solves reuse, so it is not safe for
 // concurrent use (one value per sequential solve stream).
 type SDDSolver struct {

@@ -197,39 +197,26 @@ func TestIterativeSolversHonorContext(t *testing.T) {
 	}
 }
 
-// InexactCGTo accepts a run that spends its whole 40·n+4000 budget only
-// when the residual of its last iterate is within 1e-6·(1+‖b‖₂), and never
-// a canceled one. The operator keeps CG from converging (a skew-symmetric
-// part as large as its diagonal) and, once the budget is spent, answers
-// the acceptance check with b plus a chosen residual.
+// InexactCGTo accepts neither a run that spends its whole 40·n+4000
+// budget, however close its last iterate, nor a canceled one. The
+// operator keeps CG from converging (a skew-symmetric part as large as its
+// diagonal).
 func TestInexactCGToAcceptance(t *testing.T) {
 	b := []float64{1, 2, 3, 4}
 	budget := 40*len(b) + 4000
-	limit := 1e-6 * (1 + Norm2(b))
-	for _, tc := range []struct {
-		resid  float64
-		accept bool
-	}{{limit / 2, true}, {2 * limit, false}} {
-		calls := 0
-		op := FuncOp(func(dst, x []float64) {
-			calls++
-			if calls > budget {
-				copy(dst, b)
-				dst[0] += tc.resid
-				return
-			}
-			for i := range dst {
-				dst[i] = float64(i+1)*x[i] + x[(i+1)%4] - x[(i+3)%4]
-			}
-		})
-		x := make([]float64, len(b))
-		iters, err := InexactCGTo(context.Background(), x, op, b, nil, NewWorkspace())
-		if iters != budget || calls != budget+1 {
-			t.Fatalf("residual %g: %d iterations and %d applications, want %d and %d", tc.resid, iters, calls, budget, budget+1)
+	calls := 0
+	op := FuncOp(func(dst, x []float64) {
+		calls++
+		for i := range dst {
+			dst[i] = float64(i+1)*x[i] + x[(i+1)%4] - x[(i+3)%4]
 		}
-		if tc.accept && err != nil || !tc.accept && !errors.Is(err, ErrNoConvergence) {
-			t.Fatalf("residual %g (limit %g): err = %v", tc.resid, limit, err)
-		}
+	})
+	iters, err := InexactCGTo(context.Background(), make([]float64, len(b)), op, b, nil, NewWorkspace())
+	if iters != budget || calls != budget {
+		t.Fatalf("%d iterations and %d applications, want %d and %d", iters, calls, budget, budget)
+	}
+	if !errors.Is(err, ErrNoConvergence) {
+		t.Fatalf("spent budget: err = %v, want ErrNoConvergence", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

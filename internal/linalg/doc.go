@@ -19,14 +19,11 @@
 //     and the Gremban SDD solve share one projected-Laplacian operator,
 //     ProjectedOp.
 //   - One inexact-solve policy: InexactCGTo is the only place that fixes
-//     the interior-point method's CG tolerance (1e-10), budget
-//     (40·n+4000) and acceptance rule. The acceptance exists because the
-//     barrier weights make AᵀDA so ill-conditioned that CG can exhaust
-//     its budget short of 1e-10 while its iterate is still as precise as
-//     the IPM needs (residual ≤ 1e-6·(1+‖b‖), poly(1/m) per the paper);
-//     rejecting it would fail the solve. Inexact solves are also where the
-//     IPM iterates' drift off Aᵀx = b comes from, so the rule lives in one
-//     function that a stricter stopping rule can replace.
+//     the interior-point method's CG tolerance (1e-10) and budget
+//     (40·n+4000); a spent budget is ErrNoConvergence, never a silently
+//     accepted iterate. Inexact solves are also where the IPM iterates'
+//     drift off Aᵀx = b comes from, so the rule lives in one function
+//     that a stricter stopping rule can replace.
 //   - Allocation-free kernels: the *To solver variants (CGTo,
 //     PreconditionedChebyshevTo, MulVecTo) write into caller-owned
 //     buffers and draw scratch from a Workspace arena, so a warmed-up

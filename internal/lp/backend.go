@@ -29,8 +29,7 @@
 // csr-cg and csr-pcg are one constructor, matrixFreeSolve: csr-cg is
 // csr-pcg with an empty preconditioner structure and no counters. Every
 // inexact backend — the two matrix-free ones and gremban — stops its CG
-// by linalg.InexactCGTo, the one definition of the tolerance, budget and
-// acceptance rule.
+// by linalg.InexactCGTo, the one definition of the tolerance and budget.
 package lp
 
 import (

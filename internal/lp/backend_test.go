@@ -124,7 +124,7 @@ func TestSolveWithCSRCGBackend(t *testing.T) {
 			U:       linalg.Ones(m),
 			Backend: backend,
 		}
-		sol, err := solveFresh(prob, linalg.Constant(m, 1.0/3), 0.05, Params{Seed: 1})
+		sol, err := solveFresh(prob, linalg.Constant(m, 1.0/3), 0.05, Params{})
 		if err != nil {
 			t.Fatalf("backend %s: %v", backend, err)
 		}

@@ -29,9 +29,6 @@ func NewBarriers(l, u []float64) (*Barriers, error) {
 	return &Barriers{l: append([]float64(nil), l...), u: append([]float64(nil), u...)}, nil
 }
 
-// M returns the number of coordinates.
-func (b *Barriers) M() int { return len(b.l) }
-
 // Interior reports whether x is strictly inside the domain.
 func (b *Barriers) Interior(x []float64) bool {
 	for i, v := range x {

@@ -30,8 +30,8 @@
 //     around one Session.
 //   - Determinism: a solve on a reused session is bit-identical to the
 //     same solve on a fresh one — every scratch buffer is fully
-//     overwritten before it is read, and all randomness (leverage
-//     sketching) derives from Params.Seed.
+//     overwritten before it is read. There is no randomness in lp; the
+//     csr-pcg backend's subgraph extraction uses the fixed pcgSeed.
 //   - Cancellation: the path-following loop checks its context every
 //     iteration and the inner CG every 32 iterations; an aborted solve
 //     returns an error satisfying errors.Is(err, ctx.Err()).
@@ -40,10 +40,11 @@
 // chosen for the w.h.p. proofs and are astronomically conservative — with
 // them verbatim, a 10-variable LP would take ~10⁹ iterations. This
 // implementation keeps every algorithmic *shape* (α ∝ 1/√n path steps,
-// barrier + Lewis-weight machinery, projections, Johnson–Lindenstrauss
-// leverage scores) and fixes the aggressiveness in constants next to
-// Params (α = 0.4/√n, 12 final centerings, DefaultLewisParams, η = 0.5),
-// so the experiments can measure the √n iteration scaling of Theorem 1.4
+// barrier + Lewis-weight machinery, projections) and fixes the
+// aggressiveness in constants next to Params (α = 0.4/√n, 12 final
+// centerings; Lewis weights with clamp band 0.9, 8 iterations per
+// centering, weight floor 1e-10 and at most 400 homotopy steps), so the
+// experiments can measure the √n iteration scaling of Theorem 1.4
 // while still converging in float64. The work per path step is the paper's:
 // Algorithm 10's one CenteringInexact per t-step, whose weight update is
 // scaled by the centrality measure δ; exactness rests on the flow
@@ -53,8 +54,20 @@
 // first success, so Theorem 1.4's Õ(√n·log(U/ε)) step count is a ceiling
 // on a solve, not its length. Stop is the caller's computation and is
 // not charged to the round ledger (Params.Net).
-// Leverage scores are exact (n Gram solves, one per column of A, plus an
-// O(nnz) pass over A's columns) until n exceeds the sketch dimension
-// k = Θ(log(m)/η²), where Algorithm 6's k sketch solves take over.
+//
+// Leverage scores are always exact, a deliberate departure from the
+// paper: jl.ExactLeverage, built once per Session, makes n Gram solves
+// (one per column of A) plus an O(nnz) pass over A's columns, where the
+// paper's Lewis weights take Algorithm 6's Johnson–Lindenstrauss sketch
+// of k = Θ(log(m)/η²) solves. The sketch makes fewer solves only when
+// n > k, and at the η = 0.5 this package used to sketch with,
+// k = 256·ln(m+2) ≥ 281; no test, experiment or benchmark solves an LP
+// that large. Past that crossover a solve makes n/k times the sketch's
+// Gram solves per Lewis iteration: about 1.3× for a flow network with
+// 3,000 vertices and 3,000 arcs, whose LP has m = 8,999 rows
+// (k ≈ 2,331) and n = 2,999 columns. In exchange lp keeps one leverage
+// path and draws no random numbers. Algorithm 6 stays in package jl,
+// where experiment e6 measures it against the exact scores.
+//
 // Deviations are local and documented at the point they occur.
 package lp

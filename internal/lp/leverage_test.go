@@ -51,6 +51,21 @@ func gramSolve(sol lp.ATDASolve, d []float64) jl.GramSolver {
 	return sol.Gram(context.Background(), d2)
 }
 
+// exactLeverage is the IPM's leverage function over A, as lp.NewSession
+// builds it: jl.ExactLeverage with its Gram solves bound through
+// ATDASolve.Gram to one reused D = d² buffer.
+func exactLeverage(a *linalg.CSR, sol lp.ATDASolve) lp.LeverageFn {
+	exact := jl.NewExactLeverage(a)
+	d2 := make([]float64, a.Rows())
+	gram := sol.Gram(context.Background(), d2)
+	return func(d []float64) ([]float64, error) {
+		for i, v := range d {
+			d2[i] = v * v
+		}
+		return exact.Scores(d, gram)
+	}
+}
+
 // leverageFullSpMV is exact leverage with two full products per column:
 // σᵢ = Σⱼ (d⊙A·G⁻¹eⱼ)ᵢ·(d⊙A·eⱼ)ᵢ summed over every row i, j ascending.
 func leverageFullSpMV(a *linalg.CSR, d []float64, solve jl.GramSolver) ([]float64, error) {
@@ -75,8 +90,8 @@ func leverageFullSpMV(a *linalg.CSR, d []float64, solve jl.GramSolver) ([]float6
 }
 
 // The column pass touches only the rows in each column's support; every
-// term it skips is an exact zero, so on every backend its scores, and
-// NewLeverageFn's, are the full-product sums bit for bit.
+// term it skips is an exact zero, so on every backend its scores are the
+// full-product sums bit for bit.
 func TestExactLeverageBitIdenticalToFullSpMV(t *testing.T) {
 	a := flowLP(t)
 	rnd := rand.New(rand.NewSource(31))
@@ -85,26 +100,21 @@ func TestExactLeverageBitIdenticalToFullSpMV(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		exact := jl.NewExactLeverage(a)
-		lev := lp.NewLeverageFn(context.Background(), a, sol, 0.5, 1)
+		lev := exactLeverage(a, sol)
 		for trial := 0; trial < 10; trial++ {
 			d := barrierScaling(a.Rows(), rnd)
 			want, err := leverageFullSpMV(a, d, gramSolve(sol, d))
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := exact.Scores(d, gramSolve(sol, d))
-			if err != nil {
-				t.Fatal(err)
-			}
-			viaFn, err := lev(d)
+			got, err := lev(d)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i := range want {
-				if got[i] != want[i] || viaFn[i] != want[i] {
-					t.Fatalf("%s trial %d: σ[%d] = %v (column pass), %v (NewLeverageFn), full products %v",
-						backend, trial, i, got[i], viaFn[i], want[i])
+				if got[i] != want[i] {
+					t.Fatalf("%s trial %d: σ[%d] = %v (column pass), full products %v",
+						backend, trial, i, got[i], want[i])
 				}
 			}
 		}
@@ -146,9 +156,9 @@ func TestDenseBackendFactorFollowsD(t *testing.T) {
 	}
 }
 
-// With D fixed across calls, an exact LeverageFn call allocates σ and one
-// result per solve, nothing else: no column index, operator, factor or
-// right-hand side is rebuilt per call.
+// With D fixed across calls, an exact leverage call allocates σ and one
+// result per solve, nothing else: no column index, D = d² buffer,
+// operator, factor or right-hand side is rebuilt per call.
 func TestLeverageExactAllocations(t *testing.T) {
 	a := flowLP(t)
 	d := barrierScaling(a.Rows(), rand.New(rand.NewSource(33)))
@@ -157,7 +167,7 @@ func TestLeverageExactAllocations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lev := lp.NewLeverageFn(context.Background(), a, sol, 0.5, 1)
+		lev := exactLeverage(a, sol)
 		allocs := testing.AllocsPerRun(20, func() {
 			if _, err := lev(d); err != nil {
 				t.Fatal(err)
@@ -185,7 +195,7 @@ func BenchmarkLeverageExact(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			lev := lp.NewLeverageFn(context.Background(), a, sol, 0.5, 1)
+			lev := exactLeverage(a, sol)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -20,6 +20,21 @@ func tallMatrix(m, n int, rnd *rand.Rand) *linalg.CSR {
 	return linalg.NewCSR(m, n, ts)
 }
 
+// exactLeverage is the IPM's leverage function over A, as newIPM builds
+// it: jl.ExactLeverage with its Gram solves bound through ATDASolve.Gram
+// to one reused D = d² buffer.
+func exactLeverage(a *linalg.CSR, solve ATDASolve) LeverageFn {
+	exact := jl.NewExactLeverage(a)
+	d2 := make([]float64, a.Rows())
+	gram := solve.Gram(context.Background(), d2)
+	return func(d []float64) ([]float64, error) {
+		for i, v := range d {
+			d2[i] = v * v
+		}
+		return exact.Scores(d, gram)
+	}
+}
+
 func TestLewisWeightsPTwoAreLeverageScores(t *testing.T) {
 	rnd := rand.New(rand.NewSource(1))
 	m, n := 20, 4
@@ -28,16 +43,14 @@ func TestLewisWeightsPTwoAreLeverageScores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lev := NewLeverageFn(context.Background(), a, sol, 0.5, 1)
+	lev := exactLeverage(a, sol)
 	base := linalg.Ones(m)
 	// For p = 2, W^{1/2−1/p} = W⁰ = I, so the fixed point is σ(A) itself.
 	sigma, err := lev(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par := DefaultLewisParams()
-	par.MaxIters = 30
-	w, err := ComputeApxWeights(lev, base, 2, sigma, par)
+	w, err := ComputeApxWeights(lev, base, 2, sigma, lewisIters)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,12 +69,10 @@ func TestLewisFixedPoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lev := NewLeverageFn(context.Background(), a, sol, 0.5, 1)
+	lev := exactLeverage(a, sol)
 	base := linalg.Ones(m)
 	p := 1.2
-	par := DefaultLewisParams()
-	par.MaxIters = 60
-	w, _, err := ComputeInitialWeights(lev, base, p, n, m, par, 100)
+	w, _, err := ComputeInitialWeights(lev, base, p, n, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,10 +110,7 @@ func TestComputeInitialWeightsStepCountScales(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lev := NewLeverageFn(context.Background(), a, sol, 0.5, 1)
-		par := DefaultLewisParams()
-		par.MaxIters = 2
-		_, st, err := ComputeInitialWeights(lev, linalg.Ones(m), 1-1/math.Log(4*float64(m)), n, m, par, 10000)
+		_, st, err := ComputeInitialWeights(exactLeverage(a, sol), linalg.Ones(m), 1-1/math.Log(4*float64(m)), n, m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +128,7 @@ func TestComputeInitialWeightsStepCountScales(t *testing.T) {
 }
 
 func TestComputeApxWeightsRejectsBadP(t *testing.T) {
-	if _, err := ComputeApxWeights(nil, nil, 0, nil, DefaultLewisParams()); err == nil {
+	if _, err := ComputeApxWeights(nil, nil, 0, nil, lewisIters); err == nil {
 		t.Fatal("p = 0 accepted")
 	}
 }
@@ -138,44 +146,20 @@ func countingSolve(t *testing.T, a *linalg.CSR, calls *int) ATDASolve {
 	}
 }
 
-// The exact leverage path costs one Gram solve per column of A (n), not
-// one per row (m); the sketch costs its k rows and takes over only once
-// n exceeds the sketch dimension.
-func TestNewLeverageFnSolveCounts(t *testing.T) {
-	rnd := rand.New(rand.NewSource(4))
-	cases := []struct {
-		name      string
-		m, n      int
-		eta       float64
-		wantExact bool
-	}{
-		{"sketch dimension above n", 30, 6, 0.5, true},
-		{"sketch dimension below n", 60, 12, 8, false},
-	}
-	for _, tc := range cases {
-		a := tallMatrix(tc.m, tc.n, rnd)
-		calls := 0
-		lev := NewLeverageFn(context.Background(), a, countingSolve(t, a, &calls), tc.eta, 1)
-		want := tc.n
-		if !tc.wantExact {
-			k := jl.SketchDim(tc.m, tc.eta/4)
-			if k >= tc.n {
-				t.Fatalf("%s: sketch dimension %d does not undercut n = %d", tc.name, k, tc.n)
-			}
-			sk, err := jl.NewKaneNelson(k, tc.m, 0, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want = sk.K()
+// Exact leverage costs one Gram solve per column of A (n), not one per
+// row (m), on every call.
+func TestExactLeverageSolveCounts(t *testing.T) {
+	m, n := 30, 6
+	a := tallMatrix(m, n, rand.New(rand.NewSource(4)))
+	calls := 0
+	lev := exactLeverage(a, countingSolve(t, a, &calls))
+	for call := 0; call < 3; call++ {
+		before := calls
+		if _, err := lev(linalg.Ones(m)); err != nil {
+			t.Fatal(err)
 		}
-		for call := 0; call < 3; call++ {
-			before := calls
-			if _, err := lev(linalg.Ones(tc.m)); err != nil {
-				t.Fatal(err)
-			}
-			if got := calls - before; got != want {
-				t.Fatalf("%s: call %d issued %d Gram solves, want %d", tc.name, call, got, want)
-			}
+		if got := calls - before; got != n {
+			t.Fatalf("call %d issued %d Gram solves, want %d", call, got, n)
 		}
 	}
 }

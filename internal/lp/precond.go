@@ -20,8 +20,8 @@
 //  3. build the fill-free elimination structure (linalg.TreeCholPrecond).
 //
 // Per ATDA call the backend only refreshes numerics — and only when the
-// IPM actually reweighted D: the leverage-score sketches issue many solves
-// against one diagonal, which all reuse the previous factorization.
+// IPM actually reweighted D: exact leverage issues its n′ solves against
+// one diagonal, which all reuse the previous factorization.
 package lp
 
 import (
@@ -219,7 +219,7 @@ func (st *pcgStructure) refresh(d, diag []float64) {
 
 // floatsEqual reports bitwise equality of two equal-length vectors — the
 // refresh guard. An O(m) compare is noise next to the O(nnz·iters) solve
-// it saves when the leverage sketches re-solve against an unchanged D.
+// it saves when exact leverage's n′ solves run against an unchanged D.
 func floatsEqual(a, b []float64) bool {
 	for i, v := range a {
 		if v != b[i] {

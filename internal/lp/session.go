@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 
+	"bcclap/internal/jl"
 	"bcclap/internal/linalg"
 )
 
@@ -28,6 +29,11 @@ type Session struct {
 	// the session, reported per solve in every Solution.
 	pstats *PrecondStats
 	scr    *scratch
+	// exact holds A's column index and levD2 the diagonal D = d² of the
+	// leverage solves, both built once: every Lewis iteration of every
+	// solve makes its n′ Gram solves through them.
+	exact *jl.ExactLeverage
+	levD2 []float64
 
 	// The problem shape and the IPM constants it fixes.
 	m, n  int
@@ -58,8 +64,10 @@ func NewSession(prob *Problem) (*Session, error) {
 	cK := 2 * math.Log(4*float64(m))
 	return &Session{
 		prob: prob, bar: bar, backend: backend, solve: solve, pstats: pstats,
-		scr: newScratch(m, n),
-		m:   m, n: n,
+		scr:   newScratch(m, n),
+		exact: jl.NewExactLeverage(prob.A),
+		levD2: make([]float64, m),
+		m:     m, n: n,
 		p:     1 - 1/math.Log(4*float64(m)),
 		c0:    float64(n) / (2 * float64(m)),
 		cK:    cK,
@@ -71,13 +79,20 @@ func NewSession(prob *Problem) (*Session, error) {
 func (sess *Session) Backend() string { return sess.backend }
 
 // newIPM builds the per-call solver state over the session's shared
-// backend and scratch.
+// backend and scratch, binding the leverage solves to ctx. The leverage
+// solves' iteration counts are discarded.
 func (sess *Session) newIPM(ctx context.Context, par Params) *ipm {
 	s := &ipm{Session: sess, ctx: ctx, par: par, startRounds: par.Net.Rounds()}
 	if sess.pstats != nil {
 		s.startRefreshes = sess.pstats.Refreshes
 	}
-	s.lev = NewLeverageFn(ctx, sess.prob.A, sess.solve, leverageEta, cmp.Or(par.Seed, 1))
+	gram := sess.solve.Gram(ctx, sess.levD2)
+	s.lev = func(d []float64) ([]float64, error) {
+		for i, v := range d {
+			sess.levD2[i] = v * v
+		}
+		return sess.exact.Scores(d, gram)
+	}
 	return s
 }
 
@@ -129,7 +144,7 @@ func (s *ipm) initialWeights(x []float64) ([]float64, error) {
 	for i := range base {
 		base[i] = 1 / math.Sqrt(phi2[i])
 	}
-	w, _, err := ComputeInitialWeights(s.lev, base, s.p, s.n, m, DefaultLewisParams(), initWeightSteps)
+	w, _, err := ComputeInitialWeights(s.lev, base, s.p, s.n, m)
 	if err != nil {
 		return nil, fmt.Errorf("lp: initial weights: %w", err)
 	}

@@ -19,8 +19,6 @@ var ErrInfeasible = errors.New("lp: starting point is not strictly feasible")
 // values are fixed constants (see the package comment and the const block
 // below); each t-step runs exactly one centering, as in Algorithm 10.
 type Params struct {
-	// Seed feeds the shared Kane–Nelson seeds (0 selects 1).
-	Seed int64
 	// Net, if non-nil, receives round accounting.
 	Net *sim.Network
 	// Progress, if non-nil, is invoked after every path step with the phase
@@ -39,12 +37,17 @@ type Params struct {
 
 // Practical values for the paper's (m, n)-dependent constants, keeping the
 // asymptotic shapes of Theorem 1.4 while converging in float64. The
-// Lewis-weight iterations use DefaultLewisParams.
+// paper's Algorithm 7 clamps each Lewis-weight step to the band
+// r = p²(4−p)/2²⁰ and runs T = Θ((p + 1/p)·log(pn/η)) iterations; r is
+// tiny because the proof tracks a local contraction, and in float64 a wide
+// band with a few damped fixed-point steps reaches the same fixed point.
 const (
 	alphaScale      = 0.4    // t-step α = 0.4/√n (paper: R/(1600√n·log²m))
 	finalCenterings = 12     // extra centerings at t_end (paper: 4c_k·log(1/η))
-	leverageEta     = 0.5    // JL distortion of sketched leverage scores
 	maxPathSteps    = 200000 // safety cap on total t-steps
+	lewisBand       = 0.9    // Lewis clamp band r around w0 (paper: p²(4−p)/2²⁰)
+	lewisIters      = 8      // Lewis iterations T per centering
+	lewisFloor      = 1e-10  // floor on Lewis weights, for numerical safety
 	initWeightSteps = 400    // cap on the Algorithm 8 homotopy length
 )
 
@@ -227,7 +230,7 @@ func (s *ipm) center(x, w []float64, t float64, c []float64) ([]float64, []float
 	for i := range base {
 		base[i] = 1 / math.Sqrt(phi2New[i])
 	}
-	apx, err := ComputeApxWeights(s.lev, base, s.p, w, DefaultLewisParams())
+	apx, err := ComputeApxWeights(s.lev, base, s.p, w, lewisIters)
 	if err != nil {
 		return x, w, err
 	}

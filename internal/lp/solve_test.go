@@ -39,7 +39,7 @@ func solveFresh(prob *Problem, x0 []float64, eps float64, par Params) (*Solution
 func TestSolveSimplexLP(t *testing.T) {
 	c := []float64{3, 1, 4, 1.5, 5}
 	prob, x0 := simplexProblem(c)
-	sol, err := solveFresh(prob, x0, 0.05, Params{Seed: 7})
+	sol, err := solveFresh(prob, x0, 0.05, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestSolveTwoVariableLP(t *testing.T) {
 		L: []float64{0, 0},
 		U: []float64{1, 1},
 	}
-	sol, err := solveFresh(prob, []float64{0.5, 0.5}, 0.02, Params{Seed: 3})
+	sol, err := solveFresh(prob, []float64{0.5, 0.5}, 0.02, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestSolveWithOneSidedBounds(t *testing.T) {
 		L: []float64{0.1, 0.1},
 		U: []float64{math.Inf(1), math.Inf(1)},
 	}
-	sol, err := solveFresh(prob, []float64{1, 1}, 0.02, Params{Seed: 5})
+	sol, err := solveFresh(prob, []float64{1, 1}, 0.02, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestPathStepsScaleWithSqrtN(t *testing.T) {
 	// derives from n by constructing block problems with growing n).
 	steps := func(n int) int {
 		prob, x0 := blockSimplexProblem(n, "")
-		sol, err := solveFresh(prob, x0, 0.1, Params{Seed: 11})
+		sol, err := solveFresh(prob, x0, 0.1, Params{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +154,7 @@ func TestCenteringsPerPathStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par := Params{Seed: 7}
+	var par Params
 	const final = finalCenterings
 	sol, err := sess.Solve(context.Background(), x0, 0.05, par)
 	if err != nil {
@@ -212,7 +212,7 @@ func solveWithStop(t *testing.T, backend string, k int) *stopRun {
 	prob, x0 := blockSimplexProblem(3, backend)
 	run := &stopRun{}
 	phase := 0
-	par := Params{Seed: 5, Progress: func(p, _ int, _ float64) {
+	par := Params{Progress: func(p, _ int, _ float64) {
 		phase = p
 		if p == 1 {
 			run.phase1Steps++
@@ -244,7 +244,7 @@ func TestStopEndsPhaseTwo(t *testing.T) {
 	for _, backend := range []string{"dense", "csr-pcg"} {
 		t.Run(backend, func(t *testing.T) {
 			prob, x0 := blockSimplexProblem(3, backend)
-			ref, err := solveFresh(prob, x0, 0.1, Params{Seed: 5})
+			ref, err := solveFresh(prob, x0, 0.1, Params{})
 			if err != nil {
 				t.Fatal(err)
 			}

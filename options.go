@@ -91,10 +91,11 @@ func WithBackend(name string) Option {
 	return func(c *config) { c.backend = name }
 }
 
-// WithSeed fixes the seed driving all randomness (perturbations,
-// sparsifier sampling, sketching). Sessions derive per-query streams from
-// it deterministically: the same seed replays bit-identical runs. Applies
-// to every entry point.
+// WithSeed fixes the seed driving all randomness (flow cost
+// perturbations, sparsifier sampling). Sessions derive per-query streams
+// from it deterministically: the same seed replays bit-identical runs.
+// Applies to NewFlowSolver, NewLaplacianSession and SparsifyGraph;
+// NewLPSolver draws no random numbers and ignores it.
 func WithSeed(seed int64) Option {
 	return func(c *config) { c.seed = seed }
 }

@@ -336,7 +336,7 @@ func NewLPSolver(prob *LPProblem, opts ...Option) (*LPSolver, error) {
 // feasible x0 to objective accuracy eps under ctx. An x0 outside the
 // strict interior (or violating Aᵀx = b) returns ErrInfeasible.
 func (l *LPSolver) Solve(ctx context.Context, x0 []float64, eps float64) (*LPSolution, Stats, error) {
-	par := lp.Params{Net: l.cfg.net, Seed: l.cfg.seed}
+	par := lp.Params{Net: l.cfg.net}
 	if l.cfg.progress != nil {
 		prg := l.cfg.progress
 		par.Progress = func(phase, step int, t float64) {
