@@ -126,7 +126,6 @@
 //
 //	dense   — assemble AᵀDA and factorize it once per barrier diagonal;
 //	          exact reference, O(n³) per diagonal and O(n²) per solve
-//	gremban — Gremban reduction to a Laplacian + preconditioned CG (Lemma 5.1)
 //	csr-cg  — matrix-free CG applying AᵀDA in one fused pass over A's
 //	          rows; never materializes AᵀDA and scales to large instances
 //	csr-pcg — csr-cg plus a combinatorial preconditioner: a spanning-forest

@@ -23,14 +23,15 @@ func main() {
 	s, t := 0, d.N()-1
 	fmt.Printf("transport network: %d nodes, %d arcs\n", d.N(), d.M())
 
-	// WithBackend selects the AᵀDA linear-solve strategy: "gremban" is the
-	// paper's Lemma 5.1 Laplacian route; "csr-cg" (matrix-free CG) is the
-	// scalable choice for large networks; "dense" the exact reference.
-	// bcclap.FlowBackends() lists every registered name — a typo here
-	// fails fast with bcclap.ErrBackendUnknown.
+	// WithBackend selects the AᵀDA linear-solve strategy: "csr-pcg" is
+	// matrix-free CG preconditioned by a spanning forest built with the
+	// paper's spanner/sparsifier machinery; "csr-cg" is the same CG with
+	// Jacobi; "dense" the exact reference. bcclap.FlowBackends() lists
+	// every registered name — a typo here fails fast with
+	// bcclap.ErrBackendUnknown.
 	solver, err := bcclap.NewFlowSolver(d,
 		bcclap.WithSeed(3),
-		bcclap.WithBackend("gremban"))
+		bcclap.WithBackend("csr-pcg"))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -145,11 +145,11 @@ func TestDefaultBackendAutoSelection(t *testing.T) {
 	if fs.backend != "csr-pcg" {
 		t.Fatalf("session backend %q, want auto-selected csr-pcg", fs.backend)
 	}
-	fs, err = NewSolver(sparse, Options{Backend: "gremban"})
+	fs, err = NewSolver(sparse, Options{Backend: "csr-cg"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fs.backend != "gremban" {
+	if fs.backend != "csr-cg" {
 		t.Fatalf("named backend overridden by auto rule: %q", fs.backend)
 	}
 	fs, err = NewSolver(sparse, Options{Backend: "dense"})

@@ -4,11 +4,10 @@
 //   - the paper's pipeline: the auxiliary LP with slack variables y, z and
 //     flow variable F, Daitch–Spielman cost perturbation for uniqueness,
 //     the Lee–Sidford solver with (AᵀDA)-solves routed through a pluggable
-//     backend (dense factorization, the Gremban reduction to Laplacian
-//     systems of Lemma 5.1, or matrix-free CG — plain, or preconditioned
-//     by the spanner-built forest of the csr-pcg backend, which
-//     DefaultBackendFor auto-selects on sparse networks), and rounding
-//     back to an exact integral flow;
+//     backend (dense factorization, or matrix-free CG — plain, or
+//     preconditioned by the spanner-built forest of the csr-pcg backend,
+//     which DefaultBackendFor auto-selects on sparse networks), and
+//     rounding back to an exact integral flow;
 //   - classic combinatorial baselines (Dinic's max-flow and successive
 //     shortest paths with potentials) that the experiments compare
 //     against; and

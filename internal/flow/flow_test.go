@@ -156,20 +156,6 @@ func TestMinCostMaxFlowLPPipelineDiamond(t *testing.T) {
 	}
 }
 
-func TestMinCostMaxFlowLPPipelineGremban(t *testing.T) {
-	d := diamond(t)
-	res, err := solveCold(d, 0, 3, Options{
-		Backend: "gremban",
-		Seed:    SeedOf(2),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Value != 4 || res.Cost != 12 {
-		t.Fatalf("Gremban pipeline: value %d cost %d, want 4 and 12", res.Value, res.Cost)
-	}
-}
-
 func TestMinCostMaxFlowMatchesSSPRandom(t *testing.T) {
 	rnd := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 4; trial++ {

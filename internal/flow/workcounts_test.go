@@ -27,7 +27,7 @@ const workCountsGolden = "workcounts.golden"
 func workCounts(t *testing.T) (string, map[string]map[string]int) {
 	var b strings.Builder
 	coldCG := map[string]map[string]int{}
-	for _, backend := range []string{"dense", "gremban", "csr-cg", "csr-pcg"} {
+	for _, backend := range []string{"dense", "csr-cg", "csr-pcg"} {
 		coldCG[backend] = map[string]int{}
 		for _, inst := range []struct {
 			n    int

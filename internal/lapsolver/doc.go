@@ -9,10 +9,10 @@
 //     solve in L_H.
 //   - SDDSolver: the Gremban reduction from symmetric diagonally dominant
 //     systems to a Laplacian system on twice as many vertices (Lemma 5.1),
-//     which the min-cost-flow LP needs for its AᵀDA solves. One reusable
-//     value owns its workspace and solves the reduction by
-//     Jacobi-preconditioned CG under linalg.InexactCGTo, the policy the
-//     matrix-free AᵀDA backends share.
+//     which the paper uses for the min-cost-flow LP's AᵀDA solves (e10
+//     measures it). One reusable value owns its workspace and solves the
+//     reduction by Jacobi-preconditioned CG under linalg.InexactCGTo, the
+//     policy the matrix-free AᵀDA backends share.
 //
 // Invariants:
 //

@@ -95,8 +95,8 @@ func CGTo(ctx context.Context, x []float64, a LinOp, b []float64, tol float64, m
 // InexactCGTo is the inexact-solve policy of the interior-point method's
 // normal-equation solves, in one place: CGTo on A x = b with relative
 // tolerance 1e-10 and a budget of 40·n+4000 iterations. A run that spends
-// the budget short of the tolerance fails with ErrNoConvergence. Every
-// inexact AᵀDA solve, matrix-free and Gremban alike, runs through it, so
+// the budget short of the tolerance fails with ErrNoConvergence. The
+// matrix-free AᵀDA backends and lapsolver's SDD solve run through it, so
 // their iteration counts stay comparable.
 func InexactCGTo(ctx context.Context, x []float64, a LinOp, b []float64, precondTo func(dst, r []float64), ws *Workspace) (int, error) {
 	return CGTo(ctx, x, a, b, 1e-10, 40*len(b)+4000, precondTo, ws)

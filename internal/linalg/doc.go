@@ -19,8 +19,9 @@
 //     and the Gremban SDD solve share one projected-Laplacian operator,
 //     ProjectedOp.
 //   - One inexact-solve policy: InexactCGTo is the only place that fixes
-//     the interior-point method's CG tolerance (1e-10) and budget
-//     (40·n+4000); a spent budget is ErrNoConvergence, never a silently
+//     the CG tolerance (1e-10) and budget (40·n+4000) of the
+//     interior-point method's matrix-free AᵀDA solves and of lapsolver's
+//     SDD solve; a spent budget is ErrNoConvergence, never a silently
 //     accepted iterate. Inexact solves are also where the IPM iterates'
 //     drift off Aᵀx = b comes from, so the rule lives in one function
 //     that a stricter stopping rule can replace.

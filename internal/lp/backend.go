@@ -11,10 +11,6 @@
 //	          (Cholesky, kept until D changes, with an uncached Gaussian
 //	          fallback); the exact reference, O(n³) per D and O(n²) per
 //	          solve.
-//	gremban — assemble AᵀDA, reduce to a Laplacian on 2n vertices via the
-//	          Gremban reduction (Lemma 5.1) and solve it with one reusable
-//	          lapsolver.SDDSolver; requires the SDD structure the flow LP
-//	          guarantees.
 //	csr-cg  — never materialize AᵀDA: apply Aᵀ·diag(D)·A in one fused
 //	          pass over A's rows inside Jacobi-preconditioned CG. O(nnz)
 //	          per iteration, and the only backend that scales past tiny n.
@@ -27,9 +23,9 @@
 //	          Jacobi on general matrices.
 //
 // csr-cg and csr-pcg are one constructor, matrixFreeSolve: csr-cg is
-// csr-pcg with an empty preconditioner structure and no counters. Every
-// inexact backend — the two matrix-free ones and gremban — stops its CG
-// by linalg.InexactCGTo, the one definition of the tolerance and budget.
+// csr-pcg with an empty preconditioner structure and no counters. Both
+// stop their CG by linalg.InexactCGTo, the one definition of the
+// tolerance and budget.
 package lp
 
 import (
@@ -39,7 +35,6 @@ import (
 	"sort"
 	"sync"
 
-	"bcclap/internal/lapsolver"
 	"bcclap/internal/linalg"
 )
 
@@ -73,9 +68,9 @@ type statsFactory func(a *linalg.CSR) (ATDASolve, *PrecondStats, error)
 
 var (
 	backendMu sync.RWMutex
-	// backends holds the two matrix-free built-ins, whose factories the
-	// registry calls directly, and every RegisterBackend entry.
+	// backends holds the three built-ins and every RegisterBackend entry.
 	backends = map[string]statsFactory{
+		"dense":   denseBackend,
 		"csr-pcg": csrPCGBackend,
 		// csr-cg is csr-pcg's Jacobi fallback on every matrix, registered
 		// without counters, so its PrecondRefreshes stays 0.
@@ -153,17 +148,12 @@ func ValidateBackend(name string) error {
 // empty.
 const DefaultBackend = "dense"
 
-func init() {
-	RegisterBackend("dense", denseBackend)
-	RegisterBackend("gremban", grembanBackend)
-}
-
 // denseBackend assembles AᵀDA into a reused n×n buffer and factorizes it
 // once per diagonal: the Cholesky factor is kept until D changes (the
 // floatsEqual rule of matrixFreeSolve), so the n′ leverage solves against
 // one D share one factorization. The reference for tests and small
-// instances.
-func denseBackend(a *linalg.CSR) (ATDASolve, error) {
+// instances; it keeps no preconditioner counters.
+func denseBackend(a *linalg.CSR) (ATDASolve, *PrecondStats, error) {
 	n := a.Cols()
 	gram := linalg.NewDense(n, n)
 	dbuf := make([]float64, a.Rows())
@@ -185,25 +175,7 @@ func denseBackend(a *linalg.CSR) (ATDASolve, error) {
 			copy(dbuf, d)
 		}
 		return linalg.CholSolve(chol, y), 0, nil
-	}, nil
-}
-
-// grembanBackend assembles AᵀDA (reusing the buffer) and routes the solve
-// through the Gremban reduction to a 2n-vertex Laplacian handled by
-// preconditioned CG — the Lemma 5.1 path. It requires AᵀDA to be SDD with
-// non-positive off-diagonals, which holds for incidence-structured A such
-// as the flow LP's; other matrices get an ErrNotSDD at solve time.
-func grembanBackend(a *linalg.CSR) (ATDASolve, error) {
-	n := a.Cols()
-	gram := linalg.NewDense(n, n)
-	var sdd lapsolver.SDDSolver
-	return func(ctx context.Context, d, y []float64) ([]float64, int, error) {
-		if err := checkATDAArgs(a, d, y); err != nil {
-			return nil, 0, err
-		}
-		a.GramTo(gram, d)
-		return sdd.Solve(ctx, gram, y)
-	}, nil
+	}, nil, nil
 }
 
 // matrixFreeSolve is the ATDASolve of the matrix-free backends: it never

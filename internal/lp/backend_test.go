@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"bcclap/internal/linalg"
@@ -11,8 +12,7 @@ import (
 
 // incidenceProblem builds a flow-LP-shaped constraint matrix: an incidence
 // block over a random connected digraph plus identity rows, so AᵀDA is SDD
-// with non-positive off-diagonals and every registered backend (including
-// gremban) applies.
+// with non-positive off-diagonals, as in a flow LP.
 func incidenceProblem(n int, rnd *rand.Rand) *linalg.CSR {
 	var ts []linalg.Triple
 	row := 0
@@ -40,21 +40,17 @@ func incidenceProblem(n int, rnd *rand.Rand) *linalg.CSR {
 	return linalg.NewCSR(row, n, ts)
 }
 
+// The registry holds exactly the three built-ins; any other name, the
+// retired gremban included, fails with ErrBackendUnknown.
 func TestRegisteredBackends(t *testing.T) {
-	names := Backends()
-	want := map[string]bool{"dense": false, "gremban": false, "csr-cg": false}
-	for _, n := range names {
-		if _, ok := want[n]; ok {
-			want[n] = true
-		}
+	if names := Backends(); !slices.Equal(names, []string{"csr-cg", "csr-pcg", "dense"}) {
+		t.Fatalf("registered backends %v, want [csr-cg csr-pcg dense]", names)
 	}
-	for n, seen := range want {
-		if !seen {
-			t.Fatalf("backend %q not registered (have %v)", n, names)
+	a := linalg.NewCSR(1, 1, []linalg.Triple{{Row: 0, Col: 0, Val: 1}})
+	for _, name := range []string{"no-such-backend", "gremban"} {
+		if _, _, err := NewBackendSolverStats(name, a); !errors.Is(err, ErrBackendUnknown) {
+			t.Fatalf("backend %q: got %v, want ErrBackendUnknown", name, err)
 		}
-	}
-	if _, _, err := NewBackendSolverStats("no-such-backend", linalg.NewCSR(1, 1, []linalg.Triple{{Row: 0, Col: 0, Val: 1}})); err == nil {
-		t.Fatal("unknown backend accepted")
 	}
 }
 

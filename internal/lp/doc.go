@@ -11,7 +11,7 @@
 // as good as the caller's certificate, by design).
 //
 // The per-step normal equations (AᵀDA)x = y go through a pluggable backend
-// registry ("dense", "gremban", "csr-cg", "csr-pcg";
+// registry ("dense", "csr-cg", "csr-pcg";
 // ValidateBackend/Backends) shared with the flow layer, so the same IPM
 // scales from the exact dense reference to matrix-free CG that never
 // materializes AᵀDA. The csr-pcg backend adds a combinatorial
@@ -20,6 +20,9 @@
 // constraint matrix with the paper's own spanner/sparsifier machinery and
 // only numerically refreshed when the IPM reweights D (precond.go); its
 // build/refresh counters surface in Solution.PrecondBuilds/Refreshes.
+// Lemma 5.1's Gremban reduction is no backend: on [y; −y] its CG is
+// csr-cg's Jacobi CG on doubled vectors, so lapsolver.SDDSolver measures
+// it on its own (e10).
 //
 // Invariants:
 //

@@ -78,7 +78,7 @@ func (c *config) apply(opts []Option) {
 }
 
 // WithBackend selects the AᵀDA linear-solve strategy by registry name
-// ("dense", "gremban", "csr-cg", "csr-pcg", …; FlowBackends lists them).
+// ("dense", "csr-cg", "csr-pcg", …; FlowBackends lists them).
 // Without it a NewFlowSolver auto-selects from the graph: "csr-pcg" —
 // matrix-free CG with the spanner-built combinatorial preconditioner —
 // when the flow network is sparse (n ≥ 32 vertices and m ≤ n²/8 arcs),

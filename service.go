@@ -232,13 +232,17 @@ func tenantOpts(cfg config) store.TenantOpts {
 // the defaults of the original Register/Swap. Fields a record marks unset
 // keep their defaults, and a shard count from versions that ran
 // max(pool, shards) workers folds into the pool size. Tol and Retries, from
-// versions that had those options, are ignored.
+// versions that had those options, are ignored, and the retired "gremban"
+// backend replays as "csr-cg", whose Jacobi CG it ran on a doubled system.
 func configOf(o store.TenantOpts) config {
 	cfg := config{
 		backend:   o.Backend,
 		seed:      o.Seed,
 		poolSize:  max(o.Pool, o.Shards),
 		cacheSize: DefaultCacheSize,
+	}
+	if cfg.backend == "gremban" {
+		cfg.backend = "csr-cg"
 	}
 	if o.CacheSizeSet {
 		cfg.cacheSize = o.CacheSize

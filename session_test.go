@@ -311,6 +311,7 @@ func TestNewLPSolverBackendNamesWhatRuns(t *testing.T) {
 	}{
 		{newProb(""), []Option{WithBackend("no-such-backend")}},
 		{newProb("no-such-backend"), nil},
+		{newProb("gremban"), nil}, // retired
 	} {
 		if _, err := NewLPSolver(c.prob, c.opts...); !errors.Is(err, ErrBackendUnknown) {
 			t.Fatalf("unknown backend (prob.Backend %q): got %v, want ErrBackendUnknown", c.prob.Backend, err)

@@ -54,6 +54,9 @@ type walCompatTenant struct {
 //     were removed: a tenant registered with tolerance 0.1 and one retry,
 //     and a tenant swapped with two retries. Replay maps both onto the
 //     solver's fixed values.
+//   - walcompat-gremban, written before lp's gremban backend was removed:
+//     a tenant registered on it and a tenant swapped onto it. Both replay
+//     on csr-cg, the backend whose numerics it shared.
 //
 // Every tenant must come back at its version, backend, worker count,
 // cache budget and limits, and answer exactly like a fresh solver with
@@ -75,6 +78,11 @@ func TestWALCompat(t *testing.T) {
 				Limits{RatePerSec: 3, Burst: 1}, 4, 15},
 			{"b", testFlowNetwork(6, 73), 2, "dense", 1, DefaultCacheSize,
 				Limits{MaxInFlight: 2}, 7, 32},
+		}},
+		{"walcompat-gremban", []walCompatTenant{
+			{"a", testFlowNetwork(5, 91), 1, "csr-cg", 2, 5, Limits{}, 2, 7},
+			{"b", testFlowNetwork(6, 93), 2, "csr-cg", 1, DefaultCacheSize,
+				Limits{MaxInFlight: 3}, 4, 7},
 		}},
 	} {
 		t.Run(fx.dir, func(t *testing.T) {
