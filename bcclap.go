@@ -101,12 +101,13 @@
 //
 // PatchArcs is the incremental alternative to Swap when the topology is
 // unchanged: arc capacity/cost deltas (ArcDelta) are journaled, folded
-// into the live worker sessions — which keep their LP structure, backend
-// workspaces and warm-start state, so the next resolve of an affected
-// pair re-centers instead of re-running path following — and the cache
-// is invalidated selectively: only entries whose flow routes through a
-// modified arc are dropped, the rest are re-certified and migrated to
-// the new version. Malformed deltas fail with ErrBadPatch before any
+// into the live worker sessions — which keep their LP structure, IPM
+// sessions, backend workspaces and warm-start state, rewriting only each
+// LP's bounds and start point in place, so the next resolve of an
+// affected pair re-centers instead of re-running path following — and
+// the cache is invalidated selectively: only entries whose flow routes
+// through a modified arc are dropped, the rest are re-certified and
+// migrated to the new version. Malformed deltas fail with ErrBadPatch before any
 // state changes; mutations racing on one tenant fail with ErrNetworkBusy.
 //
 // cmd/bcclap-serve exposes the service over REST (PUT/GET/DELETE

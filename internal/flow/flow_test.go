@@ -130,11 +130,14 @@ func TestLPFormStructure(t *testing.T) {
 			t.Fatalf("x0[%d] = %v not strictly inside [%v, %v]", i, v, form.Prob.L[i], form.Prob.U[i])
 		}
 	}
-	// Perturbed costs preserve the original ordering scale-wise.
-	for i := range form.QTilde {
-		lo := d.Arc(i).Cost * form.CostScale
-		if form.QTilde[i] <= lo || form.QTilde[i] > lo+2*int64(d.M())*form.CostScale {
-			t.Fatalf("perturbation out of range on arc %d", i)
+	// Perturbed costs preserve the original ordering scale-wise: arc i
+	// costs cost_i·4m²M² plus a draw from [1, 2mM].
+	m, bigM := int64(d.M()), formBigM(d)
+	scale := 4 * m * m * bigM * bigM
+	for i, c := range form.Prob.C[:m] {
+		lo := float64(d.Arc(i).Cost * scale)
+		if c <= lo || c > lo+float64(2*m*bigM) {
+			t.Fatalf("perturbation %v out of range (%v, %v] on arc %d", c, lo, lo+float64(2*m*bigM), i)
 		}
 	}
 }

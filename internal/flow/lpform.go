@@ -1,7 +1,6 @@
 package flow
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -21,11 +20,6 @@ type LPForm struct {
 
 	Prob *lp.Problem
 	X0   []float64
-
-	// Perturbed integer costs q̃ (Daitch–Spielman), and the scale by which
-	// original costs were multiplied before perturbing.
-	QTilde    []int64
-	CostScale int64
 
 	// Index layout inside the variable vector.
 	NPrime int // |V|−1
@@ -50,11 +44,12 @@ func vertexIndex(n, s int) (idx []int) {
 }
 
 // NewLPFormStructure builds everything about the LP that does not depend
-// on the cost perturbation: the constraint matrix, box bounds and interior
-// starting point are functions of (d, s, t) only. A session caches this
-// structure per terminal pair and calls Perturb once per solve attempt, so
-// repeated queries skip the O(m) formulation rebuild (and the backend
-// bound to the matrix stays valid across attempts).
+// on the cost perturbation: the constraint matrix, a function of the
+// topology and (s, t) only, and the bounds and interior starting point
+// (writeBounds). A session caches this structure per terminal pair and
+// calls Perturb once per solve attempt, so repeated queries skip the O(m)
+// formulation rebuild (and the backend bound to the matrix stays valid
+// across attempts and arc patches).
 func NewLPFormStructure(d *graph.Digraph, s, t int) (*LPForm, error) {
 	if err := checkNonEmpty(d); err != nil {
 		return nil, err
@@ -64,10 +59,6 @@ func NewLPFormStructure(d *graph.Digraph, s, t int) (*LPForm, error) {
 	}
 	n, m := d.N(), d.M()
 	nPrime := n - 1
-	bigM := formBigM(d)
-	fMax := 2 * float64(n) * float64(bigM) * float64(m)
-	yMax := 4 * (fMax + float64(m)*float64(bigM) + 1)
-
 	vidx := vertexIndex(n, s)
 	mPrime := m + 2*nPrime + 1
 	offY, offZ, offF := m, m+nPrime, m+2*nPrime
@@ -88,33 +79,49 @@ func NewLPFormStructure(d *graph.Digraph, s, t int) (*LPForm, error) {
 			linalg.Triple{Row: offZ + j, Col: j, Val: -1},
 		)
 	}
-	tIdx := vidx[t]
-	ts = append(ts, linalg.Triple{Row: offF, Col: tIdx, Val: -1})
+	ts = append(ts, linalg.Triple{Row: offF, Col: vidx[t], Val: -1})
 
-	a := linalg.NewCSR(mPrime, nPrime, ts)
-	c := make([]float64, mPrime)
-	l := make([]float64, mPrime)
-	u := make([]float64, mPrime)
+	form := &LPForm{
+		D: d, S: s, T: t,
+		Prob: &lp.Problem{
+			A: linalg.NewCSR(mPrime, nPrime, ts), B: make([]float64, nPrime),
+			C: make([]float64, mPrime), L: make([]float64, mPrime), U: make([]float64, mPrime),
+		},
+		X0:     make([]float64, mPrime),
+		NPrime: nPrime, OffY: offY, OffZ: offZ, OffF: offF,
+	}
+	form.writeBounds()
+	return form, nil
+}
+
+// writeBounds writes the upper bounds Prob.U (capacities for x, M-derived
+// for y, z and F) and the interior starting point X0 from the current
+// arcs, in place; ApplyArcDeltas calls it after every patch.
+func (f *LPForm) writeBounds() {
+	d := f.D
+	n, m := d.N(), d.M()
+	bigM := formBigM(d)
+	fMax := 2 * float64(n) * float64(bigM) * float64(m)
+	yMax := 4 * (fMax + float64(m)*float64(bigM) + 1)
+	u, x0 := f.Prob.U, f.X0
 	for i := 0; i < m; i++ {
 		u[i] = float64(d.Arc(i).Cap)
 	}
-	for j := 0; j < nPrime; j++ {
-		u[offY+j] = yMax
-		u[offZ+j] = yMax
+	for j := 0; j < f.NPrime; j++ {
+		u[f.OffY+j] = yMax
+		u[f.OffZ+j] = yMax
 	}
-	u[offF] = fMax
-
-	prob := &lp.Problem{A: a, B: make([]float64, nPrime), C: c, L: l, U: u}
+	u[f.OffF] = fMax
 
 	// Interior starting point: x = c/2, F = fMax/2, and y, z split the
 	// imbalance r = F·e_t − B(c/2) symmetrically around yMax/2.
-	x0 := make([]float64, mPrime)
 	for i := 0; i < m; i++ {
 		x0[i] = float64(d.Arc(i).Cap) / 2
 	}
 	f0 := fMax / 2
-	x0[offF] = f0
-	r := make([]float64, nPrime)
+	x0[f.OffF] = f0
+	vidx := vertexIndex(n, f.S)
+	r := make([]float64, f.NPrime)
 	for i := 0; i < m; i++ {
 		arc := d.Arc(i)
 		if j := vidx[arc.To]; j >= 0 {
@@ -124,19 +131,12 @@ func NewLPFormStructure(d *graph.Digraph, s, t int) (*LPForm, error) {
 			r[j] += x0[i]
 		}
 	}
-	r[tIdx] += f0
-	for j := 0; j < nPrime; j++ {
-		x0[offY+j] = yMax/2 + r[j]/2
-		x0[offZ+j] = yMax/2 - r[j]/2
-		if x0[offY+j] <= 0 || x0[offY+j] >= yMax || x0[offZ+j] <= 0 || x0[offZ+j] >= yMax {
-			return nil, fmt.Errorf("flow: interior point construction failed at row %d", j)
-		}
+	r[vidx[f.T]] += f0
+	for j := 0; j < f.NPrime; j++ {
+		// |r_j| ≤ (m·M + fMax)/2 < yMax, so y and z stay in (0, yMax).
+		x0[f.OffY+j] = yMax/2 + r[j]/2
+		x0[f.OffZ+j] = yMax/2 - r[j]/2
 	}
-	form := &LPForm{
-		D: d, S: s, T: t, Prob: prob, X0: x0,
-		NPrime: nPrime, OffY: offY, OffZ: offZ, OffF: offF,
-	}
-	return form, nil
 }
 
 // formBigM is the scale parameter M = max(capacity, |cost|, 1) of Section 5.
@@ -191,7 +191,6 @@ func (f *LPForm) Perturb(rnd *rand.Rand) {
 		c[f.OffZ+j] = lambda
 	}
 	c[f.OffF] = -flowBonus
-	f.QTilde, f.CostScale = q, scale
 }
 
 func abs64(v int64) int64 {

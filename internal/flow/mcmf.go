@@ -127,7 +127,7 @@ type formState struct {
 	// them, and the warm path is only taken when no re-perturbation
 	// happened since they were stored).
 	warmX, warmW []float64
-	// costsStale marks a form rebuilt by ApplyArcDeltas: warmX was
+	// costsStale marks a form patched by ApplyArcDeltas: warmX was
 	// certified against the pre-patch costs, so the warm path must redraw
 	// the perturbation over the new costs before polishing (any fresh
 	// perturbation clears it).
@@ -161,22 +161,12 @@ func NewSolver(d *graph.Digraph, opts Options) (*Solver, error) {
 	return &Solver{d: d, opts: opts, backend: backend, forms: map[Query]*formState{}}, nil
 }
 
-// formFor returns the cached per-terminal state, building it on first use.
+// formFor returns the cached per-terminal state, building the pair's LP
+// form and IPM session on first use; both live as long as the Solver.
 func (fs *Solver) formFor(q Query) (*formState, error) {
 	if st, ok := fs.forms[q]; ok {
 		return st, nil
 	}
-	st, err := fs.newFormState(q)
-	if err != nil {
-		return nil, err
-	}
-	fs.forms[q] = st
-	return st, nil
-}
-
-// newFormState builds one pair's LP form over the current digraph, points
-// it at the session's backend and opens its IPM session.
-func (fs *Solver) newFormState(q Query) (*formState, error) {
 	form, err := NewLPFormStructure(fs.d, q.S, q.T)
 	if err != nil {
 		return nil, err
@@ -186,7 +176,9 @@ func (fs *Solver) newFormState(q Query) (*formState, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &formState{form: form, sess: sess}, nil
+	st := &formState{form: form, sess: sess}
+	fs.forms[q] = st
+	return st, nil
 }
 
 // queryRand returns the perturbation stream for one query.

@@ -8,21 +8,21 @@ import (
 )
 
 // ApplyArcDeltas applies an all-or-nothing set of capacity/cost deltas to
-// the session's digraph and rebinds every cached per-pair LP form to the
-// new numbers. Topology is immutable (deltas never add or remove arcs), so
-// the CSR constraint structure each form carries stays valid; what changes
-// are the box bounds (capacities) and the cost vector, and lp.Session
-// bakes the former into its barriers at construction — hence the rebuild
-// rather than an in-place bound mutation.
+// the session's digraph and rewrites every cached per-pair LP form for
+// the new numbers in place. Topology is immutable (deltas never add or
+// remove arcs), so each form's constraint matrix, and the lp.Session
+// with the backend bound to it, stay valid; what changes are the box
+// bounds and starting point (capacities, and M = max(cap, |cost|)),
+// which writeBounds rewrites and the session reads at its next solve,
+// and the costs, which the next solve re-perturbs.
 //
-// The previous certified iterate of each pair is carried into the new form
-// (clamped back into the shrunken box when a capacity decreased) and
-// flagged costs-stale: the next warm query re-perturbs the new costs
-// and polishes from the carried basis — a handful of centerings at t₂
-// instead of full path following — falling back to a cold solve whenever
-// the exactness certificate rejects the shortcut. Cold queries are
-// untouched: they behave exactly as on a fresh solver over the patched
-// digraph.
+// The previous certified iterate of each pair is kept (clamped back into
+// the shrunken box when a capacity decreased) and flagged costs-stale:
+// the next warm query re-perturbs the new costs and polishes from the
+// kept basis — a handful of centerings at t₂ instead of full path
+// following — falling back to a cold solve whenever the exactness
+// certificate rejects the shortcut. Cold queries behave exactly as on a
+// fresh solver over the patched digraph.
 //
 // Like Solve, ApplyArcDeltas must not run concurrently with a solve; the
 // pool layer serializes it onto each worker's queue. Errors wrap
@@ -34,34 +34,14 @@ func (fs *Solver) ApplyArcDeltas(deltas []graph.ArcDelta) error {
 	if err := fs.d.ApplyDeltas(deltas); err != nil {
 		return err
 	}
-	for q, st := range fs.forms {
-		ns, err := fs.rebindForm(q, st)
-		if err != nil {
-			// Unreachable for pure cap/cost deltas (the formulation depends
-			// only on topology), but never serve a stale form: drop it and
-			// let the next query rebuild lazily.
-			delete(fs.forms, q)
-			continue
+	for _, st := range fs.forms {
+		st.form.writeBounds()
+		if st.warmX != nil {
+			st.warmX = clampInterior(st.warmX, st.form.Prob.L, st.form.Prob.U)
+			st.costsStale = true
 		}
-		fs.forms[q] = ns
 	}
 	return nil
-}
-
-// rebindForm rebuilds one pair's LP form and session over the patched
-// digraph, carrying the warm-start state across.
-func (fs *Solver) rebindForm(q Query, old *formState) (*formState, error) {
-	st, err := fs.newFormState(q)
-	if err != nil {
-		return nil, err
-	}
-	st.used = old.used
-	if old.warmX != nil {
-		st.warmX = clampInterior(old.warmX, st.form.Prob.L, st.form.Prob.U)
-		st.warmW = old.warmW
-		st.costsStale = true
-	}
-	return st, nil
 }
 
 // clampInterior pulls x strictly inside the box [l, u] coordinate-wise —

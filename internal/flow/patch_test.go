@@ -3,7 +3,9 @@ package flow
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"bcclap/internal/graph"
@@ -96,41 +98,93 @@ func TestPatchedSolveMatchesBaseline(t *testing.T) {
 	}
 }
 
-// A patched session must answer exactly like a fresh solver built on the
-// patched digraph (cold path): the patch may keep warm-start state, but
-// correctness never depends on it.
+// A patch rewrites each cached pair's LP bounds in place: the pair keeps
+// its form and lp.Session (csr-pcg builds its preconditioner once), and a
+// cold re-solve answers bit for bit like a fresh solver built on the
+// patched digraph. The raises move M = max(cap, |cost|), so every y, z
+// and F bound and the start point change too.
 func TestPatchedColdSolveEquivalence(t *testing.T) {
-	rnd := rand.New(rand.NewSource(11))
-	d := graph.RandomFlowNetwork(6, 0.4, 3, 3, rnd)
-	fs, err := NewSolver(d, Options{Seed: SeedOf(21)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Clone before patching the solver: it shares d at this layer.
-	ds := patchDeltas(d)
-	patched := d.Clone()
-	if err := patched.ApplyDeltas(ds); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.ApplyArcDeltas(ds); err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := NewSolver(patched, Options{Seed: SeedOf(21)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := graph.RandomFlowNetwork(6, 0.4, 3, 3, rand.New(rand.NewSource(11)))
+	q := Query{S: 0, T: base.N() - 1}
 	ctx := context.Background()
-	got, err := fs.Solve(ctx, Query{S: 0, T: d.N() - 1}, false) // cold: the pair was never solved
-	if err != nil {
-		t.Fatal(err)
+	patches := []struct {
+		name    string
+		raisesM bool
+		deltas  func(d *graph.Digraph, flows []int64) []graph.ArcDelta
+	}{
+		{"mixed", false, func(d *graph.Digraph, _ []int64) []graph.ArcDelta { return patchDeltas(d) }},
+		{"saturated-cap-down", false, func(d *graph.Digraph, flows []int64) []graph.ArcDelta {
+			for i, f := range flows {
+				if c := d.Arc(i).Cap; f == c && c > 1 {
+					return []graph.ArcDelta{{Arc: i, CapDelta: -1}}
+				}
+			}
+			t.Fatal("no saturated arc with capacity above 1")
+			return nil
+		}},
+		{"cap-past-max", true, func(d *graph.Digraph, _ []int64) []graph.ArcDelta {
+			return []graph.ArcDelta{{Arc: 0, CapDelta: formBigM(d) + 1 - d.Arc(0).Cap}}
+		}},
+		{"cost-past-max", true, func(d *graph.Digraph, _ []int64) []graph.ArcDelta {
+			last := d.M() - 1
+			return []graph.ArcDelta{{Arc: last, CostDelta: formBigM(d) + 1 - d.Arc(last).Cost}}
+		}},
 	}
-	want, err := fresh.Solve(ctx, Query{S: 0, T: d.N() - 1}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Value != want.Value || got.Cost != want.Cost {
-		t.Fatalf("patched session (value %d cost %d) diverged from fresh solver (value %d cost %d)",
-			got.Value, got.Cost, want.Value, want.Cost)
+	for _, backend := range []string{"dense", "csr-cg", "csr-pcg"} {
+		for _, p := range patches {
+			t.Run(backend+"/"+p.name, func(t *testing.T) {
+				d := base.Clone() // the solver shares (and mutates) d at this layer
+				opts := Options{Backend: backend, Seed: SeedOf(21)}
+				fs, err := NewSolver(d, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pre, err := fs.Solve(ctx, q, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st := fs.forms[q]
+				sess := st.sess
+				ds := p.deltas(d, pre.Flows)
+				patched := d.Clone()
+				if err := patched.ApplyDeltas(ds); err != nil {
+					t.Fatal(err)
+				}
+				if p.raisesM && formBigM(patched) <= formBigM(d) {
+					t.Fatalf("patch %v leaves M at %d", ds, formBigM(d))
+				}
+				if err := fs.ApplyArcDeltas(ds); err != nil {
+					t.Fatal(err)
+				}
+				if fs.forms[q] != st || st.sess != sess {
+					t.Fatal("the patch replaced the pair's form or lp.Session")
+				}
+				got, err := fs.Solve(ctx, q, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fresh, err := NewSolver(patched, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := fresh.Solve(ctx, q, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				g, w := got.LPStats, want.LPStats
+				if got.Value != want.Value || got.Cost != want.Cost || !slices.Equal(got.Flows, want.Flows) ||
+					g.PathSteps != w.PathSteps || g.Centerings != w.Centerings || g.CGIterations != w.CGIterations ||
+					math.Float64bits(g.Objective) != math.Float64bits(w.Objective) {
+					t.Fatalf("patched session: value %d cost %d, %d steps, %d centerings, %d CG, objective %v; "+
+						"fresh solver: value %d cost %d, %d steps, %d centerings, %d CG, objective %v (or flows differ)",
+						got.Value, got.Cost, g.PathSteps, g.Centerings, g.CGIterations, g.Objective,
+						want.Value, want.Cost, w.PathSteps, w.Centerings, w.CGIterations, w.Objective)
+				}
+				if backend == "csr-pcg" && g.PrecondBuilds != 1 {
+					t.Fatalf("csr-pcg: %d preconditioner builds after the patch, want 1 (the pre-patch one)", g.PrecondBuilds)
+				}
+			})
+		}
 	}
 }
 

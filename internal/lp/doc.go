@@ -8,7 +8,10 @@
 // to a linear-solve backend and shared IPM scratch: Solve runs the full
 // two-phase path following, Polish re-centers a prior certified iterate
 // at t₂ (the warm-start shortcut warm flow queries use; its output is only
-// as good as the caller's certificate, by design).
+// as good as the caller's certificate, by design). A and the backend are
+// bound at NewSession; B, C, L and U are read at every Solve/Polish, so
+// one session serves a problem whose costs and bounds are rewritten in
+// place between calls (the flow layer's perturbations and arc patches).
 //
 // The per-step normal equations (AᵀDA)x = y go through a pluggable backend
 // registry ("dense", "csr-cg", "csr-pcg";

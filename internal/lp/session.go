@@ -11,17 +11,18 @@ import (
 )
 
 // Session is a reusable solver handle for one Problem: the linear-solve
-// backend (with its factorization buffers and CG workspaces) and the IPM
-// centering scratch are built once and shared by every Solve/Polish call,
-// so repeated solves of the same problem shape stop allocating after the
-// first. Results are bit-identical to a fresh session's — every scratch
+// backend (with its factorization buffers and CG workspaces), the leverage
+// index and the IPM centering scratch are built once from A and shared by
+// every Solve/Polish call, so repeated solves of the same problem shape
+// stop allocating after the first. B, C, L and U are read at every call,
+// so a caller may rewrite them in place between calls. Results are
+// bit-identical to a fresh session's on the same numbers — every scratch
 // buffer is fully overwritten before it is read.
 //
 // A Session is not safe for concurrent use; it serves a sequential query
 // stream, matching the model (one network, one round structure).
 type Session struct {
 	prob    *Problem
-	bar     *Barriers
 	backend string
 	solve   ATDASolve
 	// pstats are the live preconditioner counters of the backend (nil for
@@ -46,13 +47,10 @@ type Session struct {
 // NewSession validates prob, instantiates the backend named by
 // prob.Backend (DefaultBackend when empty; an unknown name fails here
 // with ErrBackendUnknown, before any solve starts) and allocates the
-// shared scratch.
+// shared scratch. A and the backend are bound here; B, C, L and U are
+// read, and the bounds validated again, at every Solve/Polish.
 func NewSession(prob *Problem) (*Session, error) {
 	if err := prob.Validate(); err != nil {
-		return nil, err
-	}
-	bar, err := NewBarriers(prob.L, prob.U)
-	if err != nil {
 		return nil, err
 	}
 	backend := cmp.Or(prob.Backend, DefaultBackend)
@@ -63,7 +61,7 @@ func NewSession(prob *Problem) (*Session, error) {
 	m, n := prob.M(), prob.N()
 	cK := 2 * math.Log(4*float64(m))
 	return &Session{
-		prob: prob, bar: bar, backend: backend, solve: solve, pstats: pstats,
+		prob: prob, backend: backend, solve: solve, pstats: pstats,
 		scr:   newScratch(m, n),
 		exact: jl.NewExactLeverage(prob.A),
 		levD2: make([]float64, m),
@@ -79,10 +77,15 @@ func NewSession(prob *Problem) (*Session, error) {
 func (sess *Session) Backend() string { return sess.backend }
 
 // newIPM builds the per-call solver state over the session's shared
-// backend and scratch, binding the leverage solves to ctx. The leverage
-// solves' iteration counts are discarded.
-func (sess *Session) newIPM(ctx context.Context, par Params) *ipm {
-	s := &ipm{Session: sess, ctx: ctx, par: par, startRounds: par.Net.Rounds()}
+// backend and scratch and the problem's current bounds, binding the
+// leverage solves to ctx. The leverage solves' iteration counts are
+// discarded.
+func (sess *Session) newIPM(ctx context.Context, par Params) (*ipm, error) {
+	bar, err := NewBarriers(sess.prob.L, sess.prob.U)
+	if err != nil {
+		return nil, err
+	}
+	s := &ipm{Session: sess, bar: bar, ctx: ctx, par: par, startRounds: par.Net.Rounds()}
 	if sess.pstats != nil {
 		s.startRefreshes = sess.pstats.Refreshes
 	}
@@ -93,18 +96,18 @@ func (sess *Session) newIPM(ctx context.Context, par Params) *ipm {
 		}
 		return sess.exact.Scores(d, gram)
 	}
-	return s
+	return s, nil
 }
 
 // checkStart verifies that x0 is a strictly feasible starting point.
-func (sess *Session) checkStart(x0 []float64) error {
-	if len(x0) != sess.m {
-		return fmt.Errorf("lp: x0 has %d entries, want %d", len(x0), sess.m)
+func (s *ipm) checkStart(x0 []float64) error {
+	if len(x0) != s.m {
+		return fmt.Errorf("lp: x0 has %d entries, want %d", len(x0), s.m)
 	}
-	if !sess.bar.Interior(x0) {
+	if !s.bar.Interior(x0) {
 		return fmt.Errorf("%w: x0 is not strictly interior", ErrInfeasible)
 	}
-	if r := sess.prob.Residual(x0); r > 1e-6*(1+linalg.Norm2(sess.prob.B)) {
+	if r := s.prob.Residual(x0); r > 1e-6*(1+linalg.Norm2(s.prob.B)) {
 		return fmt.Errorf("%w: x0 violates Aᵀx = b by %g", ErrInfeasible, r)
 	}
 	return nil
@@ -184,10 +187,13 @@ func (sess *Session) Solve(ctx context.Context, x0 []float64, eps float64, par P
 	if eps <= 0 {
 		return nil, fmt.Errorf("lp: eps must be positive, got %g", eps)
 	}
-	if err := sess.checkStart(x0); err != nil {
+	s, err := sess.newIPM(ctx, par)
+	if err != nil {
 		return nil, err
 	}
-	s := sess.newIPM(ctx, par)
+	if err := s.checkStart(x0); err != nil {
+		return nil, err
+	}
 	m := sess.m
 
 	w, err := s.initialWeights(x0)
@@ -236,7 +242,10 @@ func (sess *Session) Polish(ctx context.Context, x0, w0 []float64, eps float64, 
 	if len(x0) != m || len(w0) != m {
 		return nil, fmt.Errorf("lp: x0 has %d entries and w0 %d, want %d", len(x0), len(w0), m)
 	}
-	s := sess.newIPM(ctx, par)
+	s, err := sess.newIPM(ctx, par)
+	if err != nil {
+		return nil, err
+	}
 	s.phase = 3
 	// Inexact (CG-based) projection backends let a long path following
 	// drift off the constraint manifold by poly(1/m); pull the prior
@@ -244,12 +253,11 @@ func (sess *Session) Polish(ctx context.Context, x0, w0 []float64, eps float64, 
 	// so the strict feasibility check below keeps its tight tolerance.
 	x0 = linalg.Clone(x0)
 	sess.repairFeasibility(ctx, x0)
-	if err := sess.checkStart(x0); err != nil {
+	if err := s.checkStart(x0); err != nil {
 		return nil, err
 	}
 	x, w := linalg.Clone(x0), linalg.Clone(w0)
 	t2 := 2 * float64(m) / eps
-	var err error
 	for i := 0; i < finalCenterings; i++ {
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			return nil, fmt.Errorf("lp: polish canceled: %w", ctxErr)

@@ -120,6 +120,7 @@ func newScratch(m, n int) *scratch {
 // shape constants.
 type ipm struct {
 	*Session
+	bar    *Barriers // from the problem's bounds at solve start
 	ctx    context.Context
 	par    Params
 	lev    LeverageFn

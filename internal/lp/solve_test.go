@@ -119,6 +119,60 @@ func TestSolveRejectsBadInput(t *testing.T) {
 	}
 }
 
+// A Session reads L and U at every Solve/Polish: bounds rewritten in place
+// on a live session solve bit-identically to a fresh session over the
+// same numbers, and a rewrite that empties a domain fails both entry
+// points with NewBarriers' error before any iterate is computed.
+func TestSessionReadsBoundsInPlace(t *testing.T) {
+	ctx := context.Background()
+	for _, backend := range []string{"dense", "csr-pcg"} {
+		t.Run(backend, func(t *testing.T) {
+			prob, x0 := blockSimplexProblem(3, backend)
+			sess, err := NewSession(prob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before, err := sess.Solve(ctx, x0, 0.1, Params{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range prob.U {
+				prob.U[i] = 2 + float64(i%3)
+			}
+			got, err := sess.Solve(ctx, x0, 0.1, Params{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh := *prob
+			fresh.L, fresh.U = slices.Clone(prob.L), slices.Clone(prob.U)
+			want, err := solveFresh(&fresh, x0, 0.1, Params{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got.X, want.X) || !slices.Equal(got.Weights, want.Weights) ||
+				math.Float64bits(got.Objective) != math.Float64bits(want.Objective) ||
+				got.PathSteps != want.PathSteps || got.Centerings != want.Centerings ||
+				got.CGIterations != want.CGIterations {
+				t.Fatalf("rewritten bounds: %d steps, %d centerings, %d CG, objective %v; fresh session: %d, %d, %d, %v (or X/Weights differ)",
+					got.PathSteps, got.Centerings, got.CGIterations, got.Objective,
+					want.PathSteps, want.Centerings, want.CGIterations, want.Objective)
+			}
+
+			prob.U[0] = prob.L[0]
+			_, wantErr := NewBarriers(prob.L, prob.U)
+			if wantErr == nil {
+				t.Fatal("NewBarriers accepted an empty domain")
+			}
+			if sol, err := sess.Solve(ctx, x0, 0.1, Params{}); sol != nil || err == nil || err.Error() != wantErr.Error() {
+				t.Errorf("Solve on an emptied domain: solution %v, err %v; want nil and %q", sol != nil, err, wantErr)
+			}
+			if sol, err := sess.Polish(ctx, before.X, before.Weights, 0.1, Params{}); sol != nil || err == nil || err.Error() != wantErr.Error() {
+				t.Errorf("Polish on an emptied domain: solution %v, err %v; want nil and %q", sol != nil, err, wantErr)
+			}
+		})
+	}
+}
+
 func TestPathStepsScaleWithSqrtN(t *testing.T) {
 	// Theorem 1.4's headline: path steps grow like √n (here n is the
 	// constraint count, 1 for the simplex — instead scale the α the solver

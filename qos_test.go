@@ -243,6 +243,29 @@ func TestQoSQueueFull(t *testing.T) {
 	}
 }
 
+// An empty SolveBatch is no request: it returns an empty result without
+// passing the gate, so it neither counts as an admission nor spends the
+// token the next solve needs.
+func TestQoSEmptyBatchSkipsGate(t *testing.T) {
+	d := testFlowNetwork(5, 56)
+	svc := NewService(WithSeed(9))
+	defer svc.Close()
+	h, err := svc.Register("sparse", d, WithRateLimit(0.001, 1), WithQueueDepth(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := h.SolveBatch(context.Background(), nil)
+	if err != nil || len(out) != 0 {
+		t.Fatalf("empty batch: %d results, err %v; want 0 and nil", len(out), err)
+	}
+	if got := h.Stats().Admission.Admitted; got != 0 {
+		t.Fatalf("empty batch counted %d admissions, want 0", got)
+	}
+	if _, err := h.Solve(context.Background(), 0, d.N()-1); err != nil {
+		t.Fatalf("solve after an empty batch: %v, want the bucket's one token", err)
+	}
+}
+
 // Satellite: the deadline-expired-while-queued path through Solve. The
 // request is accepted into the queue (no service-time history yet, so
 // no predictive rejection), then its deadline fires while waiting; the

@@ -731,8 +731,12 @@ func (h *NetworkHandle) Solve(ctx context.Context, s, t int) (*FlowResult, error
 // The batch passes the admission gate as one request consuming one rate
 // token per query (so a large batch cannot launder a rate limit) and one
 // in-flight slot (its internal concurrency is already bounded by the
-// pool size).
+// pool size). An empty batch returns an empty result without passing the
+// gate, as FlowSolver.SolveBatch does: it spends no token or slot.
 func (h *NetworkHandle) SolveBatch(ctx context.Context, queries []FlowQuery) ([]*FlowResult, error) {
+	if len(queries) == 0 {
+		return []*FlowResult{}, nil
+	}
 	rel, err := h.gate.AdmitN(ctx, len(queries))
 	if err != nil {
 		return nil, fmt.Errorf("bcclap: network %q: %w", h.name, err)
@@ -861,8 +865,9 @@ func (h *NetworkHandle) Swap(d *Digraph, opts ...Option) error {
 // the tenant's network — the incremental alternative to Swap when
 // topology is unchanged. Instead of building a new solver, the patch is
 // journaled (on a durable service) and folded into the live worker
-// sessions, which keep their LP structure, backend workspaces and
-// warm-start state: the next solve of an affected terminal pair
+// sessions, which keep their LP structure, IPM sessions, backend
+// workspaces and warm-start state (only each LP's bounds and start point
+// are rewritten in place): the next solve of an affected terminal pair
 // re-centers from the pre-patch optimum rather than re-running path
 // following from scratch.
 //

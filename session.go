@@ -217,18 +217,19 @@ func (fs *FlowSolver) SolveBatch(ctx context.Context, queries []FlowQuery) ([]*F
 }
 
 // PatchArcs applies an all-or-nothing set of arc capacity/cost deltas to
-// every worker session, without rebuilding the solver: the LP constraint
-// structure (which depends only on topology) and the linear-solve backend
-// workspaces survive, and previously answered terminal pairs keep their
-// warm-start state, so the next solve of an affected pair re-centers from
-// the pre-patch optimum rather than re-running path following. Malformed
-// delta sets (empty, index out of range, capacity driven non-positive)
-// fail with ErrBadPatch before anything mutates. The patch is applied
-// atomically with respect to queries: it enqueues on every worker and
-// PatchArcs returns once all workers have folded it in, so no query
-// started after PatchArcs returns sees pre-patch arcs. Concurrent callers
-// must serialize PatchArcs against Solve/SolveBatch themselves when they
-// need a precise ordering (the Service layer does).
+// every worker session, without rebuilding the solver: each answered
+// terminal pair keeps its LP constraint matrix (which depends only on
+// topology) and the IPM session with its linear-solve backend, and only
+// its box bounds and start point are rewritten in place. The pairs also
+// keep their warm-start state, so the next solve of an affected pair
+// re-centers from the pre-patch optimum rather than re-running path
+// following. Malformed delta sets (empty, index out of range, capacity
+// driven non-positive) fail with ErrBadPatch before anything mutates.
+// The patch is applied atomically with respect to queries: it enqueues
+// on every worker and PatchArcs returns once all workers have folded it
+// in, so no query started after PatchArcs returns sees pre-patch arcs.
+// Concurrent callers must serialize PatchArcs against Solve/SolveBatch
+// themselves when they need a precise ordering (the Service layer does).
 func (fs *FlowSolver) PatchArcs(deltas []ArcDelta) error {
 	wait, err := fs.patchAsync(deltas)
 	if err != nil {
