@@ -141,9 +141,10 @@
 //	defer solver.Close()
 //	res, err := solver.Solve(ctx, s, t)
 //
-// With no WithBackend option the backend is auto-selected: csr-pcg when
-// the network is sparse (n ≥ 32 and m ≤ n²/8), dense otherwise;
-// FlowSolver.Backend and Stats.Backend report the resolved name.
+// With no WithBackend option every session runs dense, whatever the
+// graph: at every measured size it answers faster than csr-pcg (see
+// EXPERIMENTS.md), and the certificate, not the backend, decides the
+// answer. FlowSolver.Backend and Stats.Backend report the resolved name.
 // FlowBackends lists the registered names; unknown names fail at session
 // construction with ErrBackendUnknown. All matrix-vector products ride on
 // one serial sparse kernel, so a solve's bits do not depend on the host.

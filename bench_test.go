@@ -234,7 +234,7 @@ func BenchmarkE9MinCostFlow(b *testing.B) {
 	d := graph.RandomFlowNetwork(6, 0.3, 3, 3, rnd)
 	b.Run("lp-pipeline", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			fs, err := flow.NewSolver(d, flow.Options{Seed: flow.SeedOf(int64(i + 1))})
+			fs, err := flow.NewSolver(d, flow.Options{Seed: int64(i + 1)})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -327,7 +327,7 @@ func BenchmarkE14ShortestPathViaFlow(b *testing.B) {
 	}
 	for i := 0; i < b.N; i++ {
 		got, err := flow.ShortestPathViaFlow(d, 0, d.N()-1, flow.Options{
-			Seed: flow.SeedOf(int64(i + 3)),
+			Seed: int64(i + 3),
 		})
 		if err != nil {
 			b.Fatal(err)

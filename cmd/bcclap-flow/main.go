@@ -28,7 +28,7 @@ import (
 func main() {
 	randomN := flag.Int("random", 0, "generate a random instance on N vertices instead of reading stdin")
 	seed := flag.Int64("seed", 1, "random seed")
-	backend := flag.String("backend", "", "AᵀDA solve backend: "+strings.Join(bcclap.FlowBackends(), ", ")+" (default: auto — csr-pcg on sparse graphs, else dense)")
+	backend := flag.String("backend", "", "AᵀDA solve backend: "+strings.Join(bcclap.FlowBackends(), ", ")+" (default: dense)")
 	timeout := flag.Duration("timeout", 0, "abort the solve after this duration (e.g. 30s; 0 = no limit)")
 	flag.Parse()
 	ctx := context.Background()

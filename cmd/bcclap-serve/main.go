@@ -75,6 +75,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -89,7 +90,7 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	seed := flag.Int64("seed", 1, "random seed (random_n network specs and perturbations)")
-	backend := flag.String("backend", "", "default AᵀDA solve backend: "+strings.Join(bcclap.FlowBackends(), ", ")+" (default: auto — csr-pcg on sparse graphs, else dense)")
+	backend := flag.String("backend", "", "default AᵀDA solve backend: "+strings.Join(bcclap.FlowBackends(), ", ")+" (default: dense)")
 	poolSize := flag.Int("pool", 4, "default worker sessions per network")
 	cacheSize := flag.Int("cache", bcclap.DefaultCacheSize, "default certified-result cache entries per network (0 disables)")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request solve timeout (0 = no limit)")
@@ -139,6 +140,9 @@ type serveConfig struct {
 func run(cfg serveConfig) error {
 	if cfg.poolSize < 1 {
 		return fmt.Errorf("-pool must be at least 1, got %d", cfg.poolSize)
+	}
+	if names := bcclap.FlowBackends(); cfg.backend != "" && !slices.Contains(names, cfg.backend) {
+		return fmt.Errorf("-backend: %w %q (registered: %v)", bcclap.ErrBackendUnknown, cfg.backend, names)
 	}
 	opts := []bcclap.Option{
 		bcclap.WithSeed(cfg.seed),

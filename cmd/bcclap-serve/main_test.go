@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -456,6 +457,23 @@ func TestServeShutdownRetryAfter(t *testing.T) {
 		if ra := resp.Header.Get("Retry-After"); ra != "7" {
 			t.Fatalf("%s: Retry-After %q, want %q (the drain budget in seconds)", url, ra, "7")
 		}
+	}
+}
+
+// An unknown -backend must stop the daemon at startup, like a bad -pool
+// or -fsync, instead of coming up healthy and rejecting every PUT.
+func TestServeRejectsUnknownBackend(t *testing.T) {
+	errCh := make(chan error, 1)
+	go func() {
+		errCh <- run(serveConfig{addr: "127.0.0.1:0", backend: "nosuch", poolSize: 1, seed: 1})
+	}()
+	select {
+	case err := <-errCh:
+		if !errors.Is(err, bcclap.ErrBackendUnknown) {
+			t.Fatalf("run: %v, want ErrBackendUnknown", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("run with -backend nosuch did not fail at startup")
 	}
 }
 

@@ -245,7 +245,7 @@ func e9(ctx context.Context, quick bool) ([]Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		fs, err := flow.NewSolver(d, flow.Options{Seed: flow.SeedOf(int64(trial + 100))})
+		fs, err := flow.NewSolver(d, flow.Options{Seed: int64(trial + 100)})
 		if err != nil {
 			return nil, err
 		}
@@ -326,7 +326,7 @@ func e15(ctx context.Context, quick bool) ([]Table, error) {
 			start := time.Now()
 			fs, err := flow.NewSolver(d, flow.Options{
 				Backend: backend,
-				Seed:    flow.SeedOf(int64(n * 100)),
+				Seed:    int64(n * 100),
 			})
 			if err != nil {
 				return nil, fmt.Errorf("backend %s: %w", backend, err)

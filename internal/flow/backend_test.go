@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"cmp"
 	"errors"
 	"math/rand"
 	"testing"
@@ -28,7 +29,7 @@ func TestBackendsProduceIdenticalCertifiedFlows(t *testing.T) {
 		for _, backend := range backends {
 			res, err := solveCold(d, 0, d.N()-1, Options{
 				Backend: backend,
-				Seed:    SeedOf(int64(100*trial + 7)),
+				Seed:    int64(100*trial + 7),
 			})
 			if err != nil {
 				t.Fatalf("trial %d backend %s: %v", trial, backend, err)
@@ -121,43 +122,26 @@ func TestCSRPCGCertifiedFlowsAndReuse(t *testing.T) {
 	}
 }
 
-// With no backend named, sessions auto-select: csr-pcg on big sparse
-// graphs, the dense reference on tiny or near-complete ones; a named
-// backend always wins over the auto rule.
-func TestDefaultBackendAutoSelection(t *testing.T) {
+// With no backend named, every solver runs the dense default, whatever
+// the graph's size or density; a named backend always wins.
+func TestDefaultBackendIsDense(t *testing.T) {
 	rnd := rand.New(rand.NewSource(44))
-	sparse := pathDigraph(64, rnd)
-	if got := DefaultBackendFor(sparse); got != "csr-pcg" {
-		t.Fatalf("sparse n=64 graph auto-selected %q, want csr-pcg", got)
+	graphs := map[string]*graph.Digraph{
+		"sparse n=64":        pathDigraph(64, rnd),
+		"tiny":               pathDigraph(6, rnd),
+		"near-complete n=40": graph.RandomFlowNetwork(40, 0.9, 3, 3, rnd),
 	}
-	tiny := pathDigraph(6, rnd)
-	if got := DefaultBackendFor(tiny); got != "dense" {
-		t.Fatalf("tiny graph auto-selected %q, want dense", got)
-	}
-	densegraph := graph.RandomFlowNetwork(40, 0.9, 3, 3, rnd)
-	if got := DefaultBackendFor(densegraph); got != "dense" {
-		t.Fatalf("near-complete graph auto-selected %q, want dense", got)
-	}
-	fs, err := NewSolver(sparse, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fs.backend != "csr-pcg" {
-		t.Fatalf("session backend %q, want auto-selected csr-pcg", fs.backend)
-	}
-	fs, err = NewSolver(sparse, Options{Backend: "csr-cg"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fs.backend != "csr-cg" {
-		t.Fatalf("named backend overridden by auto rule: %q", fs.backend)
-	}
-	fs, err = NewSolver(sparse, Options{Backend: "dense"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fs.backend != "dense" {
-		t.Fatalf("explicit backend overridden: %q", fs.backend)
+	for name, d := range graphs {
+		for _, backend := range []string{"", "dense", "csr-cg", "csr-pcg"} {
+			fs, err := NewSolver(d, Options{Backend: backend})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := cmp.Or(backend, "dense")
+			if fs.backend != want {
+				t.Fatalf("%s, backend %q: solver runs %q, want %q", name, backend, fs.backend, want)
+			}
+		}
 	}
 }
 

@@ -144,7 +144,7 @@ func TestLPFormStructure(t *testing.T) {
 
 func TestMinCostMaxFlowLPPipelineDiamond(t *testing.T) {
 	d := diamond(t)
-	res, err := solveCold(d, 0, 3, Options{Seed: SeedOf(1)})
+	res, err := solveCold(d, 0, 3, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestMinCostMaxFlowMatchesSSPRandom(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := solveCold(d, 0, d.N()-1, Options{Seed: SeedOf(int64(trial + 10))})
+		res, err := solveCold(d, 0, d.N()-1, Options{Seed: int64(trial + 10)})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

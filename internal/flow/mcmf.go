@@ -24,14 +24,12 @@ const (
 // Options configures the LP-based min-cost max-flow pipeline.
 type Options struct {
 	// Backend names the (AᵀDA) strategy from the lp backend registry
-	// ("dense", "csr-cg", "csr-pcg", …); empty selects the
-	// graph-dependent auto-selection of DefaultBackendFor. Unknown names
-	// fail fast with lp.ErrBackendUnknown when the solver is constructed.
+	// ("dense", "csr-cg", "csr-pcg", …); empty selects lp.DefaultBackend
+	// ("dense") on every network. Unknown names fail fast with
+	// lp.ErrBackendUnknown when the solver is constructed.
 	Backend string
-	// Seed seeds the perturbation stream each query draws afresh; nil
-	// selects the historical default 2022. It is a pointer so that every
-	// int64 value — including 0 — names a distinct stream.
-	Seed *int64
+	// Seed seeds the perturbation stream each query draws afresh.
+	Seed int64
 	// Net, if non-nil, receives round accounting.
 	Net *sim.Network
 	// Progress, if non-nil, is invoked at the start of every perturbation
@@ -42,45 +40,10 @@ type Options struct {
 	PathProgress func(phase, step int, t float64)
 }
 
-// autoBackendMinVerts and autoBackendDensity gate the auto-selection of
-// DefaultBackendFor: below ~32 vertices the dense reference wins outright
-// (assembling the tiny AᵀDA is cheaper than any iteration), and above it
-// the preconditioned matrix-free pipeline wins exactly when the network is
-// sparse — fewer than n²/8 arcs, i.e. well away from a complete digraph
-// where the Gram matrix is dense anyway.
-const (
-	autoBackendMinVerts = 32
-	autoBackendDensity  = 8
-)
-
-// DefaultBackendFor returns the AᵀDA backend auto-selected for d when the
-// caller names none: "csr-pcg" — matrix-free CG with the spanner-built
-// combinatorial preconditioner — when the graph is sparse (n ≥ 32 and
-// m ≤ n²/8), the exact dense reference otherwise.
-func DefaultBackendFor(d *graph.Digraph) string {
-	n, m := d.N(), d.M()
-	if n >= autoBackendMinVerts && m*autoBackendDensity <= n*n {
-		return "csr-pcg"
-	}
-	return "dense"
-}
-
-// ResolveBackend folds the empty default into a registry name and
-// validates it against the registry — shared with the public layer so
-// Stats.Backend always names what the sessions actually run. With Backend
-// unset, the backend is auto-selected per DefaultBackendFor. Unknown names
-// fail here, before any solve starts, with an error satisfying
-// errors.Is(err, lp.ErrBackendUnknown).
-func (o Options) ResolveBackend(d *graph.Digraph) (string, error) {
-	backend := o.Backend
-	if backend == "" {
-		backend = DefaultBackendFor(d)
-	}
-	if err := lp.ValidateBackend(backend); err != nil {
-		return "", err
-	}
-	return backend, nil
-}
+// DefaultBackendFor returns the backend a solver runs when the caller
+// names none: lp.DefaultBackend, whatever the digraph. Only the bench
+// driver still calls it.
+func DefaultBackendFor(*graph.Digraph) string { return lp.DefaultBackend }
 
 // Result is the output of a min-cost max-flow solve.
 type Result struct {
@@ -154,7 +117,7 @@ func NewSolver(d *graph.Digraph, opts Options) (*Solver, error) {
 	if err := checkNonEmpty(d); err != nil {
 		return nil, err
 	}
-	backend, err := opts.ResolveBackend(d)
+	backend, err := lp.ResolveBackend(opts.Backend)
 	if err != nil {
 		return nil, err
 	}
@@ -183,15 +146,8 @@ func (fs *Solver) formFor(q Query) (*formState, error) {
 
 // queryRand returns the perturbation stream for one query.
 func (fs *Solver) queryRand() *rand.Rand {
-	seed := int64(2022)
-	if fs.opts.Seed != nil {
-		seed = *fs.opts.Seed
-	}
-	return rand.New(rand.NewSource(seed))
+	return rand.New(rand.NewSource(fs.opts.Seed))
 }
-
-// SeedOf is a convenience for composing Options literals: Seed: SeedOf(7).
-func SeedOf(seed int64) *int64 { return &seed }
 
 // lpParams prepares the interior-point parameters of one LP solve.
 func (fs *Solver) lpParams() lp.Params {

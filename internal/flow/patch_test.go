@@ -25,7 +25,7 @@ func patchDeltas(d *graph.Digraph) []graph.ArcDelta {
 func TestApplyArcDeltasValidation(t *testing.T) {
 	rnd := rand.New(rand.NewSource(4))
 	d := graph.RandomFlowNetwork(6, 0.35, 3, 3, rnd)
-	fs, err := NewSolver(d, Options{Seed: SeedOf(9)})
+	fs, err := NewSolver(d, Options{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestPatchedSolveMatchesBaseline(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		rnd := rand.New(rand.NewSource(40 + seed))
 		d := graph.RandomFlowNetwork(7, 0.35, 3, 3, rnd)
-		fs, err := NewSolver(d, Options{Seed: SeedOf(5 + seed)})
+		fs, err := NewSolver(d, Options{Seed: 5 + seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,7 +134,7 @@ func TestPatchedColdSolveEquivalence(t *testing.T) {
 		for _, p := range patches {
 			t.Run(backend+"/"+p.name, func(t *testing.T) {
 				d := base.Clone() // the solver shares (and mutates) d at this layer
-				opts := Options{Backend: backend, Seed: SeedOf(21)}
+				opts := Options{Backend: backend, Seed: 21}
 				fs, err := NewSolver(d, opts)
 				if err != nil {
 					t.Fatal(err)

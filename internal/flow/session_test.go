@@ -65,7 +65,7 @@ func TestSolverUnknownBackendFailsFast(t *testing.T) {
 func TestSolverSessionDeterminism(t *testing.T) {
 	rnd := rand.New(rand.NewSource(3))
 	d := graph.RandomFlowNetwork(5, 0.35, 3, 3, rnd)
-	opts := Options{Seed: SeedOf(77)}
+	opts := Options{Seed: 77}
 	fs, err := NewSolver(d, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +108,7 @@ func TestWarmSolveRepeats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs, err := NewSolver(d, Options{Seed: SeedOf(9)})
+	fs, err := NewSolver(d, Options{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}

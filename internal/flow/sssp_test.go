@@ -17,7 +17,7 @@ func TestShortestPathViaFlowMatchesDijkstra(t *testing.T) {
 			t.Fatal(err)
 		}
 		got, err := ShortestPathViaFlow(d, 0, d.N()-1, Options{
-			Seed: SeedOf(int64(trial + 5)),
+			Seed: int64(trial + 5),
 		})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)

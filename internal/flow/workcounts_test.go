@@ -34,7 +34,7 @@ func workCounts(t *testing.T) (string, map[string]map[string]int) {
 			seed int64
 		}{{6, 1}, {8, 2}} {
 			d := graph.RandomFlowNetwork(inst.n, 0.35, 3, 3, rand.New(rand.NewSource(inst.seed*31)))
-			fs, err := NewSolver(d, Options{Backend: backend, Seed: SeedOf(inst.seed)})
+			fs, err := NewSolver(d, Options{Backend: backend, Seed: inst.seed})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -76,7 +76,7 @@ func TestWorkCountsGolden(t *testing.T) {
 	got, coldCG := workCounts(t)
 	sparse := graph.RandomFlowNetwork(8, 0.1, 3, 3, rand.New(rand.NewSource(8)))
 	for _, backend := range []string{"csr-cg", "csr-pcg"} {
-		fs, err := NewSolver(sparse, Options{Backend: backend, Seed: SeedOf(18)})
+		fs, err := NewSolver(sparse, Options{Backend: backend, Seed: 18})
 		if err != nil {
 			t.Fatal(err)
 		}

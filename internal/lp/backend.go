@@ -29,6 +29,7 @@
 package lp
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -135,17 +136,21 @@ func lookupBackend(name string) (statsFactory, error) {
 	return f, nil
 }
 
-// ValidateBackend reports whether name resolves in the registry without
-// instantiating it. The error satisfies errors.Is(err, ErrBackendUnknown)
-// and lists the registered names, so API boundaries can reject typos
-// before any work starts.
-func ValidateBackend(name string) error {
-	_, err := lookupBackend(name)
-	return err
+// ResolveBackend returns the registry name a session runs for name:
+// DefaultBackend when name is empty, name itself otherwise. It is the one
+// place the default applies, and it instantiates nothing. An unknown name
+// fails with an error satisfying errors.Is(err, ErrBackendUnknown) that
+// lists the registered names, so API boundaries can reject typos before
+// any work starts.
+func ResolveBackend(name string) (string, error) {
+	name = cmp.Or(name, DefaultBackend)
+	if _, err := lookupBackend(name); err != nil {
+		return "", err
+	}
+	return name, nil
 }
 
-// DefaultBackend is the backend NewSession builds when Problem.Backend is
-// empty.
+// DefaultBackend is the backend every caller that names none runs.
 const DefaultBackend = "dense"
 
 // denseBackend assembles AᵀDA into a reused n×n buffer and factorizes it

@@ -46,8 +46,14 @@ func TestRegisteredBackends(t *testing.T) {
 	if names := Backends(); !slices.Equal(names, []string{"csr-cg", "csr-pcg", "dense"}) {
 		t.Fatalf("registered backends %v, want [csr-cg csr-pcg dense]", names)
 	}
+	if got, err := ResolveBackend(""); err != nil || got != "dense" {
+		t.Fatalf(`ResolveBackend("") = %q, %v; want "dense"`, got, err)
+	}
 	a := linalg.NewCSR(1, 1, []linalg.Triple{{Row: 0, Col: 0, Val: 1}})
 	for _, name := range []string{"no-such-backend", "gremban"} {
+		if _, err := ResolveBackend(name); !errors.Is(err, ErrBackendUnknown) {
+			t.Fatalf("ResolveBackend(%q): got %v, want ErrBackendUnknown", name, err)
+		}
 		if _, _, err := NewBackendSolverStats(name, a); !errors.Is(err, ErrBackendUnknown) {
 			t.Fatalf("backend %q: got %v, want ErrBackendUnknown", name, err)
 		}

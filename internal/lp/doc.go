@@ -14,10 +14,10 @@
 // place between calls (the flow layer's perturbations and arc patches).
 //
 // The per-step normal equations (AᵀDA)x = y go through a pluggable backend
-// registry ("dense", "csr-cg", "csr-pcg";
-// ValidateBackend/Backends) shared with the flow layer, so the same IPM
-// scales from the exact dense reference to matrix-free CG that never
-// materializes AᵀDA. The csr-pcg backend adds a combinatorial
+// registry ("dense", "csr-cg", "csr-pcg"; ResolveBackend, the one place
+// an empty name becomes DefaultBackend, and Backends) shared with the flow
+// layer, so the same IPM scales from the exact dense reference to
+// matrix-free CG that never materializes AᵀDA. The csr-pcg backend adds a combinatorial
 // preconditioner on top of the matrix-free path: a spanning-forest
 // incomplete Cholesky whose support is extracted once per session from the
 // constraint matrix with the paper's own spanner/sparsifier machinery and

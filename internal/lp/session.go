@@ -1,7 +1,6 @@
 package lp
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -44,16 +43,19 @@ type Session struct {
 	cNorm float64
 }
 
-// NewSession validates prob, instantiates the backend named by
-// prob.Backend (DefaultBackend when empty; an unknown name fails here
-// with ErrBackendUnknown, before any solve starts) and allocates the
+// NewSession validates prob, instantiates the backend ResolveBackend
+// names for prob.Backend (DefaultBackend when empty; an unknown name fails
+// here with ErrBackendUnknown, before any solve starts) and allocates the
 // shared scratch. A and the backend are bound here; B, C, L and U are
 // read, and the bounds validated again, at every Solve/Polish.
 func NewSession(prob *Problem) (*Session, error) {
 	if err := prob.Validate(); err != nil {
 		return nil, err
 	}
-	backend := cmp.Or(prob.Backend, DefaultBackend)
+	backend, err := ResolveBackend(prob.Backend)
+	if err != nil {
+		return nil, err
+	}
 	solve, pstats, err := NewBackendSolverStats(backend, prob.A)
 	if err != nil {
 		return nil, err

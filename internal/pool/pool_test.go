@@ -551,7 +551,7 @@ func TestPoolRealFlowBatchBitIdentical(t *testing.T) {
 		t.Fatalf("instance too sparse: only %d usable pairs", len(pairs))
 	}
 	queries := []flow.Query{pairs[0], pairs[1], pairs[0], pairs[0], pairs[1]}
-	opts := flow.Options{Seed: flow.SeedOf(77)}
+	opts := flow.Options{Seed: 77}
 
 	seq, err := flow.NewSolver(d, opts)
 	if err != nil {

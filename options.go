@@ -79,13 +79,11 @@ func (c *config) apply(opts []Option) {
 
 // WithBackend selects the AᵀDA linear-solve strategy by registry name
 // ("dense", "csr-cg", "csr-pcg", …; FlowBackends lists them).
-// Without it a NewFlowSolver auto-selects from the graph: "csr-pcg" —
-// matrix-free CG with the spanner-built combinatorial preconditioner —
-// when the flow network is sparse (n ≥ 32 vertices and m ≤ n²/8 arcs),
-// the exact dense reference otherwise. NewLPSolver has no graph to
-// inspect and defaults to prob.Backend (then "dense"); WithBackend there
-// overrides prob.Backend for the session without writing prob. An unknown
-// name makes the session constructor fail fast with ErrBackendUnknown.
+// Without it a NewFlowSolver runs the exact dense reference on every
+// graph, and NewLPSolver runs prob.Backend (then "dense"); WithBackend
+// there overrides prob.Backend for the session without writing prob. An
+// unknown name makes the session constructor fail fast with
+// ErrBackendUnknown.
 // Applies to NewFlowSolver and NewLPSolver.
 func WithBackend(name string) Option {
 	return func(c *config) { c.backend = name }

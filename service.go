@@ -234,6 +234,7 @@ func tenantOpts(cfg config) store.TenantOpts {
 // max(pool, shards) workers folds into the pool size. Tol and Retries, from
 // versions that had those options, are ignored, and the retired "gremban"
 // backend replays as "csr-cg", whose Jacobi CG it ran on a doubled system.
+// An empty backend replays on the default, dense, whatever the network.
 func configOf(o store.TenantOpts) config {
 	cfg := config{
 		backend:   o.Backend,

@@ -63,8 +63,8 @@ type Stats struct {
 	// to fresh ones in value, cost and flow vector.
 	CacheHit bool
 	// Backend is the registered AᵀDA backend the session ran (flow/LP
-	// sessions): the WithBackend name, else the flow auto-selection or
-	// LPProblem.Backend, else "dense".
+	// sessions): the WithBackend name, else LPProblem.Backend for an LP
+	// session, else "dense".
 	Backend string
 	// TraceID is the request-scoped trace identifier threaded from the
 	// serving boundary (16 hex digits, minted per HTTP request or set via
@@ -119,9 +119,8 @@ func newFlowSolver(d *Digraph, cfg config) (*FlowSolver, error) {
 		Backend: cfg.backend,
 		// The +11 offset fixes the perturbation stream every committed
 		// result was certified under; changing it changes those answers
-		// bit for bit (flow takes the seed by pointer, so every value —
-		// 0 included — names a distinct stream).
-		Seed: flow.SeedOf(cfg.seed + 11),
+		// bit for bit.
+		Seed: cfg.seed + 11,
 		Net:  cfg.net,
 	}
 	if cfg.progress != nil {
@@ -134,9 +133,9 @@ func newFlowSolver(d *Digraph, cfg config) (*FlowSolver, error) {
 		}
 	}
 	// Resolve the backend through the same path the worker sessions use,
-	// so Stats.Backend reports the name actually run (the auto-selection
-	// included) and unknown names fail before any worker is built.
-	backend, err := fopts.ResolveBackend(d)
+	// so Stats.Backend reports the name actually run and unknown names
+	// fail before any worker is built.
+	backend, err := lp.ResolveBackend(cfg.backend)
 	if err != nil {
 		return nil, err
 	}
@@ -150,12 +149,12 @@ func newFlowSolver(d *Digraph, cfg config) (*FlowSolver, error) {
 	if err := checkNetwork(cfg.net, d.N()); err != nil {
 		return nil, err
 	}
-	// Every worker session gets identical options (flow takes the seed by
-	// pointer and derives a fresh per-query stream from it), so any worker
-	// answers any query exactly as any other would. Each worker owns a
-	// private digraph clone: PatchArcs mutates arc capacities/costs on the
-	// worker goroutines, and a shared arc slice would race with reads on
-	// the others — and a caller-held digraph is never mutated.
+	// Every worker session gets identical options (flow derives a fresh
+	// per-query stream from the seed), so any worker answers any query
+	// exactly as any other would. Each worker owns a private digraph
+	// clone: PatchArcs mutates arc capacities/costs on the worker
+	// goroutines, and a shared arc slice would race with reads on the
+	// others — and a caller-held digraph is never mutated.
 	p, err := pool.New(pool.Config{
 		Workers: workers,
 		New: func(int) (pool.Session, error) {
@@ -275,9 +274,8 @@ func (fs *FlowSolver) Close() { fs.pool.Close() }
 func (fs *FlowSolver) Closed() bool { return fs.pool.Closed() }
 
 // Backend returns the AᵀDA backend name this solver's sessions use: the
-// WithBackend choice, or the auto-selected default (csr-pcg on sparse
-// graphs, dense otherwise) when none was named. It matches Stats.Backend
-// on every result.
+// WithBackend choice, or "dense" when none was named. It matches
+// Stats.Backend on every result.
 func (fs *FlowSolver) Backend() string { return fs.backend }
 
 // PoolSize returns the number of worker sessions.

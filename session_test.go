@@ -36,7 +36,7 @@ func solveOnce(d *Digraph, s, t int, opts ...Option) (*FlowResult, error) {
 // options NewFlowSolver gives its workers for WithSeed(seed).
 func bareSolver(t *testing.T, d *Digraph, seed int64, net *Network) *flow.Solver {
 	t.Helper()
-	fs, err := flow.NewSolver(d.Clone(), flow.Options{Seed: flow.SeedOf(seed + 11), Net: net})
+	fs, err := flow.NewSolver(d.Clone(), flow.Options{Seed: seed + 11, Net: net})
 	if err != nil {
 		t.Fatal(err)
 	}
