@@ -125,25 +125,32 @@
 // strategy is pluggable through a backend registry shared by flow and LP
 // sessions (WithBackend):
 //
-//	dense   — assemble AᵀDA and factorize it once per barrier diagonal;
-//	          exact reference, O(n³) per diagonal and O(n²) per solve
+//	dense   — assemble AᵀDA and factorize it on every solve; the exact
+//	          reference, O(n³) per solve
 //	csr-cg  — matrix-free CG applying AᵀDA in one fused pass over A's
-//	          rows; never materializes AᵀDA and scales to large instances
+//	          rows; never materializes AᵀDA. Cold solves at n = 12–24
+//	          take about dense's time (0.1–0.8 s on a 2-vCPU host), and
+//	          both n = 32 instances of that sweep failed to certify
 //	csr-pcg — csr-cg plus a combinatorial preconditioner: a spanning-forest
 //	          incomplete Cholesky extracted from the flow network with the
 //	          paper's spanner/sparsifier machinery, built once per session
-//	          and only numerically refreshed when the IPM reweights D —
-//	          fewer inner CG iterations per query (internal/flow's
-//	          TestWorkCountsGolden asserts csr-pcg < csr-cg);
+//	          and numerically refreshed on every solve — fewer inner CG
+//	          iterations per query (internal/flow's TestWorkCountsGolden
+//	          asserts csr-pcg < csr-cg);
 //	          Stats.PrecondBuilds/PrecondRefreshes expose its counters
+//
+// Every backend serves only the projection solve: the Lewis weights'
+// leverage scores come from one dense factorization per Lewis iteration,
+// the same on every backend.
 //
 //	solver, err := bcclap.NewFlowSolver(d, bcclap.WithBackend("csr-pcg"))
 //	defer solver.Close()
 //	res, err := solver.Solve(ctx, s, t)
 //
 // With no WithBackend option every session runs dense, whatever the
-// graph: at every measured size it answers faster than csr-pcg (see
-// EXPERIMENTS.md), and the certificate, not the backend, decides the
+// graph: its solves are exact, and it certified every instance of the
+// measured sweeps, where csr-cg and csr-pcg fail some at n ≥ 24 (see
+// EXPERIMENTS.md); the certificate, not the backend, decides the
 // answer. FlowSolver.Backend and Stats.Backend report the resolved name.
 // FlowBackends lists the registered names; unknown names fail at session
 // construction with ErrBackendUnknown. All matrix-vector products ride on

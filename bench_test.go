@@ -147,12 +147,9 @@ func BenchmarkE6LeverageScores(b *testing.B) {
 	}
 	a := linalg.NewCSR(m, n, ts)
 	d := linalg.Ones(m)
-	dense, _, err := lp.NewBackendSolverStats("dense", a)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// With d² = d = 1, lp's dense AᵀDA solve is the Gram solve of diag(d)·A.
-	solve := dense.Gram(context.Background(), d)
+	gram := linalg.NewGramFactor(a)
+	gram.Factor(d) // d² = d = 1: the Gram matrix of diag(d)·A
+	solve := gram.Solve
 	b.Run("exact", func(b *testing.B) {
 		lev := jl.NewExactLeverage(a)
 		for i := 0; i < b.N; i++ {

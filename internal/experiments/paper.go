@@ -148,12 +148,9 @@ func e6(ctx context.Context, quick bool) ([]Table, error) {
 	}
 	a := linalg.NewCSR(m, n, ts)
 	d := linalg.Ones(m)
-	dense, _, err := lp.NewBackendSolverStats("dense", a)
-	if err != nil {
-		return nil, err
-	}
-	// With d² = d = 1, lp's dense AᵀDA solve is the Gram solve of diag(d)·A.
-	solve := dense.Gram(ctx, d)
+	gram := linalg.NewGramFactor(a)
+	gram.Factor(d) // d² = d = 1: the Gram matrix of diag(d)·A
+	solve := gram.Solve
 	exact, err := jl.NewExactLeverage(a).Scores(d, solve)
 	if err != nil {
 		return nil, err

@@ -57,10 +57,10 @@ func (c differentialCase) digraph() *graph.Digraph {
 // instance are logged, so a change that needs more perturbations to
 // certify shows up before it shows up as failures.
 //
-// The slow cases (forced csr-pcg at n=24, 5–15 s each) run in every
-// build without the race detector, CI's own "certificate differential"
-// step included. Under -race they would take over ten minutes and hit
-// the package timeout, and a solve runs on one goroutine, so the detector
+// The slow cases (forced csr-pcg at n=24, 1–3 s each on a 2-vCPU host)
+// run in every build without the race detector, CI's own "certificate
+// differential" step included. Under -race they take 9–30 s each, about
+// a minute together, and a solve runs on one goroutine, so the detector
 // has nothing to find in them.
 func TestCertificateDifferentialSSP(t *testing.T) {
 	var cases []differentialCase

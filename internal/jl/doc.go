@@ -9,12 +9,14 @@
 //
 // On top of the sketches, the package provides approximate leverage scores
 // (Algorithm 6, Lemma 4.5): σ(M) = diag(M(MᵀM)⁻¹Mᵀ) approximated by k
-// regression solves, which the LP solver's Lewis-weight updates consume.
+// regression solves, which the paper's Lewis-weight updates consume.
 // The exact computation (ExactLeverage) costs one Gram solve per column
 // of the m×n matrix M = diag(d)·A (σᵢ = Σⱼ (M·(MᵀM)⁻¹)ᵢⱼ·Mᵢⱼ) plus one
 // O(nnz) pass over A's columns: n solves against the sketch's k. The LP
-// solver uses ExactLeverage alone (see package lp); Algorithm 6 is
-// measured against it by experiment e6.
+// solver uses ExactLeverage alone and answers its n solves from one dense
+// factorization of MᵀM per call (linalg.GramFactor; see package lp), on
+// every AᵀDA backend; Algorithm 6 is measured against it by experiment
+// e6.
 //
 // Invariants:
 //

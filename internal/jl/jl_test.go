@@ -1,7 +1,6 @@
 package jl
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -164,10 +163,11 @@ func TestLeverageScoresExactProperties(t *testing.T) {
 	for i := range d {
 		d[i] = 0.5 + rnd.Float64()
 	}
-	solve, err := denseGramSolver(a, d)
-	if err != nil {
-		t.Fatal(err)
+	gram := linalg.NewGramFactor(a)
+	if !gram.Factor(squares(d)) {
+		t.Fatal("Gram matrix is not positive definite")
 	}
+	solve := gram.Solve
 	sigma, err := NewExactLeverage(a).Scores(d, solve)
 	if err != nil {
 		t.Fatal(err)
@@ -251,10 +251,11 @@ func TestLeverageScoresExactMatchesPerRow(t *testing.T) {
 		for i := range d {
 			d[i] = math.Pow(10, -6+12*rnd.Float64())
 		}
-		solve, err := denseGramSolver(a, d)
-		if err != nil {
+		gram := linalg.NewGramFactor(a)
+		if !gram.Factor(squares(d)) {
 			continue // G numerically singular: no leverage scores to compare
 		}
+		solve := gram.Solve
 		compared++
 		kappa, err := gramCond1(a, d, solve)
 		if err != nil {
@@ -298,10 +299,11 @@ func TestLeverageScoresApproxVsExact(t *testing.T) {
 	for i := range d {
 		d[i] = 0.5 + rnd.Float64()
 	}
-	solve, err := denseGramSolver(a, d)
-	if err != nil {
-		t.Fatal(err)
+	gram := linalg.NewGramFactor(a)
+	if !gram.Factor(squares(d)) {
+		t.Fatal("Gram matrix is not positive definite")
 	}
+	solve := gram.Solve
 	exact, err := NewExactLeverage(a).Scores(d, solve)
 	if err != nil {
 		t.Fatal(err)
@@ -330,21 +332,11 @@ func TestLeverageScoresApproxVsExact(t *testing.T) {
 	}
 }
 
-// denseGramSolver builds a GramSolver for M = diag(d)·A by assembling
-// AᵀD²A with linalg.CSR.GramTo and factorizing it (the reference the tests
-// check against).
-func denseGramSolver(a *linalg.CSR, d []float64) (GramSolver, error) {
+// squares returns d², the diagonal of the Gram matrix of diag(d)·A.
+func squares(d []float64) []float64 {
 	d2 := make([]float64, len(d))
 	for i, di := range d {
 		d2[i] = di * di
 	}
-	gram := linalg.NewDense(a.Cols(), a.Cols())
-	a.GramTo(gram, d2)
-	chol, err := gram.Cholesky()
-	if err != nil {
-		return nil, fmt.Errorf("jl: gram factorization: %w", err)
-	}
-	return func(y []float64) ([]float64, error) {
-		return linalg.CholSolve(chol, y), nil
-	}, nil
+	return d2
 }

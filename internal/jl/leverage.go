@@ -6,9 +6,10 @@ import (
 	"bcclap/internal/linalg"
 )
 
-// GramSolver solves (MᵀM)x = y for the current matrix M. Implementations
-// range from dense Cholesky (tests) to the paper's Laplacian-based solver
-// for flow constraint matrices.
+// GramSolver solves (MᵀM)x = y for the current matrix M. The LP solver,
+// e6 and the tests all pass linalg.GramFactor.Solve, a dense Cholesky
+// solve; the paper's would be a Laplacian solver for flow constraint
+// matrices.
 type GramSolver func(y []float64) ([]float64, error)
 
 // ExactLeverage computes exact leverage scores σ(diag(d)·A) for one fixed

@@ -230,6 +230,38 @@ func CholSolveInPlace(l *Dense, y []float64) {
 	}
 }
 
+// GramFactor is the one dense factorization of G = mᵀ·diag(d)·m: GramTo
+// into a kept Cols×Cols buffer, then Cholesky, and CholSolve for every
+// solve against that d. When Cholesky fails (G only semidefinite, e.g. a
+// bound hit exactly by degenerate weights), Solve falls back to pivoted
+// Gaussian elimination on G.
+type GramFactor struct {
+	m    *CSR
+	gram *Dense
+	chol *Dense // Cholesky factor of gram; nil when it failed
+}
+
+// NewGramFactor allocates the Gram buffer for m.
+func NewGramFactor(m *CSR) *GramFactor {
+	return &GramFactor{m: m, gram: NewDense(m.cols, m.cols)}
+}
+
+// Factor assembles G for d and factorizes it, reporting whether Cholesky
+// succeeded; when it did not, Solve uses Gaussian elimination.
+func (f *GramFactor) Factor(d []float64) bool {
+	f.m.GramTo(f.gram, d)
+	f.chol, _ = f.gram.Cholesky()
+	return f.chol != nil
+}
+
+// Solve answers G·x = y for the d of the last Factor.
+func (f *GramFactor) Solve(y []float64) ([]float64, error) {
+	if f.chol == nil {
+		return f.gram.Solve(y)
+	}
+	return CholSolve(f.chol, y), nil
+}
+
 // Eye returns the n×n identity matrix.
 func Eye(n int) *Dense {
 	m := NewDense(n, n)

@@ -39,8 +39,7 @@ func (m *CSR) GramDiagTo(dst, d []float64) {
 // GramTo writes the dense Cols×Cols matrix mᵀ·diag(d)·m into g,
 // overwriting it. Each row r with d[r] ≠ 0 adds d[r]·v_p·v_q to the cell
 // of every pair (p, q) of its entries, so every cell sums its terms in row
-// order: the one dense Gram assembly of the normal-equation backends and
-// the dense leverage reference.
+// order: the assembly step of GramFactor.
 func (m *CSR) GramTo(g *Dense, d []float64) {
 	if len(d) != m.rows || g.rows != m.cols || g.cols != m.cols {
 		panic(fmt.Sprintf("linalg: CSR GramTo got g=%dx%d d=%d, want g=%dx%d d=%d", g.rows, g.cols, len(d), m.cols, m.cols, m.rows))

@@ -1,26 +1,27 @@
 // Backend registry for the normal-equation solves of the interior-point
-// method. Every path step of Solve reduces to systems (AᵀDA)x = y with a
-// fresh positive diagonal D; how those systems are solved is the single
-// biggest performance lever in the pipeline, so the strategy is pluggable:
-// callers name a registered backend in Problem.Backend, and NewSession,
-// the one place a session gets its solver, builds it.
+// method. Every centering's projection reduces to one system (AᵀDA)x = y
+// with a fresh positive diagonal D (repairFeasibility adds one more per
+// polish); how that system is solved is pluggable: callers name a
+// registered backend in Problem.Backend, and NewSession, the one place a
+// session gets its solver, builds it. Leverage scores do not go through
+// the backend: the session computes them from its own dense factorization
+// (exactLeverage in lewis.go), whatever backend it runs.
 //
 // Built-in backends:
 //
-//	dense   — assemble AᵀDA densely and factorize it once per diagonal D
-//	          (Cholesky, kept until D changes, with an uncached Gaussian
-//	          fallback); the exact reference, O(n³) per D and O(n²) per
-//	          solve.
+//	dense   — assemble AᵀDA densely and factorize it on every call
+//	          (linalg.GramFactor: Cholesky, with a Gaussian fallback); the
+//	          exact reference, O(n³) per solve.
 //	csr-cg  — never materialize AᵀDA: apply Aᵀ·diag(D)·A in one fused
 //	          pass over A's rows inside Jacobi-preconditioned CG. O(nnz)
-//	          per iteration, and the only backend that scales past tiny n.
+//	          per iteration.
 //	csr-pcg — csr-cg with a combinatorial preconditioner: a spanning-forest
 //	          incomplete Cholesky whose support is extracted once per
 //	          session from the constraint matrix with the paper's
 //	          spanner/sparsifier machinery and only numerically refreshed
-//	          when the IPM reweights D (see precond.go). Fewer CG
-//	          iterations per solve on incidence-structured LPs; degrades to
-//	          Jacobi on general matrices.
+//	          on each call (see precond.go). Fewer CG iterations per solve
+//	          on incidence-structured LPs; degrades to Jacobi on general
+//	          matrices.
 //
 // csr-cg and csr-pcg are one constructor, matrixFreeSolve: csr-cg is
 // csr-pcg with an empty preconditioner structure and no counters. Both
@@ -55,8 +56,8 @@ type BackendFactory func(a *linalg.CSR) (ATDASolve, error)
 // instance, cumulative over its lifetime (i.e. over the owning session):
 // Builds counts symbolic constructions — subgraph extraction, elimination
 // ordering — and Refreshes counts numeric refactorizations, one per
-// distinct barrier diagonal. A session whose Builds stays at 1 across
-// queries is reusing its symbolic structure, which is the point.
+// projection solve. A session whose Builds stays at 1 across queries is
+// reusing its symbolic structure, which is the point.
 type PrecondStats struct {
 	Builds    int
 	Refreshes int
@@ -153,33 +154,18 @@ func ResolveBackend(name string) (string, error) {
 // DefaultBackend is the backend every caller that names none runs.
 const DefaultBackend = "dense"
 
-// denseBackend assembles AᵀDA into a reused n×n buffer and factorizes it
-// once per diagonal: the Cholesky factor is kept until D changes (the
-// floatsEqual rule of matrixFreeSolve), so the n′ leverage solves against
-// one D share one factorization. The reference for tests and small
-// instances; it keeps no preconditioner counters.
+// denseBackend factorizes AᵀDA densely on every call with
+// linalg.GramFactor. The reference for tests and small instances; it keeps
+// no preconditioner counters.
 func denseBackend(a *linalg.CSR) (ATDASolve, *PrecondStats, error) {
-	n := a.Cols()
-	gram := linalg.NewDense(n, n)
-	dbuf := make([]float64, a.Rows())
-	var chol *linalg.Dense // factor of AᵀDA for D = dbuf; nil when none
+	gram := linalg.NewGramFactor(a)
 	return func(_ context.Context, d, y []float64) ([]float64, int, error) {
 		if err := checkATDAArgs(a, d, y); err != nil {
 			return nil, 0, err
 		}
-		if chol == nil || !floatsEqual(dbuf, d) {
-			a.GramTo(gram, d)
-			var err error
-			if chol, err = gram.Cholesky(); err != nil {
-				// Fall back to pivoted Gaussian elimination for
-				// semidefinite edge cases (e.g. a bound exactly hit by
-				// degenerate weights); nothing is kept for the next call.
-				x, err := gram.Solve(y)
-				return x, 0, err
-			}
-			copy(dbuf, d)
-		}
-		return linalg.CholSolve(chol, y), 0, nil
+		gram.Factor(d)
+		x, err := gram.Solve(y)
+		return x, 0, err
 	}, nil, nil
 }
 
@@ -190,18 +176,17 @@ func denseBackend(a *linalg.CSR) (ATDASolve, *PrecondStats, error) {
 // all of csr-cg and csr-pcg on non-incidence matrices. One operator,
 // tolerance and budget for both backends keeps their iteration counts
 // directly comparable (flow's TestWorkCountsGolden asserts csr-pcg takes
-// fewer CG iterations than csr-cg on every pinned instance). The
-// per-call refresh rewrites the diagonal and the preconditioner numerics
-// only when D changed since the previous call — exact leverage issues n′
-// solves against one D — and counts each refresh in stats.
+// fewer CG iterations than csr-cg on every pinned instance). Every call
+// rewrites the diagonal and the preconditioner numerics for its D and
+// counts the refresh in stats.
 func matrixFreeSolve(a *linalg.CSR, st *pcgStructure, stats *PrecondStats) ATDASolve {
 	n := a.Cols()
 	ws := linalg.NewWorkspace()
-	dbuf := make([]float64, a.Rows())
+	var dcur []float64 // the D of the running call
 	diag := make([]float64, n)
 	x := make([]float64, n)
 	op := linalg.FuncOp(func(dst, x []float64) {
-		a.GramMulVecTo(dst, dbuf, x)
+		a.GramMulVecTo(dst, dcur, x)
 	})
 	var jac *linalg.JacobiPrecond
 	var precondTo func(dst, r []float64)
@@ -211,23 +196,18 @@ func matrixFreeSolve(a *linalg.CSR, st *pcgStructure, stats *PrecondStats) ATDAS
 		jac = linalg.NewJacobiPrecond(n)
 		precondTo = jac.ApplyTo
 	}
-	loaded := false
 	return func(ctx context.Context, d, y []float64) ([]float64, int, error) {
 		if err := checkATDAArgs(a, d, y); err != nil {
 			return nil, 0, err
 		}
-		if !loaded || !floatsEqual(dbuf, d) {
-			// The operator reads D from dbuf; diag becomes diag(AᵀDA).
-			copy(dbuf, d)
-			loaded = true
-			a.GramDiagTo(diag, d)
-			if jac != nil {
-				jac.Refresh(diag)
-			} else {
-				st.refresh(d, diag)
-			}
-			stats.Refreshes++
+		dcur = d
+		a.GramDiagTo(diag, d) // diag(AᵀDA)
+		if jac != nil {
+			jac.Refresh(diag)
+		} else {
+			st.refresh(d, diag)
 		}
+		stats.Refreshes++
 		iters, err := linalg.InexactCGTo(ctx, x, op, y, precondTo, ws)
 		if err != nil {
 			return nil, iters, err

@@ -13,15 +13,15 @@
 // one session serves a problem whose costs and bounds are rewritten in
 // place between calls (the flow layer's perturbations and arc patches).
 //
-// The per-step normal equations (AᵀDA)x = y go through a pluggable backend
-// registry ("dense", "csr-cg", "csr-pcg"; ResolveBackend, the one place
-// an empty name becomes DefaultBackend, and Backends) shared with the flow
-// layer, so the same IPM scales from the exact dense reference to
-// matrix-free CG that never materializes AᵀDA. The csr-pcg backend adds a combinatorial
+// Each centering's projection solve (AᵀDA)x = y goes through a pluggable
+// backend registry ("dense", "csr-cg", "csr-pcg"; ResolveBackend, the one
+// place an empty name becomes DefaultBackend, and Backends) shared with
+// the flow layer, from the exact dense reference to matrix-free CG that
+// never materializes AᵀDA. The csr-pcg backend adds a combinatorial
 // preconditioner on top of the matrix-free path: a spanning-forest
 // incomplete Cholesky whose support is extracted once per session from the
 // constraint matrix with the paper's own spanner/sparsifier machinery and
-// only numerically refreshed when the IPM reweights D (precond.go); its
+// only numerically refreshed, once per projection solve (precond.go); its
 // build/refresh counters surface in Solution.PrecondBuilds/Refreshes.
 // Lemma 5.1's Gremban reduction is no backend: on [y; −y] its CG is
 // csr-cg's Jacobi CG on doubled vectors, so lapsolver.SDDSolver measures
@@ -62,18 +62,17 @@
 // not charged to the round ledger (Params.Net).
 //
 // Leverage scores are always exact, a deliberate departure from the
-// paper: jl.ExactLeverage, built once per Session, makes n Gram solves
-// (one per column of A) plus an O(nnz) pass over A's columns, where the
-// paper's Lewis weights take Algorithm 6's Johnson–Lindenstrauss sketch
-// of k = Θ(log(m)/η²) solves. The sketch makes fewer solves only when
-// n > k, and at the η = 0.5 this package used to sketch with,
-// k = 256·ln(m+2) ≥ 281; no test, experiment or benchmark solves an LP
-// that large. Past that crossover a solve makes n/k times the sketch's
-// Gram solves per Lewis iteration: about 1.3× for a flow network with
-// 3,000 vertices and 3,000 arcs, whose LP has m = 8,999 rows
-// (k ≈ 2,331) and n = 2,999 columns. In exchange lp keeps one leverage
-// path and draws no random numbers. Algorithm 6 stays in package jl,
-// where experiment e6 measures it against the exact scores.
+// paper, and never go through the backend: every Lewis iteration of every
+// session, whatever its backend, assembles AᵀD²A densely and factorizes
+// it once (linalg.GramFactor), and jl.ExactLeverage answers its n column
+// solves from that one factor plus an O(nnz) pass over A's columns. That
+// is O(n³) work per Lewis iteration and an n×n buffer per session on
+// every backend, where the paper's Lewis weights take Algorithm 6's
+// Johnson–Lindenstrauss sketch of k = Θ(log(m)/η²) Laplacian solves; at
+// the sizes this repository solves, one dense factor costs less than n
+// inexact CG solves would. In exchange lp keeps one leverage path and
+// draws no random numbers. Algorithm 6 stays in package jl, where
+// experiment e6 measures it against the exact scores.
 //
 // Deviations are local and documented at the point they occur.
 package lp

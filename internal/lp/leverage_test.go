@@ -13,10 +13,10 @@ import (
 	"bcclap/internal/lp"
 )
 
-// flowLP returns the constraint matrix of the flow LP of a 5-vertex,
-// 9-arc network with terminals (0, 4): an 18×4 matrix, the shape every
-// cold solve of the repository benchmark works on.
-func flowLP(tb testing.TB) *linalg.CSR {
+// flowLP returns the flow LP of a 5-vertex, 9-arc network with terminals
+// (0, 4): an 18×4 constraint matrix, the shape every cold solve of the
+// repository benchmark works on.
+func flowLP(tb testing.TB) *lp.Problem {
 	tb.Helper()
 	d := graph.NewDigraph(5)
 	for _, a := range [][4]int64{{0, 1, 2, 1}, {1, 2, 1, 1}, {2, 3, 2, 0}, {3, 4, 2, 1},
@@ -29,7 +29,7 @@ func flowLP(tb testing.TB) *linalg.CSR {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return form.Prob.A
+	return form.Prob
 }
 
 // barrierScaling draws d with entries spread over twelve decades, as the
@@ -42,28 +42,17 @@ func barrierScaling(m int, rnd *rand.Rand) []float64 {
 	return d
 }
 
-// gramSolve binds an AᵀDA backend to D = d².
-func gramSolve(sol lp.ATDASolve, d []float64) jl.GramSolver {
-	d2 := make([]float64, len(d))
-	for i, v := range d {
-		d2[i] = v * v
+// sessionLeverage returns the leverage function of a session that runs
+// prob on backend.
+func sessionLeverage(tb testing.TB, prob *lp.Problem, backend string) lp.LeverageFn {
+	tb.Helper()
+	p := *prob
+	p.Backend = backend
+	sess, err := lp.NewSession(&p)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	return sol.Gram(context.Background(), d2)
-}
-
-// exactLeverage is the IPM's leverage function over A, as lp.NewSession
-// builds it: jl.ExactLeverage with its Gram solves bound through
-// ATDASolve.Gram to one reused D = d² buffer.
-func exactLeverage(a *linalg.CSR, sol lp.ATDASolve) lp.LeverageFn {
-	exact := jl.NewExactLeverage(a)
-	d2 := make([]float64, a.Rows())
-	gram := sol.Gram(context.Background(), d2)
-	return func(d []float64) ([]float64, error) {
-		for i, v := range d {
-			d2[i] = v * v
-		}
-		return exact.Scores(d, gram)
-	}
+	return sess.Leverage()
 }
 
 // leverageFullSpMV is exact leverage with two full products per column:
@@ -90,42 +79,72 @@ func leverageFullSpMV(a *linalg.CSR, d []float64, solve jl.GramSolver) ([]float6
 }
 
 // The column pass touches only the rows in each column's support; every
-// term it skips is an exact zero, so on every backend its scores are the
-// full-product sums bit for bit.
+// term it skips is an exact zero, so the IPM's scores are the
+// full-product sums over the same Gram factor bit for bit.
 func TestExactLeverageBitIdenticalToFullSpMV(t *testing.T) {
-	a := flowLP(t)
+	prob := flowLP(t)
+	a := prob.A
+	lev := sessionLeverage(t, prob, lp.DefaultBackend)
+	gram := linalg.NewGramFactor(a)
+	d2 := make([]float64, a.Rows())
 	rnd := rand.New(rand.NewSource(31))
-	for _, backend := range lp.Backends() {
-		sol, _, err := lp.NewBackendSolverStats(backend, a)
+	for trial := 0; trial < 10; trial++ {
+		d := barrierScaling(a.Rows(), rnd)
+		for i, v := range d {
+			d2[i] = v * v
+		}
+		gram.Factor(d2)
+		want, err := leverageFullSpMV(a, d, gram.Solve)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lev := exactLeverage(a, sol)
-		for trial := 0; trial < 10; trial++ {
-			d := barrierScaling(a.Rows(), rnd)
-			want, err := leverageFullSpMV(a, d, gramSolve(sol, d))
-			if err != nil {
-				t.Fatal(err)
+		got, err := lev(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d: σ[%d] = %v (column pass), full products %v", trial, i, got[i], want[i])
 			}
+		}
+	}
+}
+
+// Leverage does not go through the AᵀDA backend: sessions on dense,
+// csr-cg and csr-pcg compute σ from the same dense factorization, so
+// their scores agree bit for bit under every barrier scaling.
+func TestIPMLeverageBackendIndependent(t *testing.T) {
+	prob := flowLP(t)
+	levs := map[string]lp.LeverageFn{}
+	for _, backend := range lp.Backends() {
+		levs[backend] = sessionLeverage(t, prob, backend)
+	}
+	rnd := rand.New(rand.NewSource(35))
+	for trial := 0; trial < 10; trial++ {
+		d := barrierScaling(prob.M(), rnd)
+		want, err := levs["dense"](d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for backend, lev := range levs {
 			got, err := lev(d)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s trial %d: %v", backend, trial, err)
 			}
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("%s trial %d: σ[%d] = %v (column pass), full products %v",
-						backend, trial, i, got[i], want[i])
+					t.Fatalf("%s trial %d: σ[%d] = %v, dense session %v", backend, trial, i, got[i], want[i])
 				}
 			}
 		}
 	}
 }
 
-// The dense backend keeps its factor until D changes: solving under D₁,
-// D₂, D₁ must give a fresh backend's bits for each, so the kept factor is
-// never stale.
+// The dense backend reuses its Gram buffer across calls: solving under
+// D₁, D₂, D₁ must give a fresh backend's bits for each, so nothing stale
+// survives a call.
 func TestDenseBackendFactorFollowsD(t *testing.T) {
-	a := flowLP(t)
+	a := flowLP(t).A
 	rnd := rand.New(rand.NewSource(32))
 	d1, d2 := barrierScaling(a.Rows(), rnd), barrierScaling(a.Rows(), rnd)
 	ys := [][]float64{{1, 0, 0, 0}, {0.5, -2, 0, 3}}
@@ -156,26 +175,20 @@ func TestDenseBackendFactorFollowsD(t *testing.T) {
 	}
 }
 
-// With D fixed across calls, an exact leverage call allocates σ and one
-// result per solve, nothing else: no column index, D = d² buffer,
-// operator, factor or right-hand side is rebuilt per call.
+// An exact leverage call allocates σ, the Cholesky factor and one result
+// per solve, nothing else: no column index, D = d² buffer, Gram buffer or
+// right-hand side is rebuilt per call.
 func TestLeverageExactAllocations(t *testing.T) {
-	a := flowLP(t)
-	d := barrierScaling(a.Rows(), rand.New(rand.NewSource(33)))
-	for _, backend := range []string{"csr-pcg", "dense"} {
-		sol, _, err := lp.NewBackendSolverStats(backend, a)
-		if err != nil {
+	prob := flowLP(t)
+	lev := sessionLeverage(t, prob, lp.DefaultBackend)
+	d := barrierScaling(prob.M(), rand.New(rand.NewSource(33)))
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := lev(d); err != nil {
 			t.Fatal(err)
 		}
-		lev := exactLeverage(a, sol)
-		allocs := testing.AllocsPerRun(20, func() {
-			if _, err := lev(d); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if limit := float64(a.Cols() + 1); allocs > limit {
-			t.Errorf("%s: one exact leverage call allocates %v times, want at most %v", backend, allocs, limit)
-		}
+	})
+	if limit := float64(prob.N() + 3); allocs > limit {
+		t.Errorf("one exact leverage call allocates %v times, want at most %v", allocs, limit)
 	}
 }
 
@@ -183,26 +196,18 @@ func TestLeverageExactAllocations(t *testing.T) {
 // 18×4 flow LP, with a fresh barrier scaling per call as path following
 // has it (run with -benchmem).
 func BenchmarkLeverageExact(b *testing.B) {
-	a := flowLP(b)
+	prob := flowLP(b)
+	lev := sessionLeverage(b, prob, lp.DefaultBackend)
 	rnd := rand.New(rand.NewSource(34))
 	ds := make([][]float64, 16)
 	for i := range ds {
-		ds[i] = barrierScaling(a.Rows(), rnd)
+		ds[i] = barrierScaling(prob.M(), rnd)
 	}
-	for _, backend := range []string{"csr-pcg", "dense"} {
-		b.Run(backend, func(b *testing.B) {
-			sol, _, err := lp.NewBackendSolverStats(backend, a)
-			if err != nil {
-				b.Fatal(err)
-			}
-			lev := exactLeverage(a, sol)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := lev(ds[i%len(ds)]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := lev(ds[i%len(ds)]); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -4,13 +4,30 @@ import (
 	"fmt"
 	"math"
 
+	"bcclap/internal/jl"
 	"bcclap/internal/linalg"
 )
 
 // LeverageFn returns the leverage scores σ(diag(d)·A) for the problem's
-// constraint matrix A. The IPM's is exact: jl.ExactLeverage, one Gram
-// solve per column of A (see newIPM).
+// constraint matrix A. The IPM's is exactLeverage.
 type LeverageFn func(d []float64) ([]float64, error)
+
+// exactLeverage returns the IPM's leverage over A, whatever the session's
+// backend: per call, one dense factorization of AᵀD²A (D = d²,
+// linalg.GramFactor) answers the n column solves of jl.ExactLeverage. The
+// Gram buffer, the D buffer and A's column index are built here, once.
+func exactLeverage(a *linalg.CSR) LeverageFn {
+	exact := jl.NewExactLeverage(a)
+	gram := linalg.NewGramFactor(a)
+	d2 := make([]float64, a.Rows())
+	return func(d []float64) ([]float64, error) {
+		for i, v := range d {
+			d2[i] = v * v
+		}
+		gram.Factor(d2)
+		return exact.Scores(d, gram.Solve)
+	}
+}
 
 // ComputeApxWeights implements Algorithm 7: approximate the ℓ_p Lewis
 // weights w_p(diag(base)·A) starting from w0, by iters damped fixed-point

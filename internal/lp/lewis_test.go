@@ -1,7 +1,6 @@
 package lp
 
 import (
-	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -20,30 +19,11 @@ func tallMatrix(m, n int, rnd *rand.Rand) *linalg.CSR {
 	return linalg.NewCSR(m, n, ts)
 }
 
-// exactLeverage is the IPM's leverage function over A, as newIPM builds
-// it: jl.ExactLeverage with its Gram solves bound through ATDASolve.Gram
-// to one reused D = d² buffer.
-func exactLeverage(a *linalg.CSR, solve ATDASolve) LeverageFn {
-	exact := jl.NewExactLeverage(a)
-	d2 := make([]float64, a.Rows())
-	gram := solve.Gram(context.Background(), d2)
-	return func(d []float64) ([]float64, error) {
-		for i, v := range d {
-			d2[i] = v * v
-		}
-		return exact.Scores(d, gram)
-	}
-}
-
 func TestLewisWeightsPTwoAreLeverageScores(t *testing.T) {
 	rnd := rand.New(rand.NewSource(1))
 	m, n := 20, 4
 	a := tallMatrix(m, n, rnd)
-	sol, _, err := NewBackendSolverStats("dense", a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lev := exactLeverage(a, sol)
+	lev := exactLeverage(a)
 	base := linalg.Ones(m)
 	// For p = 2, W^{1/2−1/p} = W⁰ = I, so the fixed point is σ(A) itself.
 	sigma, err := lev(base)
@@ -65,11 +45,7 @@ func TestLewisFixedPoint(t *testing.T) {
 	rnd := rand.New(rand.NewSource(2))
 	m, n := 24, 4
 	a := tallMatrix(m, n, rnd)
-	sol, _, err := NewBackendSolverStats("dense", a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lev := exactLeverage(a, sol)
+	lev := exactLeverage(a)
 	base := linalg.Ones(m)
 	p := 1.2
 	w, _, err := ComputeInitialWeights(lev, base, p, n, m)
@@ -106,11 +82,7 @@ func TestComputeInitialWeightsStepCountScales(t *testing.T) {
 	steps := func(n int) int {
 		m := 3 * n
 		a := tallMatrix(m, n, rnd)
-		sol, _, err := NewBackendSolverStats("dense", a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, st, err := ComputeInitialWeights(exactLeverage(a, sol), linalg.Ones(m), 1-1/math.Log(4*float64(m)), n, m)
+		_, st, err := ComputeInitialWeights(exactLeverage(a), linalg.Ones(m), 1-1/math.Log(4*float64(m)), n, m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,29 +105,22 @@ func TestComputeApxWeightsRejectsBadP(t *testing.T) {
 	}
 }
 
-// countingSolve wraps the dense backend for A and counts its Gram solves.
-func countingSolve(t *testing.T, a *linalg.CSR, calls *int) ATDASolve {
-	t.Helper()
-	sol, _, err := NewBackendSolverStats("dense", a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return func(ctx context.Context, d, y []float64) ([]float64, int, error) {
-		*calls++
-		return sol(ctx, d, y)
-	}
-}
-
 // Exact leverage costs one Gram solve per column of A (n), not one per
 // row (m), on every call.
 func TestExactLeverageSolveCounts(t *testing.T) {
 	m, n := 30, 6
 	a := tallMatrix(m, n, rand.New(rand.NewSource(4)))
+	exact := jl.NewExactLeverage(a)
+	gram := linalg.NewGramFactor(a)
+	gram.Factor(linalg.Ones(m))
 	calls := 0
-	lev := exactLeverage(a, countingSolve(t, a, &calls))
+	solve := func(y []float64) ([]float64, error) {
+		calls++
+		return gram.Solve(y)
+	}
 	for call := 0; call < 3; call++ {
 		before := calls
-		if _, err := lev(linalg.Ones(m)); err != nil {
+		if _, err := exact.Scores(linalg.Ones(m), solve); err != nil {
 			t.Fatal(err)
 		}
 		if got := calls - before; got != n {

@@ -19,9 +19,7 @@
 //     dense — and complete it to a spanning forest,
 //  3. build the fill-free elimination structure (linalg.TreeCholPrecond).
 //
-// Per ATDA call the backend only refreshes numerics — and only when the
-// IPM actually reweighted D: exact leverage issues its n′ solves against
-// one diagonal, which all reuse the previous factorization.
+// Per ATDA call the backend only refreshes numerics for that call's D.
 package lp
 
 import (
@@ -215,16 +213,4 @@ func (st *pcgStructure) refresh(d, diag []float64) {
 		st.off[t] = s
 	}
 	st.tree.Refresh(diag, st.off)
-}
-
-// floatsEqual reports bitwise equality of two equal-length vectors — the
-// refresh guard. An O(m) compare is noise next to the O(nnz·iters) solve
-// it saves when exact leverage's n′ solves run against an unchanged D.
-func floatsEqual(a, b []float64) bool {
-	for i, v := range a {
-		if v != b[i] {
-			return false
-		}
-	}
-	return true
 }

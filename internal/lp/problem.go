@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"bcclap/internal/jl"
 	"bcclap/internal/linalg"
 )
 
@@ -16,17 +15,6 @@ import (
 // the IPM aggregates into Solution.CGIterations. Implementations honor ctx:
 // on cancellation they return an error satisfying errors.Is(err, ctx.Err()).
 type ATDASolve func(ctx context.Context, d, y []float64) ([]float64, int, error)
-
-// Gram binds s to ctx and the diagonal d2, discarding iteration counts:
-// the Gram solver of M = diag(√d2)·A that jl's leverage scores take. It
-// reads d2 on every call, so a caller may rewrite d2 in place between
-// calls.
-func (s ATDASolve) Gram(ctx context.Context, d2 []float64) jl.GramSolver {
-	return func(y []float64) ([]float64, error) {
-		x, _, err := s(ctx, d2, y)
-		return x, err
-	}
-}
 
 // Problem is the LP  min cᵀx  s.t.  Aᵀx = b,  l ≤ x ≤ u  (Section 4's
 // convention: A ∈ R^{m×n} with rank n, so n plays the role of the vertex

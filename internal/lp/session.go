@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"bcclap/internal/jl"
 	"bcclap/internal/linalg"
 )
 
@@ -29,11 +28,9 @@ type Session struct {
 	// the session, reported per solve in every Solution.
 	pstats *PrecondStats
 	scr    *scratch
-	// exact holds A's column index and levD2 the diagonal D = d² of the
-	// leverage solves, both built once: every Lewis iteration of every
-	// solve makes its n′ Gram solves through them.
-	exact *jl.ExactLeverage
-	levD2 []float64
+	// lev is the exact leverage of every Lewis iteration (exactLeverage),
+	// its Gram buffer and column index built once.
+	lev LeverageFn
 
 	// The problem shape and the IPM constants it fixes.
 	m, n  int
@@ -64,10 +61,9 @@ func NewSession(prob *Problem) (*Session, error) {
 	cK := 2 * math.Log(4*float64(m))
 	return &Session{
 		prob: prob, backend: backend, solve: solve, pstats: pstats,
-		scr:   newScratch(m, n),
-		exact: jl.NewExactLeverage(prob.A),
-		levD2: make([]float64, m),
-		m:     m, n: n,
+		scr: newScratch(m, n),
+		lev: exactLeverage(prob.A),
+		m:   m, n: n,
 		p:     1 - 1/math.Log(4*float64(m)),
 		c0:    float64(n) / (2 * float64(m)),
 		cK:    cK,
@@ -79,9 +75,7 @@ func NewSession(prob *Problem) (*Session, error) {
 func (sess *Session) Backend() string { return sess.backend }
 
 // newIPM builds the per-call solver state over the session's shared
-// backend and scratch and the problem's current bounds, binding the
-// leverage solves to ctx. The leverage solves' iteration counts are
-// discarded.
+// backend, leverage and scratch and the problem's current bounds.
 func (sess *Session) newIPM(ctx context.Context, par Params) (*ipm, error) {
 	bar, err := NewBarriers(sess.prob.L, sess.prob.U)
 	if err != nil {
@@ -90,13 +84,6 @@ func (sess *Session) newIPM(ctx context.Context, par Params) (*ipm, error) {
 	s := &ipm{Session: sess, bar: bar, ctx: ctx, par: par, startRounds: par.Net.Rounds()}
 	if sess.pstats != nil {
 		s.startRefreshes = sess.pstats.Refreshes
-	}
-	gram := sess.solve.Gram(ctx, sess.levD2)
-	s.lev = func(d []float64) ([]float64, error) {
-		for i, v := range d {
-			sess.levD2[i] = v * v
-		}
-		return sess.exact.Scores(d, gram)
 	}
 	return s, nil
 }

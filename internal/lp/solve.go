@@ -79,7 +79,8 @@ type Solution struct {
 	// stays at 1 across repeated solves is direct evidence the symbolic
 	// structure was reused (and 0 shows the Jacobi fallback).
 	// PrecondRefreshes counts the numeric refactorizations made during
-	// this solve only.
+	// this solve only: one per projection solve, so one per centering
+	// plus one per feasibility repair.
 	PrecondBuilds    int
 	PrecondRefreshes int
 	// Rounds is the simulator round count consumed by this solve (0 without
@@ -123,7 +124,6 @@ type ipm struct {
 	bar    *Barriers // from the problem's bounds at solve start
 	ctx    context.Context
 	par    Params
-	lev    LeverageFn
 	phase  int // 1 = artificial cost, 2 = true cost, 3 = polish
 	counts Solution
 

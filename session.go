@@ -38,8 +38,8 @@ type Stats struct {
 	// is paid once per session, so a count that stays at 1 across queries
 	// is direct evidence the symbolic structure was reused, and 0 shows
 	// the Jacobi fallback. PrecondRefreshes counts the numeric
-	// refactorizations (one per distinct barrier diagonal) made during
-	// this query only.
+	// refactorizations made during this query only: one per projection
+	// solve, so one per centering plus one per feasibility repair.
 	PrecondBuilds    int
 	PrecondRefreshes int
 	// Attempts is the number of fresh flow perturbation attempts (0 for a
