@@ -127,17 +127,15 @@
 //
 //	dense   — assemble AᵀDA and factorize it on every solve; the exact
 //	          reference, O(n³) per solve
-//	csr-cg  — matrix-free CG applying AᵀDA in one fused pass over A's
-//	          rows; never materializes AᵀDA. Cold solves at n = 12–24
-//	          take about dense's time (0.1–0.8 s on a 2-vCPU host), and
-//	          both n = 32 instances of that sweep failed to certify
-//	csr-pcg — csr-cg plus a combinatorial preconditioner: a spanning-forest
-//	          incomplete Cholesky extracted from the flow network with the
-//	          paper's spanner/sparsifier machinery, built once per session
-//	          and numerically refreshed on every solve — fewer inner CG
-//	          iterations per query (internal/flow's TestWorkCountsGolden
-//	          asserts csr-pcg < csr-cg);
-//	          Stats.PrecondBuilds/PrecondRefreshes expose its counters
+//	csr-pcg — matrix-free CG applying AᵀDA in one fused pass over A's
+//	          rows, never materializing it, preconditioned by a
+//	          spanning-forest incomplete Cholesky: one Kruskal pass over
+//	          the flow network by arc multiplicity picks the forest once
+//	          per session, and every solve refreshes its numerics — fewer
+//	          inner CG iterations than the same CG on the edgeless
+//	          (diagonal) forest (internal/flow's TestWorkCountsGolden
+//	          asserts it); Stats.PrecondBuilds/PrecondRefreshes expose its
+//	          counters
 //
 // Every backend serves only the projection solve: the Lewis weights'
 // leverage scores come from one dense factorization per Lewis iteration,
@@ -149,7 +147,7 @@
 //
 // With no WithBackend option every session runs dense, whatever the
 // graph: its solves are exact, and it certified every instance of the
-// measured sweeps, where csr-cg and csr-pcg fail some at n ≥ 24 (see
+// measured sweeps, where csr-pcg fails some at n ≥ 24 (see
 // EXPERIMENTS.md); the certificate, not the backend, decides the
 // answer. FlowSolver.Backend and Stats.Backend report the resolved name.
 // FlowBackends lists the registered names; unknown names fail at session

@@ -67,12 +67,14 @@ func run(ctx context.Context, randomN int, seed int64, backend string) error {
 		return err
 	}
 	defer solver.Close()
+	start := time.Now()
 	res, err := solver.Solve(ctx, s, t)
 	if err != nil {
-		return err
+		return fmt.Errorf("solve failed after %v: %w", time.Since(start).Round(time.Millisecond), err)
 	}
 	fmt.Printf("max flow value: %d\n", res.Value)
 	fmt.Printf("min cost:       %d\n", res.Cost)
+	fmt.Printf("attempts:       %d\n", res.Stats.Attempts)
 	fmt.Printf("LP path steps:  %d\n", res.Stats.PathSteps)
 	fmt.Printf("wall time:      %v\n", res.Stats.WallTime.Round(time.Millisecond))
 	wantV, wantC, _, err := bcclap.MinCostMaxFlowBaseline(d, s, t)

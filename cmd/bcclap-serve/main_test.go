@@ -408,7 +408,7 @@ func TestServeNetworkSpecOverrides(t *testing.T) {
 	defer ts.Close()
 
 	resp := doReq(t, http.MethodPut, ts.URL+"/v1/networks/tuned",
-		[]byte(`{"random_n": 5, "seed": 9, "backend": "csr-cg", "pool": 3, "cache_size": 0}`))
+		[]byte(`{"random_n": 5, "seed": 9, "backend": "csr-pcg", "pool": 3, "cache_size": 0}`))
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("PUT: status %d, want 201", resp.StatusCode)
@@ -417,16 +417,19 @@ func TestServeNetworkSpecOverrides(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&nr); err != nil {
 		t.Fatal(err)
 	}
-	if nr.Backend != "csr-cg" || nr.PoolSize != 3 || nr.Cache.Capacity != 0 {
+	if nr.Backend != "csr-pcg" || nr.PoolSize != 3 || nr.Cache.Capacity != 0 {
 		t.Fatalf("overrides not applied: %+v", nr)
 	}
 
-	// An unknown backend must fail the registration cleanly.
-	resp = doReq(t, http.MethodPut, ts.URL+"/v1/networks/broken",
-		[]byte(`{"random_n": 5, "backend": "no-such-backend"}`))
-	resp.Body.Close()
-	if resp.StatusCode == http.StatusCreated {
-		t.Fatal("unknown backend accepted")
+	// An unknown backend, the retired csr-cg included, must fail the
+	// registration cleanly.
+	for _, backend := range []string{"no-such-backend", "csr-cg"} {
+		resp = doReq(t, http.MethodPut, ts.URL+"/v1/networks/broken",
+			[]byte(`{"random_n": 5, "backend": "`+backend+`"}`))
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("backend %q: PUT status %d, want 400", backend, resp.StatusCode)
+		}
 	}
 }
 
@@ -463,17 +466,19 @@ func TestServeShutdownRetryAfter(t *testing.T) {
 // An unknown -backend must stop the daemon at startup, like a bad -pool
 // or -fsync, instead of coming up healthy and rejecting every PUT.
 func TestServeRejectsUnknownBackend(t *testing.T) {
-	errCh := make(chan error, 1)
-	go func() {
-		errCh <- run(serveConfig{addr: "127.0.0.1:0", backend: "nosuch", poolSize: 1, seed: 1})
-	}()
-	select {
-	case err := <-errCh:
-		if !errors.Is(err, bcclap.ErrBackendUnknown) {
-			t.Fatalf("run: %v, want ErrBackendUnknown", err)
+	for _, backend := range []string{"nosuch", "csr-cg"} {
+		errCh := make(chan error, 1)
+		go func() {
+			errCh <- run(serveConfig{addr: "127.0.0.1:0", backend: backend, poolSize: 1, seed: 1})
+		}()
+		select {
+		case err := <-errCh:
+			if !errors.Is(err, bcclap.ErrBackendUnknown) {
+				t.Fatalf("run -backend %s: %v, want ErrBackendUnknown", backend, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("run with -backend %s did not fail at startup", backend)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("run with -backend nosuch did not fail at startup")
 	}
 }
 

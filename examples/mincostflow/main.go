@@ -24,11 +24,10 @@ func main() {
 	fmt.Printf("transport network: %d nodes, %d arcs\n", d.N(), d.M())
 
 	// WithBackend selects the AᵀDA linear-solve strategy: "csr-pcg" is
-	// matrix-free CG preconditioned by a spanning forest built with the
-	// paper's spanner/sparsifier machinery; "csr-cg" is the same CG with
-	// Jacobi; "dense" the exact reference. bcclap.FlowBackends() lists
-	// every registered name — a typo here fails fast with
-	// bcclap.ErrBackendUnknown.
+	// matrix-free CG preconditioned by a maximum-multiplicity spanning
+	// forest of the network; "dense" the exact reference.
+	// bcclap.FlowBackends() lists every registered name — a typo here
+	// fails fast with bcclap.ErrBackendUnknown.
 	solver, err := bcclap.NewFlowSolver(d,
 		bcclap.WithSeed(3),
 		bcclap.WithBackend("csr-pcg"))

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"bcclap/internal/graph"
@@ -17,8 +18,8 @@ import (
 func TestBackendsProduceIdenticalCertifiedFlows(t *testing.T) {
 	rnd := rand.New(rand.NewSource(42))
 	backends := lp.Backends()
-	if len(backends) < 3 {
-		t.Fatalf("expected at least 3 registered backends, have %v", backends)
+	if !slices.Contains(backends, "dense") || !slices.Contains(backends, "csr-pcg") {
+		t.Fatalf("registered backends %v, want dense and csr-pcg among them", backends)
 	}
 	for trial := 0; trial < 2; trial++ {
 		d := graph.RandomFlowNetwork(6+trial, 0.3, 3, 3, rnd)
@@ -132,7 +133,7 @@ func TestDefaultBackendIsDense(t *testing.T) {
 		"near-complete n=40": graph.RandomFlowNetwork(40, 0.9, 3, 3, rnd),
 	}
 	for name, d := range graphs {
-		for _, backend := range []string{"", "dense", "csr-cg", "csr-pcg"} {
+		for _, backend := range []string{"", "dense", "csr-pcg"} {
 			fs, err := NewSolver(d, Options{Backend: backend})
 			if err != nil {
 				t.Fatal(err)

@@ -4,9 +4,9 @@
 //   - the paper's pipeline: the auxiliary LP with slack variables y, z and
 //     flow variable F, Daitch–Spielman cost perturbation for uniqueness,
 //     the Lee–Sidford solver with (AᵀDA)-solves routed through a pluggable
-//     backend (dense factorization, or matrix-free CG — plain, or
-//     preconditioned by the spanner-built forest of the csr-pcg backend;
-//     an unnamed backend is lp.DefaultBackend, dense, on every network),
+//     backend (dense factorization, or the csr-pcg backend's matrix-free
+//     CG preconditioned by a spanning forest of the network; an unnamed
+//     backend is lp.DefaultBackend, dense, on every network),
 //     and rounding back to an exact integral flow;
 //   - classic combinatorial baselines (Dinic's max-flow and successive
 //     shortest paths with potentials) that the experiments compare

@@ -24,7 +24,7 @@ const (
 // Options configures the LP-based min-cost max-flow pipeline.
 type Options struct {
 	// Backend names the (AᵀDA) strategy from the lp backend registry
-	// ("dense", "csr-cg", "csr-pcg", …); empty selects lp.DefaultBackend
+	// ("dense", "csr-pcg", …); empty selects lp.DefaultBackend
 	// ("dense") on every network. Unknown names fail fast with
 	// lp.ErrBackendUnknown when the solver is constructed.
 	Backend string

@@ -182,8 +182,19 @@ func (m *Dense) Cholesky() (*Dense, error) {
 	if m.rows != m.cols {
 		return nil, ErrDimension
 	}
+	l := NewDense(m.rows, m.rows)
+	if err := m.choleskyTo(l); err != nil {
+		return nil, err
+	}
+	return l, nil
+}
+
+// choleskyTo writes the lower Cholesky factor of the square m into the
+// lower triangle of l (same size), reading only entries it wrote in this
+// call, so l may hold an earlier factor; l's upper triangle is never
+// touched.
+func (m *Dense) choleskyTo(l *Dense) error {
 	n := m.rows
-	l := NewDense(n, n)
 	for i := 0; i < n; i++ {
 		for j := 0; j <= i; j++ {
 			s := m.At(i, j)
@@ -192,7 +203,7 @@ func (m *Dense) Cholesky() (*Dense, error) {
 			}
 			if i == j {
 				if s <= 0 {
-					return nil, ErrSingular
+					return ErrSingular
 				}
 				l.Set(i, i, math.Sqrt(s))
 			} else {
@@ -200,7 +211,7 @@ func (m *Dense) Cholesky() (*Dense, error) {
 			}
 		}
 	}
-	return l, nil
+	return nil
 }
 
 // CholSolve solves L Lᵀ x = b given a lower Cholesky factor L.
@@ -231,32 +242,34 @@ func CholSolveInPlace(l *Dense, y []float64) {
 }
 
 // GramFactor is the one dense factorization of G = mᵀ·diag(d)·m: GramTo
-// into a kept Cols×Cols buffer, then Cholesky, and CholSolve for every
-// solve against that d. When Cholesky fails (G only semidefinite, e.g. a
-// bound hit exactly by degenerate weights), Solve falls back to pivoted
-// Gaussian elimination on G.
+// and then Cholesky into two kept Cols×Cols buffers, and CholSolve for
+// every solve against that d. When Cholesky fails (G only semidefinite,
+// e.g. a bound hit exactly by degenerate weights), Solve falls back to
+// pivoted Gaussian elimination on G.
 type GramFactor struct {
 	m    *CSR
 	gram *Dense
-	chol *Dense // Cholesky factor of gram; nil when it failed
+	chol *Dense // Cholesky factor of gram, valid when cholOK
+	// cholOK reports whether the last Factor's Cholesky succeeded.
+	cholOK bool
 }
 
-// NewGramFactor allocates the Gram buffer for m.
+// NewGramFactor allocates the Gram and factor buffers for m.
 func NewGramFactor(m *CSR) *GramFactor {
-	return &GramFactor{m: m, gram: NewDense(m.cols, m.cols)}
+	return &GramFactor{m: m, gram: NewDense(m.cols, m.cols), chol: NewDense(m.cols, m.cols)}
 }
 
 // Factor assembles G for d and factorizes it, reporting whether Cholesky
 // succeeded; when it did not, Solve uses Gaussian elimination.
 func (f *GramFactor) Factor(d []float64) bool {
 	f.m.GramTo(f.gram, d)
-	f.chol, _ = f.gram.Cholesky()
-	return f.chol != nil
+	f.cholOK = f.gram.choleskyTo(f.chol) == nil
+	return f.cholOK
 }
 
 // Solve answers G·x = y for the d of the last Factor.
 func (f *GramFactor) Solve(y []float64) ([]float64, error) {
-	if f.chol == nil {
+	if !f.cholOK {
 		return f.gram.Solve(y)
 	}
 	return CholSolve(f.chol, y), nil

@@ -4,9 +4,10 @@
 // Laplacians and the ones-projected P·L·P, applied without materializing
 // products; AᵀDA is one fused CSR pass, GramMulVecTo, not a composition
 // of operators), conjugate-gradient and preconditioned
-// Chebyshev solvers, reusable preconditioners (Jacobi and the
-// spanning-forest incomplete Cholesky of precond.go, whose symbolic
-// structure is built once and numerically refreshed per reweight), and
+// Chebyshev solvers, the spanning-forest incomplete Cholesky
+// preconditioner of precond.go (its symbolic structure is built once and
+// numerically refreshed per reweight; on an edgeless forest it is
+// Jacobi), and
 // PencilBounds, which checks a spectral sparsifier against its graph.
 //
 // Everything is float64 and stdlib-only. Vectors are plain []float64 so

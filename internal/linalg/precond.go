@@ -5,41 +5,6 @@ import (
 	"math"
 )
 
-// JacobiPrecond is the diagonal preconditioner M = diag(d). Refresh copies
-// a new diagonal in (guarding non-positive entries), ApplyTo divides by it
-// — division rather than multiplication by a cached reciprocal, so it is
-// bit-identical to the historical inline Jacobi of the csr-cg backend.
-type JacobiPrecond struct {
-	diag []float64
-}
-
-// NewJacobiPrecond sizes a Jacobi preconditioner for dimension n. It is
-// unusable until the first Refresh.
-func NewJacobiPrecond(n int) *JacobiPrecond {
-	return &JacobiPrecond{diag: make([]float64, n)}
-}
-
-// Refresh installs a new diagonal. Non-positive entries (numerically
-// degenerate columns) are replaced by 1 so M stays SPD.
-func (p *JacobiPrecond) Refresh(diag []float64) {
-	if len(diag) != len(p.diag) {
-		panic(fmt.Sprintf("linalg: JacobiPrecond Refresh got %d entries, want %d", len(diag), len(p.diag)))
-	}
-	for i, v := range diag {
-		if v <= 0 {
-			v = 1
-		}
-		p.diag[i] = v
-	}
-}
-
-// ApplyTo writes M⁻¹·r into dst without allocating.
-func (p *JacobiPrecond) ApplyTo(dst, r []float64) {
-	for i := range r {
-		dst[i] = r[i] / p.diag[i]
-	}
-}
-
 // TreeEdge is one undirected edge of a TreeCholPrecond's elimination
 // forest, indexing vertices of the preconditioned system.
 type TreeEdge struct {
@@ -58,7 +23,8 @@ const treeCholFloor = 1e-300
 // restricted to the forest edges. Eliminating leaves before their parents
 // makes the factorization fill-free, so both Refresh and ApplyTo are O(n)
 // and allocation-free, and M = LLᵀ is SPD by construction (every pivot is
-// clamped positive).
+// clamped positive). On an edgeless forest M is diag(AᵀDA), the Jacobi
+// preconditioner.
 //
 // The symbolic structure — rooted forest, elimination order, per-vertex
 // factor slots — is computed once by NewTreeCholPrecond; Refresh only

@@ -79,7 +79,11 @@ func TestPrecondSPD(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jac := NewJacobiPrecond(n)
+	// The edgeless forest is the diagonal (Jacobi) preconditioner.
+	edgeless, err := NewTreeCholPrecond(n, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for trial := 0; trial < 3; trial++ {
 		if trial == 2 {
 			// Degenerate refresh: zero diagonal forces the pivot clamp.
@@ -88,8 +92,8 @@ func TestPrecondSPD(t *testing.T) {
 			}
 		}
 		tree.Refresh(diag, off)
-		jac.Refresh(diag)
-		for _, p := range []interface{ ApplyTo(dst, r []float64) }{tree, jac} {
+		edgeless.Refresh(diag, nil)
+		for k, p := range []*TreeCholPrecond{tree, edgeless} {
 			u := make([]float64, n)
 			v := make([]float64, n)
 			for i := range u {
@@ -103,11 +107,11 @@ func TestPrecondSPD(t *testing.T) {
 			// Symmetry: ⟨M⁻¹u, v⟩ = ⟨u, M⁻¹v⟩.
 			l, r := Dot(pu, v), Dot(u, pv)
 			if diff := math.Abs(l-r) / (1 + math.Abs(l)); diff > 1e-10 {
-				t.Fatalf("trial %d %T: asymmetric, %g vs %g", trial, p, l, r)
+				t.Fatalf("trial %d preconditioner %d: asymmetric, %g vs %g", trial, k, l, r)
 			}
 			// Positivity: ⟨M⁻¹u, u⟩ > 0 for u ≠ 0.
 			if q := Dot(pu, u); q <= 0 {
-				t.Fatalf("trial %d %T: quadratic form %g not positive", trial, p, q)
+				t.Fatalf("trial %d preconditioner %d: quadratic form %g not positive", trial, k, q)
 			}
 		}
 		for i, e := range edges {
@@ -172,25 +176,17 @@ func TestPrecondAllocationFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jac := NewJacobiPrecond(n)
 	r := make([]float64, n)
 	dst := make([]float64, n)
 	for i := range r {
 		r[i] = rnd.NormFloat64()
 	}
 	tree.Refresh(diag, off)
-	jac.Refresh(diag)
 	if allocs := testing.AllocsPerRun(100, func() { tree.ApplyTo(dst, r) }); allocs != 0 {
 		t.Fatalf("TreeCholPrecond.ApplyTo allocates %v per run", allocs)
 	}
 	if allocs := testing.AllocsPerRun(100, func() { tree.Refresh(diag, off) }); allocs != 0 {
 		t.Fatalf("TreeCholPrecond.Refresh allocates %v per run", allocs)
-	}
-	if allocs := testing.AllocsPerRun(100, func() { jac.ApplyTo(dst, r) }); allocs != 0 {
-		t.Fatalf("JacobiPrecond.ApplyTo allocates %v per run", allocs)
-	}
-	if allocs := testing.AllocsPerRun(100, func() { jac.Refresh(diag) }); allocs != 0 {
-		t.Fatalf("JacobiPrecond.Refresh allocates %v per run", allocs)
 	}
 }
 

@@ -16,7 +16,7 @@ func (m *CSR) MulVecTo(dst, x []float64) {
 }
 
 // GramDiagTo writes diag(mᵀ·diag(d)·m) into dst (length Cols) in O(nnz) —
-// the Jacobi preconditioner of the csr-cg normal-equation backend.
+// the diagonal of the csr-pcg backend's forest preconditioner.
 func (m *CSR) GramDiagTo(dst, d []float64) {
 	if len(d) != m.rows || len(dst) != m.cols {
 		panic(fmt.Sprintf("linalg: CSR GramDiagTo got dst=%d d=%d, want dst=%d d=%d", len(dst), len(d), m.cols, m.rows))

@@ -12,20 +12,15 @@
 //	dense   — assemble AᵀDA densely and factorize it on every call
 //	          (linalg.GramFactor: Cholesky, with a Gaussian fallback); the
 //	          exact reference, O(n³) per solve.
-//	csr-cg  — never materialize AᵀDA: apply Aᵀ·diag(D)·A in one fused
-//	          pass over A's rows inside Jacobi-preconditioned CG. O(nnz)
-//	          per iteration.
-//	csr-pcg — csr-cg with a combinatorial preconditioner: a spanning-forest
-//	          incomplete Cholesky whose support is extracted once per
-//	          session from the constraint matrix with the paper's
-//	          spanner/sparsifier machinery and only numerically refreshed
-//	          on each call (see precond.go). Fewer CG iterations per solve
-//	          on incidence-structured LPs; degrades to Jacobi on general
-//	          matrices.
+//	csr-pcg — never materialize AᵀDA: apply Aᵀ·diag(D)·A in one fused
+//	          pass over A's rows inside CG preconditioned by a
+//	          spanning-forest incomplete Cholesky, whose forest is built
+//	          once per session from the constraint matrix and only
+//	          numerically refreshed on each call (see precond.go). O(nnz)
+//	          per iteration; on a non-incidence matrix the forest is
+//	          edgeless and the preconditioner is diag(AᵀDA).
 //
-// csr-cg and csr-pcg are one constructor, matrixFreeSolve: csr-cg is
-// csr-pcg with an empty preconditioner structure and no counters. Both
-// stop their CG by linalg.InexactCGTo, the one definition of the
+// csr-pcg stops its CG by linalg.InexactCGTo, the one definition of the
 // tolerance and budget.
 package lp
 
@@ -70,15 +65,10 @@ type statsFactory func(a *linalg.CSR) (ATDASolve, *PrecondStats, error)
 
 var (
 	backendMu sync.RWMutex
-	// backends holds the three built-ins and every RegisterBackend entry.
+	// backends holds the two built-ins and every RegisterBackend entry.
 	backends = map[string]statsFactory{
 		"dense":   denseBackend,
 		"csr-pcg": csrPCGBackend,
-		// csr-cg is csr-pcg's Jacobi fallback on every matrix, registered
-		// without counters, so its PrecondRefreshes stays 0.
-		"csr-cg": func(a *linalg.CSR) (ATDASolve, *PrecondStats, error) {
-			return matrixFreeSolve(a, &pcgStructure{}, &PrecondStats{}), nil, nil
-		},
 	}
 )
 
@@ -169,16 +159,11 @@ func denseBackend(a *linalg.CSR) (ATDASolve, *PrecondStats, error) {
 	}, nil, nil
 }
 
-// matrixFreeSolve is the ATDASolve of the matrix-free backends: it never
-// materializes AᵀDA but applies it in one pass over A's rows
-// (CSR.GramMulVecTo) inside linalg.InexactCGTo, preconditioned by st's
-// fill-free incomplete Cholesky — or by Jacobi when st is empty, which is
-// all of csr-cg and csr-pcg on non-incidence matrices. One operator,
-// tolerance and budget for both backends keeps their iteration counts
-// directly comparable (flow's TestWorkCountsGolden asserts csr-pcg takes
-// fewer CG iterations than csr-cg on every pinned instance). Every call
-// rewrites the diagonal and the preconditioner numerics for its D and
-// counts the refresh in stats.
+// matrixFreeSolve is csr-pcg's ATDASolve: it never materializes AᵀDA but
+// applies it in one pass over A's rows (CSR.GramMulVecTo) inside
+// linalg.InexactCGTo, preconditioned by st's fill-free incomplete
+// Cholesky. Every call rewrites the diagonal and the preconditioner
+// numerics for its D and counts the refresh in stats.
 func matrixFreeSolve(a *linalg.CSR, st *pcgStructure, stats *PrecondStats) ATDASolve {
 	n := a.Cols()
 	ws := linalg.NewWorkspace()
@@ -188,27 +173,15 @@ func matrixFreeSolve(a *linalg.CSR, st *pcgStructure, stats *PrecondStats) ATDAS
 	op := linalg.FuncOp(func(dst, x []float64) {
 		a.GramMulVecTo(dst, dcur, x)
 	})
-	var jac *linalg.JacobiPrecond
-	var precondTo func(dst, r []float64)
-	if st.tree != nil {
-		precondTo = st.tree.ApplyTo
-	} else {
-		jac = linalg.NewJacobiPrecond(n)
-		precondTo = jac.ApplyTo
-	}
 	return func(ctx context.Context, d, y []float64) ([]float64, int, error) {
 		if err := checkATDAArgs(a, d, y); err != nil {
 			return nil, 0, err
 		}
 		dcur = d
 		a.GramDiagTo(diag, d) // diag(AᵀDA)
-		if jac != nil {
-			jac.Refresh(diag)
-		} else {
-			st.refresh(d, diag)
-		}
+		st.refresh(d, diag)
 		stats.Refreshes++
-		iters, err := linalg.InexactCGTo(ctx, x, op, y, precondTo, ws)
+		iters, err := linalg.InexactCGTo(ctx, x, op, y, st.tree.ApplyTo, ws)
 		if err != nil {
 			return nil, iters, err
 		}

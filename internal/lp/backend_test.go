@@ -40,17 +40,17 @@ func incidenceProblem(n int, rnd *rand.Rand) *linalg.CSR {
 	return linalg.NewCSR(row, n, ts)
 }
 
-// The registry holds exactly the three built-ins; any other name, the
-// retired gremban included, fails with ErrBackendUnknown.
+// The registry holds exactly the two built-ins; any other name, the
+// retired csr-cg and gremban included, fails with ErrBackendUnknown.
 func TestRegisteredBackends(t *testing.T) {
-	if names := Backends(); !slices.Equal(names, []string{"csr-cg", "csr-pcg", "dense"}) {
-		t.Fatalf("registered backends %v, want [csr-cg csr-pcg dense]", names)
+	if names := Backends(); !slices.Equal(names, []string{"csr-pcg", "dense"}) {
+		t.Fatalf("registered backends %v, want [csr-pcg dense]", names)
 	}
 	if got, err := ResolveBackend(""); err != nil || got != "dense" {
 		t.Fatalf(`ResolveBackend("") = %q, %v; want "dense"`, got, err)
 	}
 	a := linalg.NewCSR(1, 1, []linalg.Triple{{Row: 0, Col: 0, Val: 1}})
-	for _, name := range []string{"no-such-backend", "gremban"} {
+	for _, name := range []string{"no-such-backend", "csr-cg", "gremban"} {
 		if _, err := ResolveBackend(name); !errors.Is(err, ErrBackendUnknown) {
 			t.Fatalf("ResolveBackend(%q): got %v, want ErrBackendUnknown", name, err)
 		}
@@ -104,8 +104,8 @@ func TestBackendsAgree(t *testing.T) {
 	}
 }
 
-// The csr-cg backend must work inside a full LP solve selected by name.
-func TestSolveWithCSRCGBackend(t *testing.T) {
+// The csr-pcg backend must work inside a full LP solve selected by name.
+func TestSolveWithCSRPCGBackend(t *testing.T) {
 	nBlocks := 3
 	m := 3 * nBlocks
 	var ts []linalg.Triple
@@ -133,9 +133,9 @@ func TestSolveWithCSRCGBackend(t *testing.T) {
 		return sol.Objective
 	}
 	dense := solve("dense")
-	cg := solve("csr-cg")
-	if diff := dense - cg; diff > 0.05 || diff < -0.05 {
-		t.Fatalf("objective mismatch: dense %v vs csr-cg %v", dense, cg)
+	pcg := solve("csr-pcg")
+	if diff := dense - pcg; diff > 0.05 || diff < -0.05 {
+		t.Fatalf("objective mismatch: dense %v vs csr-pcg %v", dense, pcg)
 	}
 	prob := &Problem{
 		A: linalg.NewCSR(m, nBlocks, ts), B: linalg.Ones(nBlocks), C: c,
@@ -146,7 +146,7 @@ func TestSolveWithCSRCGBackend(t *testing.T) {
 	}
 	// NewSession is the one place the default applies, and Backend
 	// reports the name it resolved.
-	for backend, want := range map[string]string{"": DefaultBackend, "csr-cg": "csr-cg"} {
+	for backend, want := range map[string]string{"": DefaultBackend, "csr-pcg": "csr-pcg"} {
 		prob.Backend = backend
 		sess, err := NewSession(prob)
 		if err != nil {

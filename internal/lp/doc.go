@@ -14,18 +14,20 @@
 // place between calls (the flow layer's perturbations and arc patches).
 //
 // Each centering's projection solve (AᵀDA)x = y goes through a pluggable
-// backend registry ("dense", "csr-cg", "csr-pcg"; ResolveBackend, the one
-// place an empty name becomes DefaultBackend, and Backends) shared with
-// the flow layer, from the exact dense reference to matrix-free CG that
-// never materializes AᵀDA. The csr-pcg backend adds a combinatorial
-// preconditioner on top of the matrix-free path: a spanning-forest
-// incomplete Cholesky whose support is extracted once per session from the
-// constraint matrix with the paper's own spanner/sparsifier machinery and
-// only numerically refreshed, once per projection solve (precond.go); its
+// backend registry ("dense", "csr-pcg"; ResolveBackend, the one place an
+// empty name becomes DefaultBackend, and Backends) shared with the flow
+// layer: the exact dense reference, and csr-pcg's matrix-free CG that
+// never materializes AᵀDA. csr-pcg is preconditioned by a spanning-forest
+// incomplete Cholesky whose forest is picked once per session from the
+// constraint matrix by one Kruskal pass over its column pairs by
+// multiplicity (Vaidya's spanning-tree preconditioner) and only
+// numerically refreshed, once per projection solve (precond.go); its
 // build/refresh counters surface in Solution.PrecondBuilds/Refreshes.
-// Lemma 5.1's Gremban reduction is no backend: on [y; −y] its CG is
-// csr-cg's Jacobi CG on doubled vectors, so lapsolver.SDDSolver measures
-// it on its own (e10).
+// The paper's spanners and sparsifiers stay in internal/spanner and
+// internal/sparsify, where the BCC experiments measure them; lp imports
+// neither. Lemma 5.1's Gremban reduction is no backend: on [y; −y] its
+// CG is a diagonally preconditioned CG on doubled vectors, so
+// lapsolver.SDDSolver measures it on its own (e10).
 //
 // Invariants:
 //
@@ -37,7 +39,7 @@
 //   - Determinism: a solve on a reused session is bit-identical to the
 //     same solve on a fresh one — every scratch buffer is fully
 //     overwritten before it is read. There is no randomness in lp; the
-//     csr-pcg backend's subgraph extraction uses the fixed pcgSeed.
+//     csr-pcg backend's forest depends only on A.
 //   - Cancellation: the path-following loop checks its context every
 //     iteration and the inner CG every 32 iterations; an aborted solve
 //     returns an error satisfying errors.Is(err, ctx.Err()).

@@ -1,7 +1,6 @@
-// The csr-pcg backend: matrix-free CG over the fused AᵀDA operator (as
-// csr-cg) preconditioned by a combinatorial, fill-free incomplete Cholesky
-// whose support is extracted from the constraint matrix with the paper's
-// own spanner/sparsifier machinery.
+// The csr-pcg backend: matrix-free CG over the fused AᵀDA operator
+// preconditioned by a fill-free incomplete Cholesky over a spanning forest
+// of the constraint matrix's graph (Vaidya's spanning-tree preconditioner).
 //
 // The flow LP's constraint matrix is incidence-structured: every row has
 // at most two nonzeros, so AᵀDA = (graph Laplacian over the two-nonzero
@@ -11,41 +10,30 @@
 // constraint matrix (i.e. once per session, shared by every IPM step and
 // every query on the session):
 //
-//  1. classify rows (symbolic; rejects non-incidence matrices, which fall
-//     back to pure Jacobi),
-//  2. extract the preconditioning subgraph — a Baswana–Sen spanner
-//     (internal/spanner) of the support graph, preceded by one cheap
-//     ad-hoc sparsification round (internal/sparsify) when the support is
-//     dense — and complete it to a spanning forest,
+//  1. classify rows (symbolic; a row with three or more nonzeros makes
+//     the matrix non-incidence, and its forest is edgeless, so the
+//     preconditioner is diag(AᵀDA)),
+//  2. build a spanning forest in one Kruskal pass: the distinct column
+//     pairs by descending number of rows (parallel arcs, the strongest
+//     couplings), ties in (u, v) order, each kept when it joins two
+//     components of a union-find,
 //  3. build the fill-free elimination structure (linalg.TreeCholPrecond).
 //
 // Per ATDA call the backend only refreshes numerics for that call's D.
 package lp
 
 import (
-	"math"
-	"math/rand"
 	"sort"
 
 	"bcclap/internal/graph"
 	"bcclap/internal/linalg"
-	"bcclap/internal/spanner"
-	"bcclap/internal/sparsify"
 )
-
-// pcgSeed fixes the subgraph-extraction randomness: the preconditioner only
-// steers iteration counts, never results, but sessions must stay
-// deterministic (bit-identical re-runs), so the spanner/sparsifier streams
-// derive from a constant rather than ambient state.
-const pcgSeed = 0x9e3779b9
 
 // pcgStructure is the symbolic half of the csr-pcg preconditioner, built
 // once per constraint matrix and shared by every numeric refresh.
 type pcgStructure struct {
-	// tree is the fill-free factorization over the extracted forest; nil
-	// when A is not incidence-structured (some row has ≥ 3 nonzeros), in
-	// which case the backend degrades to Jacobi — still correct, just
-	// without the combinatorial boost.
+	// tree is the fill-free factorization over the forest; on an edgeless
+	// forest it is the diagonal (Jacobi) preconditioner.
 	tree *linalg.TreeCholPrecond
 	// Off-diagonal assembly: forest edge t sums d[offRow[k]]·offCoef[k]
 	// over k in [offPtr[t], offPtr[t+1]) — the rows (parallel arcs) whose
@@ -64,65 +52,36 @@ type pcgPair struct {
 	coef []float64 // product of the two row values, aligned with rows
 }
 
-// buildPCGStructure runs the symbolic analysis (steps 1–3 above).
-func buildPCGStructure(a *linalg.CSR) *pcgStructure {
+// buildPCGStructure runs the symbolic analysis (steps 1–3 above) and
+// reports whether A is incidence-structured; a non-incidence A gets the
+// edgeless forest.
+func buildPCGStructure(a *linalg.CSR) (*pcgStructure, bool, error) {
 	n := a.Cols()
-	pairs, structured := collectPairs(a)
-	if !structured || n == 0 {
-		return &pcgStructure{}
+	pairs, incidence := collectPairs(a)
+	if !incidence {
+		st, err := forestStructure(n, nil)
+		return st, false, err
 	}
-	// Support graph: one edge per distinct pair. The spanner prefers light
-	// edges, so weight = 1/(1+multiplicity) steers high-multiplicity pairs
-	// (parallel arcs, the strongest couplings) into the subgraph.
-	g := graph.New(n)
-	for _, p := range pairs {
-		if _, err := g.AddEdge(p.u, p.v, 1/(1+float64(len(p.rows)))); err != nil {
-			return &pcgStructure{}
-		}
-	}
-	k := int(math.Ceil(math.Log2(float64(max(n, 4)))))
-	alive := make([]bool, g.M())
-	for e := range alive {
-		alive[e] = true
-	}
-	// Dense support (beyond ~n·log n pairs): one cheap ad-hoc
-	// sparsification pass first, so the spanner walks a subgraph whose
-	// size already matches the target.
-	if len(pairs) > 4*n*k {
-		rnd := rand.New(rand.NewSource(pcgSeed))
-		res := sparsify.Adhoc(g, sparsify.Params{K: k, T: 1, Iterations: 3}, rnd, nil)
-		for e := range alive {
-			alive[e] = false
-		}
-		for _, e := range res.KeptEdges {
-			alive[e] = true
-		}
-	}
-	sp := spanner.Run(g, alive, nil, k, spanner.Options{
-		MarkRand: rand.New(rand.NewSource(pcgSeed + 1)),
-		EdgeRand: rand.New(rand.NewSource(pcgSeed + 2)),
+	sort.SliceStable(pairs, func(i, j int) bool {
+		return len(pairs[i].rows) > len(pairs[j].rows)
 	})
-	// Spanning forest of the spanner, completed against the full pair set
-	// (the spanner preserves connectivity, but the completion sweep makes
-	// the forest spanning regardless of sampling accidents).
 	uf := graph.NewUnionFind(n)
-	var forest []int // indices into pairs
-	addAcyclic := func(e int) {
-		ed := g.Edge(e)
-		if uf.Union(ed.U, ed.V) {
-			forest = append(forest, e)
+	var forest []*pcgPair
+	for _, p := range pairs {
+		if uf.Union(p.u, p.v) {
+			forest = append(forest, p)
 		}
 	}
-	for _, e := range sp.FPlus {
-		addAcyclic(e)
-	}
-	for e := 0; e < g.M(); e++ {
-		addAcyclic(e)
-	}
+	st, err := forestStructure(n, forest)
+	return st, true, err
+}
+
+// forestStructure lays out the off-diagonal assembly of the forest's
+// pairs and builds their elimination structure.
+func forestStructure(n int, forest []*pcgPair) (*pcgStructure, error) {
 	edges := make([]linalg.TreeEdge, len(forest))
 	st := &pcgStructure{offPtr: make([]int, len(forest)+1), off: make([]float64, len(forest))}
-	for i, e := range forest {
-		p := pairs[e]
+	for i, p := range forest {
 		edges[i] = linalg.TreeEdge{U: p.u, V: p.v}
 		st.offRow = append(st.offRow, p.rows...)
 		st.offCoef = append(st.offCoef, p.coef...)
@@ -130,18 +89,16 @@ func buildPCGStructure(a *linalg.CSR) *pcgStructure {
 	}
 	tree, err := linalg.NewTreeCholPrecond(n, edges)
 	if err != nil {
-		// The forest came from a union-find, so this is unreachable; degrade
-		// to Jacobi rather than fail the solve if it ever trips.
-		return &pcgStructure{}
+		return nil, err
 	}
 	st.tree = tree
-	return st
+	return st, nil
 }
 
 // collectPairs classifies every row of A: one-nonzero rows contribute only
 // to the diagonal, two-nonzero rows are graph edges. A row with three or
 // more nonzeros makes the matrix non-incidence-structured and the caller
-// falls back to Jacobi.
+// uses the edgeless forest.
 func collectPairs(a *linalg.CSR) ([]*pcgPair, bool) {
 	type key struct{ u, v int }
 	byPair := map[key]*pcgPair{}
@@ -180,24 +137,27 @@ func collectPairs(a *linalg.CSR) ([]*pcgPair, bool) {
 }
 
 // csrPCGBackend builds the ATDASolve of the csr-pcg backend: the symbolic
-// work — structure analysis, subgraph extraction, elimination ordering —
-// happens here, once, and matrixFreeSolve refreshes only the numerics.
+// work — structure analysis, forest, elimination ordering — happens here,
+// once, and matrixFreeSolve refreshes only the numerics.
 func csrPCGBackend(a *linalg.CSR) (ATDASolve, *PrecondStats, error) {
+	st, incidence, err := buildPCGStructure(a)
+	if err != nil {
+		return nil, nil, err
+	}
 	stats := &PrecondStats{}
-	st := buildPCGStructure(a)
-	if st.tree != nil {
-		// Only a real combinatorial build counts: on non-incidence
-		// matrices the backend degrades to plain Jacobi and Builds stays 0,
-		// so the counter distinguishes the two — a formulation change that
-		// silently loses the preconditioner shows up as PrecondBuilds = 0.
+	if incidence {
+		// Only a forest over A's graph counts: on non-incidence matrices
+		// the forest is edgeless and Builds stays 0, so a formulation
+		// change that silently loses the preconditioner shows up as
+		// PrecondBuilds = 0.
 		stats.Builds++
 	}
 	return matrixFreeSolve(a, st, stats), stats, nil
 }
 
 // refresh refactorizes the tree preconditioner for the barrier diagonal d,
-// given diag = diag(AᵀDA). It guards numerically degenerate columns (as
-// the Jacobi path does inside Refresh) so the factor diagonal stays
+// given diag = diag(AᵀDA). It replaces non-positive entries of diag
+// (numerically degenerate columns) by 1 so the factor diagonal stays
 // meaningful, and sums each forest edge's off-diagonal over its rows.
 func (st *pcgStructure) refresh(d, diag []float64) {
 	for i, v := range diag {

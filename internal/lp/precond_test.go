@@ -3,6 +3,7 @@ package lp
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"bcclap/internal/linalg"
@@ -111,7 +112,8 @@ func TestCSRPCGAgreesWithDense(t *testing.T) {
 }
 
 // A matrix with a row of three nonzeros is not incidence-structured: the
-// backend must degrade to its Jacobi fallback and still solve correctly.
+// backend must fall back to the edgeless forest (Jacobi), count no build,
+// and still solve correctly — also when every other row is an arc.
 func TestCSRPCGNonIncidenceFallback(t *testing.T) {
 	rnd := rand.New(rand.NewSource(12))
 	n := 10
@@ -137,7 +139,7 @@ func TestCSRPCGNonIncidenceFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	if stats.Builds != 0 {
-		t.Fatalf("Builds = %d on a non-incidence matrix, want 0 (degraded to Jacobi)", stats.Builds)
+		t.Fatalf("Builds = %d on a non-incidence matrix, want 0 (edgeless forest)", stats.Builds)
 	}
 	d := make([]float64, a.Rows())
 	for i := range d {
@@ -157,6 +159,68 @@ func TestCSRPCGNonIncidenceFallback(t *testing.T) {
 	}
 	if diff := linalg.Norm2(linalg.Sub(got, want)) / (1 + linalg.Norm2(want)); diff > 1e-5 {
 		t.Fatalf("fallback deviates from dense by %g", diff)
+	}
+
+	// A path's arcs plus one row with three nonzeros.
+	ts = ts[:0]
+	for i, arc := range pathArcs(n) {
+		ts = append(ts, linalg.Triple{Row: i, Col: arc[0], Val: -1}, linalg.Triple{Row: i, Col: arc[1], Val: 1})
+	}
+	for k := 0; k < 3; k++ {
+		ts = append(ts, linalg.Triple{Row: n - 1, Col: 2 * k, Val: 1})
+	}
+	a = linalg.NewCSR(n, n, ts)
+	st, incidence, err := buildPCGStructure(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if incidence || len(st.off) != 0 || len(st.offRow) != 0 {
+		t.Fatalf("one 3-nonzero row: incidence %v, %d forest edges; want the edgeless forest", incidence, len(st.off))
+	}
+	if _, stats, err = NewBackendSolverStats("csr-pcg", a); err != nil {
+		t.Fatal(err)
+	}
+	if stats.Builds != 0 {
+		t.Fatalf("one 3-nonzero row: Builds = %d, want 0", stats.Builds)
+	}
+}
+
+// The forest is a maximum-multiplicity spanning forest: a pair carrying
+// three parallel arcs is a forest edge even where it closes a cycle of
+// single arcs that (u, v) order would have taken first, the forest has
+// n − components edges, and two builds lay it out identically.
+func TestCSRPCGForestPrefersParallelPairs(t *testing.T) {
+	// Component {0,1,2,3}: the 4-cycle 0-1-2-3-0 with (2,3) tripled
+	// (rows 2, 4 and 5); component {4,5}; vertex 6 alone.
+	arcs := [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}, {3, 2}, {2, 3}, {4, 5}}
+	n, components := 7, 3
+	a := incidenceCSR(n, arcs)
+	st, incidence, err := buildPCGStructure(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !incidence {
+		t.Fatal("incidence matrix classified as non-incidence")
+	}
+	if got := len(st.off); got != n-components {
+		t.Fatalf("forest has %d edges, want n − components = %d", got, n-components)
+	}
+	tripled := false
+	for e := range st.off {
+		if slices.Equal(st.offRow[st.offPtr[e]:st.offPtr[e+1]], []int{2, 4, 5}) {
+			tripled = true
+		}
+	}
+	if !tripled {
+		t.Fatalf("the tripled pair (2,3) is no forest edge: offPtr %v offRow %v", st.offPtr, st.offRow)
+	}
+	again, _, err := buildPCGStructure(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(st.offPtr, again.offPtr) || !slices.Equal(st.offRow, again.offRow) || !slices.Equal(st.offCoef, again.offCoef) {
+		t.Fatalf("two builds differ: offPtr %v/%v offRow %v/%v offCoef %v/%v",
+			st.offPtr, again.offPtr, st.offRow, again.offRow, st.offCoef, again.offCoef)
 	}
 }
 
@@ -249,14 +313,16 @@ func TestCSRPCGRefreshEquivalentToRebuild(t *testing.T) {
 
 // The preconditioner must actually earn its keep: on a weighted path LP
 // (condition number Θ(n²)) csr-pcg needs strictly fewer CG iterations than
-// csr-cg for the same right-hand side and tolerance.
-func TestCSRPCGFewerIterationsThanCSRCG(t *testing.T) {
+// the same CG on the edgeless forest (its non-incidence fallback, i.e.
+// Jacobi) for the same right-hand side and tolerance.
+func TestCSRPCGFewerIterationsThanEdgelessForest(t *testing.T) {
 	rnd := rand.New(rand.NewSource(15))
 	a := incidenceCSR(64, pathArcs(64))
-	cg, _, err := NewBackendSolverStats("csr-cg", a)
+	edgeless, err := forestStructure(a.Cols(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cg := matrixFreeSolve(a, edgeless, &PrecondStats{})
 	pcg, _, err := NewBackendSolverStats("csr-pcg", a)
 	if err != nil {
 		t.Fatal(err)
@@ -281,8 +347,9 @@ func TestCSRPCGFewerIterationsThanCSRCG(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Logf("csr-pcg took %d iterations, the edgeless forest %d", pre, plain)
 	if pre >= plain {
-		t.Fatalf("csr-pcg took %d iterations, csr-cg %d — no reduction", pre, plain)
+		t.Fatalf("csr-pcg took %d iterations, the edgeless forest %d — no reduction", pre, plain)
 	}
 }
 

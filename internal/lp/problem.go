@@ -26,8 +26,8 @@ type Problem struct {
 	L []float64 // lower bounds, length m (−Inf allowed)
 	U []float64 // upper bounds, length m (+Inf allowed)
 
-	// Backend names a registered AᵀDA strategy ("dense", "csr-cg",
-	// "csr-pcg", …); empty selects DefaultBackend.
+	// Backend names a registered AᵀDA strategy ("dense", "csr-pcg", …);
+	// empty selects DefaultBackend.
 	Backend string
 }
 

@@ -77,7 +77,7 @@ type Solution struct {
 	// combinatorial-preconditioner counters (0 for backends without one).
 	// PrecondBuilds is cumulative over the owning session, so a count that
 	// stays at 1 across repeated solves is direct evidence the symbolic
-	// structure was reused (and 0 shows the Jacobi fallback).
+	// structure was reused (and 0 shows the edgeless-forest fallback).
 	// PrecondRefreshes counts the numeric refactorizations made during
 	// this solve only: one per projection solve, so one per centering
 	// plus one per feasibility repair.

@@ -78,7 +78,8 @@ func (c *config) apply(opts []Option) {
 }
 
 // WithBackend selects the AᵀDA linear-solve strategy by registry name
-// ("dense", "csr-cg", "csr-pcg", …; FlowBackends lists them).
+// ("dense", "csr-pcg", …; FlowBackends lists them; the retired "csr-cg"
+// and "gremban" fail with ErrBackendUnknown).
 // Without it a NewFlowSolver runs the exact dense reference on every
 // graph, and NewLPSolver runs prob.Backend (then "dense"); WithBackend
 // there overrides prob.Backend for the session without writing prob. An

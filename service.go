@@ -232,9 +232,11 @@ func tenantOpts(cfg config) store.TenantOpts {
 // the defaults of the original Register/Swap. Fields a record marks unset
 // keep their defaults, and a shard count from versions that ran
 // max(pool, shards) workers folds into the pool size. Tol and Retries, from
-// versions that had those options, are ignored, and the retired "gremban"
-// backend replays as "csr-cg", whose Jacobi CG it ran on a doubled system.
-// An empty backend replays on the default, dense, whatever the network.
+// versions that had those options, are ignored, and the retired "csr-cg"
+// and "gremban" backends replay as "csr-pcg", the one matrix-free backend
+// left (csr-cg was its CG with a diagonal preconditioner, gremban the same
+// CG on a doubled system). An empty backend replays on the default,
+// dense, whatever the network.
 func configOf(o store.TenantOpts) config {
 	cfg := config{
 		backend:   o.Backend,
@@ -242,8 +244,8 @@ func configOf(o store.TenantOpts) config {
 		poolSize:  max(o.Pool, o.Shards),
 		cacheSize: DefaultCacheSize,
 	}
-	if cfg.backend == "gremban" {
-		cfg.backend = "csr-cg"
+	if cfg.backend == "csr-cg" || cfg.backend == "gremban" {
+		cfg.backend = "csr-pcg"
 	}
 	if o.CacheSizeSet {
 		cfg.cacheSize = o.CacheSize

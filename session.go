@@ -33,13 +33,14 @@ type Stats struct {
 	CGIterations int
 	// PrecondBuilds and PrecondRefreshes report the backend's
 	// combinatorial-preconditioner counters (csr-pcg; 0 elsewhere).
-	// PrecondBuilds counts symbolic constructions (subgraph extraction +
+	// PrecondBuilds counts symbolic constructions (spanning forest +
 	// elimination ordering) and is cumulative over the owning session: it
 	// is paid once per session, so a count that stays at 1 across queries
 	// is direct evidence the symbolic structure was reused, and 0 shows
-	// the Jacobi fallback. PrecondRefreshes counts the numeric
-	// refactorizations made during this query only: one per projection
-	// solve, so one per centering plus one per feasibility repair.
+	// the edgeless-forest (Jacobi) fallback. PrecondRefreshes counts the
+	// numeric refactorizations made during this query only: one per
+	// projection solve, so one per centering plus one per feasibility
+	// repair.
 	PrecondBuilds    int
 	PrecondRefreshes int
 	// Attempts is the number of fresh flow perturbation attempts (0 for a

@@ -194,7 +194,7 @@ func TestSentinelErrors(t *testing.T) {
 	if !errors.Is(err, ErrBackendUnknown) {
 		t.Fatalf("unknown backend: got %v", err)
 	}
-	if !strings.Contains(err.Error(), "csr-cg") {
+	if !strings.Contains(err.Error(), "csr-pcg") {
 		t.Fatalf("backend error does not list registered names: %v", err)
 	}
 	if _, err := NewLaplacianSession(graph.New(4)); !errors.Is(err, ErrDisconnected) {
@@ -251,7 +251,7 @@ func TestNewLPSolverLeavesProblemUntouched(t *testing.T) {
 		L: []float64{0, 0},
 		U: []float64{1, 1},
 	}
-	l, err := NewLPSolver(prob, WithBackend("csr-cg"))
+	l, err := NewLPSolver(prob, WithBackend("csr-pcg"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,8 +262,8 @@ func TestNewLPSolverLeavesProblemUntouched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Backend != "csr-cg" {
-		t.Fatalf("session backend %q, want csr-cg", st.Backend)
+	if st.Backend != "csr-pcg" {
+		t.Fatalf("session backend %q, want csr-pcg", st.Backend)
 	}
 }
 
@@ -295,14 +295,14 @@ func TestNewLPSolverBackendNamesWhatRuns(t *testing.T) {
 	if got := ran(newProb("")); got != "dense" {
 		t.Fatalf("no backend named: Stats.Backend %q, want dense", got)
 	}
-	if got := ran(newProb("csr-cg")); got != "csr-cg" {
-		t.Fatalf("prob.Backend csr-cg: Stats.Backend %q", got)
+	if got := ran(newProb("csr-pcg")); got != "csr-pcg" {
+		t.Fatalf("prob.Backend csr-pcg: Stats.Backend %q", got)
 	}
-	prob := newProb("csr-cg")
-	if got := ran(prob, WithBackend("csr-pcg")); got != "csr-pcg" {
-		t.Fatalf("WithBackend(csr-pcg) over prob.Backend csr-cg: Stats.Backend %q", got)
+	prob := newProb("csr-pcg")
+	if got := ran(prob, WithBackend("dense")); got != "dense" {
+		t.Fatalf("WithBackend(dense) over prob.Backend csr-pcg: Stats.Backend %q", got)
 	}
-	if prob.Backend != "csr-cg" {
+	if prob.Backend != "csr-pcg" {
 		t.Fatalf("NewLPSolver wrote prob.Backend = %q", prob.Backend)
 	}
 	for _, c := range []struct {
@@ -311,7 +311,9 @@ func TestNewLPSolverBackendNamesWhatRuns(t *testing.T) {
 	}{
 		{newProb(""), []Option{WithBackend("no-such-backend")}},
 		{newProb("no-such-backend"), nil},
+		{newProb("csr-cg"), nil},  // retired
 		{newProb("gremban"), nil}, // retired
+		{newProb(""), []Option{WithBackend("csr-cg")}},
 	} {
 		if _, err := NewLPSolver(c.prob, c.opts...); !errors.Is(err, ErrBackendUnknown) {
 			t.Fatalf("unknown backend (prob.Backend %q): got %v, want ErrBackendUnknown", c.prob.Backend, err)

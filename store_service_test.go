@@ -55,8 +55,10 @@ type walCompatTenant struct {
 //     and a tenant swapped with two retries. Replay maps both onto the
 //     solver's fixed values.
 //   - walcompat-gremban, written before lp's gremban backend was removed:
-//     a tenant registered on it and a tenant swapped onto it. Both replay
-//     on csr-cg, the backend whose numerics it shared.
+//     a tenant registered on it and a tenant swapped onto it.
+//
+// The csr-cg tenants of walcompat and walcompat-tolerance and both
+// gremban tenants replay on csr-pcg, the one matrix-free backend left.
 //
 // Every tenant must come back at its version, backend, worker count,
 // cache budget and limits, and answer exactly like a fresh solver with
@@ -70,18 +72,18 @@ func TestWALCompat(t *testing.T) {
 		{"walcompat", []walCompatTenant{
 			{"a", testFlowNetwork(5, 63), 2, "dense", 2, DefaultCacheSize,
 				Limits{RatePerSec: 5, Burst: 2, QueueDepth: -1}, 1, 6},
-			{"b", testFlowNetwork(6, 62), 1, "csr-cg", 3, 7,
+			{"b", testFlowNetwork(6, 62), 1, "csr-pcg", 3, 7,
 				Limits{RatePerSec: 4, MaxInFlight: 2, QueueDepth: -1}, 1, 2},
 		}},
 		{"walcompat-tolerance", []walCompatTenant{
-			{"a", testFlowNetwork(5, 71), 1, "csr-cg", 2, 9,
+			{"a", testFlowNetwork(5, 71), 1, "csr-pcg", 2, 9,
 				Limits{RatePerSec: 3, Burst: 1}, 4, 15},
 			{"b", testFlowNetwork(6, 73), 2, "dense", 1, DefaultCacheSize,
 				Limits{MaxInFlight: 2}, 7, 32},
 		}},
 		{"walcompat-gremban", []walCompatTenant{
-			{"a", testFlowNetwork(5, 91), 1, "csr-cg", 2, 5, Limits{}, 2, 7},
-			{"b", testFlowNetwork(6, 93), 2, "csr-cg", 1, DefaultCacheSize,
+			{"a", testFlowNetwork(5, 91), 1, "csr-pcg", 2, 5, Limits{}, 2, 7},
+			{"b", testFlowNetwork(6, 93), 2, "csr-pcg", 1, DefaultCacheSize,
 				Limits{MaxInFlight: 3}, 4, 7},
 		}},
 	} {
